@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-from .data import Cover, NerveCell, enumerate_nerve, validate_cover
+from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
 from .errors import CellMismatch, LsglueError, Obstructed
 from .koszul import (
     KoszulElement,
@@ -37,7 +37,13 @@ from .koszul import (
     translate,
 )
 from .linalg import Vector
-from .model import FeatureMap, LSSolution, build_normal_system, solve_least_squares
+from .model import (
+    FeatureMap,
+    LSSolution,
+    build_normal_system,
+    solve_least_squares,
+    sum_normal_systems,
+)
 from .scalars import rat_float
 
 
@@ -128,20 +134,46 @@ class DiscrepancyMetrics:
     mean_defect: float | None
 
 
+def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
+    """The normal system of every nerve cell up to ``max_degree``, in
+    (degree, names) order.
+
+    Each membership atom of the cover (:attr:`Cover.atoms`) is evaluated once,
+    over its own points; a cell's system is the sum of the systems of the
+    atoms its points fall in.  Equals ``build_normal_system`` of the base
+    restricted to the cell's indices.
+    """
+    validate_cover(cover)
+    base = cover.base
+    atom_systems = {}
+    atom_of = {}
+    for signature, indices in cover.atoms.items():
+        points = tuple(base.points[i - 1] for i in indices)
+        atom_systems[signature] = build_normal_system(
+            WeightedDataSet(points, base.ambient_dim), features
+        )
+        atom_of.update(dict.fromkeys(indices, signature))
+    return {
+        cell: sum_normal_systems(
+            atom_systems[signature]
+            for signature in dict.fromkeys(atom_of[i] for i in sorted(cell.indices))
+        )
+        for cell in enumerate_nerve(cover, max_degree)
+    }
+
+
 def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
     """Fit every nerve cell up to ``max_degree``.
 
-    Each cell restricts the base weights to its index intersection, solves the
-    normal equations there, and packages the differential at the solution.
-    Raises :class:`lsglue.errors.Singular` naming the first degenerate cell.
+    Each cell solves the normal equations of its index intersection
+    (:func:`cell_normal_systems`) and packages the differential at the
+    solution.  Raises :class:`lsglue.errors.Singular` naming the first
+    degenerate cell in (degree, names) order.
     """
-    validate_cover(cover)
-    system = build_normal_system(cover.base, features)
     fits = {}
-    for cell in enumerate_nerve(cover, max_degree):
-        restricted = system.restricted(cell.indices)
-        solution = solve_least_squares(restricted, chart=cell.label)
-        differential = LinearizedDifferential(base=solution.a_hat, nmat=restricted.nmat)
+    for cell, system in cell_normal_systems(cover, features, max_degree).items():
+        solution = solve_least_squares(system, chart=cell.label)
+        differential = LinearizedDifferential(base=solution.a_hat, nmat=system.nmat)
         fits[cell] = ChartFit(cell=cell, solution=solution, differential=differential)
     return fits
 
@@ -391,21 +423,31 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
             raise LsglueError(f"cochain references unknown degree-{degree} cell {label!r}")
         return cell
 
+    def records(section: str, field: str, required: bool):
+        entries = doc.get(section, {})
+        if not isinstance(entries, dict):
+            raise LsglueError(f"cochain {section!r} must be an object keyed by cell label")
+        for label, record in entries.items():
+            if not isinstance(record, dict):
+                raise LsglueError(f"cochain {section!r} entry {label!r} must be an object")
+            if required and field not in record:
+                raise LsglueError(f"cochain {section!r} entry {label!r} lacks {field!r}")
+            yield label, record.get(field)
+
     alpha = {}
-    for label, record in doc.get("charts", {}).items():
+    for label, element in records("charts", "alpha", required=True):
         cell = resolve(label, 0)
         base = fits[cell].base
-        alpha[cell] = koszul_from_json(record["alpha"], base.dim, 0, base)
+        alpha[cell] = koszul_from_json(element, base.dim, 0, base)
     beta = {}
-    for label, record in doc.get("pairs", {}).items():
+    for label, element in records("pairs", "beta", required=True):
         cell = resolve(label, 1)
         base = fits[cell].base
-        beta[cell] = koszul_from_json(record["beta"], base.dim, 1, base)
+        beta[cell] = koszul_from_json(element, base.dim, 1, base)
     r = {}
-    for label, record in doc.get("triples", {}).items():
+    for label, witness in records("triples", "r", required=False):
         cell = resolve(label, 2)
         base = fits[cell].base
-        witness = record.get("r")
         r[cell] = (
             None if witness is None else koszul_from_json(witness, base.dim, 2, base)
         )

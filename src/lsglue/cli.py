@@ -31,6 +31,7 @@ from .data import (
 from .errors import LsglueError, Singular
 from .koszul import koszul_to_json
 from .model import affine_features, model_from_json
+from .scalars import over_digit_limit
 
 _EXIT_OK = 0
 _EXIT_PARSE = 1
@@ -93,6 +94,9 @@ def _read_json(path: str) -> dict:
         raise LsglueError(
             f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except ValueError:
+        # Raised besides JSONDecodeError only for an over-long integer literal.
+        raise LsglueError(f"{path}: {over_digit_limit('an integer literal')}") from None
 
 
 def _load_inputs(args):

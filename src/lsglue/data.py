@@ -4,6 +4,12 @@ Points are addressed by stable 1-based indices.  Restricting to a chart never
 deletes points: it zeroes the weights outside the chart, so repeated
 restrictions compose literally (restrict through A then B equals restricting
 through A ∩ B) and all index bookkeeping stays trivial.
+
+A cover partitions its points into membership atoms: the points that lie in
+exactly the same charts.  A set of charts meets exactly when some atom's
+signature (its sorted chart names) contains it, and its common points are
+the union of those atoms, so the nerve is enumerated from the atoms in time
+proportional to its size rather than by testing every chart tuple.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover
@@ -146,6 +153,24 @@ class Cover:
                 return chart.index_set
         raise LsglueError(f"no chart named {name!r}")
 
+    @cached_property
+    def atoms(self) -> dict:
+        """Membership atoms: sorted chart-name signature -> sorted 1-based indices
+        of the points lying in exactly those charts.
+
+        Atoms are disjoint; points in no chart belong to none.  Built once per
+        cover in one pass over the chart index lists.
+        """
+        signatures = [[] for _ in range(self.base.size + 1)]
+        for name, chart in sorted(self.charts, key=lambda item: item[0]):
+            for i in chart.source_indices:
+                signatures[i].append(name)
+        atoms = {}
+        for i in range(1, self.base.size + 1):
+            if signatures[i]:
+                atoms.setdefault(tuple(signatures[i]), []).append(i)
+        return {signature: tuple(indices) for signature, indices in atoms.items()}
+
 
 def validate_cover(cover: Cover) -> None:
     """Check that the chart index sets jointly exhaust the base data set."""
@@ -181,18 +206,20 @@ def enumerate_nerve(cover: Cover, max_degree: int) -> list[NerveCell]:
 
     A tuple of charts is a cell only if the intersection of their index sets
     is nonempty; orientation signs downstream come from the sorted name order.
+    The cells are the subsets of the atom signatures (:attr:`Cover.atoms`), and
+    a cell's indices are the union of the atoms whose signature contains it.
     """
     if max_degree < 0:
         raise LsglueError("max_degree must be >= 0")
-    by_name = {name: chart.index_set for name, chart in cover.charts}
-    names = sorted(by_name)
-    cells = []
-    for degree in range(max_degree + 1):
-        for combo in combinations(names, degree + 1):
-            common = frozenset.intersection(*(by_name[n] for n in combo))
-            if common:
-                cells.append(NerveCell(chart_names=combo, indices=common))
-    return cells
+    members = {}
+    for signature, indices in cover.atoms.items():
+        for size in range(1, min(max_degree + 1, len(signature)) + 1):
+            for names in combinations(signature, size):
+                members.setdefault(names, []).append(indices)
+    return [
+        NerveCell(chart_names=names, indices=frozenset(chain.from_iterable(members[names])))
+        for names in sorted(members, key=lambda names: (len(names), names))
+    ]
 
 
 def ensure_nonnegative_weights(data: WeightedDataSet) -> None:
@@ -210,7 +237,7 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
     Coordinates, responses, and weights are rational literals (strings or
     ints); ``weight`` defaults to 1.
     """
-    if not isinstance(doc, dict) or "points" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise LsglueError("dataset JSON must be an object with a 'points' array")
     ambient = doc.get("ambient_dim")
     points = []
@@ -269,7 +296,7 @@ def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> Weighte
 
 def cover_from_json(doc: dict, base: WeightedDataSet) -> Cover:
     """Parse ``{"charts": [{"name": ..., "indices": [...]}, ...]}`` (1-based)."""
-    if not isinstance(doc, dict) or "charts" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("charts"), list):
         raise LsglueError("cover JSON must be an object with a 'charts' array")
     charts = []
     for record in doc["charts"]:

@@ -5,15 +5,19 @@ squared-error gradient in a is affine:  η = ν + N·a  with
 
     ν_k = -2 Σ_j w_j y_j φ(x_j)_k          N_{kl} = 2 Σ_j w_j φ(x_j)_k φ(x_j)_l.
 
-Both are exactly linear in the weights, which is what lets a normal system be
-restricted to any chart by re-evaluating the stored per-point contributions
-with zeroed weights.  N is symmetric, and positive semidefinite whenever all
-weights are nonnegative; the minimizer solves N·â = -ν.
+Both are sums of per-point terms, exactly linear in the weights, so the
+system of a union of disjoint point groups is the sum of the groups' systems
+(:func:`sum_normal_systems`).  The fit path evaluates each membership atom of
+the cover once and sums the atoms of every cell; :meth:`NormalSystem.restricted`
+re-evaluates the stored per-point contributions with zeroed weights instead,
+and serves as the reference.  N is symmetric, and positive semidefinite
+whenever all weights are nonnegative; the minimizer solves N·â = -ν.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, Singular
@@ -138,8 +142,12 @@ def _evaluate(contributions: tuple, weights: Vector, n: int) -> NormalSystem:
             nu[k] += wy * phi[k]
             wphik = two * w * phi[k]
             row = nmat[k]
-            for l in range(n):
+            for l in range(k, n):
                 row[l] += wphik * phi[l]
+    # N is symmetric: accumulate the upper triangle, mirror the rest.
+    for k in range(n):
+        for l in range(k):
+            nmat[k][l] = nmat[l][k]
     return NormalSystem(
         contributions=contributions,
         weights=weights,
@@ -158,6 +166,33 @@ def build_normal_system(data, features: FeatureMap) -> NormalSystem:
         PointContribution(phi=features.evaluate(p.x), y=p.y) for p in data.points
     )
     return _evaluate(contributions, data.weights(), features.param_dim)
+
+
+def sum_normal_systems(systems) -> NormalSystem:
+    """The normal system of the union of disjoint point groups, one system each.
+
+    ν and N add; the per-point contributions and weights concatenate in the
+    order given, so the sum re-evaluates exactly like any other system.
+    """
+    systems = list(systems)
+    if not systems:
+        raise LsglueError("cannot sum an empty list of normal systems")
+    if len(systems) == 1:
+        return systems[0]
+    n = systems[0].param_dim
+    if any(system.param_dim != n for system in systems):
+        raise DimensionMismatch("normal systems have different parameter dims")
+    nu = tuple(sum(terms, ZERO) for terms in zip(*(s.nu.entries for s in systems)))
+    rows = tuple(
+        tuple(sum(terms, ZERO) for terms in zip(*(s.nmat.rows[k] for s in systems)))
+        for k in range(n)
+    )
+    return NormalSystem(
+        contributions=tuple(chain.from_iterable(s.contributions for s in systems)),
+        weights=Vector(tuple(chain.from_iterable(s.weights.entries for s in systems))),
+        nu=Vector(nu),
+        nmat=Matrix(rows, n),
+    )
 
 
 @dataclass(frozen=True)

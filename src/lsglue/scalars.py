@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from fractions import Fraction
 
-from .errors import MalformedNumber, ZeroDenominator
+from .errors import LsglueError, MalformedNumber, ZeroDenominator
 
 _requested = os.environ.get("LSGLUE_BACKEND", "").strip().lower()
 
@@ -66,18 +67,33 @@ def rational_from_string(text: str) -> Rational:
     if not isinstance(text, str):
         raise MalformedNumber(f"expected string, got {type(text).__name__}")
     body = text.strip()
-    if _FRACTION_RE.match(body):
-        if "/" in body:
-            num_s, den_s = body.split("/")
-            den = int(den_s)
-            if den == 0:
-                raise ZeroDenominator(f"zero denominator in {text!r}")
-            return Rational(int(num_s), den)
-        return Rational(int(body))
-    if _DECIMAL_RE.match(body):
-        # Fraction parses terminating decimals exactly; convert to the backend.
-        return Rational(Fraction(body))
+    try:
+        if _FRACTION_RE.match(body):
+            if "/" in body:
+                num_s, den_s = body.split("/")
+                den = int(den_s)
+                if den == 0:
+                    raise ZeroDenominator(f"zero denominator in {text!r}")
+                return Rational(int(num_s), den)
+            return Rational(int(body))
+        if _DECIMAL_RE.match(body):
+            # Fraction parses terminating decimals exactly; convert to the backend.
+            return Rational(Fraction(body))
+    except ValueError:
+        # The grammar admits only digits, so int() fails only on Python's
+        # limit on the length of decimal integer strings.
+        excerpt = body if len(body) <= 40 else f"{body[:20]}... ({len(body)} characters)"
+        raise MalformedNumber(over_digit_limit(f"rational literal {excerpt!r}")) from None
     raise MalformedNumber(f"cannot parse rational literal {text!r}")
+
+
+def over_digit_limit(what: str) -> str:
+    """Error message for a number longer than Python allows in int/str
+    conversion (``sys.set_int_max_str_digits``)."""
+    return (
+        f"{what} exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        " for decimal integers"
+    )
 
 
 def rat(value) -> Rational:
@@ -90,7 +106,10 @@ def rat(value) -> Rational:
 def rat_str(value) -> str:
     """Canonical serialization: ``p/q``, or bare ``p`` when q = 1."""
     num, den = value.numerator, value.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise LsglueError(over_digit_limit("an exact value to be written")) from None
 
 
 def rat_float(value) -> float:

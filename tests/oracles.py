@@ -145,6 +145,24 @@ def cover_data(points, weights, charts, exponents):
     return {"fits": fits, "pairs": pairs, "triples": triples}
 
 
+def nerve(charts, max_degree):
+    """Nerve cells by brute force over all C(k, d+1) chart tuples.
+
+    ``charts`` maps chart name -> set of 1-based indices.  Returns
+    ``(names, indices)`` pairs, names sorted, in (degree, names) order, for
+    every tuple of at most ``max_degree + 1`` charts with a nonempty common
+    intersection.
+    """
+    names = sorted(charts)
+    cells = []
+    for degree in range(max_degree + 1):
+        for combo in combinations(names, degree + 1):
+            common = frozenset.intersection(*(frozenset(charts[n]) for n in combo))
+            if common:
+                cells.append((combo, common))
+    return cells
+
+
 def as_fractions(vec) -> list:
     """Convert package rationals (any backend) to plain Fractions."""
     return [F(int(v.numerator), int(v.denominator)) for v in vec]

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -280,3 +281,59 @@ def test_fit_singular_cell_exit_2(files, capsys):
     )
     assert code == 0
     assert set(json.loads(out)["cells"]) == {"A", "B", "C"}
+
+
+@pytest.mark.parametrize(
+    "cochain, message",
+    [
+        ({"charts": {"D1": {}}}, "lacks 'alpha'"),
+        ({"charts": []}, "'charts' must be an object"),
+        ({"pairs": {"D1|D2": []}}, "'pairs' entry 'D1|D2' must be an object"),
+        ({"triples": "none"}, "'triples' must be an object"),
+    ],
+)
+def test_verify_malformed_cochain_shape_exit_1(files, capsys, cochain, message):
+    dataset = files("d.json", TOY_DATASET)
+    cover = files("c.json", TWO_CHARTS)
+    report = files("r.json", cochain)
+    code, out, err = run(
+        capsys, ["verify", "--dataset", dataset, "--cover", cover, "--cochain", report]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "dataset_doc, cover_doc, message",
+    [
+        ({"points": 5}, None, "'points' array"),
+        (TOY_DATASET, {"charts": 5}, "'charts' array"),
+    ],
+)
+def test_malformed_input_shape_exit_1(files, capsys, dataset_doc, cover_doc, message):
+    argv = ["fit", "--dataset", files("d.json", dataset_doc)]
+    if cover_doc is not None:
+        argv += ["--cover", files("c.json", cover_doc)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on decimal integer strings in this interpreter",
+)
+@pytest.mark.parametrize("as_string", [True, False])
+def test_literal_over_digit_limit_exit_1(files, capsys, as_string):
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 701)
+    text = json.dumps(TOY_DATASET)
+    quoted = '"y": "2"'
+    assert quoted in text
+    text = text.replace(quoted, f'"y": "{digits}"' if as_string else f'"y": {digits}', 1)
+    code, out, err = run(capsys, ["fit", "--dataset", files("d.json", text)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit of {limit} digits" in err

@@ -1,0 +1,44 @@
+"""CLI output pinned byte for byte.
+
+The files under ``tests/golden/`` were written by the CLI before the nerve and
+the cell normal systems were computed from membership atoms.  A refactor must
+reproduce them exactly, with the same exit code and an empty stderr.  Change a
+golden file only together with an intended change of the report format, by
+rerunning the command below with ``> tests/golden/<name>.<format>``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+TOY = ["--dataset", "sampledata/toy5.json"]
+CASES = [
+    ("fit_toy5", ["fit", *TOY], 0),
+    ("cocycle_two_charts", ["cocycle", *TOY, "--cover", "sampledata/cover_two_charts.json"], 0),
+    ("cocycle_three_charts", ["cocycle", *TOY, "--cover", "sampledata/cover_three_charts.json"], 3),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[case[0] for case in CASES])
+def test_cli_matches_golden(name, argv, code, fmt):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsglue.cli", *argv, "--format", fmt],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{name}.{fmt}").read_bytes()

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lsglue import MalformedNumber, ZeroDenominator
+from lsglue import LsglueError, MalformedNumber, ZeroDenominator
 from lsglue.scalars import BACKEND, rat, rat_float, rat_str, rational_from_string
 
 
@@ -76,3 +77,17 @@ def test_float_is_advisory_python_float():
     value = rat_float(rat("653/5880"))
     assert isinstance(value, float)
     assert abs(value - 0.111054421768) < 1e-9
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on decimal integer strings in this interpreter",
+)
+def test_digit_limit_is_an_lsglue_error():
+    limit = sys.get_int_max_str_digits()
+    for literal in ("7" * (limit + 1), "1/" + "3" * (limit + 1), "0." + "5" * (limit + 1)):
+        with pytest.raises(MalformedNumber, match=f"limit of {limit} digits"):
+            rational_from_string(literal)
+    with pytest.raises(LsglueError, match=f"limit of {limit} digits"):
+        rat_str(rat(10**limit))
+    assert rat_str(rat(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
