@@ -2,9 +2,10 @@
 
 Local weighted least-squares solutions on the charts of a cover are encoded
 as linearized degree-0 elements; their pairwise discrepancies are witnessed
-exactly by degree-1 elements on overlaps, and triple overlaps either carry a
-degree-2 witness or an exact constant obstruction.  Everything is computed
-and verified in exact rational arithmetic.
+exactly by degree-1 elements β = N⁻¹δ on overlaps.  On a triple overlap the
+alternating sum of the face betas either vanishes, and the zero degree-2
+element witnesses it, or is an exact constant obstruction.  Everything is
+computed and verified in exact rational arithmetic.
 """
 
 from .assembly import (
@@ -35,15 +36,12 @@ from .data import (
 from .errors import (
     BaseMismatch,
     CellMismatch,
-    ConstantObstruction,
     DegreeZero,
     DimensionMismatch,
-    Inconsistent,
     IndexOutOfRange,
     LsglueError,
     MalformedNumber,
     NotACover,
-    Obstructed,
     Singular,
     ZeroDenominator,
 )
@@ -54,17 +52,13 @@ from .koszul import (
     koszul_diff,
     restrict_differential,
     ring_mul,
-    solve_homotopy_deg1,
-    solve_homotopy_deg2,
     translate,
 )
 from .linalg import (
-    LinearSolution,
     Matrix,
     Vector,
     mat_inverse,
     rank,
-    solve_general,
     solve_square,
 )
 from .model import (

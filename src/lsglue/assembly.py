@@ -5,17 +5,19 @@ The cochain has three layers, one per overlap depth:
 * ``alpha``  -- on each chart, the degree-0 element â·(a - â) encoding that
   chart's least-squares fit to first order;
 * ``beta``   -- on each pairwise overlap, a degree-1 element with constant
-  coefficients whose differential reproduces the translated discrepancy of
-  the two chart fits (computed as N⁻¹δ on the overlap's normal matrix);
+  coefficients N⁻¹δ (N the overlap's normal matrix, δ = â_j - â_i) whose
+  differential reproduces the translated discrepancy of the two chart fits;
 * ``r``      -- on each triple overlap, a degree-2 element whose differential
   must reproduce the alternating sum of the three transported betas.
 
-Transport to a smaller cell is translation to the cell's own fit (the
-coefficients ride along verbatim) while the differential is re-evaluated at
-the cell's weights.  Since differential images never carry constant terms,
-the constant part of a triple's alternating beta sum can never be witnessed:
-it is reported as the exact obstruction, and a witness r exists only when it
-vanishes.  All residuals are exact; floats appear only in advisory metrics.
+Construction needs only vectors: translation carries coefficients over
+verbatim, so every triple defect is the constant vector β_jk - β_ik + β_ij,
+and a witness r exists exactly when that vector is zero, in which case r = 0
+(see :func:`assemble_cochain`).  Koszul elements are built to serialize the
+cochain and to verify it: :func:`verify_cocycle` re-evaluates every equation
+with the differential at the cell's weights, so an external cochain is
+checked exactly.  All residuals are exact; floats appear only in advisory
+metrics.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from math import sqrt
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
-from .errors import CellMismatch, LsglueError, Obstructed
+from .errors import CellMismatch, LsglueError
 from .koszul import (
     KoszulElement,
     LinearizedDifferential,
@@ -32,11 +34,9 @@ from .koszul import (
     koszul_diff,
     koszul_from_json,
     koszul_to_json,
-    solve_homotopy_deg1,
-    solve_homotopy_deg2,
     translate,
 )
-from .linalg import Vector
+from .linalg import Vector, solve_square
 from .model import (
     FeatureMap,
     LSSolution,
@@ -86,9 +86,10 @@ class PairCheck:
 class TripleCheck:
     """Exact verification data for one triple overlap.
 
-    ``outcome`` is "ok" (witness found), "constant_defect" (nonzero constant
-    part, rigorously un-witnessable), or "inconsistent" (slot equations had no
-    solution).
+    ``outcome`` is "ok" (witness supplied), "constant_defect" (nonzero
+    constant part, rigorously un-witnessable), or "inconsistent" (no witness
+    supplied although the constant part vanishes; only an external cochain
+    can say so).
     """
 
     defect_constant: Vector
@@ -234,40 +235,59 @@ def build_zero_cocycle(
     """Construct (alpha, beta, r) over the cover's nerve and verify it.
 
     Pairs always solve exactly (the overlap's normal matrix is invertible
-    whenever its fit exists).  On each triple the constant part of the
-    transported beta defect is the exact obstruction: when it vanishes, the
-    degree-2 witness is solved for the remaining linear part; otherwise the
-    triple is recorded as obstructed (never raised).  The returned report is
-    the verification of the constructed cochain.
+    whenever its fit exists).  A triple glues (r = 0) when its beta defect
+    vanishes and is recorded as obstructed (never raised) otherwise.  The
+    returned report is the verification of the constructed cochain.
     """
     return assemble_cochain(fit_all_cells(cover, features, max_degree))
 
 
 def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
-    """The cell-level cochain construction behind :func:`build_zero_cocycle`."""
+    """The cell-level cochain construction behind :func:`build_zero_cocycle`.
+
+    Everything is computed on vectors; why that loses nothing:
+
+    * Pairs.  Translated to the pair's base, the canonical alphas differ by
+      δ·(a - â) with δ = â_j - â_i and no constant term.  A degree-1 element
+      with constant coefficients β has ι(β) = Σ β_m η^m = (Nᵀβ)·(a - â),
+      again with no constant term.  N is symmetric (accumulated on the upper
+      triangle and mirrored), so ι(β) equals the discrepancy exactly when
+      β = N⁻¹δ, and every pair residual is zero.
+    * Triples.  Translation keeps (c0, c) verbatim, so the transported
+      defect β_jk - β_ik + β_ij has no linear part, and its slot-m constant
+      is entry m of the same alternating sum taken over the beta vectors.
+    * Witness.  Every component η^i = N_i·(a - â) has zero constant term, so
+      ι(r) has no constant term for any degree-2 r.  ι(r) can therefore equal
+      the defect only when the defect vector is zero, and then r = 0 does.
+      So r is the zero element when the defect vanishes and None otherwise.
+
+    The cochain is then rechecked by :func:`verify_cocycle`.
+    """
     by_names = _cells_by_names(fits)
 
     alpha = {
         cell: canonical_alpha(fits[cell]) for cell in fits if cell.degree == 0
     }
-    beta = {}
+    beta_vectors = {}
     for cell in _sorted_cells(c for c in fits if c.degree == 1):
         name_i, name_j = cell.chart_names
-        target = cech_delta_pair(
-            alpha[by_names[(name_i,)]], alpha[by_names[(name_j,)]], fits[cell]
+        delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
+        beta_vectors[cell] = solve_square(fits[cell].differential.nmat, delta)
+    beta = {
+        cell: KoszulElement.from_constants(
+            1, fits[cell].base, {(m + 1,): value for m, value in enumerate(vector)}
         )
-        beta[cell] = solve_homotopy_deg1(target, fits[cell].differential)
+        for cell, vector in beta_vectors.items()
+    }
 
     r = {}
     for cell in _sorted_cells(c for c in fits if c.degree == 2):
-        defect = _transported_defect(cell, beta, fits, by_names)
-        if not _defect_constants(defect).is_zero():
-            r[cell] = None
-            continue
-        try:
-            r[cell] = solve_homotopy_deg2(defect, fits[cell].differential)
-        except Obstructed:
-            r[cell] = None
+        base = fits[cell].base
+        defect = Vector.zeros(base.dim)
+        for position, face in enumerate(cell.faces()):
+            term = beta_vectors[by_names[face]]
+            defect = defect - term if position % 2 else defect + term
+        r[cell] = KoszulElement.zero(base.dim, 2, base) if defect.is_zero() else None
 
     cochain = TotalCochain(alpha=alpha, beta=beta, r=r)
     return cochain, verify_cocycle(cochain, fits)

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=2,
             metavar="K",
-            help="deepest overlap to enumerate (default 2)",
+            help="deepest overlap to enumerate (default 2; cocycle and verify accept only 2)",
         )
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--allow-negative-weights", action="store_true")
@@ -86,8 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise LsglueError(f"{path}: not UTF-8 text (byte {err.start})") from None
+
+
 def _read_json(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -97,12 +104,14 @@ def _read_json(path: str) -> dict:
     except ValueError:
         # Raised besides JSONDecodeError only for an over-long integer literal.
         raise LsglueError(f"{path}: {over_digit_limit('an integer literal')}") from None
+    except RecursionError:
+        raise LsglueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_inputs(args):
     if args.dataset.endswith(".csv"):
         data = dataset_from_csv(
-            Path(args.dataset).read_text(encoding="utf-8"),
+            _read_text(args.dataset),
             allow_negative_weights=args.allow_negative_weights,
         )
     else:
@@ -211,7 +220,15 @@ def _cmd_fit(args) -> int:
     return _EXIT_OK
 
 
+def _check_cochain_degree(args) -> None:
+    """The cochain ends at triples: a shallower nerve would skip the triple
+    check, and a deeper one would fit cells the cochain never uses."""
+    if args.max_degree != 2:
+        raise LsglueError(f"{args.command} needs --max-degree 2, got {args.max_degree}")
+
+
 def _cmd_cocycle(args) -> int:
+    _check_cochain_degree(args)
     _, cover, features = _load_inputs(args)
     fits = fit_all_cells(cover, features, args.max_degree)
     cochain, report = assemble_cochain(fits)
@@ -223,6 +240,7 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_cochain_degree(args)
     _, cover, features = _load_inputs(args)
     fits = fit_all_cells(cover, features, args.max_degree)
     cochain = cochain_from_json(_read_json(args.cochain), fits)

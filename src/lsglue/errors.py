@@ -36,20 +36,6 @@ class Singular(LsglueError):
         self.cell = cell
 
 
-class Inconsistent(LsglueError):
-    """A rectangular system A x = b has no solution.
-
-    ``witness`` is an exact solution of the normal-projected system
-    AᵀA x = Aᵀb and ``residual`` is the (witness-independent) exact defect
-    b - A·witness.
-    """
-
-    def __init__(self, message: str, residual=None, witness=None):
-        super().__init__(message)
-        self.residual = residual
-        self.witness = witness
-
-
 class IndexOutOfRange(LsglueError):
     """A point index fell outside 1..m for the data set at hand."""
 
@@ -68,18 +54,6 @@ class BaseMismatch(LsglueError):
 
 class DegreeZero(LsglueError):
     """The interior-multiplication differential was applied in degree 0."""
-
-
-class ConstantObstruction(LsglueError):
-    """A homotopy target has a constant term, which no differential image carries."""
-
-
-class Obstructed(LsglueError):
-    """The degree-2 witness equations are inconsistent; ``residual`` is exact."""
-
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class CellMismatch(LsglueError):

@@ -1,4 +1,4 @@
-"""Linearized coefficients, Koszul elements, differentials, and homotopy solvers.
+"""Linearized coefficients, Koszul elements, the differential, and translation.
 
 Coefficients live in the quotient of the parameter polynomial ring by the
 square of the ideal at a base point â: every element is determined by a
@@ -9,31 +9,22 @@ each strictly increasing p-tuple of wedge slots e^{i_1} ∧ ... ∧ e^{i_p}.
 The differential is interior multiplication against the components
 η^i = N_i·(a - â) (rows of a normal matrix evaluated at some chart's
 weights).  Because every η^i has zero constant term, images of the
-differential never carry constant terms; that fact is what makes constant
-defects genuine obstructions for the homotopy solvers below.
+differential never carry constant terms; that fact is what makes a nonzero
+constant triple defect a genuine obstruction.
 
 Rebasing is the translation substitution a ↦ a - (b - â): coefficients keep
 (c0, c) verbatim while the base moves, which is a chain isomorphism (it is
-NOT a Taylor re-expansion).
+NOT a Taylor re-expansion).  Serialization to and from JSON closes the module.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
-from .errors import (
-    BaseMismatch,
-    ConstantObstruction,
-    DegreeZero,
-    DimensionMismatch,
-    Inconsistent,
-    LsglueError,
-    Obstructed,
-)
-from .linalg import Matrix, Vector, solve_general, solve_square
+from .errors import BaseMismatch, DegreeZero, DimensionMismatch, LsglueError
+from .linalg import Matrix, Vector
 from .scalars import ZERO, rat, rat_str, rational_from_string
 
 
@@ -181,9 +172,6 @@ class KoszulElement:
             {idx: coeff.scale(s) for idx, coeff in self.coeffs.items()},
         )
 
-    def constant_parts(self) -> dict:
-        return {idx: coeff.c0 for idx, coeff in self.coeffs.items()}
-
     def _compatible(self, other: "KoszulElement") -> None:
         if self.n != other.n or self.degree != other.degree:
             raise DimensionMismatch("Koszul elements of different rank or degree")
@@ -254,76 +242,6 @@ def restrict_differential(system, cell, base: Vector) -> LinearizedDifferential:
     indices = getattr(cell, "indices", cell)
     restricted = system.restricted(indices)
     return LinearizedDifferential(base=base, nmat=restricted.nmat)
-
-
-def solve_homotopy_deg1(target: KoszulElement, eta: LinearizedDifferential) -> KoszulElement:
-    """Find q of degree 1 with constant coefficients β and ι(q) = target.
-
-    Since ι(Σ β_i e^i) = Σ β_i η^i has linear part Nᵀβ and no constant part,
-    the solve is Nᵀβ = (linear part of target); a nonzero constant part of the
-    target is unreachable and raises :class:`ConstantObstruction`.
-    """
-    if target.degree != 0:
-        raise LsglueError(f"degree-1 homotopy target must have degree 0, got {target.degree}")
-    if target.base != eta.base:
-        raise BaseMismatch("target and differential have different base points")
-    coeff = target.coefficient(())
-    if coeff.c0 != 0:
-        raise ConstantObstruction(
-            f"target has constant term {rat_str(coeff.c0)}; not in the image of the differential"
-        )
-    beta = solve_square(eta.nmat.transpose(), coeff.c)
-    return KoszulElement.from_constants(
-        1, eta.base, {(i + 1,): beta[i] for i in range(eta.n)}
-    )
-
-
-def solve_homotopy_deg2(target: KoszulElement, eta: LinearizedDifferential) -> KoszulElement:
-    """Find r of degree 2 with constant coefficients and ι(r) = target.
-
-    ι(e^p ∧ e^q) = η^p e^q - η^q e^p, so matching the linear part of every
-    slot of the target gives n² equations in the C(n,2) unknowns r_{pq};
-    they are dispatched to the general solver (never Singular: underdetermined
-    systems pick the deterministic particular solution).  Constant parts of
-    the target raise :class:`ConstantObstruction`; an inconsistent system
-    raises :class:`Obstructed` with the exact residual.
-    """
-    if target.degree != 1:
-        raise LsglueError(f"degree-2 homotopy target must have degree 1, got {target.degree}")
-    if target.base != eta.base:
-        raise BaseMismatch("target and differential have different base points")
-    n = eta.n
-    for idx, coeff in target.coeffs.items():
-        if coeff.c0 != 0:
-            raise ConstantObstruction(
-                f"target slot e^{idx[0]} has constant term {rat_str(coeff.c0)};"
-                " not in the image of the differential"
-            )
-    pairs = list(combinations(range(1, n + 1), 2))
-    columns = {pq: k for k, pq in enumerate(pairs)}
-    rows = []
-    rhs = []
-    nmat = eta.nmat
-    for m in range(1, n + 1):
-        linear = target.coefficient((m,)).c
-        for l in range(n):
-            row = [ZERO] * len(pairs)
-            for p in range(1, m):
-                row[columns[(p, m)]] = nmat.entry(p - 1, l)
-            for q in range(m + 1, n + 1):
-                row[columns[(m, q)]] = -nmat.entry(q - 1, l)
-            rows.append(tuple(row))
-            rhs.append(linear[l])
-    system = Matrix(tuple(rows), len(pairs))
-    try:
-        solution = solve_general(system, Vector(tuple(rhs)))
-    except Inconsistent as err:
-        raise Obstructed(
-            "no degree-2 witness: slot equations are inconsistent",
-            residual=err.residual,
-        ) from None
-    values = {pq: solution.particular[k] for pq, k in columns.items()}
-    return KoszulElement.from_constants(2, eta.base, values)
 
 
 def koszul_to_json(element: KoszulElement) -> dict:

@@ -1,4 +1,4 @@
-"""Exact rational vectors, matrices, and deterministic linear solvers.
+"""Exact rational vectors, matrices, and deterministic square solvers.
 
 All arithmetic is over the scalar backend from :mod:`lsglue.scalars`; nothing
 here ever touches floats.  Elimination pivots on the first nonzero entry
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, Inconsistent, Singular
+from .errors import DimensionMismatch, Singular
 from .scalars import ONE, ZERO, Rational, rat, rat_float, rat_str
 
 
@@ -188,14 +188,6 @@ class Matrix:
             raise DimensionMismatch("matrix shapes differ")
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """A particular solution plus a basis of the solution space's direction."""
-
-    particular: Vector
-    nullspace_basis: tuple
-
-
 def _reduced_echelon(rows: list[list], width: int) -> list[int]:
     """In-place Gauss-Jordan over the leading ``width`` columns.
 
@@ -262,53 +254,3 @@ def solve_square(a: Matrix, b: Vector) -> Vector:
     if len(pivots) < n:
         raise Singular(f"matrix is singular (rank {len(pivots)} < {n})", rank=len(pivots))
     return Vector(tuple(row[n] for row in work))
-
-
-def _particular_and_nullspace(a: Matrix, b: Vector):
-    """Row-reduce [A | b]; returns (particular, nullspace, leftover-rhs-rows)."""
-    n = a.ncols
-    work = [list(row) + [be] for row, be in zip(a.rows, b.entries)]
-    pivots = _reduced_echelon(work, n) if work else []
-    bad_rows = [r for r in range(len(pivots), a.nrows) if work[r][n] != 0]
-
-    entries = [ZERO] * n
-    for r, col in enumerate(pivots):
-        entries[col] = work[r][n]
-    particular = Vector(tuple(entries))
-
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * n
-        vec[free] = ONE
-        for r, col in enumerate(pivots):
-            vec[col] = -work[r][free]
-        basis.append(Vector(tuple(vec)))
-    return particular, tuple(basis), bad_rows
-
-
-def solve_general(a: Matrix, b: Vector) -> LinearSolution:
-    """Solve A x = b for any shape of A.
-
-    Returns a particular solution plus a deterministic nullspace basis (one
-    vector per free column, ascending).  When the system is inconsistent,
-    raises :class:`Inconsistent` carrying an exact witness x* solving the
-    normal-projected system AᵀA x = Aᵀb and the exact residual b - A x*
-    (the residual does not depend on which witness the projection picks).
-    """
-    if b.dim != a.nrows:
-        raise DimensionMismatch(f"rhs dim {b.dim} does not match {a.nrows} rows")
-    particular, basis, bad_rows = _particular_and_nullspace(a, b)
-    if bad_rows:
-        at = a.transpose()
-        witness, _, leftover = _particular_and_nullspace(at @ a, at.matvec(b))
-        assert not leftover  # normal-projected system is always consistent
-        residual = b - a.matvec(witness)
-        raise Inconsistent(
-            f"system has no solution; residual on {len(bad_rows)} row(s)",
-            residual=residual,
-            witness=witness,
-        )
-    return LinearSolution(particular=particular, nullspace_basis=basis)

@@ -1,6 +1,7 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from lsglue import cli
 import oracles
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 TOY_DATASET = {
     "ambient_dim": 1,
@@ -337,3 +339,91 @@ def test_literal_over_digit_limit_exit_1(files, capsys, as_string):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"limit of {limit} digits" in err
+
+
+# Four charts of the toy data whose one quadruple cell holds a single point.
+FOUR_CHARTS = {
+    "charts": [
+        {"name": "A", "indices": [1, 2, 3, 4]},
+        {"name": "B", "indices": [1, 2, 3, 5]},
+        {"name": "C", "indices": [1, 2, 4, 5]},
+        {"name": "D", "indices": [1, 3, 4, 5]},
+    ]
+}
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["cocycle", "verify"])
+@pytest.mark.parametrize(
+    "max_degree, cover_doc",
+    [("0", THREE_CHARTS), ("1", THREE_CHARTS), ("3", FOUR_CHARTS), ("-1", THREE_CHARTS)],
+)
+def test_cochain_commands_need_max_degree_2(files, capsys, command, max_degree, cover_doc):
+    argv = [command, "--dataset", files("d.json", TOY_DATASET)]
+    argv += ["--cover", files("c.json", cover_doc), "--max-degree", max_degree]
+    if command == "verify":
+        argv += ["--cochain", files("r.json", {})]
+    code, out, err = run(capsys, argv)
+    assert_one_error_line(code, out, err)
+    assert f"--max-degree 2, got {max_degree}" in err
+
+
+def test_four_charts_fit_deeper_but_cocycle_stops_at_triples(files, capsys):
+    dataset = files("d.json", TOY_DATASET)
+    cover = files("c.json", FOUR_CHARTS)
+    code, _, err = run(capsys, ["fit", "--dataset", dataset, "--cover", cover, "--max-degree", "3"])
+    assert code == 2 and "A|B|C|D" in err
+    code, out, _ = run(capsys, ["cocycle", "--dataset", dataset, "--cover", cover])
+    assert code == 3
+    assert "A|B|C|D" not in out and len(json.loads(out)["triples"]) == 4
+
+
+@pytest.mark.parametrize(
+    "name, payload",
+    [
+        ("d.json", b'{"ambient_dim": 1, "points": "\xff"}'),
+        ("d.csv", b"x1,y,weight\n1,2,\xff\n"),
+    ],
+)
+def test_non_utf8_dataset_exit_1(tmp_path, capsys, name, payload):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    code, out, err = run(capsys, ["fit", "--dataset", str(path)])
+    assert_one_error_line(code, out, err)
+    assert f"{path}: not UTF-8" in err
+
+
+def test_deeply_nested_json_exit_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, ["fit", "--dataset", str(path)])
+    assert_one_error_line(code, out, err)
+    assert f"{path}: JSON nested too deeply" in err
+
+
+def test_verify_nonzero_triple_witness_exit_4(tmp_path, capsys):
+    # the glued golden report, with its zero triple witness replaced by e1∧e2
+    doc = json.loads((ROOT / "tests/golden/cocycle_line_three_charts.json").read_text())
+    record = doc["triples"]["L1|L2|L3"]
+    assert record["r"] == {} and record["residual_zero"] is True
+    record["r"] = {"[1,2]": {"c0": "1", "c": ["0", "0"], "base": record["a_hat"]}}
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        [
+            "verify",
+            "--dataset", str(ROOT / "sampledata/line6.json"),
+            "--cover", str(ROOT / "sampledata/cover_line_three_charts.json"),
+            "--cochain", str(report),
+        ],
+    )
+    assert code == 4
+    checked = json.loads(out)["triples"]["L1|L2|L3"]
+    assert checked["residual_zero"] is False and checked["obstructed"] is False
+    assert all(rec["residual_zero"] for rec in json.loads(out)["pairs"].values())
+    assert err.startswith("triple L1|L2|L3: residual ") and err.count("\n") == 1

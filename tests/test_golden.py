@@ -1,8 +1,11 @@
 """CLI output pinned byte for byte.
 
 The files under ``tests/golden/`` were written by the CLI before the nerve and
-the cell normal systems were computed from membership atoms.  A refactor must
-reproduce them exactly, with the same exit code and an empty stderr.  Change a
+the cell normal systems were computed from membership atoms; the ``line6``
+and ``verify`` cases were written before the cochain was assembled on plain
+vectors.  A refactor must reproduce them exactly, with the same exit code and
+an empty stderr.  The ``verify`` cases read the ``cocycle`` JSON goldens as
+their cochains.  Change a
 golden file only together with an intended change of the report format, by
 rerunning the command below with ``> tests/golden/<name>.<format>``.
 """
@@ -18,10 +21,23 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TOY = ["--dataset", "sampledata/toy5.json"]
+TWO = [*TOY, "--cover", "sampledata/cover_two_charts.json"]
+LINE = ["--dataset", "sampledata/line6.json", "--cover", "sampledata/cover_line_three_charts.json"]
 CASES = [
     ("fit_toy5", ["fit", *TOY], 0),
-    ("cocycle_two_charts", ["cocycle", *TOY, "--cover", "sampledata/cover_two_charts.json"], 0),
+    ("cocycle_two_charts", ["cocycle", *TWO], 0),
     ("cocycle_three_charts", ["cocycle", *TOY, "--cover", "sampledata/cover_three_charts.json"], 3),
+    ("cocycle_line_three_charts", ["cocycle", *LINE], 0),
+    (
+        "verify_two_charts",
+        ["verify", *TWO, "--cochain", "tests/golden/cocycle_two_charts.json"],
+        0,
+    ),
+    (
+        "verify_line_three_charts",
+        ["verify", *LINE, "--cochain", "tests/golden/cocycle_line_three_charts.json"],
+        0,
+    ),
 ]
 
 

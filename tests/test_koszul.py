@@ -14,8 +14,6 @@ from lsglue.koszul import (
     koszul_to_json,
     restrict_differential,
     ring_mul,
-    solve_homotopy_deg1,
-    solve_homotopy_deg2,
     translate,
 )
 
@@ -215,133 +213,6 @@ def test_restrict_differential_accepts_cells(toy_cover, affine1):
     system = lg.build_normal_system(toy_cover.base, affine1)
     eta = restrict_differential(system, cells[2], vec("13/14", "12/7"))
     assert eta.nmat == lg.Matrix.of([[12, 4], [4, 6]])
-
-
-# ------------------------------------------------------------ homotopy deg1
-
-
-def test_homotopy_deg1_toy():
-    eta = toy_pair_differential()
-    target = KoszulElement.build(
-        2,
-        0,
-        eta.base,
-        {(): LinearizedElement.linear(eta.base, vec("127/210", "-68/105"))},
-    )
-    witness = solve_homotopy_deg1(target, eta)
-    assert witness.coefficient((1,)).c0 == lg.rat("653/5880")
-    assert witness.coefficient((2,)).c0 == lg.rat("-1070/5880")
-    assert koszul_diff(witness, eta) == target
-
-
-def test_homotopy_deg1_zero_target():
-    eta = toy_pair_differential()
-    witness = solve_homotopy_deg1(KoszulElement.zero(2, 0, eta.base), eta)
-    assert witness.is_zero()
-
-
-def test_homotopy_deg1_constant_obstruction():
-    eta = toy_pair_differential()
-    target = KoszulElement.build(
-        2, 0, eta.base, {(): LinearizedElement.constant(eta.base, 1)}
-    )
-    with pytest.raises(lg.ConstantObstruction):
-        solve_homotopy_deg1(target, eta)
-
-
-def test_homotopy_deg1_linear_and_exact():
-    rng = random.Random(71)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        base = vec(*[rand_fraction(rng) for _ in range(n)])
-        # asymmetric invertible matrices are fine for the solver
-        while True:
-            nmat = lg.Matrix.of(
-                [[rand_fraction(rng, span=5) for _ in range(n)] for _ in range(n)]
-            )
-            if oracles.det([oracles.as_fractions(nmat.row(i)) for i in range(n)]) != 0:
-                break
-        eta = LinearizedDifferential(base=base, nmat=nmat)
-        target = KoszulElement.build(
-            n,
-            0,
-            base,
-            {(): LinearizedElement.linear(base, vec(*[rand_fraction(rng) for _ in range(n)]))},
-        )
-        witness = solve_homotopy_deg1(target, eta)
-        assert koszul_diff(witness, eta) == target
-        lam = rand_fraction(rng, zero_ok=False)
-        assert solve_homotopy_deg1(target.scale(lam), eta) == witness.scale(lam)
-
-
-def test_homotopy_deg1_singular():
-    base = vec(0, 0)
-    eta = LinearizedDifferential(base=base, nmat=lg.Matrix.of([[1, 1], [1, 1]]))
-    target = KoszulElement.build(
-        2, 0, base, {(): LinearizedElement.linear(base, vec(1, 0))}
-    )
-    with pytest.raises(lg.Singular):
-        solve_homotopy_deg1(target, eta)
-
-
-# ------------------------------------------------------------ homotopy deg2
-
-
-def test_homotopy_deg2_zero_target():
-    eta = toy_pair_differential()
-    witness = solve_homotopy_deg2(KoszulElement.zero(2, 1, eta.base), eta)
-    assert witness.is_zero() and witness.degree == 2
-
-
-def test_homotopy_deg2_matches_wedge():
-    # target (-eta^2, eta^1) on (e1, e2) is exactly iota(e1 ^ e2)
-    eta = toy_pair_differential()
-    target = KoszulElement.build(
-        2,
-        1,
-        eta.base,
-        {
-            (1,): -eta.component(2),
-            (2,): eta.component(1),
-        },
-    )
-    witness = solve_homotopy_deg2(target, eta)
-    assert witness == KoszulElement.from_constants(2, eta.base, {(1, 2): 1})
-    assert koszul_diff(witness, eta) == target
-
-
-def test_homotopy_deg2_obstructed():
-    # a single slot carrying eta^1 cannot balance both slot equations
-    eta = toy_pair_differential()
-    target = KoszulElement.build(2, 1, eta.base, {(1,): eta.component(1)})
-    with pytest.raises(lg.Obstructed) as err:
-        solve_homotopy_deg2(target, eta)
-    assert err.value.residual is not None and not err.value.residual.is_zero()
-
-
-def test_homotopy_deg2_constant_obstruction():
-    eta = toy_pair_differential()
-    target = KoszulElement.build(
-        2, 1, eta.base, {(1,): LinearizedElement.constant(eta.base, 1)}
-    )
-    with pytest.raises(lg.ConstantObstruction):
-        solve_homotopy_deg2(target, eta)
-
-
-def test_homotopy_deg2_random_round_trip():
-    rng = random.Random(73)
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        base = vec(*[rand_fraction(rng) for _ in range(n)])
-        eta = LinearizedDifferential(base=base, nmat=rand_symmetric_invertible(rng, n))
-        seed = KoszulElement.from_constants(
-            2,
-            base,
-            {idx: rand_fraction(rng) for idx in combinations(range(1, n + 1), 2)},
-        )
-        target = koszul_diff(seed, eta)
-        witness = solve_homotopy_deg2(target, eta)
-        assert koszul_diff(witness, eta) == target
 
 
 # ------------------------------------------------------------ serialization

@@ -5,13 +5,10 @@ import pytest
 
 from lsglue import (
     DimensionMismatch,
-    Inconsistent,
     Matrix,
     Singular,
     Vector,
     mat_inverse,
-    rank,
-    solve_general,
     solve_square,
 )
 from lsglue.scalars import rat
@@ -62,33 +59,12 @@ def test_solve_square_singular():
         solve_square(Matrix.of([[1, 1], [1, 1]]), Vector.of([1, 2]))
 
 
-def test_solve_general_zero_matrix():
-    sol = solve_general(Matrix.zeros(2, 2), Vector.zeros(2))
-    assert sol.particular == Vector.zeros(2)
-    assert list(sol.nullspace_basis) == [Vector.of([1, 0]), Vector.of([0, 1])]
 
 
-def test_solve_general_rank_one():
-    sol = solve_general(Matrix.of([[1, 0], [0, 0]]), Vector.of([3, 0]))
-    assert sol.particular == Vector.of([3, 0])
-    assert list(sol.nullspace_basis) == [Vector.of([0, 1])]
 
 
-def test_solve_general_inconsistent():
-    with pytest.raises(Inconsistent) as err:
-        solve_general(Matrix.of([[1], [1]]), Vector.of([1, 2]))
-    # witness solves the normal-projected system: 2w = 3
-    assert err.value.witness == Vector.of(["3/2"])
-    assert err.value.residual == Vector.of(["-1/2", "1/2"])
 
 
-def test_solve_general_zero_columns():
-    a = Matrix(((), ()), 0)
-    sol = solve_general(a, Vector.zeros(2))
-    assert sol.particular.dim == 0 and not sol.nullspace_basis
-    with pytest.raises(Inconsistent) as err:
-        solve_general(a, Vector.of([1, 0]))
-    assert err.value.residual == Vector.of([1, 0])
 
 
 def _random_matrix(rng, nrows, ncols):
@@ -127,25 +103,6 @@ def test_random_solve_square_zero_residual():
         done += 1
 
 
-def test_random_solve_general_properties():
-    rng = random.Random(31)
-    for _ in range(60):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        a = _random_matrix(rng, nrows, ncols)
-        b = Vector.of([Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(nrows)])
-        try:
-            sol = solve_general(a, b)
-        except Inconsistent as err:
-            # the residual is the exact defect of the reported witness
-            assert b - a.matvec(err.witness) == err.residual
-            assert not err.residual.is_zero()
-            continue
-        assert a.matvec(sol.particular) == b
-        for v in sol.nullspace_basis:
-            assert a.matvec(v).is_zero()
-        if sol.nullspace_basis:
-            basis = Matrix(tuple(v.entries for v in sol.nullspace_basis), ncols)
-            assert rank(basis) == len(sol.nullspace_basis)
 
 
 def test_shape_errors():
