@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled (gmp) scalar backend against the pure-Python one.
 
-The package's inner loops are exact rational arithmetic: Gauss-Jordan
-elimination, normal-system accumulation, and cocycle assembly.  This script
+The package's inner loops are exact arithmetic: forward elimination with
+back-substitution over rationals, normal-system accumulation on integer
+numerators over a common denominator, and cocycle assembly.  This script
 times representative workloads under each backend in separate subprocesses
 (the backend is fixed at import time) and prints a comparison table.
 

@@ -23,7 +23,7 @@ metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, ldexp, sqrt
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
 from .errors import CellMismatch, LsglueError
@@ -125,12 +125,16 @@ class ObstructionReport:
 
 @dataclass(frozen=True)
 class DiscrepancyMetrics:
-    """Float summaries for triage; never consumed by exact computations."""
+    """Float summaries for triage; never consumed by exact computations.
 
-    max_delta: float
-    mean_delta: float
-    max_beta: float
-    mean_beta: float
+    A field is None when there is nothing to summarize (no triples) or when
+    the value lies beyond the float range.
+    """
+
+    max_delta: float | None
+    mean_delta: float | None
+    max_beta: float | None
+    mean_beta: float | None
     max_defect: float | None
     mean_defect: float | None
 
@@ -356,21 +360,44 @@ def discrepancy_metrics(report: ObstructionReport) -> DiscrepancyMetrics | None:
     cover has no pairwise overlaps."""
     if not report.pairs:
         return None
-    delta_norms = [_l2(check.delta) for check in report.pairs.values()]
-    beta_norms = [_l2(check.beta_constants) for check in report.pairs.values()]
-    defect_norms = [_l2(check.defect_constant) for check in report.triples.values()]
+    max_delta, mean_delta = _max_mean([_l2(check.delta) for check in report.pairs.values()])
+    max_beta, mean_beta = _max_mean(
+        [_l2(check.beta_constants) for check in report.pairs.values()]
+    )
+    max_defect, mean_defect = _max_mean(
+        [_l2(check.defect_constant) for check in report.triples.values()]
+    )
     return DiscrepancyMetrics(
-        max_delta=max(delta_norms),
-        mean_delta=sum(delta_norms) / len(delta_norms),
-        max_beta=max(beta_norms),
-        mean_beta=sum(beta_norms) / len(beta_norms),
-        max_defect=max(defect_norms) if defect_norms else None,
-        mean_defect=sum(defect_norms) / len(defect_norms) if defect_norms else None,
+        max_delta=max_delta,
+        mean_delta=mean_delta,
+        max_beta=max_beta,
+        mean_beta=mean_beta,
+        max_defect=max_defect,
+        mean_defect=mean_defect,
     )
 
 
-def _l2(vec: Vector) -> float:
-    return sqrt(rat_float(vec.norm_sq()))
+def _max_mean(norms: list) -> tuple:
+    """(max, mean) of float norms: both None when there are none or one lies
+    beyond the float range, the mean None when their sum overflows."""
+    if not norms or None in norms:
+        return None, None
+    mean = sum(norms) / len(norms)
+    return max(norms), mean if isfinite(mean) else None
+
+
+def _l2(vec: Vector) -> float | None:
+    """Float Euclidean norm; None when it lies beyond the float range."""
+    square = vec.norm_sq()
+    value = rat_float(square)
+    if value is not None:
+        return sqrt(value)
+    # The square overflows but the norm may not: root of square / 4^k, times 2^k.
+    k = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+    try:
+        return ldexp(sqrt(square / 4**k), k)
+    except OverflowError:
+        return None
 
 
 def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport) -> dict:

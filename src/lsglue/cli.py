@@ -142,11 +142,11 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt_float(value: float) -> str:
-    return f"{value:.6g}"
+def _fmt_float(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.6g}"
 
 
-def _fmt_pair(exact: list[str], floats: list[float]) -> str:
+def _fmt_pair(exact: list[str], floats: list[float | None]) -> str:
     exact_s = ", ".join(exact)
     float_s = ", ".join(_fmt_float(v) for v in floats)
     return f"({exact_s}) ~ ({float_s})"
@@ -191,8 +191,7 @@ def _render_report_text(doc: dict) -> str:
     if metrics:
         lines.append("metrics:")
         for key in sorted(metrics):
-            value = metrics[key]
-            lines.append(f"  {key} = {'n/a' if value is None else _fmt_float(value)}")
+            lines.append(f"  {key} = {_fmt_float(metrics[key])}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,13 @@
 """Exact rational vectors, matrices, and deterministic square solvers.
 
 All arithmetic is over the scalar backend from :mod:`lsglue.scalars`; nothing
-here ever touches floats.  Elimination pivots on the first nonzero entry
-scanning rows top-down (exact arithmetic needs no magnitude pivoting), which
-makes every solver deterministic.
+here ever touches floats.  One forward-elimination pass brings a matrix to row
+echelon form and counts its pivots; that count is the rank, and a square
+system of full rank is then solved by back-substitution, once per right-hand
+side.  Pivoting takes the first nonzero entry scanning rows top-down (exact
+arithmetic needs no magnitude pivoting), which makes every solver
+deterministic; the solution of an invertible system is unique and rationals
+are canonical, so the results do not depend on the elimination order anyway.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class Vector:
     def to_strings(self) -> list[str]:
         return [rat_str(a) for a in self.entries]
 
-    def to_floats(self) -> list[float]:
+    def to_floats(self) -> list[float | None]:
         return [rat_float(a) for a in self.entries]
 
     def _check_dim(self, other: "Vector") -> None:
@@ -188,69 +192,86 @@ class Matrix:
             raise DimensionMismatch("matrix shapes differ")
 
 
-def _reduced_echelon(rows: list[list], width: int) -> list[int]:
-    """In-place Gauss-Jordan over the leading ``width`` columns.
+def _row_echelon(rows: list[list], width: int) -> int:
+    """In-place forward elimination over the leading ``width`` columns.
 
     Pivot choice: first nonzero entry scanning rows top-down, leftmost column
-    first.  Returns the pivot columns in order; after the call, pivot entries
-    are 1 and are the only nonzero entries of their columns (the trailing
-    augmented columns are carried along).
+    first.  Each row below a pivot p in column k loses ``r[k] / p`` times the
+    pivot row on the columns right of k, the trailing augmented columns
+    included; entries at and left of a pivot column are left as they are,
+    since nothing reads them again.  Returns the number of pivots, the rank of
+    the leading ``width`` columns; when a square system has full rank, pivot
+    i sits at (i, i).
     """
-    pivots: list[int] = []
+    nrows = len(rows)
     pivot_row = 0
     for col in range(width):
-        hit = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                hit = r
-                break
+        if pivot_row == nrows:
+            break
+        hit = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
         if hit is None:
             continue
-        if hit != pivot_row:
-            rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = ONE / rows[pivot_row][col]
-        rows[pivot_row] = [inv * a for a in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r == pivot_row:
-                continue
-            factor = rows[r][col]
-            if factor == 0:
-                continue
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
+        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
+        pivot = rows[pivot_row][col]
+        tail = rows[pivot_row][col + 1 :]
+        for r in range(pivot_row + 1, nrows):
+            row = rows[r]
+            if row[col] != 0:
+                factor = row[col] / pivot
+                row[col + 1 :] = [
+                    a - factor * b if b else a for a, b in zip(row[col + 1 :], tail)
+                ]
         pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return pivots
+    return pivot_row
+
+
+def _back_substitute(rows: list[list], n: int, col: int) -> tuple:
+    """Solve the upper-triangular system left by :func:`_row_echelon` on a
+    full-rank n x n block, with right-hand side column ``col``."""
+    x = [ZERO] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = row[col]
+        for j in range(i + 1, n):
+            if row[j] != 0:
+                acc -= row[j] * x[j]
+        x[i] = acc / row[i]
+    return tuple(x)
+
+
+def _singular(found: int, n: int) -> Singular:
+    return Singular(f"matrix is singular (rank {found} < {n})", rank=found)
 
 
 def rank(a: Matrix) -> int:
-    work = [list(row) for row in a.rows]
-    return len(_reduced_echelon(work, a.ncols))
+    return _row_echelon([list(row) for row in a.rows], a.ncols)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises :class:`Singular` on rank loss."""
+    """Exact inverse of a square matrix; raises :class:`Singular` carrying the
+    rank on rank loss."""
     if not a.is_square:
         raise DimensionMismatch(f"inverse of non-square {a.nrows}x{a.ncols} matrix")
     n = a.nrows
     eye = Matrix.identity(n)
     work = [list(a.rows[i]) + list(eye.rows[i]) for i in range(n)]
-    pivots = _reduced_echelon(work, n)
-    if len(pivots) < n:
-        raise Singular(f"matrix is singular (rank {len(pivots)} < {n})", rank=len(pivots))
-    return Matrix(tuple(tuple(row[n:]) for row in work), n)
+    found = _row_echelon(work, n)
+    if found < n:
+        raise _singular(found, n)
+    columns = [_back_substitute(work, n, n + c) for c in range(n)]
+    return Matrix(tuple(zip(*columns)), n)
 
 
 def solve_square(a: Matrix, b: Vector) -> Vector:
-    """Solve A x = b exactly for square invertible A."""
+    """Solve A x = b exactly for square invertible A; raises :class:`Singular`
+    carrying the rank otherwise."""
     if not a.is_square:
         raise DimensionMismatch(f"solve_square needs a square matrix, got {a.nrows}x{a.ncols}")
     if b.dim != a.nrows:
         raise DimensionMismatch(f"rhs dim {b.dim} does not match {a.nrows} rows")
     n = a.nrows
     work = [list(row) + [be] for row, be in zip(a.rows, b.entries)]
-    pivots = _reduced_echelon(work, n)
-    if len(pivots) < n:
-        raise Singular(f"matrix is singular (rank {len(pivots)} < {n})", rank=len(pivots))
-    return Vector(tuple(row[n] for row in work))
+    found = _row_echelon(work, n)
+    if found < n:
+        raise _singular(found, n)
+    return Vector(_back_substitute(work, n, n))

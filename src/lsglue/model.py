@@ -12,17 +12,25 @@ the cover once and sums the atoms of every cell; :meth:`NormalSystem.restricted`
 re-evaluates the stored per-point contributions with zeroed weights instead,
 and serves as the reference.  N is symmetric, and positive semidefinite
 whenever all weights are nonnegative; the minimizer solves N·â = -ν.
+
+The sums are accumulated on integers: each point's features are written as
+integers over one denominator, the terms are added as integer numerators over
+a running common denominator of N (and another of ν), and one rational per
+entry is built at the end, on the upper triangle of N only.  Only
+``.numerator``, ``.denominator`` and the backend's ``Rational`` constructor
+are used, so every scalar backend takes the same path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, Singular
-from .linalg import Matrix, Vector, rank, solve_square
-from .scalars import ONE, ZERO, rat
+from .linalg import Matrix, Vector, solve_square
+from .scalars import ONE, ZERO, Rational
 
 
 @dataclass(frozen=True)
@@ -129,31 +137,55 @@ class NormalSystem:
 
 
 def _evaluate(contributions: tuple, weights: Vector, n: int) -> NormalSystem:
-    nu = [ZERO] * n
-    nmat = [[ZERO] * n for _ in range(n)]
-    minus_two = rat(-2)
-    two = rat(2)
+    # Per point, with D the lcm of the denominators of φ and P = D·φ integer:
+    # 2wφ_kφ_l = 2w·P_kP_l / D² and -2wyφ_k = -2wy·P_k / D.
+    upper = [[0] * (n - k) for k in range(n)]
+    nu_sum = [0] * n
+    n_den = nu_den = 1
     for contrib, w in zip(contributions, weights):
         if w == 0:
             continue
         phi = contrib.phi.entries
-        wy = minus_two * contrib.y * w
+        d = lcm(*(v.denominator for v in phi))
+        p = [v.numerator * (d // v.denominator) for v in phi]
+        w_num, w_den = w.numerator, w.denominator
+        n_den, lift = _grow(n_den, w_den * d * d, upper)
+        c = 2 * w_num * lift
         for k in range(n):
-            nu[k] += wy * phi[k]
-            wphik = two * w * phi[k]
-            row = nmat[k]
-            for l in range(k, n):
-                row[l] += wphik * phi[l]
-    # N is symmetric: accumulate the upper triangle, mirror the rest.
-    for k in range(n):
-        for l in range(k):
-            nmat[k][l] = nmat[l][k]
+            ck = c * p[k]
+            if ck:
+                upper[k] = [a + ck * b for a, b in zip(upper[k], p[k:])]
+        y = contrib.y
+        if y != 0:
+            nu_den, lift = _grow(nu_den, w_den * y.denominator * d, [nu_sum])
+            c = -2 * w_num * y.numerator * lift
+            nu_sum[:] = [a + c * b for a, b in zip(nu_sum, p)]
+    upper = [[Rational(v, n_den) for v in row] for row in upper]
+    # N is symmetric: mirror the upper triangle.
+    rows = tuple(
+        tuple(upper[l][k - l] for l in range(k)) + tuple(upper[k]) for k in range(n)
+    )
     return NormalSystem(
         contributions=contributions,
         weights=weights,
-        nu=Vector(tuple(nu)),
-        nmat=Matrix(tuple(tuple(row) for row in nmat), n),
+        nu=Vector(tuple(Rational(v, nu_den) for v in nu_sum)),
+        nmat=Matrix(rows, n),
     )
+
+
+def _grow(den: int, term_den: int, rows: list) -> tuple:
+    """Bring the running denominator ``den`` to a multiple of ``term_den``.
+
+    Returns the new denominator and the factor that lifts a numerator over
+    ``term_den`` to it; the integer rows in ``rows`` are rescaled in place
+    when the denominator grows.
+    """
+    common = den // gcd(den, term_den) * term_den
+    if common != den:
+        scale = common // den
+        for row in rows:
+            row[:] = [v * scale for v in row]
+    return common, common // term_den
 
 
 def build_normal_system(data, features: FeatureMap) -> NormalSystem:
@@ -208,11 +240,11 @@ def solve_least_squares(system: NormalSystem, chart: str | None = None) -> LSSol
     the chart has too few effective points for the parameter dimension."""
     try:
         a_hat = solve_square(system.nmat, -system.nu)
-    except Singular:
+    except Singular as err:
         raise Singular(
             f"normal matrix is singular on {chart or 'chart'}"
-            f" (rank {rank(system.nmat)} < {system.param_dim})",
-            rank=rank(system.nmat),
+            f" (rank {err.rank} < {system.param_dim})",
+            rank=err.rank,
             cell=chart,
         ) from None
     return LSSolution(a_hat=a_hat, chart=chart)

@@ -112,6 +112,10 @@ def rat_str(value) -> str:
         raise LsglueError(over_digit_limit("an exact value to be written")) from None
 
 
-def rat_float(value) -> float:
-    """Advisory float approximation; never fed back into exact computation."""
-    return float(value)
+def rat_float(value) -> float | None:
+    """Advisory float approximation, never fed back into exact computation;
+    None when the value lies beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None

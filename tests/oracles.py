@@ -2,11 +2,13 @@
 
 Everything here works on plain ``fractions.Fraction`` lists, recomputes every
 weighted sum from scratch, and inverts matrices by cofactor expansion and
-adjugates -- a deliberately different path from the package's Gauss-Jordan
-elimination, so agreement between the two is meaningful.
+adjugates -- a deliberately different path from the package's forward
+elimination with back-substitution and its integer-numerator accumulation of
+the normal sums, so agreement between the two is meaningful.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 F = Fraction
@@ -38,18 +40,35 @@ def normal_sums(points, weights, exponents):
 
 
 def det(m):
-    """Determinant by first-row cofactor expansion."""
+    """Determinant by cofactor expansion along the rows, each minor (the rows
+    below, a subset of the columns) computed once."""
     size = len(m)
-    if size == 0:
-        return F(1)
-    if size == 1:
-        return m[0][0]
-    total = F(0)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+
+    @lru_cache(maxsize=None)
+    def minor(row, cols):
+        if row == size:
+            return F(1)
+        total = F(0)
+        for pos, col in enumerate(cols):
+            if m[row][col] != 0:
+                term = m[row][col] * minor(row + 1, cols[:pos] + cols[pos + 1 :])
+                total += -term if pos % 2 else term
+        return total
+
+    return minor(0, tuple(range(size)))
+
+
+def rank(m):
+    """Rank as the size of the largest nonzero minor."""
+    if not m:
+        return 0
+    rows, cols = range(len(m)), range(len(m[0]))
+    for size in range(min(len(rows), len(cols)), 0, -1):
+        for rs in combinations(rows, size):
+            for cs in combinations(cols, size):
+                if det([[m[r][c] for c in cs] for r in rs]) != 0:
+                    return size
+    return 0
 
 
 def adjugate_inverse(m):

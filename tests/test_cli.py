@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -427,3 +428,72 @@ def test_verify_nonzero_triple_witness_exit_4(tmp_path, capsys):
     assert checked["residual_zero"] is False and checked["obstructed"] is False
     assert all(rec["residual_zero"] for rec in json.loads(out)["pairs"].values())
     assert err.startswith("triple L1|L2|L3: residual ") and err.count("\n") == 1
+
+
+def _toy_with_last_y(y: str) -> dict:
+    doc = json.loads(json.dumps(TOY_DATASET))
+    doc["points"][-1]["y"] = y
+    return doc
+
+
+def _float_pairs(doc):
+    """Every (exact, float companion) pair of a cocycle report."""
+    for section in ("charts", "pairs", "triples"):
+        for record in doc[section].values():
+            for key in ("a_hat", "delta", "defect_constant"):
+                if key in record:
+                    yield from zip(record[key], record[f"{key}_float"])
+
+
+def test_fit_value_beyond_float_range_is_null(files, capsys):
+    big = "1" + "0" * 400
+    points = [{"x": [x], "y": y, "weight": "1"} for x, y in [("0", big), ("1", "2"), ("2", "3")]]
+    dataset = files("d.json", {"ambient_dim": 1, "points": points})
+    code, out, err = run(capsys, ["fit", "--dataset", dataset])
+    assert (code, err) == (0, "")
+    record = json.loads(out)["cells"]["all"]
+    expected = oracles.cramer_solve(
+        [[F(10), F(6)], [F(6), F(6)]], [F(2) * (2 + 2 * 3), F(2) * (int(big) + 2 + 3)]
+    )
+    assert record["a_hat"] == [f"{v.numerator}/{v.denominator}" for v in expected]
+    assert record["a_hat_float"] == [None, None]
+    code, out, err = run(capsys, ["fit", "--dataset", dataset, "--format", "text"])
+    assert (code, err) == (0, "")
+    assert out.endswith(" ~ (n/a, n/a)\n")
+
+
+def test_cocycle_value_beyond_float_range_is_null(files, capsys):
+    dataset = files("d.json", _toy_with_last_y("1" + "0" * 400))
+    cover = files("c.json", THREE_CHARTS)
+    code, out, err = run(capsys, ["cocycle", "--dataset", dataset, "--cover", cover])
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    pairs = list(_float_pairs(doc))
+    assert any(value is None for _, value in pairs)
+    for exact, value in pairs:
+        if value is None:
+            assert abs(F(exact)) > sys.float_info.max
+        else:
+            assert value == float(F(exact))
+    assert set(doc["metrics"].values()) == {None}
+    code, out, err = run(
+        capsys, ["cocycle", "--dataset", dataset, "--cover", cover, "--format", "text"]
+    )
+    assert (code, err) == (3, "")
+    assert "  max_delta = n/a\n" in out and "~ (n/a, n/a)" in out
+
+
+def test_cocycle_norm_whose_square_overflows(files, capsys):
+    # the deltas are about 1e199: their squares are beyond the float range,
+    # the norms are not
+    dataset = files("d.json", _toy_with_last_y("1" + "0" * 200))
+    cover = files("c.json", THREE_CHARTS)
+    code, out, err = run(capsys, ["cocycle", "--dataset", dataset, "--cover", cover])
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    norms = [
+        math.hypot(*(float(F(v)) for v in record["delta"])) for record in doc["pairs"].values()
+    ]
+    assert max(norms) > 1e154
+    assert math.isclose(doc["metrics"]["max_delta"], max(norms), rel_tol=1e-12)
+    assert math.isclose(doc["metrics"]["mean_delta"], sum(norms) / len(norms), rel_tol=1e-12)

@@ -3,11 +3,14 @@
 The files under ``tests/golden/`` were written by the CLI before the nerve and
 the cell normal systems were computed from membership atoms; the ``line6``
 and ``verify`` cases were written before the cochain was assembled on plain
-vectors.  A refactor must reproduce them exactly, with the same exit code and
-an empty stderr.  The ``verify`` cases read the ``cocycle`` JSON goldens as
-their cochains.  Change a
-golden file only together with an intended change of the report format, by
-rerunning the command below with ``> tests/golden/<name>.<format>``.
+vectors; the ``quad3d`` cases (wide rationals from ``sampledata/make_quad3d.py``,
+a negative weight, a row swap on chart Q3) were written before elimination
+became forward elimination with back-substitution and before the normal
+systems were accumulated on integers.  A refactor must reproduce them exactly,
+with the same exit code and an empty stderr.  The ``verify`` cases read the
+``cocycle`` JSON goldens as their cochains.  Change a golden file only
+together with an intended change of the report format, by rerunning the
+command below with ``> tests/golden/<name>.<format>``.
 """
 
 import os
@@ -23,6 +26,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 TOY = ["--dataset", "sampledata/toy5.json"]
 TWO = [*TOY, "--cover", "sampledata/cover_two_charts.json"]
 LINE = ["--dataset", "sampledata/line6.json", "--cover", "sampledata/cover_line_three_charts.json"]
+QUAD = [
+    "--dataset",
+    "sampledata/quad3d.json",
+    "--cover",
+    "sampledata/cover_quad3d.json",
+    "--model",
+    "sampledata/model_quad3d.json",
+    "--allow-negative-weights",
+]
 CASES = [
     ("fit_toy5", ["fit", *TOY], 0),
     ("cocycle_two_charts", ["cocycle", *TWO], 0),
@@ -38,6 +50,9 @@ CASES = [
         ["verify", *LINE, "--cochain", "tests/golden/cocycle_line_three_charts.json"],
         0,
     ),
+    ("fit_quad3d", ["fit", *QUAD], 0),
+    ("cocycle_quad3d", ["cocycle", *QUAD], 0),
+    ("verify_quad3d", ["verify", *QUAD, "--cochain", "tests/golden/cocycle_quad3d.json"], 0),
 ]
 
 

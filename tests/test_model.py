@@ -160,3 +160,20 @@ def test_model_from_json():
         model_from_json({"features": "cubic-splines"}, 1)
     with pytest.raises(lg.DimensionMismatch):
         model_from_json({"features": "monomials", "exponents": [[1, 0]]}, 1)
+
+
+def test_singular_chart_eliminates_once(toy_dataset, affine1, monkeypatch):
+    # the rank in the message and on the error is the solver's own pivot count
+    calls = []
+    echelon = lg.linalg._row_echelon
+
+    def counting(rows, width):
+        calls.append(width)
+        return echelon(rows, width)
+
+    monkeypatch.setattr(lg.linalg, "_row_echelon", counting)
+    system = build_normal_system(toy_dataset, affine1).restricted({3})
+    with pytest.raises(lg.Singular, match=r"rank 1 < 2") as err:
+        solve_least_squares(system, chart="D3")
+    assert err.value.rank == 1 and err.value.cell == "D3"
+    assert calls == [2]

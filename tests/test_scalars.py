@@ -79,6 +79,12 @@ def test_float_is_advisory_python_float():
     assert abs(value - 0.111054421768) < 1e-9
 
 
+def test_float_beyond_range_is_none():
+    assert rat_float(rat("1" + "0" * 400)) is None
+    assert rat_float(rat("-1/" + "1" + "0" * 400)) == -0.0
+    assert rat_float(rat(10**308)) == 1e308
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="no limit on decimal integer strings in this interpreter",
