@@ -9,7 +9,6 @@ computed and verified in exact rational arithmetic.
 """
 
 from .assembly import (
-    ChartFit,
     DiscrepancyMetrics,
     ObstructionReport,
     PairCheck,
@@ -50,7 +49,6 @@ from .koszul import (
     LinearizedDifferential,
     LinearizedElement,
     koszul_diff,
-    restrict_differential,
     ring_mul,
     translate,
 )

@@ -13,11 +13,12 @@ The cochain has three layers, one per overlap depth:
 Construction needs only vectors: translation carries coefficients over
 verbatim, so every triple defect is the constant vector β_jk - β_ik + β_ij,
 and a witness r exists exactly when that vector is zero, in which case r = 0
-(see :func:`assemble_cochain`).  Koszul elements are built to serialize the
-cochain and to verify it: :func:`verify_cocycle` re-evaluates every equation
-with the differential at the cell's weights, so an external cochain is
-checked exactly.  All residuals are exact; floats appear only in advisory
-metrics.
+(see :func:`assemble_cochain`).  A cell's fit is its differential: the
+:class:`LinearizedDifferential` at the cell's least-squares point â, with the
+cell's normal matrix N.  Koszul elements are built to serialize the cochain
+and to verify it: :func:`verify_cocycle` re-evaluates every equation with the
+cell's differential, so an external cochain is checked exactly.  All
+residuals are exact; floats appear only in advisory metrics.
 """
 
 from __future__ import annotations
@@ -39,25 +40,11 @@ from .koszul import (
 from .linalg import Vector, solve_square
 from .model import (
     FeatureMap,
-    LSSolution,
     build_normal_system,
     solve_least_squares,
     sum_normal_systems,
 )
 from .scalars import rat_float
-
-
-@dataclass(frozen=True)
-class ChartFit:
-    """A cell's least-squares solution and its differential at that solution."""
-
-    cell: NerveCell
-    solution: LSSolution
-    differential: LinearizedDifferential
-
-    @property
-    def base(self) -> Vector:
-        return self.solution.a_hat
 
 
 @dataclass(frozen=True)
@@ -168,22 +155,21 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
 
 
 def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
-    """Fit every nerve cell up to ``max_degree``.
+    """Fit every nerve cell up to ``max_degree``: ``{cell: differential}``.
 
     Each cell solves the normal equations of its index intersection
-    (:func:`cell_normal_systems`) and packages the differential at the
-    solution.  Raises :class:`lsglue.errors.Singular` naming the first
-    degenerate cell in (degree, names) order.
+    (:func:`cell_normal_systems`); its fit is the differential with base the
+    solution â and matrix the cell's N.  Raises :class:`lsglue.errors.Singular`
+    naming the first degenerate cell in (degree, names) order.
     """
     fits = {}
     for cell, system in cell_normal_systems(cover, features, max_degree).items():
         solution = solve_least_squares(system, chart=cell.label)
-        differential = LinearizedDifferential(base=solution.a_hat, nmat=system.nmat)
-        fits[cell] = ChartFit(cell=cell, solution=solution, differential=differential)
+        fits[cell] = LinearizedDifferential(base=solution.a_hat, nmat=system.nmat)
     return fits
 
 
-def canonical_alpha(fit: ChartFit) -> KoszulElement:
+def canonical_alpha(fit: LinearizedDifferential) -> KoszulElement:
     """Degree-0 element â·(a - â): zero constant part, linear part â."""
     base = fit.base
     return KoszulElement.build(
@@ -195,7 +181,7 @@ def canonical_alpha(fit: ChartFit) -> KoszulElement:
 
 
 def cech_delta_pair(
-    alpha_i: KoszulElement, alpha_j: KoszulElement, pair: ChartFit
+    alpha_i: KoszulElement, alpha_j: KoszulElement, pair: LinearizedDifferential
 ) -> KoszulElement:
     """Translate both chart elements to the overlap's base and take j - i.
 
@@ -276,7 +262,7 @@ def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
     for cell in _sorted_cells(c for c in fits if c.degree == 1):
         name_i, name_j = cell.chart_names
         delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
-        beta_vectors[cell] = solve_square(fits[cell].differential.nmat, delta)
+        beta_vectors[cell] = solve_square(fits[cell].nmat, delta)
     beta = {
         cell: KoszulElement.from_constants(
             1, fits[cell].base, {(m + 1,): value for m, value in enumerate(vector)}
@@ -323,7 +309,7 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
             cochain.alpha[by_names[(name_j,)]],
             fits[cell],
         )
-        image = koszul_diff(cochain.beta[cell], fits[cell].differential)
+        image = koszul_diff(cochain.beta[cell], fits[cell])
         n = fits[cell].base.dim
         pairs[cell] = PairCheck(
             delta=target.coefficient(()).c,
@@ -344,7 +330,7 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
             image = KoszulElement.zero(defect.n, 1, defect.base)
             outcome = "constant_defect" if not constants.is_zero() else "inconsistent"
         else:
-            image = koszul_diff(witness, fits[cell].differential)
+            image = koszul_diff(witness, fits[cell])
             outcome = "ok"
         triples[cell] = TripleCheck(
             defect_constant=constants,
@@ -379,10 +365,17 @@ def discrepancy_metrics(report: ObstructionReport) -> DiscrepancyMetrics | None:
 
 def _max_mean(norms: list) -> tuple:
     """(max, mean) of float norms: both None when there are none or one lies
-    beyond the float range, the mean None when their sum overflows."""
+    beyond the float range, the mean None when their sum overflows.
+
+    The sum is taken left to right: ``sum()`` of floats rounds differently
+    from Python 3.12 on, and the mean is part of the report bytes.
+    """
     if not norms or None in norms:
         return None, None
-    mean = sum(norms) / len(norms)
+    total = 0.0
+    for norm in norms:
+        total += norm
+    mean = total / len(norms)
     return max(norms), mean if isfinite(mean) else None
 
 
@@ -456,9 +449,10 @@ def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport)
 def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
     """Parse a report produced by :func:`report_to_json` back into a cochain.
 
-    Cells are resolved by label against ``fits``; unknown labels or elements
-    based away from their cell's fit are structural errors
-    (:class:`LsglueError`), not verification failures.
+    Cells are resolved by label against ``fits``; unknown labels, elements
+    based away from their cell's fit, and a chart, pair or triple of ``fits``
+    without a record are structural errors (:class:`LsglueError`), not
+    verification failures.
     """
     if not isinstance(doc, dict):
         raise LsglueError("cochain JSON must be an object")
@@ -498,6 +492,14 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
         r[cell] = (
             None if witness is None else koszul_from_json(witness, base.dim, 2, base)
         )
+    sections = (("charts", alpha), ("pairs", beta), ("triples", r))
+    for cell in _sorted_cells(fits):
+        if cell.degree < len(sections):
+            section, parsed = sections[cell.degree]
+            if cell not in parsed:
+                raise LsglueError(
+                    f"cochain {section!r} lacks a record for cell {cell.label!r}"
+                )
     return TotalCochain(alpha=alpha, beta=beta, r=r)
 
 

@@ -7,8 +7,9 @@ linear parts vanish.  A degree-p Koszul element assigns such a coefficient to
 each strictly increasing p-tuple of wedge slots e^{i_1} ∧ ... ∧ e^{i_p}.
 
 The differential is interior multiplication against the components
-η^i = N_i·(a - â) (rows of a normal matrix evaluated at some chart's
-weights).  Because every η^i has zero constant term, images of the
+η^i = N_i·(a - â), the rows of a cell's normal matrix N taken at the cell's
+least-squares point â; a :class:`LinearizedDifferential` (â, N) is all a
+fitted cell carries.  Because every η^i has zero constant term, images of the
 differential never carry constant terms; that fact is what makes a nonzero
 constant triple defect a genuine obstruction.
 
@@ -235,13 +236,6 @@ def translate(xi: KoszulElement, new_base: Vector) -> KoszulElement:
         new_base,
         {idx: coeff.rebased(new_base) for idx, coeff in xi.coeffs.items()},
     )
-
-
-def restrict_differential(system, cell, base: Vector) -> LinearizedDifferential:
-    """Differential at ``base`` with N re-evaluated on the cell's indices only."""
-    indices = getattr(cell, "indices", cell)
-    restricted = system.restricted(indices)
-    return LinearizedDifferential(base=base, nmat=restricted.nmat)
 
 
 def koszul_to_json(element: KoszulElement) -> dict:

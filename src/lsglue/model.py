@@ -7,11 +7,12 @@ squared-error gradient in a is affine:  η = ν + N·a  with
 
 Both are sums of per-point terms, exactly linear in the weights, so the
 system of a union of disjoint point groups is the sum of the groups' systems
-(:func:`sum_normal_systems`).  The fit path evaluates each membership atom of
-the cover once and sums the atoms of every cell; :meth:`NormalSystem.restricted`
-re-evaluates the stored per-point contributions with zeroed weights instead,
-and serves as the reference.  N is symmetric, and positive semidefinite
-whenever all weights are nonnegative; the minimizer solves N·â = -ν.
+(:func:`sum_normal_systems`).  A :class:`NormalSystem` is just the pair
+(ν, N); restricting to a chart is a map on the data (``data.restrict`` zeroes
+the weights outside it) followed by :func:`build_normal_system`.  The fit path
+evaluates each membership atom of the cover once and sums the atoms of every
+cell.  N is symmetric, and positive semidefinite whenever all weights are
+nonnegative; the minimizer solves N·â = -ν.
 
 The sums are accumulated on integers: each point's features are written as
 integers over one denominator, the terms are added as integer numerators over
@@ -24,11 +25,10 @@ are used, so every scalar backend takes the same path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, Singular
+from .errors import DimensionMismatch, LsglueError, Singular
 from .linalg import Matrix, Vector, solve_square
 from .scalars import ONE, ZERO, Rational
 
@@ -88,20 +88,9 @@ def affine_features(ambient_dim: int) -> FeatureMap:
 
 
 @dataclass(frozen=True)
-class PointContribution:
-    """Rank-one ingredient of a normal system: φ(x_j) and y_j for one point."""
-
-    phi: Vector
-    y: object  # Rational
-
-
-@dataclass(frozen=True)
 class NormalSystem:
-    """The pair (ν, N) evaluated at ``weights``, kept alongside its per-point
-    contributions so any reweighting re-evaluates exactly."""
+    """The pair (ν, N) of one weighted data set."""
 
-    contributions: tuple
-    weights: Vector
     nu: Vector
     nmat: Matrix
 
@@ -109,43 +98,19 @@ class NormalSystem:
     def param_dim(self) -> int:
         return self.nu.dim
 
-    @property
-    def size(self) -> int:
-        return len(self.contributions)
 
-    def reweighted(self, weights: Vector) -> "NormalSystem":
-        """Re-evaluate ν and N at new weights from the stored contributions."""
-        if weights.dim != len(self.contributions):
-            raise DimensionMismatch(
-                f"{weights.dim} weights for {len(self.contributions)} contributions"
-            )
-        return _evaluate(self.contributions, weights, self.param_dim)
-
-    def restricted(self, keep) -> "NormalSystem":
-        """Zero the weights outside ``keep`` (1-based) and re-evaluate."""
-        keep_set = frozenset(keep)
-        for i in keep_set:
-            if not 1 <= i <= len(self.contributions):
-                raise IndexOutOfRange(f"index {i} outside 1..{len(self.contributions)}")
-        weights = Vector(
-            tuple(
-                w if (i + 1) in keep_set else ZERO
-                for i, w in enumerate(self.weights.entries)
-            )
-        )
-        return _evaluate(self.contributions, weights, self.param_dim)
-
-
-def _evaluate(contributions: tuple, weights: Vector, n: int) -> NormalSystem:
+def _evaluate(points, features: FeatureMap) -> NormalSystem:
     # Per point, with D the lcm of the denominators of φ and P = D·φ integer:
     # 2wφ_kφ_l = 2w·P_kP_l / D² and -2wyφ_k = -2wy·P_k / D.
+    n = features.param_dim
     upper = [[0] * (n - k) for k in range(n)]
     nu_sum = [0] * n
     n_den = nu_den = 1
-    for contrib, w in zip(contributions, weights):
+    for point in points:
+        w = point.weight
         if w == 0:
             continue
-        phi = contrib.phi.entries
+        phi = features.evaluate(point.x).entries
         d = lcm(*(v.denominator for v in phi))
         p = [v.numerator * (d // v.denominator) for v in phi]
         w_num, w_den = w.numerator, w.denominator
@@ -155,7 +120,7 @@ def _evaluate(contributions: tuple, weights: Vector, n: int) -> NormalSystem:
             ck = c * p[k]
             if ck:
                 upper[k] = [a + ck * b for a, b in zip(upper[k], p[k:])]
-        y = contrib.y
+        y = point.y
         if y != 0:
             nu_den, lift = _grow(nu_den, w_den * y.denominator * d, [nu_sum])
             c = -2 * w_num * y.numerator * lift
@@ -166,10 +131,7 @@ def _evaluate(contributions: tuple, weights: Vector, n: int) -> NormalSystem:
         tuple(upper[l][k - l] for l in range(k)) + tuple(upper[k]) for k in range(n)
     )
     return NormalSystem(
-        contributions=contributions,
-        weights=weights,
-        nu=Vector(tuple(Rational(v, nu_den) for v in nu_sum)),
-        nmat=Matrix(rows, n),
+        nu=Vector(tuple(Rational(v, nu_den) for v in nu_sum)), nmat=Matrix(rows, n)
     )
 
 
@@ -194,18 +156,12 @@ def build_normal_system(data, features: FeatureMap) -> NormalSystem:
         raise DimensionMismatch(
             f"features over {features.ambient_dim} coordinates vs ambient dim {data.ambient_dim}"
         )
-    contributions = tuple(
-        PointContribution(phi=features.evaluate(p.x), y=p.y) for p in data.points
-    )
-    return _evaluate(contributions, data.weights(), features.param_dim)
+    return _evaluate(data.points, features)
 
 
 def sum_normal_systems(systems) -> NormalSystem:
-    """The normal system of the union of disjoint point groups, one system each.
-
-    ν and N add; the per-point contributions and weights concatenate in the
-    order given, so the sum re-evaluates exactly like any other system.
-    """
+    """The normal system of the union of disjoint point groups, one system
+    each: ν and N add."""
     systems = list(systems)
     if not systems:
         raise LsglueError("cannot sum an empty list of normal systems")
@@ -219,12 +175,7 @@ def sum_normal_systems(systems) -> NormalSystem:
         tuple(sum(terms, ZERO) for terms in zip(*(s.nmat.rows[k] for s in systems)))
         for k in range(n)
     )
-    return NormalSystem(
-        contributions=tuple(chain.from_iterable(s.contributions for s in systems)),
-        weights=Vector(tuple(chain.from_iterable(s.weights.entries for s in systems))),
-        nu=Vector(nu),
-        nmat=Matrix(rows, n),
-    )
+    return NormalSystem(nu=Vector(nu), nmat=Matrix(rows, n))
 
 
 @dataclass(frozen=True)
@@ -232,7 +183,6 @@ class LSSolution:
     """Exact least-squares parameters; ν + N·â = 0 at the solved weights."""
 
     a_hat: Vector
-    chart: str | None = None
 
 
 def solve_least_squares(system: NormalSystem, chart: str | None = None) -> LSSolution:
@@ -247,7 +197,7 @@ def solve_least_squares(system: NormalSystem, chart: str | None = None) -> LSSol
             rank=err.rank,
             cell=chart,
         ) from None
-    return LSSolution(a_hat=a_hat, chart=chart)
+    return LSSolution(a_hat=a_hat)
 
 
 def loss_eval(data, features: FeatureMap, a: Vector):
@@ -277,6 +227,11 @@ def model_from_json(doc: dict, ambient_dim: int) -> FeatureMap:
         exponents = doc.get("exponents")
         if not isinstance(exponents, list) or not exponents:
             raise LsglueError("monomial model needs a nonempty 'exponents' array")
+        for mono in exponents:
+            if not isinstance(mono, list) or any(type(e) is not int for e in mono):
+                raise LsglueError(
+                    f"monomial exponents must be arrays of integers, got {mono!r}"
+                )
         features = FeatureMap.of(exponents)
         if features.ambient_dim != ambient_dim:
             raise DimensionMismatch(

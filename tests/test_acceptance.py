@@ -66,8 +66,8 @@ def test_criterion_1_toy_exactness():
     assert by_label["D2"].base == lg.Vector.of(["13/15", "26/15"])
     pair = by_label["D1|D2"]
     assert pair.base == lg.Vector.of(["13/14", "12/7"])
-    assert pair.differential.nmat == lg.Matrix.of([[12, 4], [4, 6]])
-    assert lg.mat_inverse(pair.differential.nmat) == lg.Matrix.of(
+    assert pair.nmat == lg.Matrix.of([[12, 4], [4, 6]])
+    assert lg.mat_inverse(pair.nmat) == lg.Matrix.of(
         [[6, -4], [-4, 12]]
     ).scale(lg.rat("1/56"))
 
@@ -80,7 +80,7 @@ def test_criterion_1_toy_exactness():
     assert beta.coefficient((2,)).c0 == lg.rat("-1070/5880")
 
     # iota(beta) == (127/210)(m - 13/14) - (68/105)(b - 12/7), residual zero
-    image = koszul_diff(beta, pair.differential)
+    image = koszul_diff(beta, pair)
     expected = KoszulElement.build(
         2,
         0,

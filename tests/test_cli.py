@@ -497,3 +497,51 @@ def test_cocycle_norm_whose_square_overflows(files, capsys):
     assert max(norms) > 1e154
     assert math.isclose(doc["metrics"]["max_delta"], max(norms), rel_tol=1e-12)
     assert math.isclose(doc["metrics"]["mean_delta"], sum(norms) / len(norms), rel_tol=1e-12)
+
+
+def _honest_three_chart_report(files, capsys, tmp_path):
+    dataset = files("d.json", TOY_DATASET)
+    cover = files("c.json", THREE_CHARTS)
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, ["cocycle", "--dataset", dataset, "--cover", cover, "--output", str(report)]
+    )
+    assert code == 3
+    return dataset, cover, json.loads(report.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "mutate, missing",
+    [
+        (lambda doc: doc.update(triples={}), "'triples' lacks a record for cell 'D1|D2|D3'"),
+        (lambda doc: doc["pairs"].pop("D1|D3"), "'pairs' lacks a record for cell 'D1|D3'"),
+        (lambda doc: doc.pop("pairs"), "'pairs' lacks a record for cell 'D1|D2'"),
+        (
+            lambda doc: doc.update(charts={}, pairs={}, triples={}),
+            "'charts' lacks a record for cell 'D1'",
+        ),
+    ],
+    ids=["triple", "pair", "no_pairs", "empty"],
+)
+def test_verify_cochain_missing_cell_exit_1(files, capsys, tmp_path, mutate, missing):
+    dataset, cover, doc = _honest_three_chart_report(files, capsys, tmp_path)
+    argv = ["verify", "--dataset", dataset, "--cover", cover, "--cochain"]
+    code, _, _ = run(capsys, [*argv, files("r.json", doc)])
+    assert code == 4
+    mutate(doc)
+    code, out, err = run(capsys, [*argv, files("r.json", doc)])
+    assert_one_error_line(code, out, err)
+    assert missing in err
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [[[1], 2], [["a"], [0]], [[None], [0]], [[1.5], [0]], [[True], [0]], [["1"], [0]]],
+    ids=["scalar_row", "letter", "null", "float", "bool", "numeric_string"],
+)
+def test_model_exponents_must_be_json_integers(files, capsys, exponents):
+    dataset = files("d.json", TOY_DATASET)
+    model = files("m.json", {"features": "monomials", "exponents": exponents})
+    code, out, err = run(capsys, ["fit", "--dataset", dataset, "--model", model])
+    assert_one_error_line(code, out, err)
+    assert "exponents must be arrays of integers" in err

@@ -4,8 +4,9 @@ Elimination (``solve_square``, ``mat_inverse``, ``rank``) must agree with
 cofactor determinants and adjugate inverses, including on matrices whose
 leading entries are zero, so that rows are swapped, and on singular matrices of
 every rank, where :class:`Singular` must carry the rank.  The normal-system
-accumulation behind ``build_normal_system``, ``NormalSystem.restricted`` and
-``NormalSystem.reweighted`` must equal the direct sums of ``oracles.normal_sums``.
+accumulation behind ``build_normal_system`` must equal the direct sums of
+``oracles.normal_sums``, on the data, on its restriction to a chart and under
+fresh weights.
 """
 
 from fractions import Fraction
@@ -139,11 +140,10 @@ def weighted_points(draw):
     return name, exponents, points, [draw(weights) for _ in range(m)]
 
 
-def _system(exponents, points, point_weights):
-    data = lg.WeightedDataSet.of(
+def _dataset(exponents, points, point_weights):
+    return lg.WeightedDataSet.of(
         [(x, y, w) for (x, y), w in zip(points, point_weights)], ambient_dim=len(exponents[0])
     )
-    return lg.build_normal_system(data, lg.FeatureMap.of(exponents))
 
 
 def _assert_matches(system, points, point_weights, exponents):
@@ -165,17 +165,28 @@ def _assert_matches(system, points, point_weights, exponents):
 )
 def test_normal_system_matches_direct_sums(case, data):
     _, exponents, points, point_weights = case
-    system = _system(exponents, points, point_weights)
-    _assert_matches(system, points, point_weights, exponents)
+    features = lg.FeatureMap.of(exponents)
+    dataset = _dataset(exponents, points, point_weights)
+    _assert_matches(
+        lg.build_normal_system(dataset, features), points, point_weights, exponents
+    )
 
     m = len(points)
     keep = {1} if data is None else data.draw(st.sets(st.integers(1, m)))
     _assert_matches(
-        system.restricted(keep), points, oracles.restrict_weights(point_weights, keep), exponents
+        lg.build_normal_system(lg.restrict(dataset, keep), features),
+        points,
+        oracles.restrict_weights(point_weights, keep),
+        exponents,
     )
     fresh = (
         [F(3, 4)] * m
         if data is None
         else data.draw(st.lists(weights, min_size=m, max_size=m))
     )
-    _assert_matches(system.reweighted(lg.Vector.of(fresh)), points, fresh, exponents)
+    _assert_matches(
+        lg.build_normal_system(_dataset(exponents, points, fresh), features),
+        points,
+        fresh,
+        exponents,
+    )

@@ -12,7 +12,6 @@ from lsglue.koszul import (
     koszul_diff,
     koszul_from_json,
     koszul_to_json,
-    restrict_differential,
     ring_mul,
     translate,
 )
@@ -189,30 +188,6 @@ def test_translate_is_chain_map():
         assert translate(koszul_diff(xi, eta_a), base_b) == koszul_diff(
             translate(xi, base_b), eta_b
         )
-
-
-# ----------------------------------------------------- restrict_differential
-
-
-def test_restrict_differential_toy(toy_dataset, affine1):
-    system = lg.build_normal_system(lg.restrict(toy_dataset, {1, 2, 3, 4}), affine1)
-    base = vec("13/14", "12/7")
-    eta = restrict_differential(system, frozenset({2, 3, 4}), base)
-    assert eta.nmat == lg.Matrix.of([[12, 4], [4, 6]])
-    assert eta.base == base
-
-    unchanged = restrict_differential(system, frozenset({1, 2, 3, 4}), base)
-    assert unchanged.nmat == system.nmat
-
-    empty = restrict_differential(system, frozenset(), base)
-    assert empty.nmat.is_zero()
-
-
-def test_restrict_differential_accepts_cells(toy_cover, affine1):
-    cells = lg.enumerate_nerve(toy_cover, 1)
-    system = lg.build_normal_system(toy_cover.base, affine1)
-    eta = restrict_differential(system, cells[2], vec("13/14", "12/7"))
-    assert eta.nmat == lg.Matrix.of([[12, 4], [4, 6]])
 
 
 # ------------------------------------------------------------ serialization

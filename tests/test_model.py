@@ -42,21 +42,14 @@ def test_normal_system_zero_weights(toy_dataset, affine1):
     assert system.nmat.is_zero() and system.nu.is_zero()
 
 
-def test_restricted_equals_rebuild(toy_dataset, affine1):
-    # presheaf functoriality at the (nu, N) level
-    full = build_normal_system(toy_dataset, affine1)
-    for keep in ({1, 2, 3, 4}, {2, 3, 4, 5}, {2, 3, 4}, set(), {5}):
-        direct = build_normal_system(lg.restrict(toy_dataset, keep), affine1)
-        via_weights = full.restricted(keep)
-        assert direct.nu == via_weights.nu
-        assert direct.nmat == via_weights.nmat
+def _chart_system(data, features, keep):
+    return build_normal_system(lg.restrict(data, keep), features)
 
 
 def test_solve_toy_charts(toy_dataset, affine1):
-    full = build_normal_system(toy_dataset, affine1)
-    a1 = solve_least_squares(full.restricted({1, 2, 3, 4}))
-    a2 = solve_least_squares(full.restricted({2, 3, 4, 5}))
-    a12 = solve_least_squares(full.restricted({2, 3, 4}))
+    a1 = solve_least_squares(_chart_system(toy_dataset, affine1, {1, 2, 3, 4}))
+    a2 = solve_least_squares(_chart_system(toy_dataset, affine1, {2, 3, 4, 5}))
+    a12 = solve_least_squares(_chart_system(toy_dataset, affine1, {2, 3, 4}))
     assert a1.a_hat == lg.Vector.of(["11/42", "50/21"])
     assert a2.a_hat == lg.Vector.of(["13/15", "26/15"])
     assert a12.a_hat == lg.Vector.of(["13/14", "12/7"])
@@ -74,7 +67,7 @@ def test_gradient_zero_certificate(toy_dataset, affine1):
 
 
 def test_singular_chart_carries_rank(toy_dataset, affine1):
-    system = build_normal_system(toy_dataset, affine1).restricted({3})
+    system = _chart_system(toy_dataset, affine1, {3})
     with pytest.raises(lg.Singular) as err:
         solve_least_squares(system, chart="D1|D3")
     assert err.value.rank == 1
@@ -114,7 +107,11 @@ def test_n_symmetric_and_psd_random():
 
 def test_weight_scaling_leaves_solution_fixed(toy_dataset, affine1):
     system = build_normal_system(toy_dataset, affine1)
-    doubled = system.reweighted(toy_dataset.weights().scale(2))
+    heavier = lg.WeightedDataSet(
+        tuple(lg.WeightedPoint(p.x, p.y, 2 * p.weight) for p in toy_dataset.points),
+        toy_dataset.ambient_dim,
+    )
+    doubled = build_normal_system(heavier, affine1)
     assert doubled.nu == system.nu.scale(2)
     assert doubled.nmat == system.nmat.scale(2)
     assert solve_least_squares(doubled).a_hat == solve_least_squares(system).a_hat
@@ -172,7 +169,7 @@ def test_singular_chart_eliminates_once(toy_dataset, affine1, monkeypatch):
         return echelon(rows, width)
 
     monkeypatch.setattr(lg.linalg, "_row_echelon", counting)
-    system = build_normal_system(toy_dataset, affine1).restricted({3})
+    system = _chart_system(toy_dataset, affine1, {3})
     with pytest.raises(lg.Singular, match=r"rank 1 < 2") as err:
         solve_least_squares(system, chart="D3")
     assert err.value.rank == 1 and err.value.cell == "D3"

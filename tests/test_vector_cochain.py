@@ -73,7 +73,7 @@ def test_vector_cochain_matches_koszul_transport(case):
     for cell in cochain.beta:
         name_i, name_j = cell.chart_names
         delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
-        beta[cell.chart_names] = lg.solve_square(fits[cell].differential.nmat, delta)
+        beta[cell.chart_names] = lg.solve_square(fits[cell].nmat, delta)
 
     for cell, witness in cochain.r.items():
         base = fits[cell].base
