@@ -17,13 +17,11 @@ from .assembly import (
     assemble_cochain,
     build_zero_cocycle,
     canonical_alpha,
-    cech_delta_pair,
     discrepancy_metrics,
     fit_all_cells,
     verify_cocycle,
 )
 from .data import (
-    ChartMorphism,
     Cover,
     NerveCell,
     WeightedDataSet,

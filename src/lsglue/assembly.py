@@ -6,19 +6,27 @@ The cochain has three layers, one per overlap depth:
   chart's least-squares fit to first order;
 * ``beta``   -- on each pairwise overlap, a degree-1 element with constant
   coefficients N⁻¹δ (N the overlap's normal matrix, δ = â_j - â_i) whose
-  differential reproduces the translated discrepancy of the two chart fits;
+  differential reproduces the transported discrepancy of the two chart fits;
 * ``r``      -- on each triple overlap, a degree-2 element whose differential
   must reproduce the alternating sum of the three transported betas.
 
-Construction needs only vectors: translation carries coefficients over
-verbatim, so every triple defect is the constant vector β_jk - β_ik + β_ij,
-and a witness r exists exactly when that vector is zero, in which case r = 0
-(see :func:`assemble_cochain`).  A cell's fit is its differential: the
-:class:`LinearizedDifferential` at the cell's least-squares point â, with the
-cell's normal matrix N.  Koszul elements are built to serialize the cochain
-and to verify it: :func:`verify_cocycle` re-evaluates every equation with the
-cell's differential, so an external cochain is checked exactly.  All
-residuals are exact; floats appear only in advisory metrics.
+Construction and verification both work on vectors.  Translation carries
+coefficients over verbatim, and every component η^m = N_m·(a - â) of a
+cell's differential has zero constant term, so:
+
+* ι of a degree-1 element depends only on its slot constants β₀:
+  ι(β) = Σ_m β₀_m η^m = (Nᵀβ₀)·(a - â), which is (N·β₀)·(a - â) since N is
+  symmetric (accumulated on the upper triangle and mirrored); the linear
+  parts of β are annihilated;
+* ι(r) has no constant term, for every degree-2 r;
+* every triple defect is the alternating sum of the face betas, slot by slot.
+
+So a witness r exists exactly when the defect vector is zero, and then r = 0
+does.  A cell's fit is its differential: the :class:`LinearizedDifferential`
+at the cell's least-squares point â, with the cell's normal matrix N.  Koszul
+elements are built only to serialize the cochain, for the residuals a check
+returns, and for ι of a supplied triple witness.  All residuals are exact;
+floats appear only in advisory metrics.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from math import isfinite, ldexp, sqrt
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
-from .errors import CellMismatch, LsglueError
+from .errors import BaseMismatch, CellMismatch, LsglueError
 from .koszul import (
     KoszulElement,
     LinearizedDifferential,
@@ -35,7 +43,6 @@ from .koszul import (
     koszul_diff,
     koszul_from_json,
     koszul_to_json,
-    translate,
 )
 from .linalg import Vector, solve_square
 from .model import (
@@ -75,8 +82,8 @@ class TripleCheck:
 
     ``outcome`` is "ok" (witness supplied), "constant_defect" (nonzero
     constant part, rigorously un-witnessable), or "inconsistent" (no witness
-    supplied although the constant part vanishes; only an external cochain
-    can say so).
+    supplied although the constant part vanishes: a false obstruction claim,
+    which only an external cochain can make and which fails verification).
     """
 
     defect_constant: Vector
@@ -105,8 +112,11 @@ class ObstructionReport:
         return any(check.obstructed for check in self.triples.values())
 
     def all_verified(self) -> bool:
+        """Every residual is zero, and no triple claims an obstruction that
+        its zero defect constant contradicts."""
         return self.all_pairs_zero() and all(
-            check.residual_zero for check in self.triples.values()
+            check.residual_zero and check.outcome != "inconsistent"
+            for check in self.triples.values()
         )
 
 
@@ -180,18 +190,6 @@ def canonical_alpha(fit: LinearizedDifferential) -> KoszulElement:
     )
 
 
-def cech_delta_pair(
-    alpha_i: KoszulElement, alpha_j: KoszulElement, pair: LinearizedDifferential
-) -> KoszulElement:
-    """Translate both chart elements to the overlap's base and take j - i.
-
-    For canonical alphas the result is δ·(a - â_pair) with δ = â_j - â_i.
-    Callers pass the charts in sorted name order; swapping them negates the
-    result.
-    """
-    return translate(alpha_j, pair.base) - translate(alpha_i, pair.base)
-
-
 def _cells_by_names(fits: dict) -> dict:
     return {cell.chart_names: cell for cell in fits}
 
@@ -200,23 +198,19 @@ def _sorted_cells(cells) -> list:
     return sorted(cells, key=lambda cell: (cell.degree, cell.chart_names))
 
 
-def _transported_defect(cell: NerveCell, cochain_beta: dict, fits: dict, by_names: dict):
-    """Alternating sum of the face betas, translated to the triple's base."""
-    base = fits[cell].base
-    total = KoszulElement.zero(base.dim, 1, base)
-    for position, face in enumerate(cell.faces()):
-        face_cell = by_names.get(face)
-        if face_cell is None or face_cell not in cochain_beta:
-            raise CellMismatch(
-                f"triple {cell.label} needs a beta on face {'|'.join(face)}"
-            )
-        term = translate(cochain_beta[face_cell], base)
-        total = total - term if position % 2 else total + term
+def _slot_constants(beta: KoszulElement) -> Vector:
+    """β₀: the constant parts of a degree-1 element on slots 1..n."""
+    return Vector(tuple(beta.coefficient((m,)).c0 for m in range(1, beta.n + 1)))
+
+
+def _face_sum(terms: list, n: int) -> Vector:
+    """Σ_j (-1)^j terms[j]: the alternating sum of vectors given for a cell's
+    faces in drop-position order.  Zero terms are skipped."""
+    total = Vector.zeros(n)
+    for position, term in enumerate(terms):
+        if not term.is_zero():
+            total = total - term if position % 2 else total + term
     return total
-
-
-def _defect_constants(defect: KoszulElement) -> Vector:
-    return Vector(tuple(defect.coefficient((m,)).c0 for m in range(1, defect.n + 1)))
 
 
 def build_zero_cocycle(
@@ -235,23 +229,10 @@ def build_zero_cocycle(
 def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
     """The cell-level cochain construction behind :func:`build_zero_cocycle`.
 
-    Everything is computed on vectors; why that loses nothing:
-
-    * Pairs.  Translated to the pair's base, the canonical alphas differ by
-      δ·(a - â) with δ = â_j - â_i and no constant term.  A degree-1 element
-      with constant coefficients β has ι(β) = Σ β_m η^m = (Nᵀβ)·(a - â),
-      again with no constant term.  N is symmetric (accumulated on the upper
-      triangle and mirrored), so ι(β) equals the discrepancy exactly when
-      β = N⁻¹δ, and every pair residual is zero.
-    * Triples.  Translation keeps (c0, c) verbatim, so the transported
-      defect β_jk - β_ik + β_ij has no linear part, and its slot-m constant
-      is entry m of the same alternating sum taken over the beta vectors.
-    * Witness.  Every component η^i = N_i·(a - â) has zero constant term, so
-      ι(r) has no constant term for any degree-2 r.  ι(r) can therefore equal
-      the defect only when the defect vector is zero, and then r = 0 does.
-      So r is the zero element when the defect vanishes and None otherwise.
-
-    The cochain is then rechecked by :func:`verify_cocycle`.
+    Everything is computed on vectors (module docstring): β = N⁻¹δ with
+    δ = â_j - â_i, each triple's defect is the alternating sum of its face β
+    vectors, and r is the zero element when that sum vanishes and None
+    otherwise.  The cochain is then rechecked by :func:`verify_cocycle`.
     """
     by_names = _cells_by_names(fits)
 
@@ -273,10 +254,7 @@ def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
     r = {}
     for cell in _sorted_cells(c for c in fits if c.degree == 2):
         base = fits[cell].base
-        defect = Vector.zeros(base.dim)
-        for position, face in enumerate(cell.faces()):
-            term = beta_vectors[by_names[face]]
-            defect = defect - term if position % 2 else defect + term
+        defect = _face_sum([beta_vectors[by_names[face]] for face in cell.faces()], base.dim)
         r[cell] = KoszulElement.zero(base.dim, 2, base) if defect.is_zero() else None
 
     cochain = TotalCochain(alpha=alpha, beta=beta, r=r)
@@ -284,12 +262,17 @@ def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
 
 
 def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
-    """Recheck every supplied cocycle equation exactly.
+    """Recheck every supplied cocycle equation exactly, on vectors.
 
-    Pairs: the differential of beta must equal the translated alpha
-    discrepancy.  Triples: the differential of r (zero when r is absent) must
-    equal the transported beta defect.  Residual elements are exact; a
-    cochain cell with no matching fit raises :class:`CellMismatch`.
+    Pairs: ι(β) = (N·β₀)·(a - â) must equal the alphas' discrepancy
+    (α_j.c0 - α_i.c0) + δ·(a - â), δ = α_j.c - α_i.c, so the residual has
+    constant α_i.c0 - α_j.c0 and linear part N·β₀ - δ (taken as Nᵀβ₀, the
+    form ι has for any N).  Triples: ι(r), zero when r is absent and computed
+    only for a supplied witness, must equal the alternating face sum of the
+    betas, slot by slot; ι(r) has no constant term, so slot m of the residual
+    is (-defect_m, ι(r).c_m - Σ±β.c_m).  Residuals are exact.  A cell without
+    a fit or a lower layer raises :class:`CellMismatch`; a beta or witness
+    based away from its cell's fit raises :class:`BaseMismatch`.
     """
     by_names = _cells_by_names(fits)
     pairs = {}
@@ -304,38 +287,54 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         ]
         if missing:
             raise CellMismatch(f"pair {cell.label} lacks alpha on {missing}")
-        target = cech_delta_pair(
-            cochain.alpha[by_names[(name_i,)]],
-            cochain.alpha[by_names[(name_j,)]],
-            fits[cell],
+        fit, beta = fits[cell], cochain.beta[cell]
+        if beta.base != fit.base:
+            raise BaseMismatch("element and differential have different base points")
+        alpha_i = cochain.alpha[by_names[(name_i,)]].coefficient(())
+        alpha_j = cochain.alpha[by_names[(name_j,)]].coefficient(())
+        delta = alpha_j.c - alpha_i.c
+        beta_constants = _slot_constants(beta)
+        residual = LinearizedElement(
+            fit.base,
+            alpha_i.c0 - alpha_j.c0,
+            fit.nmat.transpose().matvec(beta_constants) - delta,
         )
-        image = koszul_diff(cochain.beta[cell], fits[cell])
-        n = fits[cell].base.dim
         pairs[cell] = PairCheck(
-            delta=target.coefficient(()).c,
-            beta_constants=Vector(
-                tuple(cochain.beta[cell].coefficient((m,)).c0 for m in range(1, n + 1))
-            ),
-            residual=image - target,
+            delta=delta,
+            beta_constants=beta_constants,
+            residual=KoszulElement.build(fit.n, 0, fit.base, {(): residual}),
         )
 
     triples = {}
     for cell in _sorted_cells(cochain.r):
         if cell not in fits:
             raise CellMismatch(f"no fit for triple cell {cell.label}")
-        defect = _transported_defect(cell, cochain.beta, fits, by_names)
-        constants = _defect_constants(defect)
-        witness = cochain.r[cell]
+        faces = [by_names.get(face) for face in cell.faces()]
+        for face, face_cell in zip(cell.faces(), faces):
+            if face_cell is None or face_cell not in cochain.beta:
+                raise CellMismatch(
+                    f"triple {cell.label} needs a beta on face {'|'.join(face)}"
+                )
+        fit, witness = fits[cell], cochain.r[cell]
+        constants = _face_sum([pairs[face].beta_constants for face in faces], fit.n)
         if witness is None:
-            image = KoszulElement.zero(defect.n, 1, defect.base)
+            image = KoszulElement.zero(fit.n, 1, fit.base)
             outcome = "constant_defect" if not constants.is_zero() else "inconsistent"
         else:
-            image = koszul_diff(witness, fits[cell])
+            image = koszul_diff(witness, fit)
             outcome = "ok"
+        residual = {}
+        for m in range(1, fit.n + 1):
+            linear = _face_sum(
+                [cochain.beta[face].coefficient((m,)).c for face in faces], fit.n
+            )
+            residual[(m,)] = LinearizedElement(
+                fit.base, -constants[m - 1], image.coefficient((m,)).c - linear
+            )
         triples[cell] = TripleCheck(
             defect_constant=constants,
             witness=witness,
-            residual=image - defect,
+            residual=KoszulElement.build(fit.n, 1, fit.base, residual),
             outcome=outcome,
         )
     return ObstructionReport(pairs=pairs, triples=triples)

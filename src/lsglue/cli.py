@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .assembly import (
@@ -95,8 +96,19 @@ def _read_text(path: str) -> str:
 
 def _read_json(path: str) -> dict:
     text = _read_text(path)
+
+    def unique_keys(pairs: list) -> dict:
+        # the decoder would keep only the last of repeated keys, so a second
+        # value for one key (a wedge slot, say) would go unseen
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            key = next(key for key, count in counts.items() if count > 1)
+            raise LsglueError(f"{path}: key {key!r} repeated in a JSON object")
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise LsglueError(
             f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
@@ -207,6 +219,11 @@ def _dump_failures(report: ObstructionReport) -> None:
             print(
                 f"triple {cell.label}: residual {json.dumps(koszul_to_json(check.residual))}"
                 f" (defect constant {check.defect_constant.to_strings()})",
+                file=sys.stderr,
+            )
+        if check.outcome == "inconsistent":
+            print(
+                f"triple {cell.label}: no witness, but the defect constant is zero",
                 file=sys.stderr,
             )
 

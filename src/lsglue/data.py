@@ -72,9 +72,6 @@ class WeightedDataSet:
     def indices(self) -> frozenset:
         return frozenset(range(1, self.size + 1))
 
-    def weights(self) -> Vector:
-        return Vector(tuple(p.weight for p in self.points))
-
     def _check_index(self, index: int) -> None:
         if not 1 <= index <= self.size:
             raise IndexOutOfRange(f"index {index} outside 1..{self.size}")
@@ -97,31 +94,9 @@ def restrict(data: WeightedDataSet, keep: Iterable[int]) -> WeightedDataSet:
 
 
 @dataclass(frozen=True)
-class ChartMorphism:
-    """An injection of a sub data set, stored as its sorted 1-based image."""
-
-    source_indices: tuple
-
-    def __post_init__(self):
-        idx = self.source_indices
-        if any(not isinstance(i, int) for i in idx):
-            raise IndexOutOfRange("chart indices must be integers")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise LsglueError("chart indices must be strictly increasing")
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "ChartMorphism":
-        return cls(tuple(sorted(set(int(i) for i in indices))))
-
-    @property
-    def index_set(self) -> frozenset:
-        return frozenset(self.source_indices)
-
-
-@dataclass(frozen=True)
 class Cover:
     base: WeightedDataSet
-    charts: tuple  # of (name, ChartMorphism) pairs, file order
+    charts: tuple  # of (name, frozenset of 1-based indices) pairs, file order
 
     def __post_init__(self):
         names = [name for name, _ in self.charts]
@@ -134,7 +109,7 @@ class Cover:
                     " (reserved for cell labels)"
                 )
         for name, chart in self.charts:
-            for i in chart.source_indices:
+            for i in sorted(chart):
                 if not 1 <= i <= self.base.size:
                     raise IndexOutOfRange(
                         f"chart {name!r} references index {i} outside 1..{self.base.size}"
@@ -142,7 +117,7 @@ class Cover:
 
     @classmethod
     def of(cls, base: WeightedDataSet, charts: Iterable) -> "Cover":
-        return cls(base, tuple((name, ChartMorphism.of(idx)) for name, idx in charts))
+        return cls(base, tuple((name, frozenset(int(i) for i in idx)) for name, idx in charts))
 
     def chart_names(self) -> list[str]:
         return [name for name, _ in self.charts]
@@ -150,7 +125,7 @@ class Cover:
     def chart_indices(self, name: str) -> frozenset:
         for n, chart in self.charts:
             if n == name:
-                return chart.index_set
+                return chart
         raise LsglueError(f"no chart named {name!r}")
 
     @cached_property
@@ -163,7 +138,7 @@ class Cover:
         """
         signatures = [[] for _ in range(self.base.size + 1)]
         for name, chart in sorted(self.charts, key=lambda item: item[0]):
-            for i in chart.source_indices:
+            for i in chart:
                 signatures[i].append(name)
         atoms = {}
         for i in range(1, self.base.size + 1):
@@ -174,7 +149,7 @@ class Cover:
 
 def validate_cover(cover: Cover) -> None:
     """Check that the chart index sets jointly exhaust the base data set."""
-    union = frozenset().union(*(c.index_set for _, c in cover.charts)) if cover.charts else frozenset()
+    union = frozenset().union(*(chart for _, chart in cover.charts))
     missing = cover.base.indices() - union
     if missing:
         raise NotACover(missing)

@@ -199,11 +199,6 @@ class LinearizedDifferential:
         """η^i for slot i in 1..n."""
         return LinearizedElement.linear(self.base, self.nmat.row(i - 1))
 
-    def rebased(self, new_base: Vector) -> "LinearizedDifferential":
-        if new_base.dim != self.base.dim:
-            raise DimensionMismatch("translation target has wrong dimension")
-        return LinearizedDifferential(base=new_base, nmat=self.nmat)
-
 
 def koszul_diff(xi: KoszulElement, eta: LinearizedDifferential) -> KoszulElement:
     """Interior multiplication: each wedge slot i_j is contracted against
@@ -238,12 +233,16 @@ def translate(xi: KoszulElement, new_base: Vector) -> KoszulElement:
     )
 
 
+def _index_key(idx) -> str:
+    return json.dumps(list(idx), separators=(",", ":"))
+
+
 def koszul_to_json(element: KoszulElement) -> dict:
     """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients."""
     doc = {}
     for idx in sorted(element.coeffs):
         coeff = element.coeffs[idx]
-        doc[json.dumps(list(idx), separators=(",", ":"))] = {
+        doc[_index_key(idx)] = {
             "c0": rat_str(coeff.c0),
             "c": coeff.c.to_strings(),
             "base": coeff.base.to_strings(),
@@ -252,7 +251,12 @@ def koszul_to_json(element: KoszulElement) -> dict:
 
 
 def koszul_from_json(doc: dict, n: int, degree: int, base: Vector) -> KoszulElement:
-    """Parse the :func:`koszul_to_json` format, enforcing the expected shape."""
+    """Parse the :func:`koszul_to_json` format, enforcing the expected shape.
+
+    A key must be an array of JSON integers written exactly as
+    :func:`koszul_to_json` writes it (``"[1,2]"``: no spaces, no booleans), so
+    two keys can never name the same wedge slot.
+    """
     if not isinstance(doc, dict):
         raise LsglueError("Koszul element JSON must be an object")
     coeffs = {}
@@ -261,7 +265,11 @@ def koszul_from_json(doc: dict, n: int, degree: int, base: Vector) -> KoszulElem
             raw = json.loads(key)
         except ValueError:
             raise LsglueError(f"bad index tuple key {key!r}") from None
-        if not isinstance(raw, list) or any(not isinstance(i, int) for i in raw):
+        if (
+            not isinstance(raw, list)
+            or any(not isinstance(i, int) or isinstance(i, bool) for i in raw)
+            or key != _index_key(raw)
+        ):
             raise LsglueError(f"bad index tuple key {key!r}")
         if (
             not isinstance(record, dict)

@@ -5,11 +5,21 @@ weighted sum from scratch, and inverts matrices by cofactor expansion and
 adjugates -- a deliberately different path from the package's forward
 elimination with back-substitution and its integer-numerator accumulation of
 the normal sums, so agreement between the two is meaningful.
+
+The one exception is :func:`koszul_verify`, the cocycle check written with
+the package's Koszul arithmetic (``translate``, ``koszul_diff``, element
+subtraction), as the paper states the equations; ``verify_cocycle`` checks
+the same equations on plain vectors.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+from lsglue.assembly import ObstructionReport, PairCheck, TripleCheck
+from lsglue.errors import CellMismatch
+from lsglue.koszul import KoszulElement, koszul_diff, translate
+from lsglue.linalg import Vector
 
 F = Fraction
 
@@ -196,3 +206,86 @@ TOY_POINTS = [
 ]
 TOY_WEIGHTS = [F(1)] * 5
 AFFINE_1D = [(1,), (0,)]
+
+
+def cech_delta_pair(alpha_i, alpha_j, pair):
+    """Translate both chart elements to the overlap's base and take j - i.
+
+    For canonical alphas the result is δ·(a - â_pair) with δ = â_j - â_i;
+    swapping the charts negates it.
+    """
+    return translate(alpha_j, pair.base) - translate(alpha_i, pair.base)
+
+
+def _ordered(cells):
+    return sorted(cells, key=lambda cell: (cell.degree, cell.chart_names))
+
+
+def _slot_constants(element):
+    return Vector(
+        tuple(element.coefficient((m,)).c0 for m in range(1, element.n + 1))
+    )
+
+
+def koszul_verify(cochain, fits):
+    """The exact cocycle check in Koszul arithmetic, with the same report,
+    residuals and structural errors as ``assembly.verify_cocycle``.
+
+    Pairs: ι(β) - (translated α_j - translated α_i).  Triples: ι(r) (zero
+    without a witness) minus the alternating sum of the face betas
+    translated to the triple's base.
+    """
+    by_names = {cell.chart_names: cell for cell in fits}
+    pairs = {}
+    for cell in _ordered(cochain.beta):
+        if cell not in fits:
+            raise CellMismatch(f"no fit for pair cell {cell.label}")
+        name_i, name_j = cell.chart_names
+        missing = [
+            name
+            for name in (name_i, name_j)
+            if by_names.get((name,)) not in cochain.alpha
+        ]
+        if missing:
+            raise CellMismatch(f"pair {cell.label} lacks alpha on {missing}")
+        target = cech_delta_pair(
+            cochain.alpha[by_names[(name_i,)]],
+            cochain.alpha[by_names[(name_j,)]],
+            fits[cell],
+        )
+        image = koszul_diff(cochain.beta[cell], fits[cell])
+        pairs[cell] = PairCheck(
+            delta=target.coefficient(()).c,
+            beta_constants=_slot_constants(cochain.beta[cell]),
+            residual=image - target,
+        )
+
+    triples = {}
+    for cell in _ordered(cochain.r):
+        if cell not in fits:
+            raise CellMismatch(f"no fit for triple cell {cell.label}")
+        base = fits[cell].base
+        defect = KoszulElement.zero(base.dim, 1, base)
+        for position, face in enumerate(cell.faces()):
+            face_cell = by_names.get(face)
+            if face_cell is None or face_cell not in cochain.beta:
+                raise CellMismatch(
+                    f"triple {cell.label} needs a beta on face {'|'.join(face)}"
+                )
+            term = translate(cochain.beta[face_cell], base)
+            defect = defect - term if position % 2 else defect + term
+        constants = _slot_constants(defect)
+        witness = cochain.r[cell]
+        if witness is None:
+            image = KoszulElement.zero(defect.n, 1, defect.base)
+            outcome = "constant_defect" if not constants.is_zero() else "inconsistent"
+        else:
+            image = koszul_diff(witness, fits[cell])
+            outcome = "ok"
+        triples[cell] = TripleCheck(
+            defect_constant=constants,
+            witness=witness,
+            residual=image - defect,
+            outcome=outcome,
+        )
+    return ObstructionReport(pairs=pairs, triples=triples)

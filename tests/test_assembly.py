@@ -11,7 +11,6 @@ from lsglue.assembly import (
     assemble_cochain,
     build_zero_cocycle,
     canonical_alpha,
-    cech_delta_pair,
     cochain_from_json,
     discrepancy_metrics,
     fit_all_cells,
@@ -70,22 +69,28 @@ def test_canonical_alpha_values(toy_cover, affine1):
     assert alpha.base == coeff.c
 
     # a zero solution gives the zero element
-    assert canonical_alpha(fits[cell].rebased(lg.Vector.zeros(2))).is_zero()
+    at_zero = lg.LinearizedDifferential(base=lg.Vector.zeros(2), nmat=fits[cell].nmat)
+    assert canonical_alpha(at_zero).is_zero()
 
 
 def test_cech_delta_pair_toy(toy_cover, affine1):
+    # the translated alpha discrepancy of the Koszul reference check, and the
+    # delta that verify_cocycle reads off the alphas directly
     fits = toy_fits(toy_cover, affine1)
-    pair = fits[cell_by_label(fits, "D1|D2")]
+    pair_cell = cell_by_label(fits, "D1|D2")
+    pair = fits[pair_cell]
     a1 = canonical_alpha(fits[cell_by_label(fits, "D1")])
     a2 = canonical_alpha(fits[cell_by_label(fits, "D2")])
-    target = cech_delta_pair(a1, a2, pair)
+    target = oracles.cech_delta_pair(a1, a2, pair)
     coeff = target.coefficient(())
     assert coeff.c0 == 0
     assert coeff.c == lg.Vector.of(["127/210", "-68/105"])
     assert target.base == lg.Vector.of(["13/14", "12/7"])
     # same chart twice vanishes; swapping the charts negates
-    assert cech_delta_pair(a1, a1, pair).is_zero()
-    assert cech_delta_pair(a2, a1, pair) == target.scale(-1)
+    assert oracles.cech_delta_pair(a1, a1, pair).is_zero()
+    assert oracles.cech_delta_pair(a2, a1, pair) == target.scale(-1)
+    _, report = assemble_cochain(fits)
+    assert report.pairs[pair_cell].delta == coeff.c
 
 
 def test_build_zero_cocycle_toy(toy_cover, affine1):

@@ -545,3 +545,62 @@ def test_model_exponents_must_be_json_integers(files, capsys, exponents):
     code, out, err = run(capsys, ["fit", "--dataset", dataset, "--model", model])
     assert_one_error_line(code, out, err)
     assert "exponents must be arrays of integers" in err
+
+
+def _verify_golden(capsys, tmp_path, doc, line=False):
+    """Run ``verify`` on a changed copy of a golden cocycle report (a
+    document, or its text)."""
+    report = tmp_path / "report.json"
+    report.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    inputs = (
+        ["sampledata/line6.json", "sampledata/cover_line_three_charts.json"]
+        if line
+        else ["sampledata/toy5.json", "sampledata/cover_two_charts.json"]
+    )
+    dataset, cover = (str(ROOT / path) for path in inputs)
+    return run(
+        capsys,
+        ["verify", "--dataset", dataset, "--cover", cover, "--cochain", str(report)],
+    )
+
+
+@pytest.mark.parametrize(
+    "rekey",
+    [
+        lambda beta: {"[true]" if key == "[1]" else key: c for key, c in beta.items()},
+        lambda beta: {"[ 1]": {**beta["[1]"], "c0": "999"}, **beta},
+        lambda beta: {"[2] " if key == "[2]" else key: c for key, c in beta.items()},
+    ],
+    ids=["bool", "spaced_alias", "trailing_space"],
+)
+def test_verify_slot_keys_must_be_canonical(capsys, tmp_path, rekey):
+    # a key that is not written as koszul_to_json writes it could name the
+    # same slot as another key, and the later one would silently win
+    doc = json.loads((ROOT / "tests/golden/cocycle_two_charts.json").read_text())
+    record = doc["pairs"]["D1|D2"]
+    record["beta"] = rekey(record["beta"])
+    code, out, err = _verify_golden(capsys, tmp_path, doc)
+    assert_one_error_line(code, out, err)
+    assert "bad index tuple key" in err
+
+
+def test_verify_false_obstruction_exit_4(capsys, tmp_path):
+    # the glued golden report claiming an obstruction: no witness although
+    # the defect constant is zero
+    doc = json.loads((ROOT / "tests/golden/cocycle_line_three_charts.json").read_text())
+    doc["triples"]["L1|L2|L3"]["r"] = None
+    code, out, err = _verify_golden(capsys, tmp_path, doc, line=True)
+    assert code == 4
+    record = json.loads(out)["triples"]["L1|L2|L3"]
+    assert record["obstructed"] is True and record["residual_zero"] is True
+    assert err == "triple L1|L2|L3: no witness, but the defect constant is zero\n"
+
+
+def test_repeated_json_key_exit_1(capsys, tmp_path):
+    # the decoder would keep only the second "[1]", the correct one
+    text = (ROOT / "tests/golden/cocycle_two_charts.json").read_text()
+    slot = text.index('"[1]"', text.index('"D1|D2"', text.index('"pairs"')))
+    wrong = '"[1]": {"base": ["13/14", "12/7"], "c": ["0", "0"], "c0": "999"},\n'
+    code, out, err = _verify_golden(capsys, tmp_path, text[:slot] + wrong + text[slot:])
+    assert_one_error_line(code, out, err)
+    assert "key '[1]' repeated in a JSON object" in err

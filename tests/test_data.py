@@ -17,7 +17,7 @@ from conftest import make_dataset, rand_nonneg_fraction, rand_points
 
 def test_restrict_toy_overlap(toy_dataset):
     out = restrict(toy_dataset, {2, 3, 4})
-    assert out.weights().to_strings() == ["0", "1", "1", "1", "0"]
+    assert [p.weight for p in out.points] == [0, 1, 1, 1, 0]
     # original x/y survive untouched, only weights change
     assert out.point(1).x == toy_dataset.point(1).x
     assert out.point(1).y == toy_dataset.point(1).y
@@ -25,7 +25,7 @@ def test_restrict_toy_overlap(toy_dataset):
 
 def test_restrict_identity_and_empty(toy_dataset):
     assert restrict(toy_dataset, toy_dataset.indices()) == toy_dataset
-    assert restrict(toy_dataset, set()).weights().is_zero()
+    assert all(p.weight == 0 for p in restrict(toy_dataset, set()).points)
 
 
 def test_restrict_bad_index(toy_dataset):

@@ -6,11 +6,23 @@ and ``verify`` cases were written before the cochain was assembled on plain
 vectors; the ``quad3d`` cases (wide rationals from ``sampledata/make_quad3d.py``,
 a negative weight, a row swap on chart Q3) were written before elimination
 became forward elimination with back-substitution and before the normal
-systems were accumulated on integers.  A refactor must reproduce them exactly,
-with the same exit code and an empty stderr.  The ``verify`` cases read the
-``cocycle`` JSON goldens as their cochains.  Change a golden file only
-together with an intended change of the report format, by rerunning the
-command below with ``> tests/golden/<name>.<format>``.
+systems were accumulated on integers; the failing ``verify`` cases (exit 4)
+were written before ``verify_cocycle`` checked the cocycle equations on
+vectors.  A refactor must reproduce them exactly, with the same exit code and
+the same stderr: the bytes of ``tests/golden/<name>.stderr`` where that file
+exists (the failure dump, the same for both formats), else nothing.
+
+The ``verify`` cases read the ``cocycle`` JSON goldens as their cochains, or a
+``cochain_tampered_*`` copy of one with one coefficient changed:
+``beta_c0`` gives the ``L1|L3`` beta of the ``line6`` report (zero) the slot-2
+constant -2/5, ``beta_linear`` gives its ``L2|L3`` beta a linear part on slot
+1, ``alpha_c`` changes the linear part of chart ``L1``'s alpha, ``r`` replaces
+the zero triple witness by 2 + (1, -3)·(a - â) on e¹∧e², and ``alpha_c0``
+gives chart ``D2``'s alpha of the two-chart ``toy5`` report the constant 5/2.
+Change a golden file only together with an intended change of the report
+format or of the failure dump, by rerunning the command below with
+``> tests/golden/<name>.<format>``, and for a case that has a stderr golden
+with ``2> tests/golden/<name>.stderr``.
 """
 
 import os
@@ -53,6 +65,31 @@ CASES = [
     ("fit_quad3d", ["fit", *QUAD], 0),
     ("cocycle_quad3d", ["cocycle", *QUAD], 0),
     ("verify_quad3d", ["verify", *QUAD, "--cochain", "tests/golden/cocycle_quad3d.json"], 0),
+    (
+        "verify_three_charts",
+        [
+            "verify",
+            *TOY,
+            "--cover",
+            "sampledata/cover_three_charts.json",
+            "--cochain",
+            "tests/golden/cocycle_three_charts.json",
+        ],
+        4,
+    ),
+    *(
+        (
+            f"verify_tampered_{what}",
+            ["verify", *LINE, "--cochain", f"tests/golden/cochain_tampered_{what}.json"],
+            4,
+        )
+        for what in ("beta_c0", "beta_linear", "alpha_c", "r")
+    ),
+    (
+        "verify_tampered_alpha_c0",
+        ["verify", *TWO, "--cochain", "tests/golden/cochain_tampered_alpha_c0.json"],
+        4,
+    ),
 ]
 
 
@@ -71,5 +108,6 @@ def test_cli_matches_golden(name, argv, code, fmt):
         timeout=60,
     )
     assert proc.returncode == code, proc.stderr.decode()
-    assert proc.stderr == b""
+    stderr = GOLDEN / f"{name}.stderr"
+    assert proc.stderr == (stderr.read_bytes() if stderr.exists() else b"")
     assert proc.stdout == (GOLDEN / f"{name}.{fmt}").read_bytes()

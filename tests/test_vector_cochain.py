@@ -1,20 +1,25 @@
-"""The vector construction of the cochain against its Koszul verification.
+"""The vector cochain and its vector check against the Koszul reference.
 
 ``assemble_cochain`` computes each beta as N⁻¹δ and each triple defect as the
 alternating sum of beta vectors, and sets r to zero or None from that sum
-alone.  Over random covers, the Koszul transport of the betas must agree:
+alone; ``verify_cocycle`` checks the cocycle equations on the same vectors.
+Over random covers, the Koszul check of ``oracles.koszul_verify`` must agree:
 the transported defect has no linear part, its constants are the vector
 defect, r is the zero element exactly when that defect vanishes, and every
-pair residual is zero.
+pair residual is zero.  On tampered cochains (alphas, betas and witnesses
+changed, fits given non-symmetric matrices) both checks must return the same
+report, residuals included, and must reject a beta based away from its pair.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsglue as lg
-from lsglue.assembly import _cells_by_names, _transported_defect, assemble_cochain
-from lsglue.koszul import KoszulElement
+from lsglue.assembly import _cells_by_names, assemble_cochain, verify_cocycle
+from lsglue.koszul import KoszulElement, LinearizedElement, translate
 
+import oracles
 from test_atoms import EXAMPLES, build, covers, small
 
 CORE_X = {1: [["0"], ["1"], ["2"]], 2: [["0", "0"], ["1", "0"], ["0", "1"]]}
@@ -47,28 +52,39 @@ TOY_THREE = (
     "affine",
     2,
 )
+FIXED = [SHARED_CORE, TOY_THREE, *EXAMPLES]
+any_cover = st.one_of(covers(), cored_covers(), st.sampled_from(FIXED))
+scalars = small.map(lg.rat)
 
 
 def with_examples(test):
-    for case in [SHARED_CORE, TOY_THREE, *EXAMPLES]:
+    for case in FIXED:
         test = example(case)(test)
     return test
+
+
+def fit_cover(case):
+    """The cell fits of a drawn cover, or None when a cell is singular."""
+    points, charts, features, _ = case
+    _, cover, feature_map = build(points, charts, features)
+    try:
+        return lg.fit_all_cells(cover, feature_map, 2)
+    except lg.Singular:
+        return None
 
 
 @settings(max_examples=150, deadline=None)
 @with_examples
 @given(st.one_of(covers(), cored_covers()))
 def test_vector_cochain_matches_koszul_transport(case):
-    points, charts, features, _ = case
-    _, cover, feature_map = build(points, charts, features)
-    try:
-        fits = lg.fit_all_cells(cover, feature_map, 2)
-    except lg.Singular:
+    fits = fit_cover(case)
+    if fits is None:
         return
     cochain, report = assemble_cochain(fits)
+    reference = oracles.koszul_verify(cochain, fits)
     by_names = _cells_by_names(fits)
 
-    assert report.all_pairs_zero()
+    assert report.all_pairs_zero() and reference.all_pairs_zero()
     beta = {}
     for cell in cochain.beta:
         name_i, name_j = cell.chart_names
@@ -81,7 +97,8 @@ def test_vector_cochain_matches_koszul_transport(case):
         defect = lg.Vector.zeros(n)
         for sign, face in zip((1, -1, 1), cell.faces()):
             defect = defect + beta[face].scale(sign)
-        transported = _transported_defect(cell, cochain.beta, fits, by_names)
+        # r is zero or absent, so the Koszul residual is minus the defect
+        transported = reference.triples[cell].residual.scale(-1)
         for m in range(1, n + 1):
             assert transported.coefficient((m,)).c.is_zero(), cell.label
         assert [transported.coefficient((m,)).c0 for m in range(1, n + 1)] == list(defect)
@@ -91,3 +108,90 @@ def test_vector_cochain_matches_koszul_transport(case):
         else:
             assert witness is None, cell.label
             assert report.triples[cell].obstructed
+
+
+def _vector(draw, n):
+    return lg.Vector(tuple(draw(scalars) for _ in range(n)))
+
+
+def _element(draw, degree, base, slots):
+    """A degree-``degree`` element at ``base`` with drawn (c0, c) on some of
+    ``slots``; c0 or c may be zero."""
+    n = base.dim
+    coeffs = {}
+    for idx in slots:
+        if draw(st.booleans()):
+            c0 = draw(scalars) if draw(st.booleans()) else lg.rat(0)
+            c = _vector(draw, n) if draw(st.booleans()) else lg.Vector.zeros(n)
+            coeffs[idx] = LinearizedElement(base, c0, c)
+    return KoszulElement.build(n, degree, base, coeffs)
+
+
+def tamper(draw, fits, cochain):
+    """Change some alphas (c0 and c), betas (β₀ and linear parts) and triple
+    witnesses (a nonzero r, the zero r, or None on zero and nonzero defects),
+    and give some fits a non-symmetric matrix in place of N."""
+    n = next(iter(fits.values())).n
+    slots = [(m,) for m in range(1, n + 1)]
+    wedges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    alpha = {
+        cell: _element(draw, 0, fits[cell].base, [()]) if draw(st.booleans()) else a
+        for cell, a in cochain.alpha.items()
+    }
+    beta = {
+        cell: b + _element(draw, 1, fits[cell].base, slots) if draw(st.booleans()) else b
+        for cell, b in cochain.beta.items()
+    }
+    r = {}
+    for cell, witness in cochain.r.items():
+        base = fits[cell].base
+        choice = draw(st.sampled_from(["keep", "none", "zero", "drawn"]))
+        r[cell] = {
+            "keep": witness,
+            "none": None,
+            "zero": KoszulElement.zero(n, 2, base),
+            "drawn": _element(draw, 2, base, wedges),
+        }[choice]
+    fits = {
+        cell: lg.LinearizedDifferential(
+            base=fit.base, nmat=lg.Matrix(tuple(_vector(draw, n).entries for _ in range(n)), n)
+        )
+        if draw(st.booleans())
+        else fit
+        for cell, fit in fits.items()
+    }
+    return fits, lg.TotalCochain(alpha=alpha, beta=beta, r=r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_cover, st.data())
+def test_vector_verify_matches_koszul_verify(case, data):
+    fits = fit_cover(case)
+    if fits is None:
+        return
+    cochain, _ = assemble_cochain(fits)
+    assert verify_cocycle(cochain, fits) == oracles.koszul_verify(cochain, fits)
+    fits, tampered = tamper(data.draw, fits, cochain)
+    assert verify_cocycle(tampered, fits) == oracles.koszul_verify(tampered, fits)
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_cover, st.data())
+def test_beta_based_away_from_its_pair_is_rejected(case, data):
+    fits = fit_cover(case)
+    if fits is None:
+        return
+    cochain, _ = assemble_cochain(fits)
+    if not cochain.beta:
+        return
+    cell = data.draw(st.sampled_from(sorted(cochain.beta, key=lambda c: c.chart_names)))
+    n = fits[cell].n
+    moved = translate(cochain.beta[cell], fits[cell].base + _vector(data.draw, n))
+    if moved.base == fits[cell].base:
+        return
+    tampered = lg.TotalCochain(
+        alpha=cochain.alpha, beta={**cochain.beta, cell: moved}, r=cochain.r
+    )
+    for check in (verify_cocycle, oracles.koszul_verify):
+        with pytest.raises(lg.BaseMismatch):
+            check(tampered, fits)
