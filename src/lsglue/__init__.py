@@ -50,13 +50,7 @@ from .koszul import (
     ring_mul,
     translate,
 )
-from .linalg import (
-    Matrix,
-    Vector,
-    mat_inverse,
-    rank,
-    solve_square,
-)
+from .linalg import Matrix, Vector, solve_square
 from .model import (
     FeatureMap,
     LSSolution,

@@ -31,7 +31,7 @@ floats appear only in advisory metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isfinite, ldexp, sqrt
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
@@ -392,56 +392,52 @@ def _l2(vec: Vector) -> float | None:
         return None
 
 
+def _exact(name: str, vec: Vector) -> dict:
+    """A vector's report fields: exact `p/q` strings under ``name``, advisory
+    floats under ``name_float``."""
+    return {name: vec.to_strings(), f"{name}_float": vec.to_floats()}
+
+
+def _cell_record(cell: NerveCell, fit: LinearizedDifferential) -> dict:
+    """The fields every cell record starts with: its indices and its â."""
+    return {"indices": sorted(cell.indices), **_exact("a_hat", fit.base)}
+
+
 def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport) -> dict:
     """Serialize the cochain and its verification; rationals as `p/q` strings,
     float companions advisory only."""
-    charts = {}
-    for cell in _sorted_cells(cochain.alpha):
-        fit = fits[cell]
-        charts[cell.label] = {
-            "indices": sorted(cell.indices),
-            "a_hat": fit.base.to_strings(),
-            "a_hat_float": fit.base.to_floats(),
+    charts = {
+        cell.label: {
+            **_cell_record(cell, fits[cell]),
             "alpha": koszul_to_json(cochain.alpha[cell]),
         }
-    pairs = {}
-    for cell, check in report.pairs.items():
-        pairs[cell.label] = {
-            "indices": sorted(cell.indices),
-            "a_hat": fits[cell].base.to_strings(),
-            "a_hat_float": fits[cell].base.to_floats(),
-            "delta": check.delta.to_strings(),
-            "delta_float": check.delta.to_floats(),
+        for cell in _sorted_cells(cochain.alpha)
+    }
+    pairs = {
+        cell.label: {
+            **_cell_record(cell, fits[cell]),
+            **_exact("delta", check.delta),
             "beta": koszul_to_json(cochain.beta[cell]),
             "residual_zero": check.residual_zero,
         }
-    triples = {}
-    for cell, check in report.triples.items():
-        triples[cell.label] = {
-            "indices": sorted(cell.indices),
-            "a_hat": fits[cell].base.to_strings(),
-            "a_hat_float": fits[cell].base.to_floats(),
-            "defect_constant": check.defect_constant.to_strings(),
-            "defect_constant_float": check.defect_constant.to_floats(),
+        for cell, check in report.pairs.items()
+    }
+    triples = {
+        cell.label: {
+            **_cell_record(cell, fits[cell]),
+            **_exact("defect_constant", check.defect_constant),
             "r": None if check.witness is None else koszul_to_json(check.witness),
             "obstructed": check.obstructed,
             "residual_zero": check.residual_zero,
         }
+        for cell, check in report.triples.items()
+    }
     metrics = discrepancy_metrics(report)
     return {
         "charts": charts,
         "pairs": pairs,
         "triples": triples,
-        "metrics": None
-        if metrics is None
-        else {
-            "max_delta": metrics.max_delta,
-            "mean_delta": metrics.mean_delta,
-            "max_beta": metrics.max_beta,
-            "mean_beta": metrics.mean_beta,
-            "max_defect": metrics.max_defect,
-            "mean_defect": metrics.mean_defect,
-        },
+        "metrics": None if metrics is None else asdict(metrics),
     }
 
 
@@ -504,13 +500,9 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
 
 def fits_to_json(fits: dict) -> dict:
     """Serialize per-cell least-squares solutions (the `fit` command payload)."""
-    cells = {}
-    for cell in _sorted_cells(fits):
-        fit = fits[cell]
-        cells[cell.label] = {
-            "degree": cell.degree,
-            "indices": sorted(cell.indices),
-            "a_hat": fit.base.to_strings(),
-            "a_hat_float": fit.base.to_floats(),
+    return {
+        "cells": {
+            cell.label: {"degree": cell.degree, **_cell_record(cell, fits[cell])}
+            for cell in _sorted_cells(fits)
         }
-    return {"cells": cells}
+    }

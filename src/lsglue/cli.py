@@ -158,44 +158,42 @@ def _fmt_float(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6g}"
 
 
-def _fmt_pair(exact: list[str], floats: list[float | None]) -> str:
-    exact_s = ", ".join(exact)
-    float_s = ", ".join(_fmt_float(v) for v in floats)
+def _fmt_exact(record: dict, name: str) -> str:
+    """A vector written by ``assembly._exact``: exact entries, then floats."""
+    exact_s = ", ".join(record[name])
+    float_s = ", ".join(_fmt_float(v) for v in record[f"{name}_float"])
     return f"({exact_s}) ~ ({float_s})"
+
+
+def _cell_line(label: str, record: dict) -> str:
+    return f"  {label}: indices={record['indices']} a_hat={_fmt_exact(record, 'a_hat')}"
 
 
 def _render_fit_text(doc: dict) -> str:
     lines = ["cells:"]
     for label, record in sorted(doc["cells"].items(), key=lambda kv: (kv[1]["degree"], kv[0])):
-        lines.append(
-            f"  {label}: indices={record['indices']}"
-            f" a_hat={_fmt_pair(record['a_hat'], record['a_hat_float'])}"
-        )
+        lines.append(_cell_line(label, record))
     return "\n".join(lines) + "\n"
 
 
 def _render_report_text(doc: dict) -> str:
     lines = ["charts:"]
     for label, record in sorted(doc["charts"].items()):
-        lines.append(
-            f"  {label}: indices={record['indices']}"
-            f" a_hat={_fmt_pair(record['a_hat'], record['a_hat_float'])}"
-        )
+        lines.append(_cell_line(label, record))
     if doc["pairs"]:
         lines.append("pairs:")
         for label, record in sorted(doc["pairs"].items()):
             beta = {key: coeff["c0"] for key, coeff in sorted(record["beta"].items())}
             lines.append(
-                f"  {label}: a_hat={_fmt_pair(record['a_hat'], record['a_hat_float'])}"
-                f" delta={_fmt_pair(record['delta'], record['delta_float'])}"
+                f"  {label}: a_hat={_fmt_exact(record, 'a_hat')}"
+                f" delta={_fmt_exact(record, 'delta')}"
                 f" beta={beta} residual_zero={record['residual_zero']}"
             )
     if doc["triples"]:
         lines.append("triples:")
         for label, record in sorted(doc["triples"].items()):
             lines.append(
-                f"  {label}: defect_constant="
-                f"{_fmt_pair(record['defect_constant'], record['defect_constant_float'])}"
+                f"  {label}: defect_constant={_fmt_exact(record, 'defect_constant')}"
                 f" obstructed={record['obstructed']}"
                 f" residual_zero={record['residual_zero']}"
             )

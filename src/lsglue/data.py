@@ -119,15 +119,6 @@ class Cover:
     def of(cls, base: WeightedDataSet, charts: Iterable) -> "Cover":
         return cls(base, tuple((name, frozenset(int(i) for i in idx)) for name, idx in charts))
 
-    def chart_names(self) -> list[str]:
-        return [name for name, _ in self.charts]
-
-    def chart_indices(self, name: str) -> frozenset:
-        for n, chart in self.charts:
-            if n == name:
-                return chart
-        raise LsglueError(f"no chart named {name!r}")
-
     @cached_property
     def atoms(self) -> dict:
         """Membership atoms: sorted chart-name signature -> sorted 1-based indices

@@ -1,13 +1,14 @@
-"""Exact rational vectors, matrices, and deterministic square solvers.
+"""Exact rational vectors, matrices, and a deterministic square solver.
 
 All arithmetic is over the scalar backend from :mod:`lsglue.scalars`; nothing
-here ever touches floats.  One forward-elimination pass brings a matrix to row
-echelon form and counts its pivots; that count is the rank, and a square
-system of full rank is then solved by back-substitution, once per right-hand
-side.  Pivoting takes the first nonzero entry scanning rows top-down (exact
-arithmetic needs no magnitude pivoting), which makes every solver
+here ever touches floats.  :func:`solve_square` brings the system augmented by
+its right-hand side to row echelon form in one forward-elimination pass and
+counts the pivots; a count short of n is the rank carried by
+:class:`Singular`, and a full-rank system is solved by back-substitution.
+Pivoting takes the first nonzero entry scanning rows top-down (exact
+arithmetic needs no magnitude pivoting), which makes the solver
 deterministic; the solution of an invertible system is unique and rationals
-are canonical, so the results do not depend on the elimination order anyway.
+are canonical, so it does not depend on the elimination order anyway.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, Singular
-from .scalars import ONE, ZERO, Rational, rat, rat_float, rat_str
+from .scalars import ZERO, rat, rat_float, rat_str
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,6 @@ class Vector:
     @classmethod
     def zeros(cls, dim: int) -> "Vector":
         return cls((ZERO,) * dim)
-
-    @classmethod
-    def unit(cls, dim: int, k: int) -> "Vector":
-        """Standard basis vector e_k (0-based position)."""
-        return cls(tuple(ONE if i == k else ZERO for i in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -111,14 +107,6 @@ class Matrix:
             ncols = len(converted[0])
         return cls(converted, ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(Vector.unit(n, i).entries for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(((ZERO,) * ncols,) * nrows, ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -127,46 +115,13 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def row(self, i: int) -> Vector:
         return Vector(self.rows[i])
-
-    def col(self, j: int) -> Vector:
-        return Vector(tuple(row[j] for row in self.rows))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def scale(self, s) -> "Matrix":
-        s = rat(s)
-        return Matrix(tuple(tuple(s * a for a in row) for row in self.rows), self.ncols)
 
     def matvec(self, v: Vector) -> Vector:
         if self.ncols != v.dim:
             raise DimensionMismatch(f"matvec: {self.ncols} columns vs dim-{v.dim} vector")
         return Vector(tuple(Vector(row).dot(v) for row in self.rows))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("matmul: inner dimensions differ")
-        cols = other.transpose().rows
-        return Matrix(
-            tuple(tuple(Vector(row).dot(Vector(c)) for c in cols) for row in self.rows),
-            other.ncols,
-        )
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -174,40 +129,21 @@ class Matrix:
             self.nrows,
         )
 
-    def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.rows for a in row)
-
-    def to_strings(self) -> list[list[str]]:
-        return [[rat_str(a) for a in row] for row in self.rows]
-
-    def _check_shape(self, other: "Matrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch("matrix shapes differ")
-
-
-def _row_echelon(rows: list[list], width: int) -> int:
-    """In-place forward elimination over the leading ``width`` columns.
+def _row_echelon(rows: list[list]) -> int:
+    """In-place forward elimination of an n x n system augmented by its
+    right-hand side in column n.
 
     Pivot choice: first nonzero entry scanning rows top-down, leftmost column
     first.  Each row below a pivot p in column k loses ``r[k] / p`` times the
-    pivot row on the columns right of k, the trailing augmented columns
-    included; entries at and left of a pivot column are left as they are,
-    since nothing reads them again.  Returns the number of pivots, the rank of
-    the leading ``width`` columns; when a square system has full rank, pivot
-    i sits at (i, i).
+    pivot row on the columns right of k, the right-hand side included;
+    entries at and left of a pivot column are left as they are, since nothing
+    reads them again.  Returns the number of pivots, the rank of the n x n
+    block; at full rank, pivot i sits at (i, i).
     """
     nrows = len(rows)
     pivot_row = 0
-    for col in range(width):
-        if pivot_row == nrows:
-            break
+    for col in range(nrows):
         hit = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
         if hit is None:
             continue
@@ -225,41 +161,18 @@ def _row_echelon(rows: list[list], width: int) -> int:
     return pivot_row
 
 
-def _back_substitute(rows: list[list], n: int, col: int) -> tuple:
+def _back_substitute(rows: list[list], n: int) -> tuple:
     """Solve the upper-triangular system left by :func:`_row_echelon` on a
-    full-rank n x n block, with right-hand side column ``col``."""
+    full-rank n x n block, with the right-hand side in column n."""
     x = [ZERO] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
-        acc = row[col]
+        acc = row[n]
         for j in range(i + 1, n):
             if row[j] != 0:
                 acc -= row[j] * x[j]
         x[i] = acc / row[i]
     return tuple(x)
-
-
-def _singular(found: int, n: int) -> Singular:
-    return Singular(f"matrix is singular (rank {found} < {n})", rank=found)
-
-
-def rank(a: Matrix) -> int:
-    return _row_echelon([list(row) for row in a.rows], a.ncols)
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises :class:`Singular` carrying the
-    rank on rank loss."""
-    if not a.is_square:
-        raise DimensionMismatch(f"inverse of non-square {a.nrows}x{a.ncols} matrix")
-    n = a.nrows
-    eye = Matrix.identity(n)
-    work = [list(a.rows[i]) + list(eye.rows[i]) for i in range(n)]
-    found = _row_echelon(work, n)
-    if found < n:
-        raise _singular(found, n)
-    columns = [_back_substitute(work, n, n + c) for c in range(n)]
-    return Matrix(tuple(zip(*columns)), n)
 
 
 def solve_square(a: Matrix, b: Vector) -> Vector:
@@ -271,7 +184,7 @@ def solve_square(a: Matrix, b: Vector) -> Vector:
         raise DimensionMismatch(f"rhs dim {b.dim} does not match {a.nrows} rows")
     n = a.nrows
     work = [list(row) + [be] for row, be in zip(a.rows, b.entries)]
-    found = _row_echelon(work, n)
+    found = _row_echelon(work)
     if found < n:
-        raise _singular(found, n)
-    return Vector(_back_substitute(work, n, n))
+        raise Singular(f"matrix is singular (rank {found} < {n})", rank=found)
+    return Vector(_back_substitute(work, n))

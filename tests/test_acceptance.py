@@ -67,9 +67,11 @@ def test_criterion_1_toy_exactness():
     pair = by_label["D1|D2"]
     assert pair.base == lg.Vector.of(["13/14", "12/7"])
     assert pair.nmat == lg.Matrix.of([[12, 4], [4, 6]])
-    assert lg.mat_inverse(pair.nmat) == lg.Matrix.of(
-        [[6, -4], [-4, 12]]
-    ).scale(lg.rat("1/56"))
+    # N^-1 = [[6, -4], [-4, 12]] / 56, column by column
+    for k, column in enumerate(([6, -4], [-4, 12])):
+        unit = lg.Vector.of([int(i == k) for i in range(2)])
+        inverse_column = lg.Vector.of([lg.rat(c) / 56 for c in column])
+        assert lg.solve_square(pair.nmat, unit) == inverse_column
 
     cochain, report = assemble_cochain(fits)
     (pair_cell,) = cochain.beta
@@ -194,7 +196,7 @@ def test_criterion_5_ls_optimality():
                 [rand_fraction(rng) for _ in range(features.param_dim)]
             )
             if probe.is_zero():
-                probe = lg.Vector.unit(features.param_dim, 0)
+                probe = lg.Vector.of([1] + [0] * (features.param_dim - 1))
             assert lg.loss_eval(data, features, fit.a_hat + probe) > best
 
 

@@ -141,7 +141,7 @@ def test_dataset_csv():
 def test_cover_json(toy_dataset):
     doc = {"charts": [{"name": "D1", "indices": [1, 2, 3, 4]}, {"name": "D2", "indices": [2, 3, 4, 5]}]}
     cover = cover_from_json(doc, toy_dataset)
-    assert cover.chart_indices("D1") == frozenset({1, 2, 3, 4})
+    assert cover.charts[0] == ("D1", frozenset({1, 2, 3, 4}))
     bad = {"charts": [{"name": "D1", "indices": [1, 2]}]}
     with pytest.raises(lg.NotACover):
         cover_from_json(bad, toy_dataset)

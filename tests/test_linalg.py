@@ -8,31 +8,10 @@ from lsglue import (
     Matrix,
     Singular,
     Vector,
-    mat_inverse,
     solve_square,
 )
-from lsglue.scalars import rat
 
 import oracles
-
-F = Fraction
-
-
-def test_inverse_toy_overlap_matrix():
-    n12 = Matrix.of([[12, 4], [4, 6]])
-    expected = Matrix.of([[6, -4], [-4, 12]]).scale(rat("1/56"))
-    assert mat_inverse(n12) == expected
-    assert n12 @ expected == Matrix.identity(2)
-
-
-def test_inverse_identity():
-    assert mat_inverse(Matrix.identity(3)) == Matrix.identity(3)
-
-
-def test_inverse_singular():
-    with pytest.raises(Singular) as err:
-        mat_inverse(Matrix.of([[2, 4], [1, 2]]))
-    assert err.value.rank == 1
 
 
 def test_solve_square_toy_delta():
@@ -45,7 +24,7 @@ def test_solve_square_toy_delta():
 
 def test_solve_square_identity():
     b = Vector.of([3, "5/7"])
-    assert solve_square(Matrix.identity(2), b) == b
+    assert solve_square(Matrix.of([[1, 0], [0, 1]]), b) == b
 
 
 def test_solve_square_halved_overlap_sums():
@@ -55,37 +34,15 @@ def test_solve_square_halved_overlap_sums():
 
 
 def test_solve_square_singular():
-    with pytest.raises(Singular):
+    with pytest.raises(Singular) as err:
         solve_square(Matrix.of([[1, 1], [1, 1]]), Vector.of([1, 2]))
-
-
-
-
-
-
-
-
+    assert err.value.rank == 1
 
 
 def _random_matrix(rng, nrows, ncols):
     return Matrix.of(
         [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(ncols)] for _ in range(nrows)]
     )
-
-
-def test_random_inverses_up_to_6x6():
-    rng = random.Random(23)
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 6)
-        a = _random_matrix(rng, n, n)
-        rows = [oracles.as_fractions(a.row(i)) for i in range(n)]
-        if oracles.det(rows) == 0:
-            continue
-        inv = mat_inverse(a)
-        assert inv @ a == Matrix.identity(n)
-        assert a @ inv == Matrix.identity(n)
-        done += 1
 
 
 def test_random_solve_square_zero_residual():
@@ -101,8 +58,6 @@ def test_random_solve_square_zero_residual():
         x = solve_square(a, b)
         assert a.matvec(x) == b
         done += 1
-
-
 
 
 def test_shape_errors():
