@@ -14,6 +14,23 @@ from lsglue import (
 import oracles
 
 
+def test_inverse_toy_overlap_matrix():
+    # N12^-1 = [[6, -4], [-4, 12]] / 56, solved one column at a time
+    n12 = Matrix.of([[12, 4], [4, 6]])
+    columns = [Vector.of([1, 0]), Vector.of([0, 1])]
+    expected = [Vector.of(["6/56", "-4/56"]), Vector.of(["-4/56", "12/56"])]
+    for e, col in zip(columns, expected):
+        x = solve_square(n12, e)
+        assert x == col
+        assert n12.matvec(x) == e
+
+
+def test_inverse_singular():
+    with pytest.raises(Singular) as err:
+        solve_square(Matrix.of([[2, 4], [1, 2]]), Vector.of([1, 0]))
+    assert err.value.rank == 1
+
+
 def test_solve_square_toy_delta():
     a = Matrix.of([[12, 4], [4, 6]])
     b = Vector.of(["127/210", "-68/105"])
