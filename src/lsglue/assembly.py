@@ -25,8 +25,11 @@ So a witness r exists exactly when the defect vector is zero, and then r = 0
 does.  A cell's fit is its differential: the :class:`LinearizedDifferential`
 at the cell's least-squares point â, with the cell's normal matrix N.  Koszul
 elements are built only to serialize the cochain, for the residuals a check
-returns, and for ι of a supplied triple witness.  All residuals are exact;
-floats appear only in advisory metrics.
+returns, and for ι of a supplied triple witness; each is based at its cell's
+â and holds bare (c0, c) coefficients, so the checks read and write those
+pairs directly.  A beta or witness based away from its cell's fit is refused
+(:class:`BaseMismatch`).  All residuals are exact; floats appear only in
+advisory metrics.
 """
 
 from __future__ import annotations
@@ -181,13 +184,7 @@ def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
 
 def canonical_alpha(fit: LinearizedDifferential) -> KoszulElement:
     """Degree-0 element â·(a - â): zero constant part, linear part â."""
-    base = fit.base
-    return KoszulElement.build(
-        base.dim,
-        0,
-        base,
-        {(): LinearizedElement.linear(base, base)},
-    )
+    return KoszulElement.build(0, fit.base, {(): LinearizedElement.linear(fit.base)})
 
 
 def _cells_by_names(fits: dict) -> dict:
@@ -255,7 +252,7 @@ def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
     for cell in _sorted_cells(c for c in fits if c.degree == 2):
         base = fits[cell].base
         defect = _face_sum([beta_vectors[by_names[face]] for face in cell.faces()], base.dim)
-        r[cell] = KoszulElement.zero(base.dim, 2, base) if defect.is_zero() else None
+        r[cell] = KoszulElement.zero(2, base) if defect.is_zero() else None
 
     cochain = TotalCochain(alpha=alpha, beta=beta, r=r)
     return cochain, verify_cocycle(cochain, fits)
@@ -295,14 +292,12 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         delta = alpha_j.c - alpha_i.c
         beta_constants = _slot_constants(beta)
         residual = LinearizedElement(
-            fit.base,
-            alpha_i.c0 - alpha_j.c0,
-            fit.nmat.transpose().matvec(beta_constants) - delta,
+            alpha_i.c0 - alpha_j.c0, fit.nmat.transpose().matvec(beta_constants) - delta
         )
         pairs[cell] = PairCheck(
             delta=delta,
             beta_constants=beta_constants,
-            residual=KoszulElement.build(fit.n, 0, fit.base, {(): residual}),
+            residual=KoszulElement.build(0, fit.base, {(): residual}),
         )
 
     triples = {}
@@ -318,7 +313,7 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         fit, witness = fits[cell], cochain.r[cell]
         constants = _face_sum([pairs[face].beta_constants for face in faces], fit.n)
         if witness is None:
-            image = KoszulElement.zero(fit.n, 1, fit.base)
+            image = KoszulElement.zero(1, fit.base)
             outcome = "constant_defect" if not constants.is_zero() else "inconsistent"
         else:
             image = koszul_diff(witness, fit)
@@ -329,12 +324,12 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
                 [cochain.beta[face].coefficient((m,)).c for face in faces], fit.n
             )
             residual[(m,)] = LinearizedElement(
-                fit.base, -constants[m - 1], image.coefficient((m,)).c - linear
+                -constants[m - 1], image.coefficient((m,)).c - linear
             )
         triples[cell] = TripleCheck(
             defect_constant=constants,
             witness=witness,
-            residual=KoszulElement.build(fit.n, 1, fit.base, residual),
+            residual=KoszulElement.build(1, fit.base, residual),
             outcome=outcome,
         )
     return ObstructionReport(pairs=pairs, triples=triples)
@@ -473,20 +468,15 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
     alpha = {}
     for label, element in records("charts", "alpha", required=True):
         cell = resolve(label, 0)
-        base = fits[cell].base
-        alpha[cell] = koszul_from_json(element, base.dim, 0, base)
+        alpha[cell] = koszul_from_json(element, 0, fits[cell].base)
     beta = {}
     for label, element in records("pairs", "beta", required=True):
         cell = resolve(label, 1)
-        base = fits[cell].base
-        beta[cell] = koszul_from_json(element, base.dim, 1, base)
+        beta[cell] = koszul_from_json(element, 1, fits[cell].base)
     r = {}
     for label, witness in records("triples", "r", required=False):
         cell = resolve(label, 2)
-        base = fits[cell].base
-        r[cell] = (
-            None if witness is None else koszul_from_json(witness, base.dim, 2, base)
-        )
+        r[cell] = None if witness is None else koszul_from_json(witness, 2, fits[cell].base)
     sections = (("charts", alpha), ("pairs", beta), ("triples", r))
     for cell in _sorted_cells(fits):
         if cell.degree < len(sections):

@@ -1,8 +1,8 @@
 """Command-line interface: exact chart fits, cocycle assembly, verification.
 
-Exit codes: 0 success; 1 unreadable or malformed inputs; 2 a singular
-(degenerate) cell; 3 an obstructed triple in `cocycle`; 4 a failed exact check
-in `verify`.
+Exit codes: 0 success; 1 unreadable or malformed inputs, usage errors
+included; 2 a singular (degenerate) cell; 3 an obstructed triple in
+`cocycle`; 4 a failed exact check in `verify`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,17 @@ _EXIT_OBSTRUCTED = 3
 _EXIT_VERIFY = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a malformed input (exit 1, one ``error:``
+    line) instead of argparse's usage block and exit 2; subcommand parsers
+    are built from the same class."""
+
+    def error(self, message: str):
+        raise LsglueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lsglue",
         description=(
             "Exact weighted least-squares fits on overlapping charts of a data"
@@ -268,9 +277,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"fit": _cmd_fit, "cocycle": _cmd_cocycle, "verify": _cmd_verify}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except Singular as err:
         print(f"error: singular cell: {err}", file=sys.stderr)

@@ -49,7 +49,9 @@ class NotACover(LsglueError):
 
 
 class BaseMismatch(LsglueError):
-    """Two linearized quantities were combined at different base points."""
+    """A Koszul element met another element, or a differential, based at a
+    different point: in ``+``/``-`` of elements, :func:`koszul_diff`, and the
+    pair and triple checks of :func:`verify_cocycle`."""
 
 
 class DegreeZero(LsglueError):

@@ -3,8 +3,10 @@
 Coefficients live in the quotient of the parameter polynomial ring by the
 square of the ideal at a base point â: every element is determined by a
 constant ``c0`` and a linear part ``c`` against (a - â), and products of two
-linear parts vanish.  A degree-p Koszul element assigns such a coefficient to
-each strictly increasing p-tuple of wedge slots e^{i_1} ∧ ... ∧ e^{i_p}.
+linear parts vanish.  A degree-p Koszul element is the base point â together
+with such a coefficient on each strictly increasing p-tuple of wedge slots
+e^{i_1} ∧ ... ∧ e^{i_p}; â belongs to the element, so a coefficient is the
+bare pair (c0, c) and the rank n of the element is the dimension of â.
 
 The differential is interior multiplication against the components
 η^i = N_i·(a - â), the rows of a cell's normal matrix N taken at the cell's
@@ -13,9 +15,11 @@ fitted cell carries.  Because every η^i has zero constant term, images of the
 differential never carry constant terms; that fact is what makes a nonzero
 constant triple defect a genuine obstruction.
 
-Rebasing is the translation substitution a ↦ a - (b - â): coefficients keep
-(c0, c) verbatim while the base moves, which is a chain isomorphism (it is
-NOT a Taylor re-expansion).  Serialization to and from JSON closes the module.
+Translation is the substitution a ↦ a - (b - â): the element moves to base b
+with its coefficients (c0, c) unchanged, which is a chain isomorphism (it is
+NOT a Taylor re-expansion).  Base points are compared only where an element
+meets another element or a differential.  Serialization to and from JSON
+closes the module.
 """
 
 from __future__ import annotations
@@ -31,85 +35,57 @@ from .scalars import ZERO, rat, rat_str, rational_from_string
 
 @dataclass(frozen=True)
 class LinearizedElement:
-    """c0 + c·(a - base), taken modulo quadratic terms in (a - base)."""
+    """c0 + c·(a - â), taken modulo quadratic terms in (a - â), for the base
+    point â of the element it belongs to."""
 
-    base: Vector
     c0: object  # Rational
     c: Vector
 
-    def __post_init__(self):
-        if self.c.dim != self.base.dim:
-            raise DimensionMismatch(
-                f"linear part dim {self.c.dim} vs base dim {self.base.dim}"
-            )
+    @classmethod
+    def constant(cls, n: int, value) -> "LinearizedElement":
+        return cls(rat(value), Vector.zeros(n))
 
     @classmethod
-    def constant(cls, base: Vector, value) -> "LinearizedElement":
-        return cls(base=base, c0=rat(value), c=Vector.zeros(base.dim))
-
-    @classmethod
-    def linear(cls, base: Vector, c: Vector) -> "LinearizedElement":
-        return cls(base=base, c0=ZERO, c=c)
-
-    @classmethod
-    def zero(cls, base: Vector) -> "LinearizedElement":
-        return cls(base=base, c0=ZERO, c=Vector.zeros(base.dim))
-
-    @property
-    def n(self) -> int:
-        return self.base.dim
+    def linear(cls, c: Vector) -> "LinearizedElement":
+        return cls(ZERO, c)
 
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c.is_zero()
 
     def __add__(self, other: "LinearizedElement") -> "LinearizedElement":
-        _same_base(self, other)
-        return LinearizedElement(self.base, self.c0 + other.c0, self.c + other.c)
+        return LinearizedElement(self.c0 + other.c0, self.c + other.c)
 
     def __sub__(self, other: "LinearizedElement") -> "LinearizedElement":
-        _same_base(self, other)
-        return LinearizedElement(self.base, self.c0 - other.c0, self.c - other.c)
+        return LinearizedElement(self.c0 - other.c0, self.c - other.c)
 
     def __neg__(self) -> "LinearizedElement":
-        return LinearizedElement(self.base, -self.c0, -self.c)
+        return LinearizedElement(-self.c0, -self.c)
 
     def scale(self, s) -> "LinearizedElement":
         s = rat(s)
-        return LinearizedElement(self.base, s * self.c0, self.c.scale(s))
-
-    def rebased(self, new_base: Vector) -> "LinearizedElement":
-        if new_base.dim != self.base.dim:
-            raise DimensionMismatch("translation target has wrong dimension")
-        return LinearizedElement(new_base, self.c0, self.c)
-
-
-def _same_base(u: LinearizedElement, v: LinearizedElement) -> None:
-    if u.base != v.base:
-        raise BaseMismatch("linearized elements have different base points")
+        return LinearizedElement(s * self.c0, self.c.scale(s))
 
 
 def ring_mul(u: LinearizedElement, v: LinearizedElement) -> LinearizedElement:
     """Product in the truncated ring: the linear×linear cross term vanishes."""
-    _same_base(u, v)
-    return LinearizedElement(
-        base=u.base,
-        c0=u.c0 * v.c0,
-        c=v.c.scale(u.c0) + u.c.scale(v.c0),
-    )
+    return LinearizedElement(u.c0 * v.c0, v.c.scale(u.c0) + u.c.scale(v.c0))
 
 
 @dataclass(frozen=True)
 class KoszulElement:
-    """Degree-p element: coefficients on strictly increasing p-tuples of the
-    wedge slots 1..n; absent tuples are zero.  All coefficients share ``base``."""
+    """Degree-p element at ``base``: coefficients on strictly increasing
+    p-tuples of the wedge slots 1..n, n = base.dim; absent tuples are zero."""
 
-    n: int
     degree: int
     base: Vector
     coeffs: Mapping
 
+    @property
+    def n(self) -> int:
+        return self.base.dim
+
     @classmethod
-    def build(cls, n: int, degree: int, base: Vector, coeffs: Mapping) -> "KoszulElement":
+    def build(cls, degree: int, base: Vector, coeffs: Mapping) -> "KoszulElement":
         """Validate and normalize (exact zero coefficients are dropped).
 
         Degrees above n are allowed only for the zero element (the exterior
@@ -117,67 +93,58 @@ class KoszulElement:
         """
         if degree < 0:
             raise LsglueError(f"degree {degree} is negative")
-        if base.dim != n:
-            raise DimensionMismatch(f"base dim {base.dim} for rank-{n} element")
+        n = base.dim
         cleaned = {}
         for idx, coeff in coeffs.items():
             idx = tuple(idx)
+            if coeff.c.dim != n:
+                raise DimensionMismatch(f"linear part dim {coeff.c.dim} vs base dim {n}")
             if len(idx) != degree:
                 raise LsglueError(f"index tuple {idx} has length != degree {degree}")
             if any(not 1 <= i <= n for i in idx):
                 raise LsglueError(f"index tuple {idx} outside 1..{n}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise LsglueError(f"index tuple {idx} is not strictly increasing")
-            if coeff.base != base:
-                raise BaseMismatch("coefficient base differs from element base")
             if not coeff.is_zero():
                 cleaned[idx] = coeff
-        return cls(n=n, degree=degree, base=base, coeffs=cleaned)
+        return cls(degree=degree, base=base, coeffs=cleaned)
 
     @classmethod
-    def zero(cls, n: int, degree: int, base: Vector) -> "KoszulElement":
-        return cls.build(n, degree, base, {})
+    def zero(cls, degree: int, base: Vector) -> "KoszulElement":
+        return cls.build(degree, base, {})
 
     @classmethod
     def from_constants(cls, degree: int, base: Vector, values: Mapping) -> "KoszulElement":
         """Element with constant coefficients: ``values`` maps index tuples to scalars."""
-        n = base.dim
         return cls.build(
-            n,
             degree,
             base,
-            {idx: LinearizedElement.constant(base, v) for idx, v in values.items()},
+            {idx: LinearizedElement.constant(base.dim, v) for idx, v in values.items()},
         )
 
     def coefficient(self, idx) -> LinearizedElement:
-        return self.coeffs.get(tuple(idx), LinearizedElement.zero(self.base))
+        return self.coeffs.get(tuple(idx), LinearizedElement.constant(self.n, 0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other: "KoszulElement") -> "KoszulElement":
-        self._compatible(other)
+        if self.n != other.n or self.degree != other.degree:
+            raise DimensionMismatch("Koszul elements of different rank or degree")
+        if self.base != other.base:
+            raise BaseMismatch("Koszul elements have different base points")
         merged = dict(self.coeffs)
         for idx, coeff in other.coeffs.items():
             merged[idx] = merged[idx] + coeff if idx in merged else coeff
-        return KoszulElement.build(self.n, self.degree, self.base, merged)
+        return KoszulElement.build(self.degree, self.base, merged)
 
     def __sub__(self, other: "KoszulElement") -> "KoszulElement":
         return self + other.scale(-1)
 
     def scale(self, s) -> "KoszulElement":
         return KoszulElement.build(
-            self.n,
-            self.degree,
-            self.base,
-            {idx: coeff.scale(s) for idx, coeff in self.coeffs.items()},
+            self.degree, self.base, {idx: coeff.scale(s) for idx, coeff in self.coeffs.items()}
         )
-
-    def _compatible(self, other: "KoszulElement") -> None:
-        if self.n != other.n or self.degree != other.degree:
-            raise DimensionMismatch("Koszul elements of different rank or degree")
-        if self.base != other.base:
-            raise BaseMismatch("Koszul elements have different base points")
 
 
 @dataclass(frozen=True)
@@ -197,7 +164,7 @@ class LinearizedDifferential:
 
     def component(self, i: int) -> LinearizedElement:
         """η^i for slot i in 1..n."""
-        return LinearizedElement.linear(self.base, self.nmat.row(i - 1))
+        return LinearizedElement.linear(self.nmat.row(i - 1))
 
 
 def koszul_diff(xi: KoszulElement, eta: LinearizedDifferential) -> KoszulElement:
@@ -207,8 +174,6 @@ def koszul_diff(xi: KoszulElement, eta: LinearizedDifferential) -> KoszulElement
         raise DegreeZero("differential is undefined in degree 0")
     if xi.base != eta.base:
         raise BaseMismatch("element and differential have different base points")
-    if xi.n != eta.n:
-        raise DimensionMismatch("element and differential have different rank")
     acc: dict = {}
     for idx, coeff in xi.coeffs.items():
         for j, slot in enumerate(idx):
@@ -217,20 +182,15 @@ def koszul_diff(xi: KoszulElement, eta: LinearizedDifferential) -> KoszulElement
                 term = -term
             key = idx[:j] + idx[j + 1 :]
             acc[key] = acc[key] + term if key in acc else term
-    return KoszulElement.build(xi.n, xi.degree - 1, xi.base, acc)
+    return KoszulElement.build(xi.degree - 1, xi.base, acc)
 
 
 def translate(xi: KoszulElement, new_base: Vector) -> KoszulElement:
     """Rebase to ``new_base``: every coefficient keeps (c0, c) verbatim, with
-    c·(a - old) rewritten as c·(a - new).  Inverse to translating back."""
+    c·(a - old) read as c·(a - new).  Inverse to translating back."""
     if new_base.dim != xi.n:
         raise DimensionMismatch(f"new base dim {new_base.dim} for rank-{xi.n} element")
-    return KoszulElement.build(
-        xi.n,
-        xi.degree,
-        new_base,
-        {idx: coeff.rebased(new_base) for idx, coeff in xi.coeffs.items()},
-    )
+    return KoszulElement(degree=xi.degree, base=new_base, coeffs=xi.coeffs)
 
 
 def _index_key(idx) -> str:
@@ -238,24 +198,22 @@ def _index_key(idx) -> str:
 
 
 def koszul_to_json(element: KoszulElement) -> dict:
-    """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients."""
-    doc = {}
-    for idx in sorted(element.coeffs):
-        coeff = element.coeffs[idx]
-        doc[_index_key(idx)] = {
-            "c0": rat_str(coeff.c0),
-            "c": coeff.c.to_strings(),
-            "base": coeff.base.to_strings(),
-        }
-    return doc
+    """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients,
+    each written with the element's base."""
+    base = element.base.to_strings()
+    return {
+        _index_key(idx): {"c0": rat_str(coeff.c0), "c": coeff.c.to_strings(), "base": base}
+        for idx, coeff in sorted(element.coeffs.items())
+    }
 
 
-def koszul_from_json(doc: dict, n: int, degree: int, base: Vector) -> KoszulElement:
+def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
     """Parse the :func:`koszul_to_json` format, enforcing the expected shape.
 
     A key must be an array of JSON integers written exactly as
     :func:`koszul_to_json` writes it (``"[1,2]"``: no spaces, no booleans), so
-    two keys can never name the same wedge slot.
+    two keys can never name the same wedge slot.  Every coefficient's
+    ``"base"`` must equal ``base``.
     """
     if not isinstance(doc, dict):
         raise LsglueError("Koszul element JSON must be an object")
@@ -287,8 +245,7 @@ def koszul_from_json(doc: dict, n: int, degree: int, base: Vector) -> KoszulElem
                 f" expected {base.to_strings()}"
             )
         coeffs[tuple(raw)] = LinearizedElement(
-            base=base,
-            c0=rational_from_string(record["c0"]),
-            c=Vector(tuple(rational_from_string(s) for s in record["c"])),
+            rational_from_string(record["c0"]),
+            Vector(tuple(rational_from_string(s) for s in record["c"])),
         )
-    return KoszulElement.build(n, degree, base, coeffs)
+    return KoszulElement.build(degree, base, coeffs)

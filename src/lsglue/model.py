@@ -24,13 +24,15 @@ are used, so every scalar backend takes the same path.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DimensionMismatch, LsglueError, Singular
 from .linalg import Matrix, Vector, solve_square
-from .scalars import ONE, ZERO, Rational
+from .scalars import ONE, ZERO, Rational, over_digit_limit
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,43 @@ class FeatureMap:
         return len(self.monomials[0])
 
     def evaluate(self, x: Vector) -> Vector:
+        """φ(x).  A power whose numerator or denominator would be longer than
+        the interpreter's limit on decimal integer strings is refused before
+        it is computed (no bound when that limit is off)."""
         if x.dim != self.ambient_dim:
             raise DimensionMismatch(
                 f"feature map over {self.ambient_dim} coordinates applied to dim-{x.dim} point"
             )
+        max_bits = _max_bits(getattr(sys, "get_int_max_str_digits", lambda: 0)())
         values = []
         for mono in self.monomials:
             term = ONE
             for coord, exp in zip(x, mono):
                 if exp:
+                    if max_bits and (
+                        _too_long(coord.numerator, exp, max_bits)
+                        or _too_long(coord.denominator, exp, max_bits)
+                    ):
+                        raise LsglueError(over_digit_limit(f"a power in monomial {list(mono)}"))
                     term = term * coord**exp
             values.append(term)
         return Vector(tuple(values))
+
+
+@cache
+def _max_bits(digits: int) -> int:
+    """The bit length of the largest ``digits``-digit integer; 0 for no limit."""
+    return (10**digits - 1).bit_length() if digits else 0
+
+
+def _too_long(value: int, exp: int, max_bits: int) -> bool:
+    """Whether value**exp has more than ``max_bits`` bits.  It has between
+    exp·(b - 1) + 1 and exp·b bits, b the bit length of |value|; only in that
+    band is the power computed, and it then has fewer than 2·max_bits bits."""
+    bits = abs(value).bit_length()
+    if bits <= 1 or exp * bits <= max_bits:
+        return False
+    return exp * (bits - 1) + 1 > max_bits or (abs(value) ** exp).bit_length() > max_bits
 
 
 def affine_features(ambient_dim: int) -> FeatureMap:

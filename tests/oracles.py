@@ -265,7 +265,7 @@ def koszul_verify(cochain, fits):
         if cell not in fits:
             raise CellMismatch(f"no fit for triple cell {cell.label}")
         base = fits[cell].base
-        defect = KoszulElement.zero(base.dim, 1, base)
+        defect = KoszulElement.zero(1, base)
         for position, face in enumerate(cell.faces()):
             face_cell = by_names.get(face)
             if face_cell is None or face_cell not in cochain.beta:
@@ -277,7 +277,7 @@ def koszul_verify(cochain, fits):
         constants = _slot_constants(defect)
         witness = cochain.r[cell]
         if witness is None:
-            image = KoszulElement.zero(defect.n, 1, defect.base)
+            image = KoszulElement.zero(1, base)
             outcome = "constant_defect" if not constants.is_zero() else "inconsistent"
         else:
             image = koszul_diff(witness, fits[cell])

@@ -84,10 +84,7 @@ def test_criterion_1_toy_exactness():
     # iota(beta) == (127/210)(m - 13/14) - (68/105)(b - 12/7), residual zero
     image = koszul_diff(beta, pair)
     expected = KoszulElement.build(
-        2,
-        0,
-        pair.base,
-        {(): LinearizedElement.linear(pair.base, lg.Vector.of(["127/210", "-68/105"]))},
+        0, pair.base, {(): LinearizedElement.linear(lg.Vector.of(["127/210", "-68/105"]))}
     )
     assert image == expected
     assert check.residual.is_zero()
@@ -131,11 +128,10 @@ def _rand_element(rng, n, degree, base):
     for idx in combinations(range(1, n + 1), degree):
         if rng.random() < 0.8:
             coeffs[idx] = LinearizedElement(
-                base=base,
                 c0=lg.rat(rand_fraction(rng)),
                 c=lg.Vector.of([rand_fraction(rng) for _ in range(n)]),
             )
-    return KoszulElement.build(n, degree, base, coeffs)
+    return KoszulElement.build(degree, base, coeffs)
 
 
 @criterion(3, "interior multiplication squares to zero, 200 random elements")

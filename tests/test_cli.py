@@ -293,6 +293,16 @@ def test_fit_singular_cell_exit_2(files, capsys):
         ({"charts": []}, "'charts' must be an object"),
         ({"pairs": {"D1|D2": []}}, "'pairs' entry 'D1|D2' must be an object"),
         ({"triples": "none"}, "'triples' must be an object"),
+        (
+            {
+                "pairs": {
+                    "D1|D2": {
+                        "beta": {"[1]": {"c0": "1", "c": ["0"], "base": ["13/14", "12/7"]}}
+                    }
+                }
+            },
+            "linear part dim 1 vs base dim 2",
+        ),
     ],
 )
 def test_verify_malformed_cochain_shape_exit_1(files, capsys, cochain, message):
@@ -371,6 +381,34 @@ def test_cochain_commands_need_max_degree_2(files, capsys, command, max_degree, 
     code, out, err = run(capsys, argv)
     assert_one_error_line(code, out, err)
     assert f"--max-degree 2, got {max_degree}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cocycle", "--dataset", "d.json"], "the following arguments are required: --cover"),
+        (
+            ["fit", "--dataset", "d.json", "--max-degree", "abc"],
+            "argument --max-degree: invalid int value: 'abc'",
+        ),
+        (["refit", "--dataset", "d.json"], "invalid choice: 'refit'"),
+    ],
+    ids=["missing_flag", "non_integer_degree", "unknown_subcommand"],
+)
+def test_usage_error_exit_1(files, capsys, argv, message):
+    # argparse alone would print its usage block and exit 2, the code of a
+    # singular cell
+    dataset = files("d.json", TOY_DATASET)
+    code, out, err = run(capsys, [dataset if arg == "d.json" else arg for arg in argv])
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["fit", "-h"])
+    assert exit_info.value.code == 0
+    assert "--dataset" in capsys.readouterr().out
 
 
 def test_four_charts_fit_deeper_but_cocycle_stops_at_triples(files, capsys):
@@ -545,6 +583,21 @@ def test_model_exponents_must_be_json_integers(files, capsys, exponents):
     code, out, err = run(capsys, ["fit", "--dataset", dataset, "--model", model])
     assert_one_error_line(code, out, err)
     assert "exponents must be arrays of integers" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on decimal integer strings in this interpreter",
+)
+def test_power_over_digit_limit_exit_1(files, capsys):
+    # the smallest exponent whose power of 2 is longer than the limit; the
+    # toy data's x = -4 and x = 5 give longer powers still
+    exponent = (10 ** sys.get_int_max_str_digits() - 1).bit_length()
+    dataset = files("d.json", TOY_DATASET)
+    model = files("m.json", {"features": "monomials", "exponents": [[exponent], [0]]})
+    code, out, err = run(capsys, ["fit", "--dataset", dataset, "--model", model])
+    assert_one_error_line(code, out, err)
+    assert f"monomial [{exponent}] exceeds the limit" in err
 
 
 def _verify_golden(capsys, tmp_path, doc, line=False):

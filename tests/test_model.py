@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,54 @@ def test_monomial_features_beyond_affine():
     data = lg.WeightedDataSet.of([(-1, 1), (0, 0), (1, 1), (2, 4)])
     fit = solve_least_squares(build_normal_system(data, quad))
     assert fit.a_hat == lg.Vector.of([1, 0, 0])  # exactly y = x^2
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="no limit on decimal integer strings in this interpreter"
+)
+
+
+def limit_bits():
+    """The bit length of the largest integer with DIGIT_LIMIT digits."""
+    return (10**DIGIT_LIMIT - 1).bit_length()
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("x", [2, F(1, 2), -2])
+def test_power_bound_at_digit_limit(x):
+    # 2**e has e + 1 bits: e = limit_bits() - 1 gives a DIGIT_LIMIT-digit power
+    point = lg.Vector.of([x])
+    at_limit = limit_bits() - 1
+    assert len(str(2**at_limit)) == DIGIT_LIMIT
+    phi = lg.FeatureMap.of([[at_limit], [0]])
+    assert phi.evaluate(point) == lg.Vector.of([lg.rat(x) ** at_limit, 1])
+    above = lg.FeatureMap.of([[at_limit + 1], [0]])
+    with pytest.raises(lg.LsglueError, match=rf"monomial \[{at_limit + 1}\] exceeds"):
+        above.evaluate(point)
+
+
+@needs_digit_limit
+def test_power_bound_between_bit_estimates():
+    # 3**e has between e + 1 and 2e bits, so the bound must compute the power
+    e = limit_bits() // 2
+    while (3 ** (e + 1)).bit_length() <= limit_bits():
+        e += 1
+    point = lg.Vector.of([3])
+    assert lg.FeatureMap.of([[e]]).evaluate(point) == lg.Vector.of([lg.rat(3) ** e])
+    with pytest.raises(lg.LsglueError, match="exceeds the limit"):
+        lg.FeatureMap.of([[e + 1]]).evaluate(point)
+
+
+@needs_digit_limit
+def test_power_bound_off_without_digit_limit():
+    power = limit_bits()
+    sys.set_int_max_str_digits(0)
+    try:
+        value = lg.FeatureMap.of([[power]]).evaluate(lg.Vector.of([2]))
+    finally:
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+    assert value == lg.Vector.of([lg.rat(2) ** power])
 
 
 def test_empty_dataset_keeps_param_dim(affine1):

@@ -103,7 +103,7 @@ def test_vector_cochain_matches_koszul_transport(case):
             assert transported.coefficient((m,)).c.is_zero(), cell.label
         assert [transported.coefficient((m,)).c0 for m in range(1, n + 1)] == list(defect)
         if defect.is_zero():
-            assert witness == KoszulElement.zero(n, 2, base), cell.label
+            assert witness == KoszulElement.zero(2, base), cell.label
             assert report.triples[cell].residual_zero
         else:
             assert witness is None, cell.label
@@ -123,8 +123,8 @@ def _element(draw, degree, base, slots):
         if draw(st.booleans()):
             c0 = draw(scalars) if draw(st.booleans()) else lg.rat(0)
             c = _vector(draw, n) if draw(st.booleans()) else lg.Vector.zeros(n)
-            coeffs[idx] = LinearizedElement(base, c0, c)
-    return KoszulElement.build(n, degree, base, coeffs)
+            coeffs[idx] = LinearizedElement(c0, c)
+    return KoszulElement.build(degree, base, coeffs)
 
 
 def tamper(draw, fits, cochain):
@@ -149,7 +149,7 @@ def tamper(draw, fits, cochain):
         r[cell] = {
             "keep": witness,
             "none": None,
-            "zero": KoszulElement.zero(n, 2, base),
+            "zero": KoszulElement.zero(2, base),
             "drawn": _element(draw, 2, base, wedges),
         }[choice]
     fits = {
