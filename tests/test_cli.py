@@ -657,3 +657,84 @@ def test_repeated_json_key_exit_1(capsys, tmp_path):
     code, out, err = _verify_golden(capsys, tmp_path, text[:slot] + wrong + text[slot:])
     assert_one_error_line(code, out, err)
     assert "key '[1]' repeated in a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "cochain",
+    ["{not json", "[1, 2]", (ROOT / "tests/golden/cocycle_two_charts.json").read_text()],
+    ids=["invalid_json", "not_an_object", "other_cover_report"],
+)
+def test_verify_singular_cell_exit_2_before_the_cochain(files, capsys, cochain):
+    # the singular cell is found before the cochain is read, so exit 2 wins
+    # over every fault of the cochain (exit 1)
+    dataset = files("d.json", TOY_DATASET)
+    cover = files(
+        "c.json",
+        {
+            "charts": [
+                {"name": "A", "indices": [1, 2, 3]},
+                {"name": "B", "indices": [2, 3, 4]},
+                {"name": "C", "indices": [3, 4, 5]},
+            ]
+        },
+    )
+    argv = ["verify", "--dataset", dataset, "--cover", cover, "--cochain"]
+    code, out, err = run(capsys, [*argv, files("r.json", cochain)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: singular cell: ") and err.count("\n") == 1
+    assert "A|C" in err
+
+
+QUAD_ARGV = [
+    "--dataset", str(ROOT / "sampledata/quad3d.json"),
+    "--cover", str(ROOT / "sampledata/cover_quad3d.json"),
+    "--model", str(ROOT / "sampledata/model_quad3d.json"),
+    "--allow-negative-weights",
+]
+
+
+def _wrong_first_entry(a_hat):
+    return ["1" if a_hat[0] != "1" else "2", *a_hat[1:]]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda record: record.update(a_hat=_wrong_first_entry(record["a_hat"])),
+        lambda record: record.update(a_hat=["x"] * len(record["a_hat"])),
+        lambda record: record.update(a_hat=["7" * 5000, *record["a_hat"][1:]]),
+        lambda record: record.pop("a_hat"),
+        lambda record: record.update(a_hat={"0": record["a_hat"][0]}),
+    ],
+    ids=["wrong", "letter", "over_digit_limit", "missing", "not_a_list"],
+)
+def test_verify_a_hat_is_only_a_hint(capsys, tmp_path, spoil):
+    # whatever a record's a_hat says, verify finds each cell's true fit and
+    # writes the golden report
+    doc = json.loads((ROOT / "tests/golden/cocycle_quad3d.json").read_text())
+    for section in ("charts", "pairs", "triples"):
+        for record in doc[section].values():
+            spoil(record)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", *QUAD_ARGV, "--cochain", str(report)])
+    assert code == 0 and err == ""
+    assert out == (ROOT / "tests/golden/verify_quad3d.json").read_text()
+
+
+@pytest.mark.parametrize("move_a_hat", [False, True], ids=["beta_only", "with_a_hat"])
+def test_verify_beta_based_away_from_the_fit_exit_1(capsys, tmp_path, move_a_hat):
+    # a beta based at another point is refused with the true base in the
+    # message, also when the record's a_hat claims that other point
+    doc = json.loads((ROOT / "tests/golden/cocycle_two_charts.json").read_text())
+    record = doc["pairs"]["D1|D2"]
+    assert record["a_hat"] == ["13/14", "12/7"]
+    for coefficient in record["beta"].values():
+        coefficient["base"] = ["1", "2"]
+    if move_a_hat:
+        record["a_hat"] = ["1", "2"]
+    code, out, err = _verify_golden(capsys, tmp_path, doc)
+    assert_one_error_line(code, out, err)
+    assert err.endswith(
+        "coefficient at [1] is based at ['1', '2'], expected ['13/14', '12/7']\n"
+    )
