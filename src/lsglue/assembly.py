@@ -30,6 +30,18 @@ returns, and for ι of a supplied triple witness; each is based at its cell's
 pairs directly.  A beta or witness based away from its cell's fit is refused
 (:class:`BaseMismatch`).  All residuals are exact; floats appear only in
 advisory metrics.
+
+``cocycle`` fits every cell by elimination (:func:`fit_all_cells`).
+``verify`` is handed a report that already names each cell's â, so it checks
+the claim instead of solving for it, in two steps.  First, before the report
+is read, :func:`prove_nonsingular` shows every cell's N nonsingular by its
+rank modulo a prime (``linalg.modular_rank``); a cell whose modular rank is
+short is solved exactly, which raises :class:`Singular` on a degenerate cell
+just as fitting it would.  Then :func:`certified_fits` accepts a record's
+``"a_hat"`` only when N·â = -ν holds exactly: with N nonsingular, that â is
+the unique solution, the one elimination would give.  A claim that is
+missing, unparsable or wrong is ignored and that cell is solved exactly, so
+the fits, and every byte of the report, never depend on the claims.
 """
 
 from __future__ import annotations
@@ -47,14 +59,17 @@ from .koszul import (
     koszul_from_json,
     koszul_to_json,
 )
-from .linalg import Vector, solve_square
+from .linalg import Vector, modular_rank, solve_square
 from .model import (
     FeatureMap,
     build_normal_system,
     solve_least_squares,
     sum_normal_systems,
 )
-from .scalars import rat_float
+from .scalars import rat_float, rational_from_string
+
+# The report section of each cell degree.
+_SECTIONS = ("charts", "pairs", "triples")
 
 
 @dataclass(frozen=True)
@@ -180,6 +195,60 @@ def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
         solution = solve_least_squares(system, chart=cell.label)
         fits[cell] = LinearizedDifferential(base=solution.a_hat, nmat=system.nmat)
     return fits
+
+
+def prove_nonsingular(systems: dict) -> dict:
+    """Show every cell's normal matrix nonsingular, in (degree, names) order.
+
+    ``systems`` is :func:`cell_normal_systems`.  Returns ``{cell: proof}``: a
+    proof is None when N has full rank modulo ``linalg.RANK_PRIME``, else the
+    cell's exact â (``solve_least_squares``), which raises
+    :class:`lsglue.errors.Singular` on the first degenerate cell, as
+    :func:`fit_all_cells` does.
+    """
+    proofs = {}
+    for cell, system in systems.items():
+        if modular_rank(system.nmat) == system.param_dim:
+            proofs[cell] = None
+        else:
+            proofs[cell] = solve_least_squares(system, chart=cell.label).a_hat
+    return proofs
+
+
+def certified_fits(systems: dict, proofs: dict, doc) -> dict:
+    """The fits of :func:`fit_all_cells`, taken from the claims of a report.
+
+    ``proofs`` is :func:`prove_nonsingular` of ``systems``; a cell it solved
+    keeps that â.  Any other cell takes the ``"a_hat"`` of its record in
+    ``doc`` when N·â = -ν holds exactly (N is nonsingular, so â is the unique
+    solution), and is solved exactly when the claim is missing, unparsable or
+    wrong.
+    """
+    fits = {}
+    for cell, system in systems.items():
+        a_hat = proofs[cell]
+        if a_hat is None:
+            a_hat = _claimed_a_hat(doc, cell, system.param_dim)
+            if a_hat is None or system.nmat.matvec(a_hat) != -system.nu:
+                a_hat = solve_least_squares(system, chart=cell.label).a_hat
+        fits[cell] = LinearizedDifferential(base=a_hat, nmat=system.nmat)
+    return fits
+
+
+def _claimed_a_hat(doc, cell: NerveCell, dim: int) -> Vector | None:
+    """The ``"a_hat"`` of the cell's record in a report, or None when there
+    is none that parses as a vector of dimension ``dim``."""
+    if not isinstance(doc, dict) or cell.degree >= len(_SECTIONS):
+        return None
+    section = doc.get(_SECTIONS[cell.degree])
+    record = section.get(cell.label) if isinstance(section, dict) else None
+    claim = record.get("a_hat") if isinstance(record, dict) else None
+    if not isinstance(claim, list) or len(claim) != dim:
+        return None
+    try:
+        return Vector(tuple(rational_from_string(s) for s in claim))
+    except LsglueError:
+        return None
 
 
 def canonical_alpha(fit: LinearizedDifferential) -> KoszulElement:
@@ -454,7 +523,11 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
             raise LsglueError(f"cochain references unknown degree-{degree} cell {label!r}")
         return cell
 
-    def records(section: str, field: str, required: bool):
+    def elements(degree: int, field: str, required: bool):
+        """(cell, element) for each record of the degree's section; an
+        optional field that is absent or null gives None.  A parse error is
+        prefixed with the section and the cell label."""
+        section = _SECTIONS[degree]
         entries = doc.get(section, {})
         if not isinstance(entries, dict):
             raise LsglueError(f"cochain {section!r} must be an object keyed by cell label")
@@ -463,27 +536,25 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
                 raise LsglueError(f"cochain {section!r} entry {label!r} must be an object")
             if required and field not in record:
                 raise LsglueError(f"cochain {section!r} entry {label!r} lacks {field!r}")
-            yield label, record.get(field)
+            cell = resolve(label, degree)
+            element = record.get(field)
+            if element is not None or required:
+                try:
+                    element = koszul_from_json(element, degree, fits[cell].base)
+                except LsglueError as err:
+                    err.args = (f"cochain {section!r} entry {label!r}: {err}",)
+                    raise
+            yield cell, element
 
-    alpha = {}
-    for label, element in records("charts", "alpha", required=True):
-        cell = resolve(label, 0)
-        alpha[cell] = koszul_from_json(element, 0, fits[cell].base)
-    beta = {}
-    for label, element in records("pairs", "beta", required=True):
-        cell = resolve(label, 1)
-        beta[cell] = koszul_from_json(element, 1, fits[cell].base)
-    r = {}
-    for label, witness in records("triples", "r", required=False):
-        cell = resolve(label, 2)
-        r[cell] = None if witness is None else koszul_from_json(witness, 2, fits[cell].base)
-    sections = (("charts", alpha), ("pairs", beta), ("triples", r))
+    alpha = dict(elements(0, "alpha", required=True))
+    beta = dict(elements(1, "beta", required=True))
+    r = dict(elements(2, "r", required=False))
     for cell in _sorted_cells(fits):
-        if cell.degree < len(sections):
-            section, parsed = sections[cell.degree]
+        if cell.degree < len(_SECTIONS):
+            parsed = (alpha, beta, r)[cell.degree]
             if cell not in parsed:
                 raise LsglueError(
-                    f"cochain {section!r} lacks a record for cell {cell.label!r}"
+                    f"cochain {_SECTIONS[cell.degree]!r} lacks a record for cell {cell.label!r}"
                 )
     return TotalCochain(alpha=alpha, beta=beta, r=r)
 

@@ -3,6 +3,11 @@
 Exit codes: 0 success; 1 unreadable or malformed inputs, usage errors
 included; 2 a singular (degenerate) cell; 3 an obstructed triple in
 `cocycle`; 4 a failed exact check in `verify`.
+
+`verify` proves every cell nonsingular before it reads the cochain, so a
+singular cell (2) wins over a malformed cochain (1); it then takes each
+cell's fit from the report's ``"a_hat"`` where N·â = -ν holds exactly, and
+solves the cell otherwise (``assembly.certified_fits``).
 """
 
 from __future__ import annotations
@@ -16,9 +21,12 @@ from pathlib import Path
 from .assembly import (
     ObstructionReport,
     assemble_cochain,
+    cell_normal_systems,
+    certified_fits,
     cochain_from_json,
     fit_all_cells,
     fits_to_json,
+    prove_nonsingular,
     report_to_json,
     verify_cocycle,
 )
@@ -262,11 +270,23 @@ def _cmd_cocycle(args) -> int:
     return _EXIT_OK
 
 
+def _certified_cochain(args, cover: Cover, features) -> tuple:
+    """(fits, cochain) for ``verify``: every cell is proven nonsingular
+    before the cochain is read, then the fits are certified from the
+    report's claims and its cochain is parsed.  The normal systems and the
+    parsed document do not outlive the call, so they are not held while the
+    report is rebuilt."""
+    systems = cell_normal_systems(cover, features, args.max_degree)
+    proofs = prove_nonsingular(systems)
+    doc = _read_json(args.cochain)
+    fits = certified_fits(systems, proofs, doc)
+    return fits, cochain_from_json(doc, fits)
+
+
 def _cmd_verify(args) -> int:
     _check_cochain_degree(args)
     _, cover, features = _load_inputs(args)
-    fits = fit_all_cells(cover, features, args.max_degree)
-    cochain = cochain_from_json(_read_json(args.cochain), fits)
+    fits, cochain = _certified_cochain(args, cover, features)
     report = verify_cocycle(cochain, fits)
     doc = report_to_json(cochain, fits, report)
     _emit(args, _json_text(doc) if args.format == "json" else _render_report_text(doc))

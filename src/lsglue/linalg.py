@@ -1,4 +1,5 @@
-"""Exact rational vectors, matrices, and a deterministic square solver.
+"""Exact rational vectors, matrices, a deterministic square solver, and a
+modular rank.
 
 All arithmetic is over the scalar backend from :mod:`lsglue.scalars`; nothing
 here ever touches floats.  :func:`solve_square` brings the system augmented by
@@ -9,15 +10,37 @@ Pivoting takes the first nonzero entry scanning rows top-down (exact
 arithmetic needs no magnitude pivoting), which makes the solver
 deterministic; the solution of an invertible system is unique and rationals
 are canonical, so it does not depend on the elimination order anyway.
+
+Dot products (:meth:`Matrix.matvec`) and squared norms
+(:meth:`Vector.norm_sq`) write each operand as integers over one common
+denominator (:func:`integer_row`) and sum integer products, building one
+rational per result instead of one per term.  :func:`modular_rank` is the
+rank of a matrix modulo the prime :data:`RANK_PRIME` once every row is
+cleared of its denominators.  It never exceeds the rank over the rationals,
+so a full modular rank proves a square matrix nonsingular; a short one
+proves nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, Singular
-from .scalars import ZERO, rat, rat_float, rat_str
+from .scalars import ZERO, Rational, rat, rat_float, rat_str
+
+# The prime of :func:`modular_rank`.  Residues stay below 2**61, so every
+# product in its elimination is small, however wide the matrix entries are.
+RANK_PRIME = 2**61 - 1
+
+
+def integer_row(values) -> tuple:
+    """(numerators, d): ``values`` written as integers over their least
+    common denominator d, so value k is numerators[k] / d."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -70,7 +93,9 @@ class Vector:
         return all(a == 0 for a in self.entries)
 
     def norm_sq(self):
-        return sum((a * a for a in self.entries), ZERO)
+        """Σ vᵢ², as Σ pᵢ² / d² over the common denominator d."""
+        nums, den = integer_row(self.entries)
+        return Rational(sum(map(mul, nums, nums)), den * den)
 
     def to_strings(self) -> list[str]:
         return [rat_str(a) for a in self.entries]
@@ -119,9 +144,16 @@ class Matrix:
         return Vector(self.rows[i])
 
     def matvec(self, v: Vector) -> Vector:
+        """A·v; entry i is the integer dot product of row i's and v's
+        numerators over the product of their common denominators."""
         if self.ncols != v.dim:
             raise DimensionMismatch(f"matvec: {self.ncols} columns vs dim-{v.dim} vector")
-        return Vector(tuple(Vector(row).dot(v) for row in self.rows))
+        v_nums, v_den = integer_row(v.entries)
+        out = []
+        for row in self.rows:
+            nums, den = integer_row(row)
+            out.append(Rational(sum(map(mul, nums, v_nums)), den * v_den))
+        return Vector(tuple(out))
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -188,3 +220,30 @@ def solve_square(a: Matrix, b: Vector) -> Vector:
     if found < n:
         raise Singular(f"matrix is singular (rank {found} < {n})", rank=found)
     return Vector(_back_substitute(work, n))
+
+
+def modular_rank(a: Matrix) -> int:
+    """The rank modulo :data:`RANK_PRIME` of A with each row multiplied by the
+    least common denominator of its entries.
+
+    Scaling a row by a nonzero integer keeps the rank, and a nonzero minor
+    modulo a prime is a nonzero minor over the integers, so the result is at
+    most rank(A); when it equals the size of a square A, A is nonsingular.
+    Elimination as in :func:`_row_echelon`, on residues.
+    """
+    p = RANK_PRIME
+    rows = [[x % p for x in integer_row(row)[0]] for row in a.rows]
+    rank = 0
+    for col in range(a.ncols):
+        hit = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        tail = rows[rank][col + 1 :]
+        inverse = pow(rows[rank][col], -1, p)
+        for row in rows[rank + 1 :]:
+            factor = row[col] * inverse % p
+            if factor:
+                row[col + 1 :] = [(x - factor * y) % p for x, y in zip(row[col + 1 :], tail)]
+        rank += 1
+    return rank

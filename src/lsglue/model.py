@@ -27,11 +27,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .errors import DimensionMismatch, LsglueError, Singular
-from .linalg import Matrix, Vector, solve_square
+from .linalg import Matrix, Vector, integer_row, solve_square
 from .scalars import ONE, ZERO, Rational, over_digit_limit
 
 
@@ -137,9 +137,7 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
         w = point.weight
         if w == 0:
             continue
-        phi = features.evaluate(point.x).entries
-        d = lcm(*(v.denominator for v in phi))
-        p = [v.numerator * (d // v.denominator) for v in phi]
+        p, d = integer_row(features.evaluate(point.x).entries)
         w_num, w_den = w.numerator, w.denominator
         n_den, lift = _grow(n_den, w_den * d * d, upper)
         c = 2 * w_num * lift

@@ -37,6 +37,15 @@ THREE_CHARTS = {
     ]
 }
 
+# A and C share only point 3: the pair A|C is singular under affine features.
+ABC_CHARTS = {
+    "charts": [
+        {"name": "A", "indices": [1, 2, 3]},
+        {"name": "B", "indices": [2, 3, 4]},
+        {"name": "C", "indices": [3, 4, 5]},
+    ]
+}
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -126,16 +135,7 @@ def test_cocycle_obstructed_exit_3(files, capsys):
 
 def test_cocycle_singular_cell_exit_2(files, capsys):
     dataset = files("d.json", TOY_DATASET)
-    cover = files(
-        "c.json",
-        {
-            "charts": [
-                {"name": "A", "indices": [1, 2, 3]},
-                {"name": "B", "indices": [2, 3, 4]},
-                {"name": "C", "indices": [3, 4, 5]},
-            ]
-        },
-    )
+    cover = files("c.json", ABC_CHARTS)
     code, _, err = run(capsys, ["cocycle", "--dataset", dataset, "--cover", cover])
     assert code == 2
     assert "A|C" in err
@@ -266,16 +266,7 @@ def test_missing_file_exit_1(capsys):
 
 def test_fit_singular_cell_exit_2(files, capsys):
     dataset = files("d.json", TOY_DATASET)
-    cover = files(
-        "c.json",
-        {
-            "charts": [
-                {"name": "A", "indices": [1, 2, 3]},
-                {"name": "B", "indices": [2, 3, 4]},
-                {"name": "C", "indices": [3, 4, 5]},
-            ]
-        },
-    )
+    cover = files("c.json", ABC_CHARTS)
     code, _, err = run(capsys, ["fit", "--dataset", dataset, "--cover", cover])
     assert code == 2 and "A|C" in err
     # capping the overlap depth below the degenerate cell makes it fittable
@@ -286,6 +277,10 @@ def test_fit_singular_cell_exit_2(files, capsys):
     assert set(json.loads(out)["cells"]) == {"A", "B", "C"}
 
 
+# the fits of the two-chart toy cover: pair D1|D2 and chart D2
+PAIR, D2 = ["13/14", "12/7"], ["13/15", "26/15"]
+
+
 @pytest.mark.parametrize(
     "cochain, message",
     [
@@ -293,15 +288,26 @@ def test_fit_singular_cell_exit_2(files, capsys):
         ({"charts": []}, "'charts' must be an object"),
         ({"pairs": {"D1|D2": []}}, "'pairs' entry 'D1|D2' must be an object"),
         ({"triples": "none"}, "'triples' must be an object"),
-        (
+        pytest.param(
             {
                 "pairs": {
                     "D1|D2": {
-                        "beta": {"[1]": {"c0": "1", "c": ["0"], "base": ["13/14", "12/7"]}}
+                        "beta": {"[1]": {"c0": "1", "c": ["0"], "base": PAIR}}
                     }
                 }
             },
-            "linear part dim 1 vs base dim 2",
+            "error: cochain 'pairs' entry 'D1|D2': linear part dim 1 vs base dim 2\n",
+            id="cochain4-linear part dim 1 vs base dim 2",
+        ),
+        pytest.param(
+            {"pairs": {"D1|D2": {"beta": {"[3]": {"c0": "1", "c": ["0", "0"], "base": PAIR}}}}},
+            "error: cochain 'pairs' entry 'D1|D2': index tuple (3,) outside 1..2\n",
+            id="pair_slot_out_of_range",
+        ),
+        pytest.param(
+            {"charts": {"D2": {"alpha": {"[]": {"c0": "1/0", "c": [], "base": D2}}}}},
+            "error: cochain 'charts' entry 'D2': zero denominator in '1/0'\n",
+            id="chart_zero_denominator",
         ),
     ],
 )
@@ -668,16 +674,7 @@ def test_verify_singular_cell_exit_2_before_the_cochain(files, capsys, cochain):
     # the singular cell is found before the cochain is read, so exit 2 wins
     # over every fault of the cochain (exit 1)
     dataset = files("d.json", TOY_DATASET)
-    cover = files(
-        "c.json",
-        {
-            "charts": [
-                {"name": "A", "indices": [1, 2, 3]},
-                {"name": "B", "indices": [2, 3, 4]},
-                {"name": "C", "indices": [3, 4, 5]},
-            ]
-        },
-    )
+    cover = files("c.json", ABC_CHARTS)
     argv = ["verify", "--dataset", dataset, "--cover", cover, "--cochain"]
     code, out, err = run(capsys, [*argv, files("r.json", cochain)])
     assert code == 2 and out == ""
@@ -735,6 +732,7 @@ def test_verify_beta_based_away_from_the_fit_exit_1(capsys, tmp_path, move_a_hat
         record["a_hat"] = ["1", "2"]
     code, out, err = _verify_golden(capsys, tmp_path, doc)
     assert_one_error_line(code, out, err)
-    assert err.endswith(
-        "coefficient at [1] is based at ['1', '2'], expected ['13/14', '12/7']\n"
+    assert err == (
+        "error: cochain 'pairs' entry 'D1|D2': coefficient at [1] is based at"
+        " ['1', '2'], expected ['13/14', '12/7']\n"
     )

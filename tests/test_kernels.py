@@ -1,12 +1,15 @@
-"""The two exact kernels against brute force, over random inputs.
+"""The exact kernels against brute force, over random inputs.
 
 Elimination (``solve_square``) must agree with cofactor determinants and
 adjugate inverses: solved against each unit vector it must give that column of
 the inverse, including on matrices whose leading entries are zero, so that rows
 are swapped, and on singular matrices of every rank, where :class:`Singular`
-must carry the rank.  The normal-system accumulation behind
-``build_normal_system`` must equal the direct sums of ``oracles.normal_sums``,
-on the data, on its restriction to a chart and under fresh weights.
+must carry the rank.  The modular rank must equal the cofactor rank, and may
+only fall below it under a small prime.  The integer-numerator ``matvec`` and
+``norm_sq`` must equal plain Fraction sums.  The normal-system accumulation
+behind ``build_normal_system`` must equal the direct sums of
+``oracles.normal_sums``, on the data, on its restriction to a chart and under
+fresh weights.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsglue as lg
+from lsglue import linalg
 
 import oracles
 
@@ -102,6 +106,72 @@ def test_singular_carries_rank(case):
     with pytest.raises(lg.Singular) as err:
         lg.solve_square(lg.Matrix.of(rows), lg.Vector.of([1] * len(rows)))
     assert err.value.rank == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example([[F(1, 2), F(1, 3)], [F(1), F(2, 3)]])
+@example([[F(0), F(0)], [F(0), F(0)]])
+def test_modular_rank_is_the_rank(rows):
+    # Cleared of its denominators (lcm 60 at most), a drawn matrix has integer
+    # entries of at most 360 in absolute value, so by Hadamard's bound a
+    # nonzero minor is below 6**3 * 360**6 < 2**61 - 1 and no minor vanishes
+    # modulo that prime that does not vanish over the rationals.  The rows of
+    # the first example have mixed denominators: rank 1 only when each row is
+    # scaled by its own lcm.
+    a = lg.Matrix.of(rows)
+    assert linalg.modular_rank(a) == oracles.rank(rows)
+    assert linalg.modular_rank(a.transpose()) == oracles.rank(rows)
+
+
+@pytest.mark.parametrize("prime", [2**61 - 1, 3])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(square_matrices(), singular_matrices().map(lambda case: case[0])))
+@example([[F(3), F(0)], [F(0), F(1)]])
+def test_modular_rank_never_exceeds_the_rank(prime, rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "RANK_PRIME", prime)
+        rank = linalg.modular_rank(lg.Matrix.of(rows))
+    assert rank <= oracles.rank(rows)
+    if rows == [[F(3), F(0)], [F(0), F(1)]]:
+        assert rank == (1 if prime == 3 else 2)
+
+
+wide = st.one_of(
+    st.just(F(0)),
+    st.integers(-(2**70), 2**70).map(F),
+    st.fractions(max_denominator=2**64),
+    st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 2**64)),
+)
+
+
+@st.composite
+def matvec_cases(draw):
+    """(rows, vector): a possibly non-square matrix with wide entries, zero
+    rows and a zero column among them, and a vector of matching length."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [[draw(wide) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [F(0)] * ncols
+    if ncols and draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = F(0)
+    return rows, [draw(wide) for _ in range(ncols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matvec_cases())
+@example(([[F(1, 2**64), F(-3, 2**64 - 1)], [F(0), F(0)]], [F(-1, 3), F(2**64, 7)]))
+@example(([[F(1, 2), F(1, 3)], [F(-5, 6), F(7)]], [F(0), F(-1, 4)]))
+def test_integer_matvec_and_norm_match_fraction_sums(case):
+    rows, v = case
+    a = lg.Matrix.of(rows, ncols=len(v))
+    vector = lg.Vector.of(v)
+    assert oracles.as_fractions(a.matvec(vector)) == oracles.matvec(rows, v)
+    assert vector.norm_sq() == sum((x * x for x in v), F(0))
+    for row in rows:
+        assert lg.Vector.of(row).norm_sq() == sum((x * x for x in row), F(0))
 
 
 coordinates = st.fractions(min_value=-40, max_value=40, max_denominator=32)

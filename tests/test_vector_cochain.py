@@ -9,14 +9,33 @@ defect, r is the zero element exactly when that defect vanishes, and every
 pair residual is zero.  On tampered cochains (alphas, betas and witnesses
 changed, fits given non-symmetric matrices) both checks must return the same
 report, residuals included, and must reject a beta based away from its pair.
+
+The fits ``verify`` certifies from a report's claimed â (``prove_nonsingular``
+then ``certified_fits``) must be those of ``fit_all_cells``, with the same
+report, whatever the claims say; on a singular cover the proof step must raise
+the same :class:`Singular`.  Under the prime 3 in place of 2⁶¹ - 1 the
+modular rank is often short, so the exact fallback runs too.
 """
 
+import copy
+import json
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import lsglue as lg
-from lsglue.assembly import _cells_by_names, assemble_cochain, verify_cocycle
+from lsglue import linalg
+from lsglue.assembly import (
+    _cells_by_names,
+    assemble_cochain,
+    cell_normal_systems,
+    certified_fits,
+    cochain_from_json,
+    prove_nonsingular,
+    report_to_json,
+    verify_cocycle,
+)
 from lsglue.koszul import KoszulElement, LinearizedElement, translate
 
 import oracles
@@ -195,3 +214,72 @@ def test_beta_based_away_from_its_pair_is_rejected(case, data):
     for check in (verify_cocycle, oracles.koszul_verify):
         with pytest.raises(lg.BaseMismatch):
             check(tampered, fits)
+
+
+CLAIMS = {
+    "keep": lambda a_hat: a_hat,
+    "wrong": lambda a_hat: ["1" if a_hat[0] != "1" else "0", *a_hat[1:]],
+    "short": lambda a_hat: a_hat[1:],
+    "letter": lambda a_hat: ["x"] * len(a_hat),
+    "not_a_list": lambda a_hat: ",".join(a_hat),
+}
+
+
+@pytest.mark.parametrize("prime", [2**61 - 1, 3], ids=["mersenne61", "three"])
+@settings(max_examples=100, deadline=None)
+@given(any_cover, st.data())
+def test_certified_fits_equal_fit_all_cells(prime, case, data):
+    points, charts, features, _ = case
+    _, cover, feature_map = build(points, charts, features)
+    systems = cell_normal_systems(cover, feature_map, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "RANK_PRIME", prime)
+        try:
+            fits = lg.fit_all_cells(cover, feature_map, 2)
+        except lg.Singular as expected:
+            event("singular cover")
+            with pytest.raises(lg.Singular) as raised:
+                prove_nonsingular(systems)
+            assert (str(raised.value), raised.value.cell, raised.value.rank) == (
+                str(expected),
+                expected.cell,
+                expected.rank,
+            )
+            return
+        cochain, report = assemble_cochain(fits)
+        doc = report_to_json(cochain, fits, report)
+        claims = copy.deepcopy(doc)
+        for section in ("charts", "pairs", "triples"):
+            for record in claims[section].values():
+                how = data.draw(st.sampled_from([*CLAIMS, "missing"]))
+                if how == "missing":
+                    del record["a_hat"]
+                else:
+                    record["a_hat"] = CLAIMS[how](record["a_hat"])
+        proofs = prove_nonsingular(systems)
+        certified = certified_fits(systems, proofs, claims)
+    event("a cell solved for its proof" if any(proofs.values()) else "every cell full rank")
+    assert certified == fits
+    for cell, system in systems.items():
+        expected_a_hat = oracles.cramer_solve(
+            [oracles.as_fractions(row) for row in system.nmat.rows],
+            [-v for v in oracles.as_fractions(system.nu)],
+        )
+        assert oracles.as_fractions(certified[cell].base) == expected_a_hat, cell.label
+    rechecked = verify_cocycle(cochain_from_json(claims, certified), certified)
+    assert rechecked == report
+    assert json.dumps(report_to_json(cochain, certified, rechecked)) == json.dumps(doc)
+
+
+def test_small_prime_falls_back_to_elimination():
+    # the toy normal matrices have even entries, so their rank mod 2 is 0:
+    # every cell is solved, and the result is still the fits
+    points, charts, features, _ = TOY_THREE
+    _, cover, feature_map = build(points, charts, features)
+    systems = cell_normal_systems(cover, feature_map, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "RANK_PRIME", 2)
+        proofs = prove_nonsingular(systems)
+    fits = lg.fit_all_cells(cover, feature_map, 2)
+    assert all(proofs[cell] == fits[cell].base for cell in systems)
+    assert prove_nonsingular(systems) == dict.fromkeys(systems)
