@@ -31,17 +31,16 @@ pairs directly.  A beta or witness based away from its cell's fit is refused
 (:class:`BaseMismatch`).  All residuals are exact; floats appear only in
 advisory metrics.
 
-``cocycle`` fits every cell by elimination (:func:`fit_all_cells`).
-``verify`` is handed a report that already names each cell's â, so it checks
-the claim instead of solving for it, in two steps.  First, before the report
-is read, :func:`prove_nonsingular` shows every cell's N nonsingular by its
-rank modulo a prime (``linalg.modular_rank``); a cell whose modular rank is
-short is solved exactly, which raises :class:`Singular` on a degenerate cell
-just as fitting it would.  Then :func:`certified_fits` accepts a record's
-``"a_hat"`` only when N·â = -ν holds exactly: with N nonsingular, that â is
-the unique solution, the one elimination would give.  A claim that is
-missing, unparsable or wrong is ignored and that cell is solved exactly, so
-the fits, and every byte of the report, never depend on the claims.
+One loop fits every cell (:func:`fit_cells`): a cell takes the ``"a_hat"``
+its record in a report claims when N·â = -ν holds exactly, and is solved by
+elimination otherwise.  ``cocycle`` passes no report (:func:`fit_all_cells`).
+``verify`` passes the report it checks, once :func:`prove_nonsingular` has
+shown every cell's N nonsingular, before the report is read, by its rank
+modulo a prime (``linalg.modular_rank``); a cell whose modular rank is short
+is solved only so that a degenerate cell raises :class:`Singular`.  With N
+nonsingular a claim that satisfies the equation is the unique solution; one
+that is missing, unparsable or wrong is ignored, so the fits, and every byte
+of the report, never depend on the claims.
 """
 
 from __future__ import annotations
@@ -183,54 +182,42 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
 
 
 def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
-    """Fit every nerve cell up to ``max_degree``: ``{cell: differential}``.
-
-    Each cell solves the normal equations of its index intersection
-    (:func:`cell_normal_systems`); its fit is the differential with base the
-    solution â and matrix the cell's N.  Raises :class:`lsglue.errors.Singular`
-    naming the first degenerate cell in (degree, names) order.
-    """
-    fits = {}
-    for cell, system in cell_normal_systems(cover, features, max_degree).items():
-        solution = solve_least_squares(system, chart=cell.label)
-        fits[cell] = LinearizedDifferential(base=solution.a_hat, nmat=system.nmat)
-    return fits
+    """Fit every nerve cell up to ``max_degree`` by elimination, ``{cell:
+    differential}``: :func:`fit_cells` of :func:`cell_normal_systems`, which
+    raises :class:`lsglue.errors.Singular` on the first degenerate cell."""
+    return fit_cells(cell_normal_systems(cover, features, max_degree))
 
 
-def prove_nonsingular(systems: dict) -> dict:
+def prove_nonsingular(systems: dict) -> None:
     """Show every cell's normal matrix nonsingular, in (degree, names) order.
 
-    ``systems`` is :func:`cell_normal_systems`.  Returns ``{cell: proof}``: a
-    proof is None when N has full rank modulo ``linalg.RANK_PRIME``, else the
-    cell's exact â (``solve_least_squares``), which raises
-    :class:`lsglue.errors.Singular` on the first degenerate cell, as
-    :func:`fit_all_cells` does.
+    ``systems`` is :func:`cell_normal_systems`.  N is proven when it has full
+    rank modulo ``linalg.RANK_PRIME``; any other cell is solved
+    (``solve_least_squares``) only so that the first degenerate cell raises
+    :class:`lsglue.errors.Singular`, as :func:`fit_cells` would.  Its solution
+    is dropped.
     """
-    proofs = {}
     for cell, system in systems.items():
-        if modular_rank(system.nmat) == system.param_dim:
-            proofs[cell] = None
-        else:
-            proofs[cell] = solve_least_squares(system, chart=cell.label).a_hat
-    return proofs
+        if modular_rank(system.nmat) < system.param_dim:
+            solve_least_squares(system, chart=cell.label)
 
 
-def certified_fits(systems: dict, proofs: dict, doc) -> dict:
-    """The fits of :func:`fit_all_cells`, taken from the claims of a report.
+def fit_cells(systems: dict, doc=None) -> dict:
+    """``{cell: differential}`` for ``systems`` (:func:`cell_normal_systems`):
+    the differential with base the cell's least-squares point â and matrix
+    the cell's N.
 
-    ``proofs`` is :func:`prove_nonsingular` of ``systems``; a cell it solved
-    keeps that â.  Any other cell takes the ``"a_hat"`` of its record in
-    ``doc`` when N·â = -ν holds exactly (N is nonsingular, so â is the unique
-    solution), and is solved exactly when the claim is missing, unparsable or
-    wrong.
+    A cell takes the ``"a_hat"`` of its record in the report ``doc`` when
+    N·â = -ν holds exactly; that â is the fit only if N is nonsingular, so a
+    report is passed only after :func:`prove_nonsingular`.  Any other cell is
+    solved, which raises :class:`lsglue.errors.Singular` naming the first
+    degenerate cell in (degree, names) order.
     """
     fits = {}
     for cell, system in systems.items():
-        a_hat = proofs[cell]
-        if a_hat is None:
-            a_hat = _claimed_a_hat(doc, cell, system.param_dim)
-            if a_hat is None or system.nmat.matvec(a_hat) != -system.nu:
-                a_hat = solve_least_squares(system, chart=cell.label).a_hat
+        a_hat = _claimed_a_hat(doc, cell, system.param_dim)
+        if a_hat is None or system.nmat.matvec(a_hat) != -system.nu:
+            a_hat = solve_least_squares(system, chart=cell.label).a_hat
         fits[cell] = LinearizedDifferential(base=a_hat, nmat=system.nmat)
     return fits
 
@@ -305,17 +292,13 @@ def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
     alpha = {
         cell: canonical_alpha(fits[cell]) for cell in fits if cell.degree == 0
     }
-    beta_vectors = {}
+    beta_vectors, beta = {}, {}
     for cell in _sorted_cells(c for c in fits if c.degree == 1):
         name_i, name_j = cell.chart_names
         delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
-        beta_vectors[cell] = solve_square(fits[cell].nmat, delta)
-    beta = {
-        cell: KoszulElement.from_constants(
-            1, fits[cell].base, {(m + 1,): value for m, value in enumerate(vector)}
-        )
-        for cell, vector in beta_vectors.items()
-    }
+        vector = beta_vectors[cell] = solve_square(fits[cell].nmat, delta)
+        slots = {(m + 1,): value for m, value in enumerate(vector)}
+        beta[cell] = KoszulElement.from_constants(1, fits[cell].base, slots)
 
     r = {}
     for cell in _sorted_cells(c for c in fits if c.degree == 2):
@@ -409,20 +392,11 @@ def discrepancy_metrics(report: ObstructionReport) -> DiscrepancyMetrics | None:
     cover has no pairwise overlaps."""
     if not report.pairs:
         return None
-    max_delta, mean_delta = _max_mean([_l2(check.delta) for check in report.pairs.values()])
-    max_beta, mean_beta = _max_mean(
-        [_l2(check.beta_constants) for check in report.pairs.values()]
-    )
-    max_defect, mean_defect = _max_mean(
-        [_l2(check.defect_constant) for check in report.triples.values()]
-    )
+    pairs, triples = report.pairs.values(), report.triples.values()
     return DiscrepancyMetrics(
-        max_delta=max_delta,
-        mean_delta=mean_delta,
-        max_beta=max_beta,
-        mean_beta=mean_beta,
-        max_defect=max_defect,
-        mean_defect=mean_defect,
+        *_max_mean([_l2(check.delta) for check in pairs]),
+        *_max_mean([_l2(check.beta_constants) for check in pairs]),
+        *_max_mean([_l2(check.defect_constant) for check in triples]),
     )
 
 

@@ -5,9 +5,9 @@ included; 2 a singular (degenerate) cell; 3 an obstructed triple in
 `cocycle`; 4 a failed exact check in `verify`.
 
 `verify` proves every cell nonsingular before it reads the cochain, so a
-singular cell (2) wins over a malformed cochain (1); it then takes each
-cell's fit from the report's ``"a_hat"`` where N·â = -ν holds exactly, and
-solves the cell otherwise (``assembly.certified_fits``).
+singular cell (2) wins over a malformed cochain (1); its fit loop then takes
+each cell's fit from the report's ``"a_hat"`` where N·â = -ν holds exactly,
+and solves the cell otherwise (``assembly.fit_cells``).
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .assembly import (
     ObstructionReport,
     assemble_cochain,
     cell_normal_systems,
-    certified_fits,
     cochain_from_json,
     fit_all_cells,
+    fit_cells,
     fits_to_json,
     prove_nonsingular,
     report_to_json,
@@ -277,9 +277,9 @@ def _certified_cochain(args, cover: Cover, features) -> tuple:
     parsed document do not outlive the call, so they are not held while the
     report is rebuilt."""
     systems = cell_normal_systems(cover, features, args.max_degree)
-    proofs = prove_nonsingular(systems)
+    prove_nonsingular(systems)
     doc = _read_json(args.cochain)
-    fits = certified_fits(systems, proofs, doc)
+    fits = fit_cells(systems, doc)
     return fits, cochain_from_json(doc, fits)
 
 

@@ -19,11 +19,15 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from math import comb
 from typing import Iterable
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover
 from .linalg import Vector
 from .scalars import ZERO, rat, rational_from_string
+
+# The most chart subsets enumerate_nerve may visit; the wide_nerve benchmark visits 1392.
+MAX_NERVE_VISITS = 10**6
 
 
 @dataclass(frozen=True)
@@ -174,9 +178,21 @@ def enumerate_nerve(cover: Cover, max_degree: int) -> list[NerveCell]:
     is nonempty; orientation signs downstream come from the sorted name order.
     The cells are the subsets of the atom signatures (:attr:`Cover.atoms`), and
     a cell's indices are the union of the atoms whose signature contains it.
+    Those subsets are first counted, Σ_atoms Σ_{s <= max_degree + 1}
+    C(|signature|, s), without listing them; a count past
+    :data:`MAX_NERVE_VISITS` raises :class:`LsglueError` as soon as it is seen.
     """
     if max_degree < 0:
         raise LsglueError("max_degree must be >= 0")
+    visits = 0
+    for signature in cover.atoms:
+        for size in range(1, min(max_degree + 1, len(signature)) + 1):
+            visits += comb(len(signature), size)
+            if visits > MAX_NERVE_VISITS:
+                raise LsglueError(
+                    f"the nerve up to degree {max_degree} would visit more than"
+                    f" {MAX_NERVE_VISITS} chart subsets"
+                )
     members = {}
     for signature, indices in cover.atoms.items():
         for size in range(1, min(max_degree + 1, len(signature)) + 1):

@@ -17,9 +17,11 @@ nonnegative; the minimizer solves N·â = -ν.
 The sums are accumulated on integers: each point's features are written as
 integers over one denominator, the terms are added as integer numerators over
 a running common denominator of N (and another of ν), and one rational per
-entry is built at the end, on the upper triangle of N only.  Only
-``.numerator``, ``.denominator`` and the backend's ``Rational`` constructor
-are used, so every scalar backend takes the same path.
+entry is built at the end, on the upper triangle of N only.  The systems of
+a cell's atoms are added the same way, each entry over one common
+denominator (:func:`sum_normal_systems`).  Only ``.numerator``,
+``.denominator`` and the backend's ``Rational`` constructor are used, so
+every scalar backend takes the same path.
 """
 
 from __future__ import annotations
@@ -195,12 +197,17 @@ def sum_normal_systems(systems) -> NormalSystem:
     n = systems[0].param_dim
     if any(system.param_dim != n for system in systems):
         raise DimensionMismatch("normal systems have different parameter dims")
-    nu = tuple(sum(terms, ZERO) for terms in zip(*(s.nu.entries for s in systems)))
+    nu = tuple(map(_exact_sum, zip(*(s.nu.entries for s in systems))))
     rows = tuple(
-        tuple(sum(terms, ZERO) for terms in zip(*(s.nmat.rows[k] for s in systems)))
-        for k in range(n)
+        tuple(map(_exact_sum, zip(*(s.nmat.rows[k] for s in systems)))) for k in range(n)
     )
     return NormalSystem(nu=Vector(nu), nmat=Matrix(rows, n))
+
+
+def _exact_sum(terms):
+    """Σ terms on integer numerators: one rational per sum, not per addition."""
+    nums, den = integer_row(terms)
+    return Rational(sum(nums), den)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lsglue import cli
+from lsglue import cli, linalg
 
 import oracles
 
@@ -735,4 +737,75 @@ def test_verify_beta_based_away_from_the_fit_exit_1(capsys, tmp_path, move_a_hat
     assert err == (
         "error: cochain 'pairs' entry 'D1|D2': coefficient at [1] is based at"
         " ['1', '2'], expected ['13/14', '12/7']\n"
+    )
+
+
+def _zero_a_hats(doc):
+    for section in ("charts", "pairs", "triples"):
+        for record in doc[section].values():
+            record["a_hat"] = ["0"] * len(record["a_hat"])
+
+
+@pytest.mark.parametrize(
+    "command, spoil, eliminations",
+    [
+        ("fit", None, 14),
+        ("cocycle", None, 20),
+        ("verify", None, 0),
+        ("verify", _zero_a_hats, 14),
+    ],
+    ids=["fit", "cocycle", "verify", "verify_a_hat_zeroed"],
+)
+def test_eliminations_per_command(capsys, tmp_path, monkeypatch, command, spoil, eliminations):
+    # quad3d has 14 cells and 6 pairs: fit solves each cell once and cocycle
+    # each pair's beta too; verify solves only the cells whose a_hat is wrong
+    argv = [command, *QUAD_ARGV]
+    if command == "verify":
+        doc = json.loads((ROOT / "tests/golden/cocycle_quad3d.json").read_text())
+        if spoil is not None:
+            spoil(doc)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--cochain", str(report)]
+    calls = []
+    original = linalg._row_echelon
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_row_echelon", counting)
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == (ROOT / f"tests/golden/{command}_quad3d.json").read_text()
+    assert len(calls) == eliminations
+
+
+@pytest.mark.parametrize(
+    "command, charts, max_degree",
+    [("fit", 64, "63"), ("cocycle", 2000, "2")],
+    ids=["fit_2**64-1_subsets", "cocycle_1.3e9_subsets"],
+)
+def test_oversized_nerve_exit_1_without_listing_it(files, command, charts, max_degree):
+    # listing the nerve would not end; the bound is checked before it starts
+    dataset = files("d.json", {"ambient_dim": 1, "points": [{"x": ["0"], "y": "0"}]})
+    cover = files(
+        "c.json", {"charts": [{"name": f"C{i}", "indices": [1]} for i in range(charts)]}
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    argv = [command, "--dataset", dataset, "--cover", cover, "--max-degree", max_degree]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsglue.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: the nerve up to degree {max_degree} would visit more than"
+        " 1000000 chart subsets\n"
     )

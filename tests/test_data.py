@@ -3,6 +3,7 @@ import random
 import pytest
 
 import lsglue as lg
+from lsglue import data as data_module
 from lsglue.data import (
     cover_from_json,
     dataset_from_csv,
@@ -77,6 +78,44 @@ def test_enumerate_nerve_triple(toy_dataset):
     cells = enumerate_nerve(cover, 2)
     triple = [c for c in cells if c.degree == 2]
     assert len(triple) == 1 and triple[0].indices == frozenset({3})
+
+
+def _charts_through_one_point(count):
+    """``count`` charts that all hold the one point of a one-point data set."""
+    data = make_dataset([(0, 0)], [1])
+    return lg.Cover.of(data, [(f"C{i}", [1]) for i in range(count)])
+
+
+@pytest.mark.parametrize(
+    "charts, max_degree",
+    [(64, 63), (2000, 2)],
+    ids=["2**64-1_subsets", "1.3e9_subsets"],
+)
+def test_oversized_nerve_is_refused_before_it_is_listed(monkeypatch, charts, max_degree):
+    cover = _charts_through_one_point(charts)
+
+    def listed(*args):
+        raise AssertionError("the nerve was listed")
+
+    monkeypatch.setattr(data_module, "combinations", listed)
+    with pytest.raises(lg.LsglueError) as err:
+        enumerate_nerve(cover, max_degree)
+    assert str(err.value) == (
+        f"the nerve up to degree {max_degree} would visit more than 1000000 chart subsets"
+    )
+
+
+def test_nerve_bound_admits_exactly_its_count(monkeypatch):
+    # 5 charts through one point visit 5 + 10 + 10 subsets up to degree 2,
+    # and 9 more charts of their own points add one each
+    data = make_dataset([(i, 0) for i in range(10)], [1] * 10)
+    shared = [(f"S{i}", [1]) for i in range(5)]
+    cover = lg.Cover.of(data, shared + [(f"T{i}", [i + 1]) for i in range(1, 10)])
+    monkeypatch.setattr(data_module, "MAX_NERVE_VISITS", 34)
+    assert len(enumerate_nerve(cover, 2)) == 34
+    monkeypatch.setattr(data_module, "MAX_NERVE_VISITS", 33)
+    with pytest.raises(lg.LsglueError, match="more than 33 chart subsets"):
+        enumerate_nerve(cover, 2)
 
 
 def test_nerve_faces_are_cells():

@@ -10,15 +10,18 @@ pair residual is zero.  On tampered cochains (alphas, betas and witnesses
 changed, fits given non-symmetric matrices) both checks must return the same
 report, residuals included, and must reject a beta based away from its pair.
 
-The fits ``verify`` certifies from a report's claimed â (``prove_nonsingular``
-then ``certified_fits``) must be those of ``fit_all_cells``, with the same
-report, whatever the claims say; on a singular cover the proof step must raise
-the same :class:`Singular`.  Under the prime 3 in place of 2⁶¹ - 1 the
-modular rank is often short, so the exact fallback runs too.
+The fits ``verify`` takes from a report's claimed â (``prove_nonsingular``,
+then the fit loop ``fit_cells`` given the report) must be those of
+``fit_all_cells``, with the same report, whatever the claims say; on a
+singular cover the proof must raise the same :class:`Singular`.  Under the
+prime 3 in place of 2⁶¹ - 1 the modular rank is often short, so the proof's
+exact fallback runs too; the eliminations (``linalg._row_echelon`` calls)
+show which cells were solved, and when.
 """
 
 import copy
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -30,8 +33,8 @@ from lsglue.assembly import (
     _cells_by_names,
     assemble_cochain,
     cell_normal_systems,
-    certified_fits,
     cochain_from_json,
+    fit_cells,
     prove_nonsingular,
     report_to_json,
     verify_cocycle,
@@ -225,6 +228,20 @@ CLAIMS = {
 }
 
 
+def count_eliminations(patch) -> list:
+    """Record, from now on, the normal matrix of every elimination
+    (``linalg._row_echelon`` call), as a tuple of rows."""
+    calls = []
+    original = linalg._row_echelon
+
+    def counting(rows):
+        calls.append(tuple(tuple(row[:-1]) for row in rows))
+        return original(rows)
+
+    patch.setattr(linalg, "_row_echelon", counting)
+    return calls
+
+
 @pytest.mark.parametrize("prime", [2**61 - 1, 3], ids=["mersenne61", "three"])
 @settings(max_examples=100, deadline=None)
 @given(any_cover, st.data())
@@ -256,9 +273,10 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
                     del record["a_hat"]
                 else:
                     record["a_hat"] = CLAIMS[how](record["a_hat"])
-        proofs = prove_nonsingular(systems)
-        certified = certified_fits(systems, proofs, claims)
-    event("a cell solved for its proof" if any(proofs.values()) else "every cell full rank")
+        eliminations = count_eliminations(patch)
+        assert prove_nonsingular(systems) is None
+        event("a cell solved for its proof" if eliminations else "every cell full rank")
+        certified = fit_cells(systems, claims)
     assert certified == fits
     for cell, system in systems.items():
         expected_a_hat = oracles.cramer_solve(
@@ -273,13 +291,29 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
 
 def test_small_prime_falls_back_to_elimination():
     # the toy normal matrices have even entries, so their rank mod 2 is 0:
-    # every cell is solved, and the result is still the fits
+    # the proof eliminates every cell once, and the fit loop eliminates a cell
+    # again only when its claim is wrong
     points, charts, features, _ = TOY_THREE
     _, cover, feature_map = build(points, charts, features)
     systems = cell_normal_systems(cover, feature_map, 2)
+    fits = lg.fit_all_cells(cover, feature_map, 2)
+    cochain, report = assemble_cochain(fits)
+    doc = report_to_json(cochain, fits, report)
+    wrong = copy.deepcopy(doc)
+    for section in ("charts", "pairs", "triples"):
+        for record in wrong[section].values():
+            record["a_hat"] = CLAIMS["wrong"](record["a_hat"])
+    once = Counter(system.nmat.rows for system in systems.values())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "RANK_PRIME", 2)
-        proofs = prove_nonsingular(systems)
-    fits = lg.fit_all_cells(cover, feature_map, 2)
-    assert all(proofs[cell] == fits[cell].base for cell in systems)
-    assert prove_nonsingular(systems) == dict.fromkeys(systems)
+        eliminations = count_eliminations(patch)
+        prove_nonsingular(systems)
+        assert Counter(eliminations) == once
+        assert fit_cells(systems, doc) == fits
+        assert Counter(eliminations) == once
+        assert fit_cells(systems, wrong) == fits
+        assert Counter(eliminations) == once + once
+    with pytest.MonkeyPatch.context() as patch:
+        eliminations = count_eliminations(patch)
+        prove_nonsingular(systems)
+    assert eliminations == []
