@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark the compiled (gmp) scalar backend against the pure-Python one.
 
-The package's inner loops are exact arithmetic: forward elimination with
-back-substitution over rationals, normal-system accumulation on integer
+The package's inner loops are exact arithmetic: forward elimination on
+integer rows with back-substitution, normal-system accumulation on integer
 numerators over a common denominator, and cocycle assembly.  This script
 times representative workloads under each backend in separate subprocesses
 (the backend is fixed at import time) and prints a comparison table:
 
-* ``solve_8x8``: six seeded 8x8 rational matrices, each solved with
-  ``solve_square`` against the 8 unit right-hand sides (the work of one
-  inverse per matrix), every solution checked by ``matvec``;
+* ``solve_8x8``: six seeded 8x8 rational matrices, each inverted by one
+  ``solve_square`` call against its 8 unit right-hand sides, so one
+  elimination per matrix, every solution checked by ``matvec``;
 * ``cocycle_60pt``: ``build_zero_cocycle`` on 60 points and three charts.
 
 Usage: python benchmarks/bench_backends.py [--repeat 5]
@@ -60,8 +60,7 @@ def workload_solve():
 
     def run():
         for m in mats:
-            for e_k in units:
-                x = lg.solve_square(m, e_k)
+            for e_k, x in zip(units, lg.solve_square(m, *units)):
                 assert m.matvec(x) == e_k
 
     return run

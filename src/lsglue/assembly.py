@@ -34,6 +34,10 @@ advisory metrics.
 One loop fits every cell (:func:`fit_cells`): a cell takes the ``"a_hat"``
 its record in a report claims when N·â = -ν holds exactly, and is solved by
 elimination otherwise.  ``cocycle`` passes no report (:func:`fit_all_cells`).
+The loop visits cells in (degree, names) order, so both charts of a pair are
+fitted before the pair and δ = â_j - â_i is known: the pair's N is
+eliminated once, against -ν and δ together, and β = N⁻¹δ comes from that
+elimination.  :func:`assemble_cochain` eliminates nothing.
 ``verify`` passes the report it checks, once :func:`prove_nonsingular` has
 shown every cell's N nonsingular, before the report is read, by its rank
 modulo a prime (``linalg.modular_rank``); a cell whose modular rank is short
@@ -58,7 +62,7 @@ from .koszul import (
     koszul_from_json,
     koszul_to_json,
 )
-from .linalg import Vector, modular_rank, solve_square
+from .linalg import Vector, modular_rank
 from .model import (
     FeatureMap,
     build_normal_system,
@@ -153,6 +157,16 @@ class DiscrepancyMetrics:
     mean_defect: float | None
 
 
+class CellFits(dict):
+    """``{cell: differential}`` from :func:`fit_cells`, in (degree, names)
+    order, with ``betas``: ``{pair: N⁻¹δ}`` for each pair cell the loop
+    solved, from the elimination that gave its â."""
+
+    def __init__(self):
+        super().__init__()
+        self.betas = {}
+
+
 def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
     """The normal system of every nerve cell up to ``max_degree``, in
     (degree, names) order.
@@ -181,10 +195,11 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
     }
 
 
-def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
+def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> CellFits:
     """Fit every nerve cell up to ``max_degree`` by elimination, ``{cell:
-    differential}``: :func:`fit_cells` of :func:`cell_normal_systems`, which
-    raises :class:`lsglue.errors.Singular` on the first degenerate cell."""
+    differential}`` with every pair's β: :func:`fit_cells` of
+    :func:`cell_normal_systems`, which raises :class:`lsglue.errors.Singular`
+    on the first degenerate cell."""
     return fit_cells(cell_normal_systems(cover, features, max_degree))
 
 
@@ -202,8 +217,8 @@ def prove_nonsingular(systems: dict) -> None:
             solve_least_squares(system, chart=cell.label)
 
 
-def fit_cells(systems: dict, doc=None) -> dict:
-    """``{cell: differential}`` for ``systems`` (:func:`cell_normal_systems`):
+def fit_cells(systems: dict, doc=None) -> CellFits:
+    """The fits of ``systems`` (:func:`cell_normal_systems`): for each cell
     the differential with base the cell's least-squares point â and matrix
     the cell's N.
 
@@ -211,13 +226,25 @@ def fit_cells(systems: dict, doc=None) -> dict:
     N·â = -ν holds exactly; that â is the fit only if N is nonsingular, so a
     report is passed only after :func:`prove_nonsingular`.  Any other cell is
     solved, which raises :class:`lsglue.errors.Singular` naming the first
-    degenerate cell in (degree, names) order.
+    degenerate cell in (degree, names) order.  The cells come in that order,
+    so a pair's charts are fitted before it and δ = â_j - â_i is known: a
+    pair is solved against -ν and δ in one elimination, and its β = N⁻¹δ is
+    kept in ``betas``.
     """
-    fits = {}
+    fits = CellFits()
+    bases = {}
     for cell, system in systems.items():
         a_hat = _claimed_a_hat(doc, cell, system.param_dim)
         if a_hat is None or system.nmat.matvec(a_hat) != -system.nu:
-            a_hat = solve_least_squares(system, chart=cell.label).a_hat
+            also = ()
+            if cell.degree == 1:
+                name_i, name_j = cell.chart_names
+                also = (bases[(name_j,)] - bases[(name_i,)],)
+            solution = solve_least_squares(system, chart=cell.label, also=also)
+            a_hat = solution.a_hat
+            if also:
+                fits.betas[cell] = solution.also[0]
+        bases[cell.chart_names] = a_hat
         fits[cell] = LinearizedDifferential(base=a_hat, nmat=system.nmat)
     return fits
 
@@ -279,31 +306,31 @@ def build_zero_cocycle(
     return assemble_cochain(fit_all_cells(cover, features, max_degree))
 
 
-def assemble_cochain(fits: dict) -> tuple[TotalCochain, ObstructionReport]:
-    """The cell-level cochain construction behind :func:`build_zero_cocycle`.
+def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:
+    """The cell-level cochain construction behind :func:`build_zero_cocycle`,
+    from the fits of :func:`fit_all_cells`.
 
     Everything is computed on vectors (module docstring): β = N⁻¹δ with
-    δ = â_j - â_i, each triple's defect is the alternating sum of its face β
-    vectors, and r is the zero element when that sum vanishes and None
-    otherwise.  The cochain is then rechecked by :func:`verify_cocycle`.
+    δ = â_j - â_i is the one the pair's fit solved for (``fits.betas``), each
+    triple's defect is the alternating sum of its face β vectors, and r is
+    the zero element when that sum vanishes and None otherwise.  No normal
+    matrix is eliminated here.  The cochain is then rechecked by
+    :func:`verify_cocycle`.
     """
     by_names = _cells_by_names(fits)
 
     alpha = {
         cell: canonical_alpha(fits[cell]) for cell in fits if cell.degree == 0
     }
-    beta_vectors, beta = {}, {}
+    beta = {}
     for cell in _sorted_cells(c for c in fits if c.degree == 1):
-        name_i, name_j = cell.chart_names
-        delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
-        vector = beta_vectors[cell] = solve_square(fits[cell].nmat, delta)
-        slots = {(m + 1,): value for m, value in enumerate(vector)}
+        slots = {(m + 1,): value for m, value in enumerate(fits.betas[cell])}
         beta[cell] = KoszulElement.from_constants(1, fits[cell].base, slots)
 
     r = {}
     for cell in _sorted_cells(c for c in fits if c.degree == 2):
         base = fits[cell].base
-        defect = _face_sum([beta_vectors[by_names[face]] for face in cell.faces()], base.dim)
+        defect = _face_sum([fits.betas[by_names[face]] for face in cell.faces()], base.dim)
         r[cell] = KoszulElement.zero(2, base) if defect.is_zero() else None
 
     cochain = TotalCochain(alpha=alpha, beta=beta, r=r)

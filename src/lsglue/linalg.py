@@ -2,14 +2,30 @@
 modular rank.
 
 All arithmetic is over the scalar backend from :mod:`lsglue.scalars`; nothing
-here ever touches floats.  :func:`solve_square` brings the system augmented by
-its right-hand side to row echelon form in one forward-elimination pass and
-counts the pivots; a count short of n is the rank carried by
-:class:`Singular`, and a full-rank system is solved by back-substitution.
-Pivoting takes the first nonzero entry scanning rows top-down (exact
-arithmetic needs no magnitude pivoting), which makes the solver
-deterministic; the solution of an invertible system is unique and rationals
-are canonical, so it does not depend on the elimination order anyway.
+here ever touches floats.  :func:`solve_square` brings a square system
+augmented by any number of right-hand sides to row echelon form in one
+forward-elimination pass and counts the pivots; a count short of n is the
+rank carried by :class:`Singular`, and a full-rank system is solved by
+back-substitution, every right-hand side at once.  Pivoting takes the first
+nonzero entry scanning rows top-down (exact arithmetic needs no magnitude
+pivoting), which makes the solver deterministic; the solution of an
+invertible system is unique and rationals are canonical, so it does not
+depend on the elimination order anyway.
+
+The elimination runs on integer rows; no rational is built until the
+solutions are.  Each right-hand side b is written as integers D·b over its
+own common denominator D, so the system solved is A·x' = D·b, and x = x'/D.
+Row i of [A | D₁b₁ ... D_kb_k] is multiplied by the least common denominator
+of row i of A alone and divided by the gcd of its entries.  A row below a
+pivot p, with f in the pivot column, becomes (p/g)·row - (f/g)·pivot row,
+g = gcd(p, f), and is again divided by the gcd of its entries.  Invariant:
+at every step, on every column still read, each integer row is a nonzero
+multiple of the row that elimination of [A | D₁b₁ ... D_kb_k] over the
+rationals would hold.  So the two have the same zero pattern, hence the
+same pivots, the same pivot count and the same unique solutions, and the
+output cannot differ by a byte from rational elimination.  A wide
+right-hand side does not widen the rows of A, and no gcd is taken per
+arithmetic operation.
 
 Dot products (:meth:`Matrix.matvec`) and squared norms
 (:meth:`Vector.norm_sq`) write each operand as integers over one common
@@ -24,7 +40,7 @@ proves nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -162,64 +178,95 @@ class Matrix:
         )
 
 
-def _row_echelon(rows: list[list]) -> int:
-    """In-place forward elimination of an n x n system augmented by its
-    right-hand side in column n.
+def _row_echelon(rows, columns) -> tuple[int, list]:
+    """Forward elimination of the n x n matrix with rows ``rows`` augmented
+    by the integer right-hand sides ``columns``, on integer rows.
 
-    Pivot choice: first nonzero entry scanning rows top-down, leftmost column
-    first.  Each row below a pivot p in column k loses ``r[k] / p`` times the
-    pivot row on the columns right of k, the right-hand side included;
-    entries at and left of a pivot column are left as they are, since nothing
-    reads them again.  Returns the number of pivots, the rank of the n x n
-    block; at full rank, pivot i sits at (i, i).
+    Row i of the work starts as L_i times row i of [A | columns], L_i the
+    least common denominator of row i of A, divided by its content (the gcd
+    of its entries).  Pivot choice: first nonzero entry scanning rows
+    top-down, leftmost column first.  Each row r below a pivot p in column k,
+    with f = r[k], becomes (p/g)·r - (f/g)·pivot row, g = gcd(p, f), on the
+    columns right of k, and is divided by its content; entries at and left
+    of a pivot column are left as they are, since nothing reads them again.
+    Returns the number of pivots, the rank of A, and the work rows; at full
+    rank, pivot i sits at (i, i).
     """
     nrows = len(rows)
+    work = []
+    for i, row in enumerate(rows):
+        nums, den = integer_row(row)
+        work.append(_primitive(nums + [den * column[i] for column in columns]))
     pivot_row = 0
     for col in range(nrows):
-        hit = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
+        hit = next((r for r in range(pivot_row, nrows) if work[r][col]), None)
         if hit is None:
             continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        pivot = rows[pivot_row][col]
-        tail = rows[pivot_row][col + 1 :]
-        for r in range(pivot_row + 1, nrows):
-            row = rows[r]
-            if row[col] != 0:
-                factor = row[col] / pivot
-                row[col + 1 :] = [
-                    a - factor * b if b else a for a, b in zip(row[col + 1 :], tail)
-                ]
+        work[pivot_row], work[hit] = work[hit], work[pivot_row]
+        pivot = work[pivot_row][col]
+        tail = work[pivot_row][col + 1 :]
+        for row in work[pivot_row + 1 :]:
+            factor = row[col]
+            if factor:
+                g = gcd(pivot, factor)
+                p, f = pivot // g, factor // g
+                row[col + 1 :] = _primitive(
+                    [p * a - f * b for a, b in zip(row[col + 1 :], tail)]
+                )
         pivot_row += 1
-    return pivot_row
+    return pivot_row, work
 
 
-def _back_substitute(rows: list[list], n: int) -> tuple:
-    """Solve the upper-triangular system left by :func:`_row_echelon` on a
-    full-rank n x n block, with the right-hand side in column n."""
-    x = [ZERO] * n
+def _primitive(row: list) -> list:
+    """``row`` divided by its content; a zero row is returned as it is."""
+    content = gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
+def _back_substitute(rows: list, n: int, col: int, den: int) -> tuple:
+    """Solve the upper-triangular integer system left by :func:`_row_echelon`
+    on a full-rank n x n block, against column ``col`` of the work rows, and
+    divide by ``den``, the denominator that column was cleared of.
+
+    The unknowns found so far are kept as integers over their least common
+    denominator q, so each step is one integer dot product, one gcd and one
+    lcm; one rational per unknown is built at the end.
+    """
+    x = [0] * n
+    q = 1
     for i in range(n - 1, -1, -1):
         row = rows[i]
-        acc = row[n]
-        for j in range(i + 1, n):
-            if row[j] != 0:
-                acc -= row[j] * x[j]
-        x[i] = acc / row[i]
-    return tuple(x)
+        num = row[col] * q - sum(map(mul, row[i + 1 : n], x[i + 1 :]))
+        d = row[i] * q
+        g = gcd(num, d)
+        num, d = num // g, d // g
+        common = lcm(q, d)
+        if common != q:
+            scale = common // q
+            x[i + 1 :] = [v * scale for v in x[i + 1 :]]
+            q = common
+        x[i] = num * (q // d)
+    return tuple(Rational(v, q * den) for v in x)
 
 
-def solve_square(a: Matrix, b: Vector) -> Vector:
-    """Solve A x = b exactly for square invertible A; raises :class:`Singular`
-    carrying the rank otherwise."""
+def solve_square(a: Matrix, *columns: Vector) -> tuple:
+    """Solve A x = b exactly for square invertible A and each right-hand side
+    b in ``columns``, in one elimination; the solutions come back in the
+    order of ``columns``.  Raises :class:`Singular` carrying the rank of A
+    when A is singular."""
     if not a.is_square:
         raise DimensionMismatch(f"solve_square needs a square matrix, got {a.nrows}x{a.ncols}")
-    if b.dim != a.nrows:
-        raise DimensionMismatch(f"rhs dim {b.dim} does not match {a.nrows} rows")
     n = a.nrows
-    work = [list(row) + [be] for row, be in zip(a.rows, b.entries)]
-    found = _row_echelon(work)
+    for b in columns:
+        if b.dim != n:
+            raise DimensionMismatch(f"rhs dim {b.dim} does not match {n} rows")
+    cleared = [integer_row(b.entries) for b in columns]
+    found, work = _row_echelon(a.rows, [nums for nums, _ in cleared])
     if found < n:
         raise Singular(f"matrix is singular (rank {found} < {n})", rank=found)
-    return Vector(_back_substitute(work, n))
+    return tuple(
+        Vector(_back_substitute(work, n, n + k, den)) for k, (_, den) in enumerate(cleared)
+    )
 
 
 def modular_rank(a: Matrix) -> int:

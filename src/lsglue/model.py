@@ -212,16 +212,22 @@ def _exact_sum(terms):
 
 @dataclass(frozen=True)
 class LSSolution:
-    """Exact least-squares parameters; ν + N·â = 0 at the solved weights."""
+    """Exact least-squares parameters; ν + N·â = 0 at the solved weights.
+    ``also`` holds N⁻¹v for each further right-hand side v the system was
+    solved against, in order."""
 
     a_hat: Vector
+    also: tuple = ()
 
 
-def solve_least_squares(system: NormalSystem, chart: str | None = None) -> LSSolution:
-    """Solve N·â = -ν exactly; raises :class:`Singular` carrying rank(N) when
-    the chart has too few effective points for the parameter dimension."""
+def solve_least_squares(
+    system: NormalSystem, chart: str | None = None, also: tuple = ()
+) -> LSSolution:
+    """Solve N·â = -ν exactly, and N·x = v for each v in ``also``, in one
+    elimination of N; raises :class:`Singular` carrying rank(N) when the
+    chart has too few effective points for the parameter dimension."""
     try:
-        a_hat = solve_square(system.nmat, -system.nu)
+        a_hat, *rest = solve_square(system.nmat, -system.nu, *also)
     except Singular as err:
         raise Singular(
             f"normal matrix is singular on {chart or 'chart'}"
@@ -229,7 +235,7 @@ def solve_least_squares(system: NormalSystem, chart: str | None = None) -> LSSol
             rank=err.rank,
             cell=chart,
         ) from None
-    return LSSolution(a_hat=a_hat)
+    return LSSolution(a_hat=a_hat, also=tuple(rest))
 
 
 def loss_eval(data, features: FeatureMap, a: Vector):

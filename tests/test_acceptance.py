@@ -67,11 +67,12 @@ def test_criterion_1_toy_exactness():
     pair = by_label["D1|D2"]
     assert pair.base == lg.Vector.of(["13/14", "12/7"])
     assert pair.nmat == lg.Matrix.of([[12, 4], [4, 6]])
-    # N^-1 = [[6, -4], [-4, 12]] / 56, column by column
-    for k, column in enumerate(([6, -4], [-4, 12])):
-        unit = lg.Vector.of([int(i == k) for i in range(2)])
-        inverse_column = lg.Vector.of([lg.rat(c) / 56 for c in column])
-        assert lg.solve_square(pair.nmat, unit) == inverse_column
+    # N^-1 = [[6, -4], [-4, 12]] / 56, both columns from one elimination
+    units = [lg.Vector.of([int(i == k) for i in range(2)]) for k in range(2)]
+    inverse = tuple(
+        lg.Vector.of([lg.rat(c) / 56 for c in column]) for column in ([6, -4], [-4, 12])
+    )
+    assert lg.solve_square(pair.nmat, *units) == inverse
 
     cochain, report = assemble_cochain(fits)
     (pair_cell,) = cochain.beta

@@ -750,15 +750,16 @@ def _zero_a_hats(doc):
     "command, spoil, eliminations",
     [
         ("fit", None, 14),
-        ("cocycle", None, 20),
+        ("cocycle", None, 14),
         ("verify", None, 0),
         ("verify", _zero_a_hats, 14),
     ],
     ids=["fit", "cocycle", "verify", "verify_a_hat_zeroed"],
 )
 def test_eliminations_per_command(capsys, tmp_path, monkeypatch, command, spoil, eliminations):
-    # quad3d has 14 cells and 6 pairs: fit solves each cell once and cocycle
-    # each pair's beta too; verify solves only the cells whose a_hat is wrong
+    # quad3d has 14 cells: fit and cocycle solve each cell once, a pair's
+    # beta in the same elimination as its a_hat; verify solves only the cells
+    # whose a_hat is wrong
     argv = [command, *QUAD_ARGV]
     if command == "verify":
         doc = json.loads((ROOT / "tests/golden/cocycle_quad3d.json").read_text())
@@ -770,9 +771,9 @@ def test_eliminations_per_command(capsys, tmp_path, monkeypatch, command, spoil,
     calls = []
     original = linalg._row_echelon
 
-    def counting(rows):
-        calls.append(len(rows))
-        return original(rows)
+    def counting(rows, columns):
+        calls.append(rows)
+        return original(rows, columns)
 
     monkeypatch.setattr(linalg, "_row_echelon", counting)
     code, out, err = run(capsys, argv)

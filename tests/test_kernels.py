@@ -1,15 +1,17 @@
 """The exact kernels against brute force, over random inputs.
 
 Elimination (``solve_square``) must agree with cofactor determinants and
-adjugate inverses: solved against each unit vector it must give that column of
-the inverse, including on matrices whose leading entries are zero, so that rows
-are swapped, and on singular matrices of every rank, where :class:`Singular`
-must carry the rank.  The modular rank must equal the cofactor rank, and may
-only fall below it under a small prime.  The integer-numerator ``matvec`` and
-``norm_sq`` must equal plain Fraction sums.  The normal-system accumulation
-behind ``build_normal_system`` must equal the direct sums of
-``oracles.normal_sums``, on the data, on its restriction to a chart and under
-fresh weights.
+adjugate inverses: solved against every unit vector and a further right-hand
+side in one call, it must give the columns of the inverse and A⁻¹b, including
+on matrices whose leading entries are zero, so that rows are swapped, on rows
+with mixed denominators, on right-hand sides far wider than the matrix, and on
+singular matrices of every rank, where :class:`Singular` must carry the rank
+whatever the number of right-hand sides.  The modular rank must equal the
+cofactor rank, and may only fall below it under a small prime.  The
+integer-numerator ``matvec`` and ``norm_sq`` must equal plain Fraction sums.
+The normal-system accumulation behind ``build_normal_system`` must equal the
+direct sums of ``oracles.normal_sums``, on the data, on its restriction to a
+chart and under fresh weights.
 """
 
 from fractions import Fraction
@@ -66,32 +68,46 @@ def _rows(matrix):
     return [oracles.as_fractions(row) for row in matrix.rows]
 
 
+wide_rhs = st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**64))
+
+
+@st.composite
+def square_systems(draw):
+    """(rows, b): a matrix from :func:`square_matrices` and a right-hand side
+    whose entries may have denominators far wider than the matrix's."""
+    rows = draw(square_matrices())
+    b = draw(st.lists(st.one_of(entries, wide_rhs), min_size=len(rows), max_size=len(rows)))
+    return rows, b
+
+
 @settings(max_examples=150, deadline=None)
-@given(square_matrices(), st.data())
-@example([[F(0), F(1)], [F(1), F(0)]], None)
-@example([[F(0), F(0), F(2)], [F(0), F(3), F(1)], [F(5), F(1), F(1)]], None)
-def test_elimination_matches_adjugate(rows, data):
+@given(square_systems())
+@example(([[F(0), F(1)], [F(1), F(0)]], [F(1, 2), F(1, 3)]))
+@example(([[F(0), F(0), F(2)], [F(0), F(3), F(1)], [F(5), F(1), F(1)]], [F(1)] * 3))
+# rows with mixed denominators, each cleared by its own lcm
+@example(([[F(1, 2), F(1, 3)], [F(-5, 6), F(7)]], [F(1, 7), F(-2, 5)]))
+# a right-hand side far wider than N, cleared apart from N's rows
+@example(([[F(2), F(1, 3)], [F(1), F(3)]], [F(1, 2**64 - 59), F(-(2**70), 2**61 - 1)]))
+# an all-zero right-hand side column
+@example(([[F(0), F(2), F(1)], [F(1, 4), F(0), F(1)], [F(1), F(1), F(0)]], [F(0)] * 3))
+def test_elimination_matches_adjugate(case):
+    # [e_1 ... e_n | b] in one call: column k of the result is column k of
+    # the inverse, and the last is A⁻¹b; a singular A raises with its rank
+    rows, b = case
     n = len(rows)
     a = lg.Matrix.of(rows)
-    b_entries = (
-        [F(1, k + 2) for k in range(n)]
-        if data is None
-        else data.draw(st.lists(entries, min_size=n, max_size=n))
-    )
-    units = [[F(int(i == k)) for i in range(n)] for k in range(n)]
+    columns = [lg.Vector.of([int(i == k) for i in range(n)]) for k in range(n)]
+    columns.append(lg.Vector.of(b))
     inverse = oracles.adjugate_inverse(rows)
     if inverse is None:
-        expected_rank = oracles.rank(rows)
-        for b in (b_entries, *units):
-            with pytest.raises(lg.Singular) as err:
-                lg.solve_square(a, lg.Vector.of(b))
-            assert err.value.rank == expected_rank
+        with pytest.raises(lg.Singular) as err:
+            lg.solve_square(a, *columns)
+        assert err.value.rank == oracles.rank(rows)
         return
-    for k, unit in enumerate(units):
-        column = lg.solve_square(a, lg.Vector.of(unit))
+    *inverse_columns, x = lg.solve_square(a, *columns)
+    for k, column in enumerate(inverse_columns):
         assert oracles.as_fractions(column) == [row[k] for row in inverse]
-    x = lg.solve_square(a, lg.Vector.of(b_entries))
-    assert oracles.as_fractions(x) == oracles.matvec(inverse, b_entries)
+    assert oracles.as_fractions(x) == oracles.matvec(inverse, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,12 +116,19 @@ def test_elimination_matches_adjugate(rows, data):
 @example(([[F(0), F(0)], [F(0), F(1)]], 1))
 @example(([[F(0), F(2), F(4)], [F(0), F(1), F(2)], [F(3), F(1), F(1)]], 2))
 def test_singular_carries_rank(case):
+    # the rank is the pivot count of A alone, however many right-hand sides
+    # are eliminated with it
     rows, bound = case
+    n = len(rows)
     expected = oracles.rank(rows)
     assert expected <= bound
-    with pytest.raises(lg.Singular) as err:
-        lg.solve_square(lg.Matrix.of(rows), lg.Vector.of([1] * len(rows)))
-    assert err.value.rank == expected
+    ones = lg.Vector.of([1] * n)
+    units = [lg.Vector.of([int(i == k) for i in range(n)]) for k in range(n)]
+    wide_column = lg.Vector.of([F(k + 1, 2**64 + k) for k in range(n)])
+    for columns in ([], [ones], [ones, *units, wide_column, lg.Vector.zeros(n)]):
+        with pytest.raises(lg.Singular) as err:
+            lg.solve_square(lg.Matrix.of(rows), *columns)
+        assert err.value.rank == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,13 +15,13 @@ import oracles
 
 
 def test_inverse_toy_overlap_matrix():
-    # N12^-1 = [[6, -4], [-4, 12]] / 56, solved one column at a time
+    # N12^-1 = [[6, -4], [-4, 12]] / 56, both columns from one elimination
     n12 = Matrix.of([[12, 4], [4, 6]])
     columns = [Vector.of([1, 0]), Vector.of([0, 1])]
-    expected = [Vector.of(["6/56", "-4/56"]), Vector.of(["-4/56", "12/56"])]
-    for e, col in zip(columns, expected):
-        x = solve_square(n12, e)
-        assert x == col
+    expected = (Vector.of(["6/56", "-4/56"]), Vector.of(["-4/56", "12/56"]))
+    solutions = solve_square(n12, *columns)
+    assert solutions == expected
+    for e, x in zip(columns, solutions):
         assert n12.matvec(x) == e
 
 
@@ -34,19 +34,19 @@ def test_inverse_singular():
 def test_solve_square_toy_delta():
     a = Matrix.of([[12, 4], [4, 6]])
     b = Vector.of(["127/210", "-68/105"])
-    x = solve_square(a, b)
+    (x,) = solve_square(a, b)
     assert x == Vector.of(["653/5880", "-1070/5880"])
     assert a.matvec(x) == b
 
 
 def test_solve_square_identity():
     b = Vector.of([3, "5/7"])
-    assert solve_square(Matrix.of([[1, 0], [0, 1]]), b) == b
+    assert solve_square(Matrix.of([[1, 0], [0, 1]]), b) == (b,)
 
 
 def test_solve_square_halved_overlap_sums():
     # Cramer by hand: det = 14, x = (27-14)/14, y = (42-18)/14
-    x = solve_square(Matrix.of([[6, 2], [2, 3]]), Vector.of([9, 7]))
+    (x,) = solve_square(Matrix.of([[6, 2], [2, 3]]), Vector.of([9, 7]))
     assert x == Vector.of(["13/14", "12/7"])
 
 
@@ -72,7 +72,7 @@ def test_random_solve_square_zero_residual():
         if oracles.det(rows) == 0:
             continue
         b = Vector.of([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
-        x = solve_square(a, b)
+        (x,) = solve_square(a, b)
         assert a.matvec(x) == b
         done += 1
 

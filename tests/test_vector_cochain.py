@@ -1,8 +1,10 @@
 """The vector cochain and its vector check against the Koszul reference.
 
-``assemble_cochain`` computes each beta as N⁻¹δ and each triple defect as the
-alternating sum of beta vectors, and sets r to zero or None from that sum
-alone; ``verify_cocycle`` checks the cocycle equations on the same vectors.
+Each pair's beta N⁻¹δ comes from the elimination that fits the pair, and
+must equal Cramer's rule; ``assemble_cochain`` takes it from there, computes
+each triple defect as the alternating sum of beta vectors, and sets r to zero
+or None from that sum alone; ``verify_cocycle`` checks the cocycle equations
+on the same vectors.
 Over random covers, the Koszul check of ``oracles.koszul_verify`` must agree:
 the transported defect has no linear part, its constants are the vector
 defect, r is the zero element exactly when that defect vanishes, and every
@@ -95,6 +97,10 @@ def fit_cover(case):
         return None
 
 
+def _rows(matrix):
+    return [oracles.as_fractions(row) for row in matrix.rows]
+
+
 @settings(max_examples=150, deadline=None)
 @with_examples
 @given(st.one_of(covers(), cored_covers()))
@@ -111,7 +117,9 @@ def test_vector_cochain_matches_koszul_transport(case):
     for cell in cochain.beta:
         name_i, name_j = cell.chart_names
         delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
-        beta[cell.chart_names] = lg.solve_square(fits[cell].nmat, delta)
+        beta[cell.chart_names] = lg.Vector.of(
+            oracles.cramer_solve(_rows(fits[cell].nmat), oracles.as_fractions(delta))
+        )
 
     for cell, witness in cochain.r.items():
         base = fits[cell].base
@@ -130,6 +138,45 @@ def test_vector_cochain_matches_koszul_transport(case):
         else:
             assert witness is None, cell.label
             assert report.triples[cell].obstructed
+
+
+@settings(max_examples=150, deadline=None)
+@with_examples
+@given(st.one_of(covers(), cored_covers()))
+def test_pair_beta_from_its_fit_is_the_cramer_solution(case):
+    # each pair is eliminated once, against -ν and δ: the β that elimination
+    # gives must be N⁻¹δ, and on a singular cover the loop must stop at the
+    # first singular cell in (degree, names) order with the pivot count of N
+    points, charts, features, _ = case
+    _, cover, feature_map = build(points, charts, features)
+    systems = cell_normal_systems(cover, feature_map, 2)
+    try:
+        fits = lg.fit_all_cells(cover, feature_map, 2)
+    except lg.Singular as err:
+        event("singular cover")
+        cell, system = next(
+            (cell, system)
+            for cell, system in systems.items()
+            if oracles.det(_rows(system.nmat)) == 0
+        )
+        rank, n = oracles.rank(_rows(system.nmat)), system.param_dim
+        assert (str(err), err.cell, err.rank) == (
+            f"normal matrix is singular on {cell.label} (rank {rank} < {n})",
+            cell.label,
+            rank,
+        )
+        return
+    by_names = _cells_by_names(fits)
+    pairs = [cell for cell in fits if cell.degree == 1]
+    assert set(fits.betas) == set(pairs)
+    cochain, _ = assemble_cochain(fits)
+    for cell in pairs:
+        name_i, name_j = cell.chart_names
+        delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
+        expected = oracles.cramer_solve(_rows(fits[cell].nmat), oracles.as_fractions(delta))
+        assert oracles.as_fractions(fits.betas[cell]) == expected, cell.label
+        constants = [cochain.beta[cell].coefficient((m,)).c0 for m in range(1, fits[cell].n + 1)]
+        assert oracles.as_fractions(constants) == expected, cell.label
 
 
 def _vector(draw, n):
@@ -234,9 +281,9 @@ def count_eliminations(patch) -> list:
     calls = []
     original = linalg._row_echelon
 
-    def counting(rows):
-        calls.append(tuple(tuple(row[:-1]) for row in rows))
-        return original(rows)
+    def counting(rows, columns):
+        calls.append(rows)
+        return original(rows, columns)
 
     patch.setattr(linalg, "_row_echelon", counting)
     return calls
