@@ -49,7 +49,6 @@ of the report, never depend on the claims.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import isfinite, ldexp, sqrt
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
@@ -62,7 +61,7 @@ from .koszul import (
     koszul_from_json,
     koszul_to_json,
 )
-from .linalg import Vector, modular_rank
+from .linalg import Frozen, Vector, modular_rank
 from .model import (
     FeatureMap,
     build_normal_system,
@@ -75,30 +74,42 @@ from .scalars import rat_float, rational_from_string
 _SECTIONS = ("charts", "pairs", "triples")
 
 
-@dataclass(frozen=True)
-class TotalCochain:
+class TotalCochain(Frozen):
     """(alpha, beta, r) keyed by nerve cell; an obstructed triple maps to None."""
 
-    alpha: dict
-    beta: dict
-    r: dict
+    __slots__ = ("alpha", "beta", "r")
+
+    def __init__(self, alpha: dict, beta: dict, r: dict):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(Frozen):
     """Exact verification data for one pairwise overlap."""
 
-    delta: Vector
-    beta_constants: Vector
-    residual: KoszulElement
+    __slots__ = ("delta", "beta_constants", "residual")
+
+    def __init__(self, delta: Vector, beta_constants: Vector, residual: KoszulElement):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "beta_constants", beta_constants)
+        object.__setattr__(self, "residual", residual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.delta == other.delta
+            and self.beta_constants == other.beta_constants
+            and self.residual == other.residual
+        )
 
     @property
     def residual_zero(self) -> bool:
         return self.residual.is_zero()
 
 
-@dataclass(frozen=True)
-class TripleCheck:
+class TripleCheck(Frozen):
     """Exact verification data for one triple overlap.
 
     ``outcome`` is "ok" (witness supplied), "constant_defect" (nonzero
@@ -107,10 +118,29 @@ class TripleCheck:
     which only an external cochain can make and which fails verification).
     """
 
-    defect_constant: Vector
-    witness: KoszulElement | None
-    residual: KoszulElement
-    outcome: str
+    __slots__ = ("defect_constant", "witness", "residual", "outcome")
+
+    def __init__(
+        self,
+        defect_constant: Vector,
+        witness: KoszulElement | None,
+        residual: KoszulElement,
+        outcome: str,
+    ):
+        object.__setattr__(self, "defect_constant", defect_constant)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "outcome", outcome)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.defect_constant == other.defect_constant
+            and self.witness == other.witness
+            and self.residual == other.residual
+            and self.outcome == other.outcome
+        )
 
     @property
     def residual_zero(self) -> bool:
@@ -121,10 +151,17 @@ class TripleCheck:
         return self.outcome != "ok"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    pairs: dict
-    triples: dict
+class ObstructionReport(Frozen):
+    __slots__ = ("pairs", "triples")
+
+    def __init__(self, pairs: dict, triples: dict):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "triples", triples)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs and self.triples == other.triples
 
     def all_pairs_zero(self) -> bool:
         return all(check.residual_zero for check in self.pairs.values())
@@ -141,26 +178,38 @@ class ObstructionReport:
         )
 
 
-@dataclass(frozen=True)
-class DiscrepancyMetrics:
+class DiscrepancyMetrics(Frozen):
     """Float summaries for triage; never consumed by exact computations.
 
     A field is None when there is nothing to summarize (no triples) or when
     the value lies beyond the float range.
     """
 
-    max_delta: float | None
-    mean_delta: float | None
-    max_beta: float | None
-    mean_beta: float | None
-    max_defect: float | None
-    mean_defect: float | None
+    __slots__ = (
+        "max_delta", "mean_delta", "max_beta", "mean_beta", "max_defect", "mean_defect"
+    )
+
+    def __init__(
+        self,
+        max_delta: float | None,
+        mean_delta: float | None,
+        max_beta: float | None,
+        mean_beta: float | None,
+        max_defect: float | None,
+        mean_defect: float | None,
+    ):
+        object.__setattr__(self, "max_delta", max_delta)
+        object.__setattr__(self, "mean_delta", mean_delta)
+        object.__setattr__(self, "max_beta", max_beta)
+        object.__setattr__(self, "mean_beta", mean_beta)
+        object.__setattr__(self, "max_defect", max_defect)
+        object.__setattr__(self, "mean_defect", mean_defect)
 
 
 class CellFits(dict):
     """``{cell: differential}`` from :func:`fit_cells`, in (degree, names)
     order, with ``betas``: ``{pair: N⁻¹δ}`` for each pair cell the loop
-    solved, from the elimination that gave its â."""
+    solved when asked for betas, from the elimination that gave its â."""
 
     def __init__(self):
         super().__init__()
@@ -195,12 +244,14 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
     }
 
 
-def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> CellFits:
+def fit_all_cells(
+    cover: Cover, features: FeatureMap, max_degree: int, betas: bool = True
+) -> CellFits:
     """Fit every nerve cell up to ``max_degree`` by elimination, ``{cell:
-    differential}`` with every pair's β: :func:`fit_cells` of
-    :func:`cell_normal_systems`, which raises :class:`lsglue.errors.Singular`
-    on the first degenerate cell."""
-    return fit_cells(cell_normal_systems(cover, features, max_degree))
+    differential}``, with every pair's β unless ``betas`` is false:
+    :func:`fit_cells` of :func:`cell_normal_systems`, which raises
+    :class:`lsglue.errors.Singular` on the first degenerate cell."""
+    return fit_cells(cell_normal_systems(cover, features, max_degree), betas=betas)
 
 
 def prove_nonsingular(systems: dict) -> None:
@@ -217,7 +268,7 @@ def prove_nonsingular(systems: dict) -> None:
             solve_least_squares(system, chart=cell.label)
 
 
-def fit_cells(systems: dict, doc=None) -> CellFits:
+def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
     """The fits of ``systems`` (:func:`cell_normal_systems`): for each cell
     the differential with base the cell's least-squares point â and matrix
     the cell's N.
@@ -227,9 +278,10 @@ def fit_cells(systems: dict, doc=None) -> CellFits:
     report is passed only after :func:`prove_nonsingular`.  Any other cell is
     solved, which raises :class:`lsglue.errors.Singular` naming the first
     degenerate cell in (degree, names) order.  The cells come in that order,
-    so a pair's charts are fitted before it and δ = â_j - â_i is known: a
-    pair is solved against -ν and δ in one elimination, and its β = N⁻¹δ is
-    kept in ``betas``.
+    so a pair's charts are fitted before it and δ = â_j - â_i is known: with
+    ``betas``, a pair is solved against -ν and δ in one elimination, and its
+    β = N⁻¹δ is kept in ``fits.betas``; without, it is solved against -ν
+    alone.
     """
     fits = CellFits()
     bases = {}
@@ -237,7 +289,7 @@ def fit_cells(systems: dict, doc=None) -> CellFits:
         a_hat = _claimed_a_hat(doc, cell, system.param_dim)
         if a_hat is None or system.nmat.matvec(a_hat) != -system.nu:
             also = ()
-            if cell.degree == 1:
+            if betas and cell.degree == 1:
                 name_i, name_j = cell.chart_names
                 also = (bases[(name_j,)] - bases[(name_i,)],)
             solution = solve_least_squares(system, chart=cell.label, also=also)
@@ -498,12 +550,16 @@ def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport)
         for cell, check in report.triples.items()
     }
     metrics = discrepancy_metrics(report)
-    return {
-        "charts": charts,
-        "pairs": pairs,
-        "triples": triples,
-        "metrics": None if metrics is None else asdict(metrics),
-    }
+    if metrics is not None:
+        metrics = {
+            "max_delta": metrics.max_delta,
+            "mean_delta": metrics.mean_delta,
+            "max_beta": metrics.max_beta,
+            "mean_beta": metrics.mean_beta,
+            "max_defect": metrics.max_defect,
+            "mean_defect": metrics.mean_defect,
+        }
+    return {"charts": charts, "pairs": pairs, "triples": triples, "metrics": metrics}
 
 
 def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from pathlib import Path
 
 from .assembly import (
     ObstructionReport,
@@ -106,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as err:
         raise LsglueError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
@@ -162,7 +162,8 @@ def _load_inputs(args):
 
 def _emit(args, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
 
@@ -245,7 +246,7 @@ def _dump_failures(report: ObstructionReport) -> None:
 
 def _cmd_fit(args) -> int:
     _, cover, features = _load_inputs(args)
-    fits = fit_all_cells(cover, features, args.max_degree)
+    fits = fit_all_cells(cover, features, args.max_degree, betas=False)
     doc = fits_to_json(fits)
     _emit(args, _json_text(doc) if args.format == "json" else _render_fit_text(doc))
     return _EXIT_OK
@@ -279,7 +280,7 @@ def _certified_cochain(args, cover: Cover, features) -> tuple:
     systems = cell_normal_systems(cover, features, args.max_degree)
     prove_nonsingular(systems)
     doc = _read_json(args.cochain)
-    fits = fit_cells(systems, doc)
+    fits = fit_cells(systems, doc, betas=False)
     return fits, cochain_from_json(doc, fits)
 
 

@@ -14,40 +14,56 @@ proportional to its size rather than by testing every chart tuple.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover
-from .linalg import Vector
+from .linalg import Frozen, Vector
 from .scalars import ZERO, rat, rational_from_string
 
 # The most chart subsets enumerate_nerve may visit; the wide_nerve benchmark visits 1392.
 MAX_NERVE_VISITS = 10**6
 
 
-@dataclass(frozen=True)
-class WeightedPoint:
-    x: Vector
-    y: object  # Rational
-    weight: object  # Rational
+class WeightedPoint(Frozen):
+    __slots__ = ("x", "y", "weight")
+
+    def __init__(self, x: Vector, y, weight):
+        # y and weight are rationals
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.weight == other.weight
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.weight))
 
 
-@dataclass(frozen=True)
-class WeightedDataSet:
-    points: tuple
-    ambient_dim: int
+class WeightedDataSet(Frozen):
+    __slots__ = ("points", "ambient_dim")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple, ambient_dim: int):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         for p in self.points:
             if p.x.dim != self.ambient_dim:
                 raise DimensionMismatch(
                     f"point with dim {p.x.dim} in data set of ambient dim {self.ambient_dim}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points and self.ambient_dim == other.ambient_dim
+
+    def __hash__(self):
+        return hash((self.points, self.ambient_dim))
 
     @classmethod
     def of(cls, rows: Iterable, ambient_dim: int | None = None) -> "WeightedDataSet":
@@ -97,12 +113,13 @@ def restrict(data: WeightedDataSet, keep: Iterable[int]) -> WeightedDataSet:
     return WeightedDataSet(points, data.ambient_dim)
 
 
-@dataclass(frozen=True)
-class Cover:
-    base: WeightedDataSet
-    charts: tuple  # of (name, frozenset of 1-based indices) pairs, file order
+class Cover(Frozen):
+    # no __slots__: the cached ``atoms`` is kept in the instance __dict__
 
-    def __post_init__(self):
+    def __init__(self, base: WeightedDataSet, charts: tuple):
+        # charts: (name, frozenset of 1-based indices) pairs, in file order
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "charts", charts)
         names = [name for name, _ in self.charts]
         if len(set(names)) != len(names):
             raise LsglueError("duplicate chart names in cover")
@@ -150,12 +167,25 @@ def validate_cover(cover: Cover) -> None:
         raise NotACover(missing)
 
 
-@dataclass(frozen=True)
-class NerveCell:
+class NerveCell(Frozen):
     """k+1 charts with nonempty common index intersection (degree k)."""
 
-    chart_names: tuple
-    indices: frozenset
+    __slots__ = ("chart_names", "indices")
+
+    def __init__(self, chart_names: tuple, indices: frozenset):
+        object.__setattr__(self, "chart_names", chart_names)
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.chart_names == other.chart_names and self.indices == other.indices
+
+    def __hash__(self):
+        return hash((self.chart_names, self.indices))
+
+    def __repr__(self):
+        return f"NerveCell({self.chart_names!r}, {self.indices!r})"
 
     @property
     def degree(self) -> int:
@@ -247,6 +277,9 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
 
 def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> WeightedDataSet:
     """Parse CSV with header ``x1,...,xN,y,weight``."""
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

@@ -25,21 +25,34 @@ closes the module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import BaseMismatch, DegreeZero, DimensionMismatch, LsglueError
-from .linalg import Matrix, Vector
+from .linalg import Frozen, Matrix, Vector
 from .scalars import ZERO, rat, rat_str, rational_from_string
 
 
-@dataclass(frozen=True)
-class LinearizedElement:
+class LinearizedElement(Frozen):
     """c0 + c·(a - â), taken modulo quadratic terms in (a - â), for the base
     point â of the element it belongs to."""
 
-    c0: object  # Rational
-    c: Vector
+    __slots__ = ("c0", "c")
+
+    def __init__(self, c0, c: Vector):
+        # c0 is a rational
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.c0 == other.c0 and self.c == other.c
+
+    def __hash__(self):
+        return hash((self.c0, self.c))
+
+    def __repr__(self):
+        return f"LinearizedElement({self.c0!r}, {self.c!r})"
 
     @classmethod
     def constant(cls, n: int, value) -> "LinearizedElement":
@@ -71,14 +84,32 @@ def ring_mul(u: LinearizedElement, v: LinearizedElement) -> LinearizedElement:
     return LinearizedElement(u.c0 * v.c0, v.c.scale(u.c0) + u.c.scale(v.c0))
 
 
-@dataclass(frozen=True)
-class KoszulElement:
+class KoszulElement(Frozen):
     """Degree-p element at ``base``: coefficients on strictly increasing
     p-tuples of the wedge slots 1..n, n = base.dim; absent tuples are zero."""
 
-    degree: int
-    base: Vector
-    coeffs: Mapping
+    __slots__ = ("degree", "base", "coeffs")
+
+    def __init__(self, degree: int, base: Vector, coeffs: Mapping):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.degree == other.degree
+            and self.base == other.base
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        # raises TypeError for a dict of coefficients, as any unhashable field does
+        return hash((self.degree, self.base, self.coeffs))
+
+    def __repr__(self):
+        return f"KoszulElement({self.degree!r}, {self.base!r}, {self.coeffs!r})"
 
     @property
     def n(self) -> int:
@@ -147,16 +178,24 @@ class KoszulElement:
         )
 
 
-@dataclass(frozen=True)
-class LinearizedDifferential:
+class LinearizedDifferential(Frozen):
     """Interior multiplication data: component i is η^i = N_i·(a - base)."""
 
-    base: Vector
-    nmat: Matrix
+    __slots__ = ("base", "nmat")
 
-    def __post_init__(self):
+    def __init__(self, base: Vector, nmat: Matrix):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "nmat", nmat)
         if not self.nmat.is_square or self.nmat.nrows != self.base.dim:
             raise DimensionMismatch("differential matrix must be n x n at an n-dim base")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.nmat == other.nmat
+
+    def __hash__(self):
+        return hash((self.base, self.nmat))
 
     @property
     def n(self) -> int:

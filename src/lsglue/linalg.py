@@ -39,10 +39,9 @@ proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, Singular
 from .scalars import ZERO, Rational, rat, rat_float, rat_str
@@ -59,11 +58,38 @@ def integer_row(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-@dataclass(frozen=True)
-class Vector:
+class Frozen:
+    """Base of the package's immutable classes: a subclass sets its attributes
+    once, in ``__init__``, through ``object.__setattr__``; any later
+    assignment or deletion raises :class:`AttributeError`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vector(Frozen):
     """Immutable exact vector; entries are backend rationals."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"Vector({self.entries!r})"
 
     @classmethod
     def of(cls, values: Iterable) -> "Vector":
@@ -126,18 +152,29 @@ class Vector:
             )
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Immutable exact matrix, row-major; ``ncols`` is explicit so zero-row
     matrices keep their width."""
 
-    rows: tuple
-    ncols: int
+    __slots__ = ("rows", "ncols")
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple, ncols: int):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
         for row in self.rows:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged matrix rows")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.ncols == other.ncols
+
+    def __hash__(self):
+        return hash((self.rows, self.ncols))
+
+    def __repr__(self):
+        return f"Matrix({self.rows!r}, {self.ncols!r})"
 
     @classmethod
     def of(cls, rows: Iterable[Iterable], ncols: int | None = None) -> "Matrix":

@@ -27,24 +27,23 @@ every scalar backend takes the same path.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cache
 from math import gcd
-from typing import Iterable
 
 from .errors import DimensionMismatch, LsglueError, Singular
-from .linalg import Matrix, Vector, integer_row, solve_square
+from .linalg import Frozen, Matrix, Vector, integer_row, solve_square
 from .scalars import ONE, ZERO, Rational, over_digit_limit
 
 
-@dataclass(frozen=True)
-class FeatureMap:
+class FeatureMap(Frozen):
     """Monomial features: one exponent vector over the ambient coordinates per
     parameter slot."""
 
-    monomials: tuple
+    __slots__ = ("monomials",)
 
-    def __post_init__(self):
+    def __init__(self, monomials: tuple):
+        object.__setattr__(self, "monomials", monomials)
         if not self.monomials:
             raise LsglueError("feature map needs at least one monomial")
         width = len(self.monomials[0])
@@ -53,6 +52,14 @@ class FeatureMap:
                 raise DimensionMismatch("monomial exponent vectors have mixed lengths")
             if any((not isinstance(e, int)) or e < 0 for e in mono):
                 raise LsglueError("monomial exponents must be nonnegative integers")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.monomials == other.monomials
+
+    def __hash__(self):
+        return hash((self.monomials,))
 
     @classmethod
     def of(cls, exponents: Iterable[Iterable[int]]) -> "FeatureMap":
@@ -116,12 +123,14 @@ def affine_features(ambient_dim: int) -> FeatureMap:
     return FeatureMap(tuple(coords) + ((0,) * ambient_dim,))
 
 
-@dataclass(frozen=True)
-class NormalSystem:
+class NormalSystem(Frozen):
     """The pair (ν, N) of one weighted data set."""
 
-    nu: Vector
-    nmat: Matrix
+    __slots__ = ("nu", "nmat")
+
+    def __init__(self, nu: Vector, nmat: Matrix):
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nmat", nmat)
 
     @property
     def param_dim(self) -> int:
@@ -210,14 +219,16 @@ def _exact_sum(terms):
     return Rational(sum(nums), den)
 
 
-@dataclass(frozen=True)
-class LSSolution:
+class LSSolution(Frozen):
     """Exact least-squares parameters; ν + N·â = 0 at the solved weights.
     ``also`` holds N⁻¹v for each further right-hand side v the system was
     solved against, in order."""
 
-    a_hat: Vector
-    also: tuple = ()
+    __slots__ = ("a_hat", "also")
+
+    def __init__(self, a_hat: Vector, also: tuple = ()):
+        object.__setattr__(self, "a_hat", a_hat)
+        object.__setattr__(self, "also", also)
 
 
 def solve_least_squares(

@@ -747,19 +747,22 @@ def _zero_a_hats(doc):
 
 
 @pytest.mark.parametrize(
-    "command, spoil, eliminations",
+    "command, spoil, eliminations, columns",
     [
-        ("fit", None, 14),
-        ("cocycle", None, 14),
-        ("verify", None, 0),
-        ("verify", _zero_a_hats, 14),
+        ("fit", None, 14, [1] * 14),
+        ("cocycle", None, 14, [1] * 4 + [2] * 6 + [1] * 4),
+        ("verify", None, 0, []),
+        ("verify", _zero_a_hats, 14, [1] * 14),
     ],
     ids=["fit", "cocycle", "verify", "verify_a_hat_zeroed"],
 )
-def test_eliminations_per_command(capsys, tmp_path, monkeypatch, command, spoil, eliminations):
-    # quad3d has 14 cells: fit and cocycle solve each cell once, a pair's
-    # beta in the same elimination as its a_hat; verify solves only the cells
-    # whose a_hat is wrong
+def test_eliminations_per_command(
+    capsys, tmp_path, monkeypatch, command, spoil, eliminations, columns
+):
+    # quad3d has 4 charts, 6 pairs and 4 triples: fit and cocycle solve each
+    # cell once, cocycle a pair's beta in the same elimination as its a_hat
+    # (right-hand sides -nu and delta); verify solves only the cells whose
+    # a_hat is wrong, and none of them for a beta
     argv = [command, *QUAD_ARGV]
     if command == "verify":
         doc = json.loads((ROOT / "tests/golden/cocycle_quad3d.json").read_text())
@@ -771,15 +774,16 @@ def test_eliminations_per_command(capsys, tmp_path, monkeypatch, command, spoil,
     calls = []
     original = linalg._row_echelon
 
-    def counting(rows, columns):
-        calls.append(rows)
-        return original(rows, columns)
+    def counting(rows, rhs):
+        calls.append(len(rhs))
+        return original(rows, rhs)
 
     monkeypatch.setattr(linalg, "_row_echelon", counting)
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert out == (ROOT / f"tests/golden/{command}_quad3d.json").read_text()
     assert len(calls) == eliminations
+    assert calls == columns
 
 
 @pytest.mark.parametrize(
@@ -810,3 +814,32 @@ def test_oversized_nerve_exit_1_without_listing_it(files, command, charts, max_d
         f"error: the nerve up to degree {max_degree} would visit more than"
         " 1000000 chart subsets\n"
     )
+
+
+def test_os_errors_exit_1_with_their_message(files, capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, ["fit", "--dataset", missing])
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    dataset = files("d.json", TOY_DATASET)
+    code, out, err = run(capsys, ["fit", "--dataset", dataset, "--output", str(tmp_path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+def test_import_loads_no_module_the_cli_does_not_use():
+    # started as the benchmark starts it: without site, from src, and with no
+    # PYTHON* variable of the calling environment
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, lsglue.cli; print(*sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "lsglue.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "pathlib", "typing", "csv"} == set()

@@ -191,3 +191,25 @@ def test_cover_json(toy_dataset):
 def test_duplicate_chart_names(toy_dataset):
     with pytest.raises(lg.LsglueError):
         lg.Cover.of(toy_dataset, [("D", [1, 2, 3, 4, 5]), ("D", [1, 2])])
+
+
+@pytest.mark.parametrize("name", ["", "D1|D2"])
+def test_reserved_chart_names(toy_dataset, name):
+    with pytest.raises(lg.LsglueError, match="must be nonempty and free of '|'"):
+        lg.Cover(toy_dataset, ((name, frozenset({1, 2, 3, 4, 5})),))
+
+
+def test_point_dimension_must_match_the_data_set():
+    point = lg.WeightedPoint(lg.Vector.of([1, 2]), lg.rat(0), lg.rat(1))
+    with pytest.raises(lg.DimensionMismatch, match="point with dim 2"):
+        lg.WeightedDataSet((point,), 1)
+
+
+def test_nerve_cells_are_values(toy_cover):
+    cell = enumerate_nerve(toy_cover, 1)[2]
+    same = lg.NerveCell(("D1", "D2"), frozenset({2, 3, 4}))
+    assert cell == same and hash(cell) == hash(same)
+    assert cell != lg.NerveCell(("D1", "D2"), frozenset({2, 3}))
+    assert {cell: 1}[same] == 1
+    with pytest.raises(AttributeError):
+        cell.indices = frozenset()

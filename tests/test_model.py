@@ -208,6 +208,13 @@ def test_model_from_json():
         model_from_json({"features": "monomials", "exponents": [[1, 0]]}, 1)
 
 
+def test_feature_map_checks_its_monomials():
+    with pytest.raises(lg.LsglueError, match="at least one monomial"):
+        lg.FeatureMap(())
+    with pytest.raises(lg.DimensionMismatch, match="mixed lengths"):
+        lg.FeatureMap(((1,), (1, 0)))
+
+
 def test_singular_chart_eliminates_once(toy_dataset, affine1, monkeypatch):
     # the rank in the message and on the error is the solver's own pivot count
     calls = []
