@@ -9,7 +9,6 @@ computed and verified in exact rational arithmetic.
 """
 
 from .assembly import (
-    DiscrepancyMetrics,
     ObstructionReport,
     PairCheck,
     TotalCochain,

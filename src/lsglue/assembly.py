@@ -37,6 +37,7 @@ elimination otherwise.  ``cocycle`` passes no report (:func:`fit_all_cells`).
 The loop visits cells in (degree, names) order, so both charts of a pair are
 fitted before the pair and δ = â_j - â_i is known: the pair's N is
 eliminated once, against -ν and δ together, and β = N⁻¹δ comes from that
+elimination; so a pair solved for its β takes no claim, which would save no
 elimination.  :func:`assemble_cochain` eliminates nothing.
 ``verify`` passes the report it checks, once :func:`prove_nonsingular` has
 shown every cell's N nonsingular, before the report is read, by its rank
@@ -61,7 +62,7 @@ from .koszul import (
     koszul_from_json,
     koszul_to_json,
 )
-from .linalg import Frozen, Vector, modular_rank
+from .linalg import Frozen, Value, Vector, modular_rank
 from .model import (
     FeatureMap,
     build_normal_system,
@@ -85,31 +86,23 @@ class TotalCochain(Frozen):
         object.__setattr__(self, "r", r)
 
 
-class PairCheck(Frozen):
+class PairCheck(Value):
     """Exact verification data for one pairwise overlap."""
 
     __slots__ = ("delta", "beta_constants", "residual")
+    __hash__ = None
 
     def __init__(self, delta: Vector, beta_constants: Vector, residual: KoszulElement):
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "beta_constants", beta_constants)
         object.__setattr__(self, "residual", residual)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.delta == other.delta
-            and self.beta_constants == other.beta_constants
-            and self.residual == other.residual
-        )
-
     @property
     def residual_zero(self) -> bool:
         return self.residual.is_zero()
 
 
-class TripleCheck(Frozen):
+class TripleCheck(Value):
     """Exact verification data for one triple overlap.
 
     ``outcome`` is "ok" (witness supplied), "constant_defect" (nonzero
@@ -119,6 +112,7 @@ class TripleCheck(Frozen):
     """
 
     __slots__ = ("defect_constant", "witness", "residual", "outcome")
+    __hash__ = None
 
     def __init__(
         self,
@@ -132,16 +126,6 @@ class TripleCheck(Frozen):
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "outcome", outcome)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.defect_constant == other.defect_constant
-            and self.witness == other.witness
-            and self.residual == other.residual
-            and self.outcome == other.outcome
-        )
-
     @property
     def residual_zero(self) -> bool:
         return self.residual.is_zero()
@@ -151,17 +135,13 @@ class TripleCheck(Frozen):
         return self.outcome != "ok"
 
 
-class ObstructionReport(Frozen):
+class ObstructionReport(Value):
     __slots__ = ("pairs", "triples")
+    __hash__ = None
 
     def __init__(self, pairs: dict, triples: dict):
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "triples", triples)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs and self.triples == other.triples
 
     def all_pairs_zero(self) -> bool:
         return all(check.residual_zero for check in self.pairs.values())
@@ -176,34 +156,6 @@ class ObstructionReport(Frozen):
             check.residual_zero and check.outcome != "inconsistent"
             for check in self.triples.values()
         )
-
-
-class DiscrepancyMetrics(Frozen):
-    """Float summaries for triage; never consumed by exact computations.
-
-    A field is None when there is nothing to summarize (no triples) or when
-    the value lies beyond the float range.
-    """
-
-    __slots__ = (
-        "max_delta", "mean_delta", "max_beta", "mean_beta", "max_defect", "mean_defect"
-    )
-
-    def __init__(
-        self,
-        max_delta: float | None,
-        mean_delta: float | None,
-        max_beta: float | None,
-        mean_beta: float | None,
-        max_defect: float | None,
-        mean_defect: float | None,
-    ):
-        object.__setattr__(self, "max_delta", max_delta)
-        object.__setattr__(self, "mean_delta", mean_delta)
-        object.__setattr__(self, "max_beta", max_beta)
-        object.__setattr__(self, "mean_beta", mean_beta)
-        object.__setattr__(self, "max_defect", max_defect)
-        object.__setattr__(self, "mean_defect", mean_defect)
 
 
 class CellFits(dict):
@@ -273,25 +225,26 @@ def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
     the differential with base the cell's least-squares point â and matrix
     the cell's N.
 
-    A cell takes the ``"a_hat"`` of its record in the report ``doc`` when
-    N·â = -ν holds exactly; that â is the fit only if N is nonsingular, so a
-    report is passed only after :func:`prove_nonsingular`.  Any other cell is
-    solved, which raises :class:`lsglue.errors.Singular` naming the first
-    degenerate cell in (degree, names) order.  The cells come in that order,
-    so a pair's charts are fitted before it and δ = â_j - â_i is known: with
-    ``betas``, a pair is solved against -ν and δ in one elimination, and its
-    β = N⁻¹δ is kept in ``fits.betas``; without, it is solved against -ν
-    alone.
+    The cells come in (degree, names) order, so a pair's charts are fitted
+    before it and δ = â_j - â_i is known: with ``betas``, a pair is solved
+    against -ν and δ in one elimination, and its β = N⁻¹δ is kept in
+    ``fits.betas``; without, it is solved against -ν alone.  Any other cell
+    takes the ``"a_hat"`` of its record in the report ``doc`` when N·â = -ν
+    holds exactly; that â is the fit only if N is nonsingular, so a report is
+    passed only after :func:`prove_nonsingular`.  A cell without such a
+    claim is solved, which raises :class:`lsglue.errors.Singular` naming the
+    first degenerate cell in that order.
     """
     fits = CellFits()
     bases = {}
     for cell, system in systems.items():
-        a_hat = _claimed_a_hat(doc, cell, system.param_dim)
+        also = ()
+        if betas and cell.degree == 1:
+            name_i, name_j = cell.chart_names
+            also = (bases[(name_j,)] - bases[(name_i,)],)
+        # a cell that needs β is eliminated anyway, so its claim would save nothing
+        a_hat = None if also else _claimed_a_hat(doc, cell, system.param_dim)
         if a_hat is None or system.nmat.matvec(a_hat) != -system.nu:
-            also = ()
-            if betas and cell.degree == 1:
-                name_i, name_j = cell.chart_names
-                also = (bases[(name_j,)] - bases[(name_i,)],)
             solution = solve_least_squares(system, chart=cell.label, also=also)
             a_hat = solution.a_hat
             if also:
@@ -466,17 +419,27 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
     return ObstructionReport(pairs=pairs, triples=triples)
 
 
-def discrepancy_metrics(report: ObstructionReport) -> DiscrepancyMetrics | None:
-    """Float max/mean of the pair and triple discrepancy norms; None when the
-    cover has no pairwise overlaps."""
+def discrepancy_metrics(report: ObstructionReport) -> dict | None:
+    """Float max/mean of the pair and triple discrepancy norms, the report's
+    ``"metrics"``: ``max_delta``, ``mean_delta``, ``max_beta``, ``mean_beta``,
+    ``max_defect`` and ``mean_defect``, in that order; None when the cover
+    has no pairwise overlaps.
+
+    Float summaries for triage; never consumed by exact computations.  A
+    value is None when there is nothing to summarize (no triples) or when it
+    lies beyond the float range.
+    """
     if not report.pairs:
         return None
     pairs, triples = report.pairs.values(), report.triples.values()
-    return DiscrepancyMetrics(
-        *_max_mean([_l2(check.delta) for check in pairs]),
-        *_max_mean([_l2(check.beta_constants) for check in pairs]),
-        *_max_mean([_l2(check.defect_constant) for check in triples]),
-    )
+    metrics = {}
+    for name, norms in (
+        ("delta", [_l2(check.delta) for check in pairs]),
+        ("beta", [_l2(check.beta_constants) for check in pairs]),
+        ("defect", [_l2(check.defect_constant) for check in triples]),
+    ):
+        metrics[f"max_{name}"], metrics[f"mean_{name}"] = _max_mean(norms)
+    return metrics
 
 
 def _max_mean(norms: list) -> tuple:
@@ -550,15 +513,6 @@ def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport)
         for cell, check in report.triples.items()
     }
     metrics = discrepancy_metrics(report)
-    if metrics is not None:
-        metrics = {
-            "max_delta": metrics.max_delta,
-            "mean_delta": metrics.mean_delta,
-            "max_beta": metrics.max_beta,
-            "mean_beta": metrics.mean_beta,
-            "max_defect": metrics.max_defect,
-            "mean_defect": metrics.mean_defect,
-        }
     return {"charts": charts, "pairs": pairs, "triples": triples, "metrics": metrics}
 
 

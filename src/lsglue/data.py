@@ -20,14 +20,14 @@ from itertools import chain, combinations
 from math import comb
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover
-from .linalg import Frozen, Vector
+from .linalg import Frozen, Value, Vector
 from .scalars import ZERO, rat, rational_from_string
 
 # The most chart subsets enumerate_nerve may visit; the wide_nerve benchmark visits 1392.
 MAX_NERVE_VISITS = 10**6
 
 
-class WeightedPoint(Frozen):
+class WeightedPoint(Value):
     __slots__ = ("x", "y", "weight")
 
     def __init__(self, x: Vector, y, weight):
@@ -36,16 +36,8 @@ class WeightedPoint(Frozen):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "weight", weight)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y and self.weight == other.weight
 
-    def __hash__(self):
-        return hash((self.x, self.y, self.weight))
-
-
-class WeightedDataSet(Frozen):
+class WeightedDataSet(Value):
     __slots__ = ("points", "ambient_dim")
 
     def __init__(self, points: tuple, ambient_dim: int):
@@ -56,14 +48,6 @@ class WeightedDataSet(Frozen):
                 raise DimensionMismatch(
                     f"point with dim {p.x.dim} in data set of ambient dim {self.ambient_dim}"
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points and self.ambient_dim == other.ambient_dim
-
-    def __hash__(self):
-        return hash((self.points, self.ambient_dim))
 
     @classmethod
     def of(cls, rows: Iterable, ambient_dim: int | None = None) -> "WeightedDataSet":
@@ -167,7 +151,7 @@ def validate_cover(cover: Cover) -> None:
         raise NotACover(missing)
 
 
-class NerveCell(Frozen):
+class NerveCell(Value):
     """k+1 charts with nonempty common index intersection (degree k)."""
 
     __slots__ = ("chart_names", "indices")
@@ -175,17 +159,6 @@ class NerveCell(Frozen):
     def __init__(self, chart_names: tuple, indices: frozenset):
         object.__setattr__(self, "chart_names", chart_names)
         object.__setattr__(self, "indices", indices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.chart_names == other.chart_names and self.indices == other.indices
-
-    def __hash__(self):
-        return hash((self.chart_names, self.indices))
-
-    def __repr__(self):
-        return f"NerveCell({self.chart_names!r}, {self.indices!r})"
 
     @property
     def degree(self) -> int:
@@ -277,14 +250,10 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
 
 def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> WeightedDataSet:
     """Parse CSV with header ``x1,...,xN,y,weight``."""
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LsglueError("empty CSV dataset") from None
+    reader = _csv_rows(text)
+    header = next(reader, None)
+    if header is None:
+        raise LsglueError("empty CSV dataset")
     header = [h.strip() for h in header]
     if len(header) < 3 or header[-1] != "weight" or header[-2] != "y":
         raise LsglueError("CSV header must be x1,...,xN,y,weight")
@@ -307,6 +276,19 @@ def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> Weighte
     if not allow_negative_weights:
         ensure_nonnegative_weights(data)
     return data
+
+
+def _csv_rows(text: str):
+    """The rows of CSV ``text``; a row the ``csv`` module refuses (a field
+    over its size limit, say) raises :class:`LsglueError` naming its line."""
+    import csv
+    import io
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise LsglueError(f"CSV line {reader.line_num}: {err}") from None
 
 
 def cover_from_json(doc: dict, base: WeightedDataSet) -> Cover:

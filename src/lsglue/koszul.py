@@ -28,11 +28,11 @@ import json
 from collections.abc import Mapping
 
 from .errors import BaseMismatch, DegreeZero, DimensionMismatch, LsglueError
-from .linalg import Frozen, Matrix, Vector
+from .linalg import Matrix, Value, Vector
 from .scalars import ZERO, rat, rat_str, rational_from_string
 
 
-class LinearizedElement(Frozen):
+class LinearizedElement(Value):
     """c0 + c·(a - â), taken modulo quadratic terms in (a - â), for the base
     point â of the element it belongs to."""
 
@@ -42,17 +42,6 @@ class LinearizedElement(Frozen):
         # c0 is a rational
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c", c)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.c0 == other.c0 and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.c0, self.c))
-
-    def __repr__(self):
-        return f"LinearizedElement({self.c0!r}, {self.c!r})"
 
     @classmethod
     def constant(cls, n: int, value) -> "LinearizedElement":
@@ -84,7 +73,7 @@ def ring_mul(u: LinearizedElement, v: LinearizedElement) -> LinearizedElement:
     return LinearizedElement(u.c0 * v.c0, v.c.scale(u.c0) + u.c.scale(v.c0))
 
 
-class KoszulElement(Frozen):
+class KoszulElement(Value):
     """Degree-p element at ``base``: coefficients on strictly increasing
     p-tuples of the wedge slots 1..n, n = base.dim; absent tuples are zero."""
 
@@ -94,22 +83,6 @@ class KoszulElement(Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.base == other.base
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        # raises TypeError for a dict of coefficients, as any unhashable field does
-        return hash((self.degree, self.base, self.coeffs))
-
-    def __repr__(self):
-        return f"KoszulElement({self.degree!r}, {self.base!r}, {self.coeffs!r})"
 
     @property
     def n(self) -> int:
@@ -178,7 +151,7 @@ class KoszulElement(Frozen):
         )
 
 
-class LinearizedDifferential(Frozen):
+class LinearizedDifferential(Value):
     """Interior multiplication data: component i is η^i = N_i·(a - base)."""
 
     __slots__ = ("base", "nmat")
@@ -188,14 +161,6 @@ class LinearizedDifferential(Frozen):
         object.__setattr__(self, "nmat", nmat)
         if not self.nmat.is_square or self.nmat.nrows != self.base.dim:
             raise DimensionMismatch("differential matrix must be n x n at an n-dim base")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base == other.base and self.nmat == other.nmat
-
-    def __hash__(self):
-        return hash((self.base, self.nmat))
 
     @property
     def n(self) -> int:

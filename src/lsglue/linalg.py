@@ -35,13 +35,20 @@ rank of a matrix modulo the prime :data:`RANK_PRIME` once every row is
 cleared of its denominators.  It never exceeds the rank over the rationals,
 so a full modular rank proves a square matrix nonsingular; a short one
 proves nothing.
+
+:class:`Frozen` is the base of the package's immutable classes, and
+:class:`Value` that of its values: a subclass names its fields in
+``__slots__``, and two objects are equal exactly when they are of the same
+class and their fields are equal, in slot order.  Equal values hash equal,
+and the repr is ``ClassName(field!r, ...)``.  The other :class:`Frozen`
+classes compare by identity.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, Singular
 from .scalars import ZERO, Rational, rat, rat_float, rat_str
@@ -72,24 +79,41 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Vector(Frozen):
+class Value(Frozen):
+    """Base of the package's value classes: equal when of the same class with
+    equal fields, the names in the subclass's ``__slots__``, compared in
+    order; equal values hash equal.  The hash is that of the fields, so it
+    raises :class:`TypeError` when one is unhashable (a dict, say); a
+    subclass that is never to be hashed sets ``__hash__ = None``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # built once per class: one field gives the bare value, more a tuple
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Vector(Value):
     """Immutable exact vector; entries are backend rationals."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple):
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    def __repr__(self):
-        return f"Vector({self.entries!r})"
 
     @classmethod
     def of(cls, values: Iterable) -> "Vector":
@@ -152,7 +176,7 @@ class Vector(Frozen):
             )
 
 
-class Matrix(Frozen):
+class Matrix(Value):
     """Immutable exact matrix, row-major; ``ncols`` is explicit so zero-row
     matrices keep their width."""
 
@@ -164,17 +188,6 @@ class Matrix(Frozen):
         for row in self.rows:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged matrix rows")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows and self.ncols == other.ncols
-
-    def __hash__(self):
-        return hash((self.rows, self.ncols))
-
-    def __repr__(self):
-        return f"Matrix({self.rows!r}, {self.ncols!r})"
 
     @classmethod
     def of(cls, rows: Iterable[Iterable], ncols: int | None = None) -> "Matrix":

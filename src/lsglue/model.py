@@ -32,11 +32,11 @@ from functools import cache
 from math import gcd
 
 from .errors import DimensionMismatch, LsglueError, Singular
-from .linalg import Frozen, Matrix, Vector, integer_row, solve_square
+from .linalg import Frozen, Matrix, Value, Vector, integer_row, solve_square
 from .scalars import ONE, ZERO, Rational, over_digit_limit
 
 
-class FeatureMap(Frozen):
+class FeatureMap(Value):
     """Monomial features: one exponent vector over the ambient coordinates per
     parameter slot."""
 
@@ -52,14 +52,6 @@ class FeatureMap(Frozen):
                 raise DimensionMismatch("monomial exponent vectors have mixed lengths")
             if any((not isinstance(e, int)) or e < 0 for e in mono):
                 raise LsglueError("monomial exponents must be nonnegative integers")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.monomials == other.monomials
-
-    def __hash__(self):
-        return hash((self.monomials,))
 
     @classmethod
     def of(cls, exponents: Iterable[Iterable[int]]) -> "FeatureMap":

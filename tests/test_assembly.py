@@ -283,10 +283,13 @@ def test_cochain_from_json_unknown_chart(toy_cover, affine1):
 def test_metrics_toy(toy_cover, affine1):
     _, report = build_zero_cocycle(toy_cover, affine1)
     metrics = discrepancy_metrics(report)
-    assert abs(metrics.max_beta - 0.2132) < 5e-4
-    assert metrics.max_defect is None
+    assert list(metrics) == [
+        "max_delta", "mean_delta", "max_beta", "mean_beta", "max_defect", "mean_defect"
+    ]
+    assert abs(metrics["max_beta"] - 0.2132) < 5e-4
+    assert metrics["max_defect"] is None and metrics["mean_defect"] is None
     expected = math.sqrt(float(F(653, 5880) ** 2 + F(-1070, 5880) ** 2))
-    assert metrics.max_beta == expected == metrics.mean_beta
+    assert metrics["max_beta"] == expected == metrics["mean_beta"]
 
 
 def test_metrics_zero_for_exactly_linear_data(affine1):
@@ -295,7 +298,7 @@ def test_metrics_zero_for_exactly_linear_data(affine1):
     cover = lg.Cover.of(data, [("L", [1, 2, 3, 4]), ("R", [3, 4, 5, 6])])
     _, report = build_zero_cocycle(cover, affine1)
     metrics = discrepancy_metrics(report)
-    assert metrics.max_delta == 0.0 and metrics.max_beta == 0.0
+    assert metrics["max_delta"] == 0.0 and metrics["max_beta"] == 0.0
     assert report.all_verified()
 
 

@@ -444,6 +444,19 @@ def test_non_utf8_dataset_exit_1(tmp_path, capsys, name, payload):
     assert f"{path}: not UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ["x1,y,weight\n1,2,1\n1," + "2" * 200_000 + ",1\n", "x1,y,weight\n1,2\0,1\n"],
+    ids=["field_over_the_csv_limit", "nul_byte"],
+)
+def test_csv_the_reader_refuses_exit_1(files, capsys, payload):
+    # the csv module refuses both on Python 3.10, and the first on every version
+    code, out, err = run(capsys, ["fit", "--dataset", files("d.csv", payload)])
+    assert_one_error_line(code, out, err)
+    if "\0" not in payload:
+        assert err == "error: CSV line 3: field larger than field limit (131072)\n"
+
+
 def test_deeply_nested_json_exit_1(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")

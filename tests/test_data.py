@@ -204,12 +204,3 @@ def test_point_dimension_must_match_the_data_set():
     with pytest.raises(lg.DimensionMismatch, match="point with dim 2"):
         lg.WeightedDataSet((point,), 1)
 
-
-def test_nerve_cells_are_values(toy_cover):
-    cell = enumerate_nerve(toy_cover, 1)[2]
-    same = lg.NerveCell(("D1", "D2"), frozenset({2, 3, 4}))
-    assert cell == same and hash(cell) == hash(same)
-    assert cell != lg.NerveCell(("D1", "D2"), frozenset({2, 3}))
-    assert {cell: 1}[same] == 1
-    with pytest.raises(AttributeError):
-        cell.indices = frozenset()

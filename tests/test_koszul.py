@@ -122,19 +122,6 @@ def test_top_wedge_expansion():
     assert image.coefficient((1,)) == -eta.component(2)
 
 
-def test_elements_are_values():
-    u = LinearizedElement(lg.rat("2/3"), vec(3, "5/7"))
-    same = LinearizedElement(c0=lg.rat("2/3"), c=vec(3, "5/7"))
-    assert u == same and hash(u) == hash(same)
-    xi = KoszulElement.from_constants(1, vec(0, 1), {(1,): 2})
-    assert xi == KoszulElement(1, vec(0, 1), {(1,): LinearizedElement.constant(2, 2)})
-    assert xi != KoszulElement.from_constants(1, vec(0, 2), {(1,): 2})
-    with pytest.raises(TypeError):
-        hash(xi)  # its coefficients are a dict
-    with pytest.raises(AttributeError):
-        xi.degree = 2
-
-
 def test_differential_errors():
     eta = toy_pair_differential()
     alpha = KoszulElement.build(0, eta.base, {(): LinearizedElement.constant(2, 1)})

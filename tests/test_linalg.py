@@ -25,15 +25,6 @@ def test_inverse_toy_overlap_matrix():
         assert n12.matvec(x) == e
 
 
-def test_vectors_are_values():
-    v = Vector.of(["1/2", 3])
-    same = Vector((Fraction(1, 2), Fraction(3)))
-    assert v == same and hash(v) == hash(same)
-    assert v != Vector.of(["1/2", 4]) and v != (Fraction(1, 2), Fraction(3))
-    with pytest.raises(AttributeError):
-        v.entries = ()
-
-
 def test_inverse_singular():
     with pytest.raises(Singular) as err:
         solve_square(Matrix.of([[2, 4], [1, 2]]), Vector.of([1, 0]))

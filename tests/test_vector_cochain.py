@@ -24,6 +24,7 @@ show which cells were solved, and when.
 import copy
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -41,6 +42,7 @@ from lsglue.assembly import (
     report_to_json,
     verify_cocycle,
 )
+from lsglue.data import cover_from_json, dataset_from_json
 from lsglue.koszul import KoszulElement, LinearizedElement, translate
 
 import oracles
@@ -338,8 +340,9 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
 
 def test_small_prime_falls_back_to_elimination():
     # the toy normal matrices have even entries, so their rank mod 2 is 0:
-    # the proof eliminates every cell once, and the fit loop eliminates a cell
-    # again only when its claim is wrong
+    # the proof eliminates every cell once, and the fit loop, without betas as
+    # verify runs it, eliminates a cell again only when its claim is wrong;
+    # with betas it also eliminates each pair, claim or not
     points, charts, features, _ = TOY_THREE
     _, cover, feature_map = build(points, charts, features)
     systems = cell_normal_systems(cover, feature_map, 2)
@@ -356,11 +359,31 @@ def test_small_prime_falls_back_to_elimination():
         eliminations = count_eliminations(patch)
         prove_nonsingular(systems)
         assert Counter(eliminations) == once
-        assert fit_cells(systems, doc) == fits
+        assert fit_cells(systems, doc, betas=False) == fits
         assert Counter(eliminations) == once
-        assert fit_cells(systems, wrong) == fits
+        assert fit_cells(systems, wrong, betas=False) == fits
         assert Counter(eliminations) == once + once
+        pairs = Counter(system.nmat.rows for cell, system in systems.items() if cell.degree == 1)
+        assert fit_cells(systems, doc) == fits
+        assert Counter(eliminations) == once + once + pairs
     with pytest.MonkeyPatch.context() as patch:
         eliminations = count_eliminations(patch)
         prove_nonsingular(systems)
     assert eliminations == []
+
+
+def test_claims_with_betas_give_the_cocycle():
+    # a pair solved for its β takes no claim, so every pair keeps its β even
+    # when the report claims every â correctly
+    root = Path(__file__).resolve().parent.parent
+    data = dataset_from_json(json.loads((root / "sampledata/toy5.json").read_text()))
+    cover_doc = json.loads((root / "sampledata/cover_three_charts.json").read_text())
+    cover = cover_from_json(cover_doc, data)
+    doc = json.loads((root / "tests/golden/cocycle_three_charts.json").read_text())
+    features = lg.affine_features(1)
+    cochain, report = lg.build_zero_cocycle(cover, features)
+    fits = fit_cells(cell_normal_systems(cover, features, 2), doc)
+    claimed, claimed_report = assemble_cochain(fits)
+    assert (claimed.alpha, claimed.beta, claimed.r) == (cochain.alpha, cochain.beta, cochain.r)
+    assert claimed_report == report
+    assert report_to_json(claimed, fits, claimed_report) == doc
