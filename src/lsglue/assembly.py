@@ -32,20 +32,18 @@ pairs directly.  A beta or witness based away from its cell's fit is refused
 advisory metrics.
 
 One loop fits every cell (:func:`fit_cells`): a cell takes the ``"a_hat"``
-its record in a report claims when N·â = -ν holds exactly, and is solved by
-elimination otherwise.  ``cocycle`` passes no report (:func:`fit_all_cells`).
-The loop visits cells in (degree, names) order, so both charts of a pair are
-fitted before the pair and δ = â_j - â_i is known: the pair's N is
-eliminated once, against -ν and δ together, and β = N⁻¹δ comes from that
-elimination; so a pair solved for its β takes no claim, which would save no
-elimination.  :func:`assemble_cochain` eliminates nothing.
-``verify`` passes the report it checks, once :func:`prove_nonsingular` has
-shown every cell's N nonsingular, before the report is read, by its rank
-modulo a prime (``linalg.modular_rank``); a cell whose modular rank is short
-is solved only so that a degenerate cell raises :class:`Singular`.  With N
-nonsingular a claim that satisfies the equation is the unique solution; one
-that is missing, unparsable or wrong is ignored, so the fits, and every byte
-of the report, never depend on the claims.
+its record in a report claims when N·â = -ν holds exactly and N has full
+rank modulo a prime (``linalg.modular_rank``), which proves N nonsingular
+and so the claim the unique solution; any other cell is solved by
+elimination, so a degenerate cell raises :class:`Singular` whatever the
+report claims.  ``cocycle`` passes no report (:func:`fit_all_cells`);
+``verify`` passes the report it checks.  The loop visits cells in (degree,
+names) order, so both charts of a pair are fitted before the pair and
+δ = â_j - â_i is known: the pair's N is eliminated once, against -ν and δ
+together, and β = N⁻¹δ comes from that elimination; so a pair solved for its
+β takes no claim, which would save no elimination.  :func:`assemble_cochain`
+eliminates nothing.  A claim that is missing, unparsable or wrong is ignored,
+so the fits, and every byte of the report, never depend on the claims.
 """
 
 from __future__ import annotations
@@ -196,28 +194,12 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
     }
 
 
-def fit_all_cells(
-    cover: Cover, features: FeatureMap, max_degree: int, betas: bool = True
-) -> CellFits:
+def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> CellFits:
     """Fit every nerve cell up to ``max_degree`` by elimination, ``{cell:
-    differential}``, with every pair's β unless ``betas`` is false:
-    :func:`fit_cells` of :func:`cell_normal_systems`, which raises
-    :class:`lsglue.errors.Singular` on the first degenerate cell."""
-    return fit_cells(cell_normal_systems(cover, features, max_degree), betas=betas)
-
-
-def prove_nonsingular(systems: dict) -> None:
-    """Show every cell's normal matrix nonsingular, in (degree, names) order.
-
-    ``systems`` is :func:`cell_normal_systems`.  N is proven when it has full
-    rank modulo ``linalg.RANK_PRIME``; any other cell is solved
-    (``solve_least_squares``) only so that the first degenerate cell raises
-    :class:`lsglue.errors.Singular`, as :func:`fit_cells` would.  Its solution
-    is dropped.
-    """
-    for cell, system in systems.items():
-        if modular_rank(system.nmat) < system.param_dim:
-            solve_least_squares(system, chart=cell.label)
+    differential}``, with every pair's β: :func:`fit_cells` of
+    :func:`cell_normal_systems`, which raises :class:`lsglue.errors.Singular`
+    on the first degenerate cell."""
+    return fit_cells(cell_normal_systems(cover, features, max_degree))
 
 
 def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
@@ -230,10 +212,11 @@ def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
     against -ν and δ in one elimination, and its β = N⁻¹δ is kept in
     ``fits.betas``; without, it is solved against -ν alone.  Any other cell
     takes the ``"a_hat"`` of its record in the report ``doc`` when N·â = -ν
-    holds exactly; that â is the fit only if N is nonsingular, so a report is
-    passed only after :func:`prove_nonsingular`.  A cell without such a
-    claim is solved, which raises :class:`lsglue.errors.Singular` naming the
-    first degenerate cell in that order.
+    holds exactly and N has full rank modulo ``linalg.RANK_PRIME``, so that
+    the claim is the one solution; the equation is checked first, so a wrong
+    claim costs no rank.  A cell without such a claim is solved, which raises
+    :class:`lsglue.errors.Singular` naming the first degenerate cell in that
+    order, whatever ``doc`` claims.
     """
     fits = CellFits()
     bases = {}
@@ -244,7 +227,11 @@ def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
             also = (bases[(name_j,)] - bases[(name_i,)],)
         # a cell that needs β is eliminated anyway, so its claim would save nothing
         a_hat = None if also else _claimed_a_hat(doc, cell, system.param_dim)
-        if a_hat is None or system.nmat.matvec(a_hat) != -system.nu:
+        if (
+            a_hat is None
+            or system.nmat.matvec(a_hat) != -system.nu
+            or modular_rank(system.nmat) < system.param_dim
+        ):
             solution = solve_least_squares(system, chart=cell.label, also=also)
             a_hat = solution.a_hat
             if also:
@@ -299,7 +286,7 @@ def _face_sum(terms: list, n: int) -> Vector:
 
 
 def build_zero_cocycle(
-    cover: Cover, features: FeatureMap, max_degree: int = 2
+    cover: Cover, features: FeatureMap
 ) -> tuple[TotalCochain, ObstructionReport]:
     """Construct (alpha, beta, r) over the cover's nerve and verify it.
 
@@ -308,7 +295,7 @@ def build_zero_cocycle(
     vanishes and is recorded as obstructed (never raised) otherwise.  The
     returned report is the verification of the constructed cochain.
     """
-    return assemble_cochain(fit_all_cells(cover, features, max_degree))
+    return assemble_cochain(fit_all_cells(cover, features, 2))
 
 
 def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:

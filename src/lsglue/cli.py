@@ -4,10 +4,10 @@ Exit codes: 0 success; 1 unreadable or malformed inputs, usage errors
 included; 2 a singular (degenerate) cell; 3 an obstructed triple in
 `cocycle`; 4 a failed exact check in `verify`.
 
-`verify` proves every cell nonsingular before it reads the cochain, so a
-singular cell (2) wins over a malformed cochain (1); its fit loop then takes
-each cell's fit from the report's ``"a_hat"`` where N·â = -ν holds exactly,
-and solves the cell otherwise (``assembly.fit_cells``).
+`verify` takes each cell's fit from the report's ``"a_hat"`` where N·â = -ν
+holds exactly and N has full rank modulo a prime, and solves the cell
+otherwise (``assembly.fit_cells``), so a singular cell (2) wins over every
+fault of the cochain (1).
 """
 
 from __future__ import annotations
@@ -25,17 +25,10 @@ from .assembly import (
     fit_all_cells,
     fit_cells,
     fits_to_json,
-    prove_nonsingular,
     report_to_json,
     verify_cocycle,
 )
-from .data import (
-    Cover,
-    cover_from_json,
-    dataset_from_csv,
-    dataset_from_json,
-    validate_cover,
-)
+from .data import Cover, cover_from_json, dataset_from_csv, dataset_from_json
 from .errors import LsglueError, Singular
 from .koszul import koszul_to_json
 from .model import affine_features, model_from_json
@@ -152,7 +145,6 @@ def _load_inputs(args):
         cover = cover_from_json(_read_json(args.cover), data)
     else:
         cover = Cover.of(data, [("all", sorted(data.indices()))])
-        validate_cover(cover)
     if args.model:
         features = model_from_json(_read_json(args.model), data.ambient_dim)
     else:
@@ -246,7 +238,7 @@ def _dump_failures(report: ObstructionReport) -> None:
 
 def _cmd_fit(args) -> int:
     _, cover, features = _load_inputs(args)
-    fits = fit_all_cells(cover, features, args.max_degree, betas=False)
+    fits = fit_cells(cell_normal_systems(cover, features, args.max_degree), betas=False)
     doc = fits_to_json(fits)
     _emit(args, _json_text(doc) if args.format == "json" else _render_fit_text(doc))
     return _EXIT_OK
@@ -272,14 +264,17 @@ def _cmd_cocycle(args) -> int:
 
 
 def _certified_cochain(args, cover: Cover, features) -> tuple:
-    """(fits, cochain) for ``verify``: every cell is proven nonsingular
-    before the cochain is read, then the fits are certified from the
-    report's claims and its cochain is parsed.  The normal systems and the
-    parsed document do not outlive the call, so they are not held while the
-    report is rebuilt."""
+    """(fits, cochain) for ``verify``: the fits are certified from the
+    report's claims, then its cochain is parsed.  A cochain that cannot be
+    read is refused only after every cell is solved, so a singular cell
+    still exits 2.  The normal systems and the parsed document do not
+    outlive the call, so they are not held while the report is rebuilt."""
     systems = cell_normal_systems(cover, features, args.max_degree)
-    prove_nonsingular(systems)
-    doc = _read_json(args.cochain)
+    try:
+        doc = _read_json(args.cochain)
+    except (LsglueError, OSError):
+        fit_cells(systems, betas=False)
+        raise
     fits = fit_cells(systems, doc, betas=False)
     return fits, cochain_from_json(doc, fits)
 

@@ -250,8 +250,8 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
 
 def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> WeightedDataSet:
     """Parse CSV with header ``x1,...,xN,y,weight``."""
-    reader = _csv_rows(text)
-    header = next(reader, None)
+    rows = _csv_rows(text)
+    _, header = next(rows, (0, None))
     if header is None:
         raise LsglueError("empty CSV dataset")
     header = [h.strip() for h in header]
@@ -259,19 +259,17 @@ def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> Weighte
         raise LsglueError("CSV header must be x1,...,xN,y,weight")
     ambient = len(header) - 2
     points = []
-    for row in reader:
+    for line, row in rows:
         if not row:
             continue
-        if len(row) != len(header):
-            raise LsglueError(f"CSV row has {len(row)} fields, expected {len(header)}")
-        x = Vector.of(rational_from_string(v) for v in row[:ambient])
-        points.append(
-            WeightedPoint(
-                x=x,
-                y=rational_from_string(row[ambient]),
-                weight=rational_from_string(row[ambient + 1]),
-            )
-        )
+        try:
+            if len(row) != len(header):
+                raise LsglueError(f"CSV row has {len(row)} fields, expected {len(header)}")
+            values = tuple(rational_from_string(v) for v in row)
+        except LsglueError as err:
+            err.args = (f"CSV line {line}: {err}",)
+            raise
+        points.append(WeightedPoint(Vector(values[:ambient]), *values[ambient:]))
     data = WeightedDataSet(tuple(points), ambient)
     if not allow_negative_weights:
         ensure_nonnegative_weights(data)
@@ -279,14 +277,16 @@ def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> Weighte
 
 
 def _csv_rows(text: str):
-    """The rows of CSV ``text``; a row the ``csv`` module refuses (a field
-    over its size limit, say) raises :class:`LsglueError` naming its line."""
+    """``(line, row)`` for each row of CSV ``text``, ``line`` the number of
+    the row's last line; a row the ``csv`` module refuses (a field over its
+    size limit, say) raises :class:`LsglueError` naming its line."""
     import csv
     import io
 
     reader = csv.reader(io.StringIO(text))
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as err:
         raise LsglueError(f"CSV line {reader.line_num}: {err}") from None
 

@@ -225,7 +225,7 @@ def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
     for key, record in doc.items():
         try:
             raw = json.loads(key)
-        except ValueError:
+        except (ValueError, RecursionError):
             raise LsglueError(f"bad index tuple key {key!r}") from None
         if (
             not isinstance(raw, list)

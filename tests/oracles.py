@@ -113,6 +113,22 @@ def cramer_solve(m, b):
     return out
 
 
+def some_solution(m, b):
+    """A solution of m x = b, None when there is none: Cramer's rule on the
+    first largest nonzero minor, every other unknown zero."""
+    rows, cols = range(len(m)), range(len(m[0]))
+    for size in range(min(len(rows), len(cols)), 0, -1):
+        for rs in combinations(rows, size):
+            for cs in combinations(cols, size):
+                x = cramer_solve([[m[r][c] for c in cs] for r in rs], [b[r] for r in rs])
+                if x is not None:
+                    solution = [F(0)] * len(cols)
+                    for c, value in zip(cs, x):
+                        solution[c] = value
+                    return solution if matvec(m, solution) == list(b) else None
+    return [F(0)] * len(cols) if not any(b) else None
+
+
 def matvec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
 

@@ -445,16 +445,26 @@ def test_non_utf8_dataset_exit_1(tmp_path, capsys, name, payload):
 
 
 @pytest.mark.parametrize(
-    "payload",
-    ["x1,y,weight\n1,2,1\n1," + "2" * 200_000 + ",1\n", "x1,y,weight\n1,2\0,1\n"],
-    ids=["field_over_the_csv_limit", "nul_byte"],
+    "payload, message",
+    [
+        (
+            "x1,y,weight\n1,2,1\n1," + "2" * 200_000 + ",1\n",
+            "field larger than field limit (131072)",
+        ),
+        ("x1,y,weight\n1,2\0,1\n", None),
+        ("x1,y,weight\n1,2,1\n2,3\n", "CSV row has 2 fields, expected 3"),
+        ("x1,y,weight\n1,2,1\n2,3,1\n3,abc,1\n", "cannot parse rational literal 'abc'"),
+    ],
+    ids=["field_over_the_csv_limit", "nul_byte", "short_row", "bad_literal"],
 )
-def test_csv_the_reader_refuses_exit_1(files, capsys, payload):
-    # the csv module refuses both on Python 3.10, and the first on every version
+def test_csv_the_reader_refuses_exit_1(files, capsys, payload, message):
+    # the csv module refuses the first two on Python 3.10, and the first on
+    # every version; each error names the line of the row it is about
     code, out, err = run(capsys, ["fit", "--dataset", files("d.csv", payload)])
     assert_one_error_line(code, out, err)
-    if "\0" not in payload:
-        assert err == "error: CSV line 3: field larger than field limit (131072)\n"
+    if message is not None:
+        line = payload.count("\n")
+        assert err == f"error: CSV line {line}: {message}\n"
 
 
 def test_deeply_nested_json_exit_1(tmp_path, capsys):
@@ -644,8 +654,12 @@ def _verify_golden(capsys, tmp_path, doc, line=False):
         lambda beta: {"[true]" if key == "[1]" else key: c for key, c in beta.items()},
         lambda beta: {"[ 1]": {**beta["[1]"], "c0": "999"}, **beta},
         lambda beta: {"[2] " if key == "[2]" else key: c for key, c in beta.items()},
+        lambda beta: {
+            "[" * 100_000 + "]" * 100_000 if key == "[1]" else key: c
+            for key, c in beta.items()
+        },
     ],
-    ids=["bool", "spaced_alias", "trailing_space"],
+    ids=["bool", "spaced_alias", "trailing_space", "nested_too_deeply"],
 )
 def test_verify_slot_keys_must_be_canonical(capsys, tmp_path, rekey):
     # a key that is not written as koszul_to_json writes it could name the
@@ -682,16 +696,25 @@ def test_repeated_json_key_exit_1(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "cochain",
-    ["{not json", "[1, 2]", (ROOT / "tests/golden/cocycle_two_charts.json").read_text()],
-    ids=["invalid_json", "not_an_object", "other_cover_report"],
+    [
+        "{not json",
+        "[1, 2]",
+        (ROOT / "tests/golden/cocycle_two_charts.json").read_text(),
+        None,
+        # A|C holds only point 3, (x, y) = (1, 2), so any a_hat summing to 2
+        # solves its singular N·a_hat = -nu
+        {"charts": {}, "pairs": {"A|C": {"a_hat": ["1", "1"]}}, "triples": {}},
+    ],
+    ids=["invalid_json", "not_an_object", "other_cover_report", "missing_file", "a_hat_solves"],
 )
-def test_verify_singular_cell_exit_2_before_the_cochain(files, capsys, cochain):
-    # the singular cell is found before the cochain is read, so exit 2 wins
-    # over every fault of the cochain (exit 1)
+def test_verify_singular_cell_exit_2_before_the_cochain(files, capsys, tmp_path, cochain):
+    # a singular cell is solved whatever the cochain holds or claims, so
+    # exit 2 wins over every fault of the cochain (exit 1)
     dataset = files("d.json", TOY_DATASET)
     cover = files("c.json", ABC_CHARTS)
-    argv = ["verify", "--dataset", dataset, "--cover", cover, "--cochain"]
-    code, out, err = run(capsys, [*argv, files("r.json", cochain)])
+    report = str(tmp_path / "missing.json") if cochain is None else files("r.json", cochain)
+    argv = ["verify", "--dataset", dataset, "--cover", cover, "--cochain", report]
+    code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: singular cell: ") and err.count("\n") == 1
     assert "A|C" in err

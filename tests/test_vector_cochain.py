@@ -12,13 +12,13 @@ pair residual is zero.  On tampered cochains (alphas, betas and witnesses
 changed, fits given non-symmetric matrices) both checks must return the same
 report, residuals included, and must reject a beta based away from its pair.
 
-The fits ``verify`` takes from a report's claimed â (``prove_nonsingular``,
-then the fit loop ``fit_cells`` given the report) must be those of
-``fit_all_cells``, with the same report, whatever the claims say; on a
-singular cover the proof must raise the same :class:`Singular`.  Under the
-prime 3 in place of 2⁶¹ - 1 the modular rank is often short, so the proof's
-exact fallback runs too; the eliminations (``linalg._row_echelon`` calls)
-show which cells were solved, and when.
+The fits ``verify`` takes from a report's claimed â (the fit loop
+``fit_cells`` given the report) must be those of ``fit_all_cells``, with the
+same report, whatever the claims say; on a singular cover the loop must
+raise the same :class:`Singular`, also when every claim satisfies its
+N·â = -ν.  Under the prime 3 in place of 2⁶¹ - 1 the modular rank is often
+short, so a right claim is not taken and its cell is solved; the
+eliminations (``linalg._row_echelon`` calls) show which cells were solved.
 """
 
 import copy
@@ -38,7 +38,6 @@ from lsglue.assembly import (
     cell_normal_systems,
     cochain_from_json,
     fit_cells,
-    prove_nonsingular,
     report_to_json,
     verify_cocycle,
 )
@@ -277,6 +276,31 @@ CLAIMS = {
 }
 
 
+def spoil_claims(draw, doc) -> dict:
+    """Spoil or drop each record's ``"a_hat"`` in a report, as drawn."""
+    for section in ("charts", "pairs", "triples"):
+        for record in doc[section].values():
+            how = draw(st.sampled_from([*CLAIMS, "missing"]))
+            if how == "missing":
+                del record["a_hat"]
+            else:
+                record["a_hat"] = CLAIMS[how](record["a_hat"])
+    return doc
+
+
+def solution_claims(systems) -> dict:
+    """A report whose records claim, for each cell, some solution of
+    N·â = -ν, and "0"s where there is none."""
+    doc = {section: {} for section in ("charts", "pairs", "triples")}
+    for cell, system in systems.items():
+        rows = [oracles.as_fractions(row) for row in system.nmat.rows]
+        rhs = [-v for v in oracles.as_fractions(system.nu)]
+        a_hat = oracles.some_solution(rows, rhs) or [0] * system.param_dim
+        section = ("charts", "pairs", "triples")[cell.degree]
+        doc[section][cell.label] = {"a_hat": [str(v) for v in a_hat]}
+    return doc
+
+
 def count_eliminations(patch) -> list:
     """Record, from now on, the normal matrix of every elimination
     (``linalg._row_echelon`` call), as a tuple of rows."""
@@ -304,8 +328,9 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
             fits = lg.fit_all_cells(cover, feature_map, 2)
         except lg.Singular as expected:
             event("singular cover")
+            claims = spoil_claims(data.draw, solution_claims(systems))
             with pytest.raises(lg.Singular) as raised:
-                prove_nonsingular(systems)
+                fit_cells(systems, claims)
             assert (str(raised.value), raised.value.cell, raised.value.rank) == (
                 str(expected),
                 expected.cell,
@@ -314,18 +339,10 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
             return
         cochain, report = assemble_cochain(fits)
         doc = report_to_json(cochain, fits, report)
-        claims = copy.deepcopy(doc)
-        for section in ("charts", "pairs", "triples"):
-            for record in claims[section].values():
-                how = data.draw(st.sampled_from([*CLAIMS, "missing"]))
-                if how == "missing":
-                    del record["a_hat"]
-                else:
-                    record["a_hat"] = CLAIMS[how](record["a_hat"])
+        claims = spoil_claims(data.draw, copy.deepcopy(doc))
         eliminations = count_eliminations(patch)
-        assert prove_nonsingular(systems) is None
-        event("a cell solved for its proof" if eliminations else "every cell full rank")
         certified = fit_cells(systems, claims)
+        event("a cell solved" if eliminations else "no cell solved")
     assert certified == fits
     for cell, system in systems.items():
         expected_a_hat = oracles.cramer_solve(
@@ -340,9 +357,9 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
 
 def test_small_prime_falls_back_to_elimination():
     # the toy normal matrices have even entries, so their rank mod 2 is 0:
-    # the proof eliminates every cell once, and the fit loop, without betas as
-    # verify runs it, eliminates a cell again only when its claim is wrong;
-    # with betas it also eliminates each pair, claim or not
+    # no claim is taken, and the fit loop eliminates every cell once, with
+    # right claims, with wrong claims and with betas; under 2**61 - 1 right
+    # claims are all taken
     points, charts, features, _ = TOY_THREE
     _, cover, feature_map = build(points, charts, features)
     systems = cell_normal_systems(cover, feature_map, 2)
@@ -354,22 +371,46 @@ def test_small_prime_falls_back_to_elimination():
         for record in wrong[section].values():
             record["a_hat"] = CLAIMS["wrong"](record["a_hat"])
     once = Counter(system.nmat.rows for system in systems.values())
+    assert sum(once.values()) == 7
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "RANK_PRIME", 2)
         eliminations = count_eliminations(patch)
-        prove_nonsingular(systems)
-        assert Counter(eliminations) == once
-        assert fit_cells(systems, doc, betas=False) == fits
-        assert Counter(eliminations) == once
-        assert fit_cells(systems, wrong, betas=False) == fits
-        assert Counter(eliminations) == once + once
-        pairs = Counter(system.nmat.rows for cell, system in systems.items() if cell.degree == 1)
-        assert fit_cells(systems, doc) == fits
-        assert Counter(eliminations) == once + once + pairs
+        for claims, betas in ((doc, False), (wrong, False), (doc, True)):
+            eliminations.clear()
+            assert fit_cells(systems, claims, betas=betas) == fits
+            assert Counter(eliminations) == once
     with pytest.MonkeyPatch.context() as patch:
         eliminations = count_eliminations(patch)
-        prove_nonsingular(systems)
+        assert fit_cells(systems, doc, betas=False) == fits
     assert eliminations == []
+
+
+def test_claims_that_solve_a_singular_cell_are_not_taken():
+    # A has one point, so its N is singular, and both claims satisfy their
+    # N·â = -ν; the loop must still stop at A as fit_all_cells does
+    data = lg.WeightedDataSet.of([(1, 2), (2, 3), (3, 5)])
+    cover = lg.Cover.of(data, [("A", [1]), ("B", [1, 2, 3])])
+    features = lg.affine_features(1)
+    systems = cell_normal_systems(cover, features, 2)
+    a_hats = {"A": ["2", "0"], "A|B": ["0", "2"]}
+    for cell, system in systems.items():
+        if cell.label in a_hats:
+            assert system.nmat.matvec(lg.Vector.of(a_hats[cell.label])) == -system.nu
+    claims = {
+        "charts": {"A": {"a_hat": a_hats["A"]}},
+        "pairs": {"A|B": {"a_hat": a_hats["A|B"]}},
+    }
+    with pytest.raises(lg.Singular) as expected:
+        lg.fit_all_cells(cover, features, 2)
+    for betas in (False, True):
+        with pytest.raises(lg.Singular) as raised:
+            fit_cells(systems, claims, betas=betas)
+        assert (str(raised.value), raised.value.cell, raised.value.rank) == (
+            "normal matrix is singular on A (rank 1 < 2)",
+            "A",
+            1,
+        )
+        assert str(raised.value) == str(expected.value)
 
 
 def test_claims_with_betas_give_the_cocycle():
