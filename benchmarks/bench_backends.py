@@ -86,7 +86,7 @@ def workload_cocycle():
 
     def run():
         _, report = build_zero_cocycle(cover, features)
-        assert report.all_pairs_zero()
+        assert all(check.residual_zero for check in report.pairs.values())
 
     return run
 

@@ -44,6 +44,10 @@ together, and β = N⁻¹δ comes from that elimination; so a pair solved for it
 β takes no claim, which would save no elimination.  :func:`assemble_cochain`
 eliminates nothing.  A claim that is missing, unparsable or wrong is ignored,
 so the fits, and every byte of the report, never depend on the claims.
+
+Every cell map keeps the (degree, names) order of ``data.enumerate_nerve``,
+and every check and writer iterates what it is given.  A triple's verdict is
+derived: ``TripleCheck.outcome`` follows from its witness and defect.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from __future__ import annotations
 from math import isfinite, ldexp, sqrt
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
-from .errors import BaseMismatch, CellMismatch, LsglueError
+from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import (
     KoszulElement,
     LinearizedDifferential,
@@ -60,7 +64,7 @@ from .koszul import (
     koszul_from_json,
     koszul_to_json,
 )
-from .linalg import Frozen, Value, Vector, modular_rank
+from .linalg import Value, Vector, modular_rank
 from .model import (
     FeatureMap,
     build_normal_system,
@@ -73,10 +77,12 @@ from .scalars import rat_float, rational_from_string
 _SECTIONS = ("charts", "pairs", "triples")
 
 
-class TotalCochain(Frozen):
-    """(alpha, beta, r) keyed by nerve cell; an obstructed triple maps to None."""
+class TotalCochain(Value):
+    """(alpha, beta, r) keyed by nerve cell; an obstructed triple maps to None.
+    Each layer holds its cells in the (degree, names) order of the fits."""
 
     __slots__ = ("alpha", "beta", "r")
+    __hash__ = None
 
     def __init__(self, alpha: dict, beta: dict, r: dict):
         object.__setattr__(self, "alpha", alpha)
@@ -109,20 +115,15 @@ class TripleCheck(Value):
     which only an external cochain can make and which fails verification).
     """
 
-    __slots__ = ("defect_constant", "witness", "residual", "outcome")
+    __slots__ = ("defect_constant", "witness", "residual")
     __hash__ = None
 
     def __init__(
-        self,
-        defect_constant: Vector,
-        witness: KoszulElement | None,
-        residual: KoszulElement,
-        outcome: str,
+        self, defect_constant: Vector, witness: KoszulElement | None, residual: KoszulElement
     ):
         object.__setattr__(self, "defect_constant", defect_constant)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "outcome", outcome)
 
     @property
     def residual_zero(self) -> bool:
@@ -130,7 +131,13 @@ class TripleCheck(Value):
 
     @property
     def obstructed(self) -> bool:
-        return self.outcome != "ok"
+        return self.witness is None
+
+    @property
+    def outcome(self) -> str:
+        if self.witness is not None:
+            return "ok"
+        return "inconsistent" if self.defect_constant.is_zero() else "constant_defect"
 
 
 class ObstructionReport(Value):
@@ -141,16 +148,11 @@ class ObstructionReport(Value):
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "triples", triples)
 
-    def all_pairs_zero(self) -> bool:
-        return all(check.residual_zero for check in self.pairs.values())
-
-    def any_obstructed(self) -> bool:
-        return any(check.obstructed for check in self.triples.values())
-
     def all_verified(self) -> bool:
         """Every residual is zero, and no triple claims an obstruction that
-        its zero defect constant contradicts."""
-        return self.all_pairs_zero() and all(
+        its zero defect constant contradicts.  An obstructed triple never
+        passes: its residual carries -defect, or it is "inconsistent"."""
+        return all(check.residual_zero for check in self.pairs.values()) and all(
             check.residual_zero and check.outcome != "inconsistent"
             for check in self.triples.values()
         )
@@ -266,10 +268,6 @@ def _cells_by_names(fits: dict) -> dict:
     return {cell.chart_names: cell for cell in fits}
 
 
-def _sorted_cells(cells) -> list:
-    return sorted(cells, key=lambda cell: (cell.degree, cell.chart_names))
-
-
 def _slot_constants(beta: KoszulElement) -> Vector:
     """β₀: the constant parts of a degree-1 element on slots 1..n."""
     return Vector(tuple(beta.coefficient((m,)).c0 for m in range(1, beta.n + 1)))
@@ -311,19 +309,17 @@ def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:
     """
     by_names = _cells_by_names(fits)
 
-    alpha = {
-        cell: canonical_alpha(fits[cell]) for cell in fits if cell.degree == 0
-    }
-    beta = {}
-    for cell in _sorted_cells(c for c in fits if c.degree == 1):
-        slots = {(m + 1,): value for m, value in enumerate(fits.betas[cell])}
-        beta[cell] = KoszulElement.from_constants(1, fits[cell].base, slots)
-
-    r = {}
-    for cell in _sorted_cells(c for c in fits if c.degree == 2):
-        base = fits[cell].base
-        defect = _face_sum([fits.betas[by_names[face]] for face in cell.faces()], base.dim)
-        r[cell] = KoszulElement.zero(2, base) if defect.is_zero() else None
+    alpha, beta, r = {}, {}, {}
+    for cell, fit in fits.items():
+        if cell.degree == 0:
+            alpha[cell] = canonical_alpha(fit)
+        elif cell.degree == 1:
+            slots = {(m + 1,): value for m, value in enumerate(fits.betas[cell])}
+            beta[cell] = KoszulElement.from_constants(1, fit.base, slots)
+        elif cell.degree == 2:
+            faces = [fits.betas[by_names[face]] for face in cell.faces()]
+            defect = _face_sum(faces, fit.n)
+            r[cell] = KoszulElement.zero(2, fit.base) if defect.is_zero() else None
 
     cochain = TotalCochain(alpha=alpha, beta=beta, r=r)
     return cochain, verify_cocycle(cochain, fits)
@@ -344,15 +340,11 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
     """
     by_names = _cells_by_names(fits)
     pairs = {}
-    for cell in _sorted_cells(cochain.beta):
+    for cell in cochain.beta:
         if cell not in fits:
             raise CellMismatch(f"no fit for pair cell {cell.label}")
         name_i, name_j = cell.chart_names
-        missing = [
-            name
-            for name in (name_i, name_j)
-            if by_names.get((name,)) not in cochain.alpha
-        ]
+        missing = [n for n in cell.chart_names if by_names.get((n,)) not in cochain.alpha]
         if missing:
             raise CellMismatch(f"pair {cell.label} lacks alpha on {missing}")
         fit, beta = fits[cell], cochain.beta[cell]
@@ -372,7 +364,7 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         )
 
     triples = {}
-    for cell in _sorted_cells(cochain.r):
+    for cell in cochain.r:
         if cell not in fits:
             raise CellMismatch(f"no fit for triple cell {cell.label}")
         faces = [by_names.get(face) for face in cell.faces()]
@@ -385,10 +377,8 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         constants = _face_sum([pairs[face].beta_constants for face in faces], fit.n)
         if witness is None:
             image = KoszulElement.zero(1, fit.base)
-            outcome = "constant_defect" if not constants.is_zero() else "inconsistent"
         else:
             image = koszul_diff(witness, fit)
-            outcome = "ok"
         residual = {}
         for m in range(1, fit.n + 1):
             linear = _face_sum(
@@ -401,7 +391,6 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
             defect_constant=constants,
             witness=witness,
             residual=KoszulElement.build(1, fit.base, residual),
-            outcome=outcome,
         )
     return ObstructionReport(pairs=pairs, triples=triples)
 
@@ -478,7 +467,7 @@ def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport)
             **_cell_record(cell, fits[cell]),
             "alpha": koszul_to_json(cochain.alpha[cell]),
         }
-        for cell in _sorted_cells(cochain.alpha)
+        for cell in cochain.alpha
     }
     pairs = {
         cell.label: {
@@ -504,57 +493,57 @@ def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport)
 
 
 def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
-    """Parse a report produced by :func:`report_to_json` back into a cochain.
+    """Parse a report produced by :func:`report_to_json` back into a cochain,
+    each layer in the order of ``fits``.
 
     Cells are resolved by label against ``fits``; unknown labels, elements
     based away from their cell's fit, and a chart, pair or triple of ``fits``
-    without a record are structural errors (:class:`LsglueError`), not
-    verification failures.
+    without a record (the first in the order of ``fits``) are structural
+    errors (:class:`LsglueError`), not verification failures.
     """
     if not isinstance(doc, dict):
         raise LsglueError("cochain JSON must be an object")
     by_label = {cell.label: cell for cell in fits}
 
-    def resolve(label: str, degree: int) -> NerveCell:
-        cell = by_label.get(label)
-        if cell is None or cell.degree != degree:
-            raise LsglueError(f"cochain references unknown degree-{degree} cell {label!r}")
-        return cell
-
-    def elements(degree: int, field: str, required: bool):
+    def elements(degree: int, field: str):
         """(cell, element) for each record of the degree's section; an
-        optional field that is absent or null gives None.  A parse error is
-        prefixed with the section and the cell label."""
-        section = _SECTIONS[degree]
+        optional field (``"r"``) that is absent or null gives None.  A parse
+        error is prefixed with the section and the cell label."""
+        section, required = _SECTIONS[degree], field != "r"
         entries = doc.get(section, {})
         if not isinstance(entries, dict):
             raise LsglueError(f"cochain {section!r} must be an object keyed by cell label")
         for label, record in entries.items():
+            entry = f"cochain {section!r} entry {excerpt(repr(label))}"
             if not isinstance(record, dict):
-                raise LsglueError(f"cochain {section!r} entry {label!r} must be an object")
+                raise LsglueError(f"{entry} must be an object")
             if required and field not in record:
-                raise LsglueError(f"cochain {section!r} entry {label!r} lacks {field!r}")
-            cell = resolve(label, degree)
+                raise LsglueError(f"{entry} lacks {field!r}")
+            cell = by_label.get(label)
+            if cell is None or cell.degree != degree:
+                raise LsglueError(
+                    f"cochain references unknown degree-{degree} cell {excerpt(repr(label))}"
+                )
             element = record.get(field)
             if element is not None or required:
                 try:
                     element = koszul_from_json(element, degree, fits[cell].base)
                 except LsglueError as err:
-                    err.args = (f"cochain {section!r} entry {label!r}: {err}",)
+                    err.args = (f"{entry}: {err}",)
                     raise
             yield cell, element
 
-    alpha = dict(elements(0, "alpha", required=True))
-    beta = dict(elements(1, "beta", required=True))
-    r = dict(elements(2, "r", required=False))
-    for cell in _sorted_cells(fits):
+    parsed = [dict(elements(d, field)) for d, field in enumerate(("alpha", "beta", "r"))]
+    layers = ({}, {}, {})
+    for cell in fits:
         if cell.degree < len(_SECTIONS):
-            parsed = (alpha, beta, r)[cell.degree]
-            if cell not in parsed:
+            if cell not in parsed[cell.degree]:
                 raise LsglueError(
-                    f"cochain {_SECTIONS[cell.degree]!r} lacks a record for cell {cell.label!r}"
+                    f"cochain {_SECTIONS[cell.degree]!r} lacks a record for cell"
+                    f" {excerpt(repr(cell.label))}"
                 )
-    return TotalCochain(alpha=alpha, beta=beta, r=r)
+            layers[cell.degree][cell] = parsed[cell.degree][cell]
+    return TotalCochain(*layers)
 
 
 def fits_to_json(fits: dict) -> dict:
@@ -562,6 +551,6 @@ def fits_to_json(fits: dict) -> dict:
     return {
         "cells": {
             cell.label: {"degree": cell.degree, **_cell_record(cell, fits[cell])}
-            for cell in _sorted_cells(fits)
+            for cell in fits
         }
     }

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success; 1 unreadable or malformed inputs, usage errors
 included; 2 a singular (degenerate) cell; 3 an obstructed triple in
-`cocycle`; 4 a failed exact check in `verify`.
+`cocycle`; 4 a failed exact check in `verify`.  Both cochain commands ask
+one question of the report, ``ObstructionReport.all_verified``, which every
+obstructed triple fails.
 
 `verify` takes each cell's fit from the report's ``"a_hat"`` where N·â = -ν
 holds exactly and N has full rank modulo a prime, and solves the cell
@@ -29,7 +31,7 @@ from .assembly import (
     verify_cocycle,
 )
 from .data import Cover, cover_from_json, dataset_from_csv, dataset_from_json
-from .errors import LsglueError, Singular
+from .errors import LsglueError, Singular, excerpt
 from .koszul import koszul_to_json
 from .model import affine_features, model_from_json
 from .scalars import over_digit_limit
@@ -114,7 +116,7 @@ def _read_json(path: str) -> dict:
         if len(doc) < len(pairs):
             counts = Counter(key for key, _ in pairs)
             key = next(key for key, count in counts.items() if count > 1)
-            raise LsglueError(f"{path}: key {key!r} repeated in a JSON object")
+            raise LsglueError(f"{path}: key {excerpt(repr(key))} repeated in a JSON object")
         return doc
 
     try:
@@ -258,7 +260,7 @@ def _cmd_cocycle(args) -> int:
     cochain, report = assemble_cochain(fits)
     doc = report_to_json(cochain, fits, report)
     _emit(args, _json_text(doc) if args.format == "json" else _render_report_text(doc))
-    if report.any_obstructed() or not report.all_verified():
+    if not report.all_verified():
         return _EXIT_OBSTRUCTED
     return _EXIT_OK
 

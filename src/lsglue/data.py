@@ -6,21 +6,21 @@ restrictions compose literally (restrict through A then B equals restricting
 through A ∩ B) and all index bookkeeping stays trivial.
 
 A cover partitions its points into membership atoms: the points that lie in
-exactly the same charts.  A set of charts meets exactly when some atom's
-signature (its sorted chart names) contains it, and its common points are
-the union of those atoms, so the nerve is enumerated from the atoms in time
-proportional to its size rather than by testing every chart tuple.
+exactly the same charts.  The atoms are found once, when the cover is
+constructed.  A set of charts meets exactly when some atom's signature (its
+sorted chart names) contains it, and its common points are the union of
+those atoms, so the nerve is enumerated from the atoms in time proportional
+to its size rather than by testing every chart tuple.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 
-from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover
-from .linalg import Frozen, Value, Vector
+from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover, excerpt
+from .linalg import Value, Vector
 from .scalars import ZERO, rat, rational_from_string
 
 # The most chart subsets enumerate_nerve may visit; the wide_nerve benchmark visits 1392.
@@ -97,8 +97,14 @@ def restrict(data: WeightedDataSet, keep: Iterable[int]) -> WeightedDataSet:
     return WeightedDataSet(points, data.ambient_dim)
 
 
-class Cover(Frozen):
-    # no __slots__: the cached ``atoms`` is kept in the instance __dict__
+class Cover(Value):
+    """A base data set, its named charts, and their membership ``atoms``:
+    sorted chart-name signature -> sorted 1-based indices of the points lying
+    in exactly those charts.  Atoms are disjoint; points in no chart belong to
+    none.  Built once, in one pass over the chart index lists."""
+
+    __slots__ = ("base", "charts", "atoms")
+    __hash__ = None
 
     def __init__(self, base: WeightedDataSet, charts: tuple):
         # charts: (name, frozenset of 1-based indices) pairs, in file order
@@ -110,28 +116,16 @@ class Cover(Frozen):
         for name in names:
             if not name or "|" in name:
                 raise LsglueError(
-                    f"chart name {name!r} must be nonempty and free of '|'"
+                    f"chart name {excerpt(repr(name))} must be nonempty and free of '|'"
                     " (reserved for cell labels)"
                 )
         for name, chart in self.charts:
             for i in sorted(chart):
                 if not 1 <= i <= self.base.size:
                     raise IndexOutOfRange(
-                        f"chart {name!r} references index {i} outside 1..{self.base.size}"
+                        f"chart {excerpt(repr(name))} references index {excerpt(repr(i))}"
+                        f" outside 1..{self.base.size}"
                     )
-
-    @classmethod
-    def of(cls, base: WeightedDataSet, charts: Iterable) -> "Cover":
-        return cls(base, tuple((name, frozenset(int(i) for i in idx)) for name, idx in charts))
-
-    @cached_property
-    def atoms(self) -> dict:
-        """Membership atoms: sorted chart-name signature -> sorted 1-based indices
-        of the points lying in exactly those charts.
-
-        Atoms are disjoint; points in no chart belong to none.  Built once per
-        cover in one pass over the chart index lists.
-        """
         signatures = [[] for _ in range(self.base.size + 1)]
         for name, chart in sorted(self.charts, key=lambda item: item[0]):
             for i in chart:
@@ -140,7 +134,11 @@ class Cover(Frozen):
         for i in range(1, self.base.size + 1):
             if signatures[i]:
                 atoms.setdefault(tuple(signatures[i]), []).append(i)
-        return {signature: tuple(indices) for signature, indices in atoms.items()}
+        object.__setattr__(self, "atoms", {key: tuple(ix) for key, ix in atoms.items()})
+
+    @classmethod
+    def of(cls, base: WeightedDataSet, charts: Iterable) -> "Cover":
+        return cls(base, tuple((name, frozenset(int(i) for i in idx)) for name, idx in charts))
 
 
 def validate_cover(cover: Cover) -> None:
@@ -212,7 +210,8 @@ def ensure_nonnegative_weights(data: WeightedDataSet) -> None:
     bad = [i + 1 for i, p in enumerate(data.points) if p.weight < 0]
     if bad:
         raise LsglueError(
-            f"negative weights at indices {bad}; pass allow_negative_weights to accept"
+            f"negative weights at indices {excerpt(str(bad))};"
+            " pass allow_negative_weights to accept"
         )
 
 
@@ -232,7 +231,7 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
         xs = record["x"]
         if not isinstance(xs, list):
             raise LsglueError("point 'x' must be an array of rational literals")
-        x = Vector.of(_lit(v) for v in xs)
+        x = Vector(tuple(_lit(v) for v in xs))
         y = _lit(record["y"])
         w = _lit(record.get("weight", 1))
         points.append(WeightedPoint(x=x, y=y, weight=w))
@@ -241,7 +240,7 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
             raise LsglueError("empty dataset needs an explicit ambient_dim")
         ambient = points[0].x.dim
     if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 1:
-        raise LsglueError(f"ambient_dim must be a positive integer, got {ambient!r}")
+        raise LsglueError(f"ambient_dim must be a positive integer, got {excerpt(repr(ambient))}")
     data = WeightedDataSet(tuple(points), ambient)
     if not allow_negative_weights:
         ensure_nonnegative_weights(data)
@@ -302,7 +301,7 @@ def cover_from_json(doc: dict, base: WeightedDataSet) -> Cover:
         if not isinstance(name, str) or not isinstance(indices, list):
             raise LsglueError("each chart needs a string 'name' and an 'indices' array")
         if any(not isinstance(i, int) or isinstance(i, bool) for i in indices):
-            raise LsglueError(f"chart {name!r} indices must be integers")
+            raise LsglueError(f"chart {excerpt(repr(name))} indices must be integers")
         charts.append((name, indices))
     cover = Cover.of(base, charts)
     validate_cover(cover)
@@ -313,5 +312,7 @@ def _lit(value):
     if isinstance(value, str):
         return rational_from_string(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise LsglueError(f"rational literals must be strings or ints, got {value!r}")
+        raise LsglueError(
+            f"rational literals must be strings or ints, got {excerpt(repr(value))}"
+        )
     return rat(value)

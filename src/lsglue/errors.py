@@ -2,9 +2,16 @@
 
 Every error raised by lsglue derives from :class:`LsglueError`, so callers can
 catch one base class at API boundaries (the CLI maps subclasses to exit codes).
+A message echoes an input value through :func:`excerpt`, so it stays short.
 """
 
 from __future__ import annotations
+
+
+def excerpt(text: str) -> str:
+    """``text``, an input value as a message writes it; when longer than 80
+    characters, its first 80 and then its full length."""
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 class LsglueError(Exception):
@@ -45,7 +52,7 @@ class NotACover(LsglueError):
 
     def __init__(self, missing):
         self.missing = frozenset(missing)
-        super().__init__(f"charts do not cover base indices {sorted(self.missing)}")
+        super().__init__(f"charts do not cover base indices {excerpt(str(sorted(self.missing)))}")
 
 
 class BaseMismatch(LsglueError):

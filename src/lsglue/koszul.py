@@ -19,15 +19,16 @@ Translation is the substitution a ↦ a - (b - â): the element moves to base b
 with its coefficients (c0, c) unchanged, which is a chain isomorphism (it is
 NOT a Taylor re-expansion).  Base points are compared only where an element
 meets another element or a differential.  Serialization to and from JSON
-closes the module.
+closes the module; a slot key is read back only when written as the writer
+writes it, which one regular expression (``_KEY``) and ``int`` decide.
 """
 
 from __future__ import annotations
 
-import json
+import re
 from collections.abc import Mapping
 
-from .errors import BaseMismatch, DegreeZero, DimensionMismatch, LsglueError
+from .errors import BaseMismatch, DegreeZero, DimensionMismatch, LsglueError, excerpt
 from .linalg import Matrix, Value, Vector
 from .scalars import ZERO, rat, rat_str, rational_from_string
 
@@ -104,11 +105,13 @@ class KoszulElement(Value):
             if coeff.c.dim != n:
                 raise DimensionMismatch(f"linear part dim {coeff.c.dim} vs base dim {n}")
             if len(idx) != degree:
-                raise LsglueError(f"index tuple {idx} has length != degree {degree}")
+                raise LsglueError(
+                    f"index tuple {excerpt(str(idx))} has length != degree {degree}"
+                )
             if any(not 1 <= i <= n for i in idx):
-                raise LsglueError(f"index tuple {idx} outside 1..{n}")
+                raise LsglueError(f"index tuple {excerpt(str(idx))} outside 1..{n}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise LsglueError(f"index tuple {idx} is not strictly increasing")
+                raise LsglueError(f"index tuple {excerpt(str(idx))} is not strictly increasing")
             if not coeff.is_zero():
                 cleaned[idx] = coeff
         return cls(degree=degree, base=base, coeffs=cleaned)
@@ -197,8 +200,12 @@ def translate(xi: KoszulElement, new_base: Vector) -> KoszulElement:
     return KoszulElement(degree=xi.degree, base=new_base, coeffs=xi.coeffs)
 
 
+# A slot key as _index_key writes it: canonical JSON integers, no spaces.
+_KEY = re.compile(r"\[(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?\]")
+
+
 def _index_key(idx) -> str:
-    return json.dumps(list(idx), separators=(",", ":"))
+    return "[" + ",".join(map(str, idx)) + "]"
 
 
 def koszul_to_json(element: KoszulElement) -> dict:
@@ -215,24 +222,21 @@ def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
     """Parse the :func:`koszul_to_json` format, enforcing the expected shape.
 
     A key must be an array of JSON integers written exactly as
-    :func:`koszul_to_json` writes it (``"[1,2]"``: no spaces, no booleans), so
-    two keys can never name the same wedge slot.  Every coefficient's
-    ``"base"`` must equal ``base``.
+    :func:`koszul_to_json` writes it (``"[1,2]"``: no spaces, no leading zero,
+    no ``-0``; ``int`` refuses an entry past the digit limit), so two keys
+    can never name the same wedge slot.  Every coefficient's ``"base"`` must
+    equal ``base``.
     """
     if not isinstance(doc, dict):
         raise LsglueError("Koszul element JSON must be an object")
     coeffs = {}
     for key, record in doc.items():
         try:
-            raw = json.loads(key)
-        except (ValueError, RecursionError):
-            raise LsglueError(f"bad index tuple key {key!r}") from None
-        if (
-            not isinstance(raw, list)
-            or any(not isinstance(i, int) or isinstance(i, bool) for i in raw)
-            or key != _index_key(raw)
-        ):
-            raise LsglueError(f"bad index tuple key {key!r}")
+            if not _KEY.fullmatch(key):
+                raise ValueError
+            idx = tuple(map(int, key[1:-1].split(","))) if key != "[]" else ()
+        except ValueError:
+            raise LsglueError(f"bad index tuple key {excerpt(repr(key))}") from None
         if (
             not isinstance(record, dict)
             or not isinstance(record.get("c0"), str)
@@ -240,15 +244,16 @@ def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
             or not isinstance(record.get("base"), list)
         ):
             raise LsglueError(
-                f"coefficient at {key} needs string 'c0' and arrays 'c' and 'base'"
+                f"coefficient at {excerpt(key)} needs string 'c0' and arrays 'c' and 'base'"
             )
         parsed_base = Vector(tuple(rational_from_string(s) for s in record["base"]))
         if parsed_base != base:
             raise LsglueError(
-                f"coefficient at {key} is based at {parsed_base.to_strings()},"
-                f" expected {base.to_strings()}"
+                f"coefficient at {excerpt(key)} is based at"
+                f" {excerpt(str(parsed_base.to_strings()))},"
+                f" expected {excerpt(str(base.to_strings()))}"
             )
-        coeffs[tuple(raw)] = LinearizedElement(
+        coeffs[idx] = LinearizedElement(
             rational_from_string(record["c0"]),
             Vector(tuple(rational_from_string(s) for s in record["c"])),
         )

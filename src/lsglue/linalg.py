@@ -36,12 +36,11 @@ cleared of its denominators.  It never exceeds the rank over the rationals,
 so a full modular rank proves a square matrix nonsingular; a short one
 proves nothing.
 
-:class:`Frozen` is the base of the package's immutable classes, and
-:class:`Value` that of its values: a subclass names its fields in
-``__slots__``, and two objects are equal exactly when they are of the same
-class and their fields are equal, in slot order.  Equal values hash equal,
-and the repr is ``ClassName(field!r, ...)``.  The other :class:`Frozen`
-classes compare by identity.
+Every immutable record of the package is a :class:`Value`: a subclass names
+its fields in ``__slots__``, sets them once in ``__init__``, and two objects
+are equal exactly when they are of the same class and their fields are
+equal, in slot order.  Equal values hash equal (a class never to be hashed
+sets ``__hash__ = None``), and the repr is ``ClassName(field!r, ...)``.
 """
 
 from __future__ import annotations
@@ -65,26 +64,14 @@ def integer_row(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-class Frozen:
-    """Base of the package's immutable classes: a subclass sets its attributes
-    once, in ``__init__``, through ``object.__setattr__``; any later
-    assignment or deletion raises :class:`AttributeError`."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Value(Frozen):
-    """Base of the package's value classes: equal when of the same class with
-    equal fields, the names in the subclass's ``__slots__``, compared in
+class Value:
+    """Base of the package's immutable records: equal when of the same class
+    with equal fields, the names in the subclass's ``__slots__``, compared in
     order; equal values hash equal.  The hash is that of the fields, so it
     raises :class:`TypeError` when one is unhashable (a dict, say); a
-    subclass that is never to be hashed sets ``__hash__ = None``."""
+    subclass that is never to be hashed sets ``__hash__ = None``.  A subclass
+    sets its fields once, in ``__init__``, through ``object.__setattr__``;
+    any later assignment or deletion raises :class:`AttributeError`."""
 
     __slots__ = ()
 
@@ -92,6 +79,12 @@ class Value(Frozen):
         super().__init_subclass__(**kwargs)
         # built once per class: one field gives the bare value, more a tuple
         cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -31,8 +31,8 @@ from collections.abc import Iterable
 from functools import cache
 from math import gcd
 
-from .errors import DimensionMismatch, LsglueError, Singular
-from .linalg import Frozen, Matrix, Value, Vector, integer_row, solve_square
+from .errors import DimensionMismatch, LsglueError, Singular, excerpt
+from .linalg import Matrix, Value, Vector, integer_row, solve_square
 from .scalars import ONE, ZERO, Rational, over_digit_limit
 
 
@@ -83,7 +83,9 @@ class FeatureMap(Value):
                         _too_long(coord.numerator, exp, max_bits)
                         or _too_long(coord.denominator, exp, max_bits)
                     ):
-                        raise LsglueError(over_digit_limit(f"a power in monomial {list(mono)}"))
+                        raise LsglueError(
+                            over_digit_limit(f"a power in monomial {excerpt(str(list(mono)))}")
+                        )
                     term = term * coord**exp
             values.append(term)
         return Vector(tuple(values))
@@ -115,7 +117,7 @@ def affine_features(ambient_dim: int) -> FeatureMap:
     return FeatureMap(tuple(coords) + ((0,) * ambient_dim,))
 
 
-class NormalSystem(Frozen):
+class NormalSystem(Value):
     """The pair (ν, N) of one weighted data set."""
 
     __slots__ = ("nu", "nmat")
@@ -211,7 +213,7 @@ def _exact_sum(terms):
     return Rational(sum(nums), den)
 
 
-class LSSolution(Frozen):
+class LSSolution(Value):
     """Exact least-squares parameters; ν + N·â = 0 at the solved weights.
     ``also`` holds N⁻¹v for each further right-hand side v the system was
     solved against, in order."""
@@ -233,7 +235,7 @@ def solve_least_squares(
         a_hat, *rest = solve_square(system.nmat, -system.nu, *also)
     except Singular as err:
         raise Singular(
-            f"normal matrix is singular on {chart or 'chart'}"
+            f"normal matrix is singular on {excerpt(chart or 'chart')}"
             f" (rank {err.rank} < {system.param_dim})",
             rank=err.rank,
             cell=chart,
@@ -271,7 +273,7 @@ def model_from_json(doc: dict, ambient_dim: int) -> FeatureMap:
         for mono in exponents:
             if not isinstance(mono, list) or any(type(e) is not int for e in mono):
                 raise LsglueError(
-                    f"monomial exponents must be arrays of integers, got {mono!r}"
+                    f"monomial exponents must be arrays of integers, got {excerpt(repr(mono))}"
                 )
         features = FeatureMap.of(exponents)
         if features.ambient_dim != ambient_dim:
@@ -280,4 +282,4 @@ def model_from_json(doc: dict, ambient_dim: int) -> FeatureMap:
                 f" dataset has {ambient_dim}"
             )
         return features
-    raise LsglueError(f"unknown feature kind {kind!r}")
+    raise LsglueError(f"unknown feature kind {excerpt(repr(kind))}")

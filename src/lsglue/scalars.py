@@ -25,7 +25,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import LsglueError, MalformedNumber, ZeroDenominator
+from .errors import LsglueError, MalformedNumber, ZeroDenominator, excerpt
 
 _requested = os.environ.get("LSGLUE_BACKEND", "").strip().lower()
 
@@ -73,7 +73,7 @@ def rational_from_string(text: str) -> Rational:
                 num_s, den_s = body.split("/")
                 den = int(den_s)
                 if den == 0:
-                    raise ZeroDenominator(f"zero denominator in {text!r}")
+                    raise ZeroDenominator(f"zero denominator in {excerpt(repr(text))}")
                 return Rational(int(num_s), den)
             return Rational(int(body))
         if _DECIMAL_RE.match(body):
@@ -82,9 +82,9 @@ def rational_from_string(text: str) -> Rational:
     except ValueError:
         # The grammar admits only digits, so int() fails only on Python's
         # limit on the length of decimal integer strings.
-        excerpt = body if len(body) <= 40 else f"{body[:20]}... ({len(body)} characters)"
-        raise MalformedNumber(over_digit_limit(f"rational literal {excerpt!r}")) from None
-    raise MalformedNumber(f"cannot parse rational literal {text!r}")
+        what = f"rational literal {excerpt(repr(body))}"
+        raise MalformedNumber(over_digit_limit(what)) from None
+    raise MalformedNumber(f"cannot parse rational literal {excerpt(repr(text))}")
 
 
 def over_digit_limit(what: str) -> str:

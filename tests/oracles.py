@@ -9,9 +9,11 @@ the normal sums, so agreement between the two is meaningful.
 The one exception is :func:`koszul_verify`, the cocycle check written with
 the package's Koszul arithmetic (``translate``, ``koszul_diff``, element
 subtraction), as the paper states the equations; ``verify_cocycle`` checks
-the same equations on plain vectors.
+the same equations on plain vectors.  :func:`slot_key_accepted` decides a
+wedge-slot key by a JSON round trip instead of the package's grammar.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -294,14 +296,26 @@ def koszul_verify(cochain, fits):
         witness = cochain.r[cell]
         if witness is None:
             image = KoszulElement.zero(1, base)
-            outcome = "constant_defect" if not constants.is_zero() else "inconsistent"
         else:
             image = koszul_diff(witness, fits[cell])
-            outcome = "ok"
         triples[cell] = TripleCheck(
             defect_constant=constants,
             witness=witness,
             residual=image - defect,
-            outcome=outcome,
         )
     return ObstructionReport(pairs=pairs, triples=triples)
+
+
+def slot_key_accepted(key):
+    """Whether ``key`` is a wedge-slot key as ``koszul_to_json`` writes it:
+    it decodes as a JSON array of integers (no booleans) and encodes back to
+    itself without spaces."""
+    try:
+        raw = json.loads(key)
+    except (ValueError, RecursionError):
+        return False
+    return (
+        isinstance(raw, list)
+        and all(isinstance(i, int) and not isinstance(i, bool) for i in raw)
+        and key == json.dumps(raw, separators=(",", ":"))
+    )

@@ -225,7 +225,7 @@ def test_criterion_6_two_chart_cocycle():
         data = make_dataset(points, weights)
         cover = lg.Cover.of(data, [("A", chart1), ("B", chart2)])
         cochain, report = build_zero_cocycle(cover, lg.affine_features(1))
-        assert report.all_pairs_zero()
+        assert all(check.residual_zero for check in report.pairs.values())
         assert report.all_verified()
         assert not report.triples
         re_report = verify_cocycle(

@@ -99,7 +99,8 @@ def test_build_zero_cocycle_toy(toy_cover, affine1):
     (beta,) = cochain.beta.values()
     assert beta.coefficient((1,)).c0 == lg.rat("653/5880")
     assert beta.coefficient((2,)).c0 == lg.rat("-1070/5880")
-    assert report.all_pairs_zero() and not report.any_obstructed()
+    assert all(check.residual_zero for check in report.pairs.values())
+    assert not any(check.obstructed for check in report.triples.values())
     assert report.all_verified()
 
 

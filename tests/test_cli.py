@@ -311,6 +311,16 @@ PAIR, D2 = ["13/14", "12/7"], ["13/15", "26/15"]
             "error: cochain 'charts' entry 'D2': zero denominator in '1/0'\n",
             id="chart_zero_denominator",
         ),
+        pytest.param(
+            {"pairs": {"D1|D2": {"beta": {"[1,2]": {"c0": "1", "c": ["0", "0"], "base": PAIR}}}}},
+            "error: cochain 'pairs' entry 'D1|D2': index tuple (1, 2) has length != degree 1\n",
+            id="beta_key_of_degree_2",
+        ),
+        pytest.param(
+            {"pairs": {"D1|D2": {"beta": []}}},
+            "error: cochain 'pairs' entry 'D1|D2': Koszul element JSON must be an object\n",
+            id="beta_array",
+        ),
     ],
 )
 def test_verify_malformed_cochain_shape_exit_1(files, capsys, cochain, message):
@@ -330,6 +340,12 @@ def test_verify_malformed_cochain_shape_exit_1(files, capsys, cochain, message):
     [
         ({"points": 5}, None, "'points' array"),
         (TOY_DATASET, {"charts": 5}, "'charts' array"),
+        pytest.param(
+            {"points": []},
+            None,
+            "error: empty dataset needs an explicit ambient_dim\n",
+            id="no_points_no_ambient_dim",
+        ),
     ],
 )
 def test_malformed_input_shape_exit_1(files, capsys, dataset_doc, cover_doc, message):
@@ -374,6 +390,8 @@ FOUR_CHARTS = {
 def assert_one_error_line(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # an echoed input value is cut (errors.excerpt), so the line stays short
+    assert len(err.encode()) <= 1000
 
 
 @pytest.mark.parametrize("command", ["cocycle", "verify"])
@@ -634,6 +652,11 @@ def test_power_over_digit_limit_exit_1(files, capsys):
 def _verify_golden(capsys, tmp_path, doc, line=False):
     """Run ``verify`` on a changed copy of a golden cocycle report (a
     document, or its text)."""
+    return run(capsys, _verify_golden_argv(tmp_path, doc, line))
+
+
+def _verify_golden_argv(tmp_path, doc, line=False):
+    """The ``verify`` arguments of :func:`_verify_golden`."""
     report = tmp_path / "report.json"
     report.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     inputs = (
@@ -642,10 +665,24 @@ def _verify_golden(capsys, tmp_path, doc, line=False):
         else ["sampledata/toy5.json", "sampledata/cover_two_charts.json"]
     )
     dataset, cover = (str(ROOT / path) for path in inputs)
-    return run(
-        capsys,
-        ["verify", "--dataset", dataset, "--cover", cover, "--cochain", str(report)],
-    )
+    return ["verify", "--dataset", dataset, "--cover", cover, "--cochain", str(report)]
+
+
+def _changed_golden(change, line=False):
+    """A golden cocycle report (two charts, or ``line``: three) after
+    ``change(doc)``."""
+    name = "line_three_charts" if line else "two_charts"
+    doc = json.loads((ROOT / f"tests/golden/cocycle_{name}.json").read_text())
+    change(doc)
+    return doc
+
+
+def _renamed(beta, key):
+    """``beta`` with its slot key ``"[1]"`` renamed ``key``."""
+    return {key if old == "[1]" else old: c for old, c in beta.items()}
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.mark.parametrize(
@@ -658,8 +695,27 @@ def _verify_golden(capsys, tmp_path, doc, line=False):
             "[" * 100_000 + "]" * 100_000 if key == "[1]" else key: c
             for key, c in beta.items()
         },
+        lambda beta: _renamed(beta, "[-0]"),
+        lambda beta: _renamed(beta, "[01]"),
+        lambda beta: _renamed(beta, "[\u0661]"),
+        pytest.param(
+            lambda beta: _renamed(beta, "[" + "1" * (DIGIT_LIMIT + 701) + "]"),
+            marks=pytest.mark.skipif(
+                not DIGIT_LIMIT, reason="no limit on decimal integer strings in this interpreter"
+            ),
+            id="index_over_digit_limit",
+        ),
     ],
-    ids=["bool", "spaced_alias", "trailing_space", "nested_too_deeply"],
+    ids=[
+        "bool",
+        "spaced_alias",
+        "trailing_space",
+        "nested_too_deeply",
+        "minus_zero",
+        "leading_zero",
+        "arabic_indic_digit",
+        "index_over_digit_limit",
+    ],
 )
 def test_verify_slot_keys_must_be_canonical(capsys, tmp_path, rekey):
     # a key that is not written as koszul_to_json writes it could name the
@@ -670,6 +726,145 @@ def test_verify_slot_keys_must_be_canonical(capsys, tmp_path, rekey):
     code, out, err = _verify_golden(capsys, tmp_path, doc)
     assert_one_error_line(code, out, err)
     assert "bad index tuple key" in err
+
+
+def _points(count, weight="1"):
+    """A one-dimensional dataset of ``count`` points, all of weight ``weight``."""
+    records = [{"x": [str(i)], "y": "0", "weight": weight} for i in range(1, count + 1)]
+    return {"ambient_dim": 1, "points": records}
+
+
+def _command(command, dataset, cover=None, model=None, *flags):
+    """Arguments of ``command`` on the given dataset, cover and model
+    documents, then ``flags``."""
+
+    def argv(files, tmp_path):
+        args = [command, "--dataset", files("d.json", dataset)]
+        for flag, doc in (("--cover", cover), ("--model", model)):
+            if doc is not None:
+                args += [flag, files(f"{flag[2]}.json", doc)]
+        return args + list(flags)
+
+    return argv
+
+
+def _verify_changed(change, line=False):
+    """Arguments that ``verify`` a golden cocycle report after ``change(doc)``."""
+    return lambda files, tmp_path: _verify_golden_argv(
+        tmp_path, _changed_golden(change, line), line
+    )
+
+
+def _verify_pair(change):
+    """:func:`_verify_changed` with ``change`` of the two-chart pair record."""
+    return _verify_changed(lambda doc: change(doc["pairs"]["D1|D2"]))
+
+
+NESTED_KEY = "[" * 2500 + "]" * 2500
+
+
+@pytest.mark.parametrize(
+    "make_argv, message, echoed",
+    [
+        pytest.param(
+            _verify_pair(lambda record: record.update(beta=_renamed(record["beta"], NESTED_KEY))),
+            "cochain 'pairs' entry 'D1|D2': bad index tuple key ",
+            NESTED_KEY,
+            id="beta_key",
+        ),
+        pytest.param(
+            _verify_pair(lambda record: record["beta"]["[1]"].update(c0="x" * 5000)),
+            "cochain 'pairs' entry 'D1|D2': cannot parse rational literal ",
+            "x" * 5000,
+            id="beta_c0",
+        ),
+        pytest.param(
+            _verify_changed(lambda doc: doc["pairs"].update({"Q" * 5000: doc["pairs"]["D1|D2"]})),
+            "cochain references unknown degree-1 cell ",
+            "Q" * 5000,
+            id="pair_label",
+        ),
+        pytest.param(
+            _command("cocycle", _points(5000), {"charts": [{"name": "A", "indices": [1, 2, 3]}]}),
+            "charts do not cover base indices ",
+            list(range(4, 5001)),
+            id="uncovered_points",
+        ),
+        pytest.param(
+            _command("fit", _points(5000, weight="-1")),
+            "negative weights at indices ",
+            list(range(1, 5001)),
+            id="negative_weights",
+        ),
+        pytest.param(
+            _command("fit", {"points": [{"x": ["0"], "y": [[0] * 1700]}]}),
+            "rational literals must be strings or ints, got ",
+            [[0] * 1700],
+            id="y_array",
+        ),
+        pytest.param(
+            _command("fit", TOY_DATASET, {"charts": [{"name": "|" * 5000, "indices": [1, 2]}]}),
+            "chart name ",
+            "|" * 5000,
+            id="chart_name",
+        ),
+    ],
+)
+def test_echoed_input_is_cut_exit_1(files, capsys, tmp_path, make_argv, message, echoed):
+    # a message quotes at most 80 characters of an input value, then the
+    # length of all of it
+    code, out, err = run(capsys, make_argv(files, tmp_path))
+    assert_one_error_line(code, out, err)
+    text = repr(echoed)
+    assert f"{message}{text[:80]}... ({len(text)} characters)" in err
+
+
+NEGATIVE_EXPONENT = {"features": "monomials", "exponents": [[-1], [0]]}
+
+
+def _set_triple_r(doc):
+    record = doc["triples"]["L1|L2|L3"]
+    record["r"] = {"[2,1]": {"c0": "1", "c": ["0", "0"], "base": record["a_hat"]}}
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        pytest.param(
+            _verify_changed(_set_triple_r, line=True),
+            "cochain 'triples' entry 'L1|L2|L3': index tuple (2, 1) is not strictly increasing",
+            id="r_key_decreasing",
+        ),
+        pytest.param(
+            lambda files, tmp_path: ["fit", "--dataset", files("d.csv", "")],
+            "empty CSV dataset",
+            id="empty_csv",
+        ),
+        pytest.param(
+            _command("fit", TOY_DATASET, None, None, "--max-degree", "-1"),
+            "max_degree must be >= 0",
+            id="negative_max_degree",
+        ),
+        pytest.param(
+            _command("fit", TOY_DATASET, None, NEGATIVE_EXPONENT),
+            "monomial exponents must be nonnegative integers",
+            id="negative_exponent",
+        ),
+    ],
+)
+def test_input_guards_exit_1(files, capsys, tmp_path, make_argv, message):
+    # guards that no other test reaches
+    code, out, err = run(capsys, make_argv(files, tmp_path))
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+def test_csv_blank_lines_are_skipped(files, capsys):
+    rows = "x1,y,weight\n-4,2,1\n-1,1,1\n1,2,1\n2,4,1\n5,6,1\n"
+    plain = run(capsys, ["fit", "--dataset", files("d.csv", rows)])
+    spaced = run(capsys, ["fit", "--dataset", files("e.csv", rows.replace("\n", "\n\n"))])
+    assert plain[0] == 0 and plain[2] == ""
+    assert spaced == plain
 
 
 def test_verify_false_obstruction_exit_4(capsys, tmp_path):

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lsglue as lg
 from lsglue.koszul import (
@@ -203,3 +206,39 @@ def test_koszul_json_base_enforced():
     doc = koszul_to_json(xi)
     with pytest.raises(lg.LsglueError):
         koszul_from_json(doc, 1, vec(0, 0))
+
+
+def _package_accepts(key):
+    """Whether ``koszul_from_json`` reads ``key`` as a slot key: a key it
+    accepts fails on the coefficient record, None, instead."""
+    with pytest.raises(lg.LsglueError) as info:
+        koszul_from_json({key: None}, 1, vec(0))
+    return "bad index tuple key" not in str(info.value)
+
+
+# keys built from key-like characters, from JSON arrays written with and
+# without spaces, and from the key grammar loosened to admit leading zeros,
+# -0 and a plus sign
+SLOT_KEYS = st.one_of(
+    st.text(st.sampled_from("[],-+0123456789 .e\u0661\n"), max_size=12),
+    st.lists(st.integers(-(10**30), 10**30), max_size=4).map(json.dumps),
+    st.lists(st.integers(-(10**30), 10**30), max_size=4).map(
+        lambda idx: json.dumps(idx, separators=(",", ":"))
+    ),
+    st.from_regex(r"\[([-+]?[0-9]{1,3}(,[-+]?[0-9]{1,3}){0,3})?\]", fullmatch=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example("[-0]")
+@example("[01]")
+@example("[\u0661]")
+@example("[1\u0661]")
+@example("[1]\n")
+@example("[true]")
+@example("[]")
+@example("[" * 5000 + "]" * 5000)
+@example("[" + "1" * 5001 + "]")
+@given(SLOT_KEYS)
+def test_slot_key_grammar_matches_json_round_trip(key):
+    assert _package_accepts(key) == oracles.slot_key_accepted(key)

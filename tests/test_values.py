@@ -1,4 +1,5 @@
-"""Value semantics of the classes on ``linalg.Value``.
+"""Value semantics of the classes on ``linalg.Value``, every immutable record
+of the package.
 
 Each case builds one object twice, from equal fields reached in different
 ways (a class helper and the plain constructor, positional and keyword
@@ -42,6 +43,10 @@ def first_pair():
 
 def the_triple():
     return next(iter(three_chart_report().triples.values()))
+
+
+def toy_cochain(*charts):
+    return lg.build_zero_cocycle(toy_cover(*charts), lg.affine_features(1))[0]
 
 
 def point(weight):
@@ -106,7 +111,9 @@ CASES = {
         the_triple,
         the_triple,
         lambda: TripleCheck(
-            the_triple().defect_constant, None, the_triple().residual, "inconsistent"
+            the_triple().defect_constant,
+            KoszulElement.zero(2, the_triple().residual.base),
+            the_triple().residual,
         ),
     ),
     "ObstructionReport": (
@@ -114,10 +121,36 @@ CASES = {
         three_chart_report,
         lambda: lg.ObstructionReport(three_chart_report().pairs, {}),
     ),
+    "Cover": (
+        toy_cover,
+        lambda: lg.Cover(
+            toy_cover().base, (("D1", frozenset({1, 2, 3, 4})), ("D2", frozenset({2, 3, 4, 5})))
+        ),
+        lambda: toy_cover(("D1", [1, 2, 3, 4]), ("D2", [1, 2, 3, 4, 5])),
+    ),
+    "NormalSystem": (
+        lambda: lg.build_normal_system(toy_cover().base, lg.affine_features(1)),
+        lambda: lg.NormalSystem(vec(-62, -30), lg.Matrix.of([[94, 6], [6, 10]])),
+        lambda: lg.NormalSystem(vec(-62, -30), lg.Matrix.of([[94, 6], [6, 11]])),
+    ),
+    "LSSolution": (
+        lambda: lg.solve_least_squares(
+            lg.NormalSystem(vec(-2, -4), lg.Matrix.of([[2, 0], [0, 4]]))
+        ),
+        lambda: lg.LSSolution(vec(1, 1), ()),
+        lambda: lg.LSSolution(vec(1, 1), (vec(0, 0),)),
+    ),
+    "TotalCochain": (
+        toy_cochain,
+        toy_cochain,
+        lambda: toy_cochain(("D1", [1, 2, 3, 4]), ("D2", [1, 2, 3, 4, 5])),
+    ),
 }
 
 # their fields hold dicts
-UNHASHABLE = {"KoszulElement", "PairCheck", "TripleCheck", "ObstructionReport"}
+UNHASHABLE = {
+    "KoszulElement", "PairCheck", "TripleCheck", "ObstructionReport", "Cover", "TotalCochain"
+}
 
 
 def test_every_value_class_has_a_case():
