@@ -10,7 +10,10 @@ times representative workloads under each backend in separate subprocesses
 * ``solve_8x8``: six seeded 8x8 rational matrices, each inverted by one
   ``solve_square`` call against its 8 unit right-hand sides, so one
   elimination per matrix, every solution checked by ``matvec``;
-* ``cocycle_60pt``: ``build_zero_cocycle`` on 60 points and three charts.
+* ``cocycle_60pt``: ``build_zero_cocycle`` on 60 points and three charts;
+* ``normal_system_quad3d``: ``build_normal_system`` on
+  ``sampledata/quad3d.json`` (40 points in 3-d) under the quadratic model
+  ``sampledata/model_quad3d.json``.
 
 Usage: python benchmarks/bench_backends.py [--repeat 5]
 """
@@ -31,6 +34,8 @@ from fractions import Fraction
 
 import lsglue as lg
 from lsglue.assembly import build_zero_cocycle
+from lsglue.data import dataset_from_json
+from lsglue.model import model_from_json
 from lsglue.scalars import BACKEND
 
 
@@ -91,21 +96,40 @@ def workload_cocycle():
     return run
 
 
-repeat = int(json.loads(input()))
+def workload_normal_system(sampledata):
+    def load(name):
+        with open(f"{sampledata}/{name}", encoding="utf-8") as file:
+            return json.load(file)
+
+    data = dataset_from_json(load("quad3d.json"), allow_negative_weights=True)
+    features = model_from_json(load("model_quad3d.json"), data.ambient_dim)
+
+    def run():
+        lg.build_normal_system(data, features)
+
+    return run
+
+
+settings = json.loads(input())
+repeat = settings["repeat"]
 results = {
     "backend": BACKEND,
     "solve_8x8": bench(workload_solve(), repeat),
     "cocycle_60pt": bench(workload_cocycle(), repeat),
+    "normal_system_quad3d": bench(workload_normal_system(settings["sampledata"]), repeat),
 }
 print(json.dumps(results))
 """
+
+
+SAMPLEDATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "sampledata")
 
 
 def run_worker(backend: str, repeat: int) -> dict:
     env = dict(os.environ, LSGLUE_BACKEND=backend)
     out = subprocess.run(
         [sys.executable, "-c", WORKER],
-        input=json.dumps(repeat),
+        input=json.dumps({"repeat": repeat, "sampledata": SAMPLEDATA}),
         env=env,
         capture_output=True,
         text=True,
@@ -129,11 +153,11 @@ def main() -> int:
         return 1
 
     keys = [k for k in rows[0] if k != "backend"]
-    header = f"{'workload':<16}" + "".join(f"{row['backend']:>14}" for row in rows)
+    header = f"{'workload':<22}" + "".join(f"{row['backend']:>14}" for row in rows)
     print(header)
     print("-" * len(header))
     for key in keys:
-        line = f"{key:<16}"
+        line = f"{key:<22}"
         for row in rows:
             line += f"{row[key] * 1000:>12.2f}ms"
         if len(rows) == 2 and rows[1][key] > 0:

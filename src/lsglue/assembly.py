@@ -68,6 +68,7 @@ from .linalg import Value, Vector, modular_rank
 from .model import (
     FeatureMap,
     build_normal_system,
+    integer_system,
     solve_least_squares,
     sum_normal_systems,
 )
@@ -172,12 +173,15 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
     """The normal system of every nerve cell up to ``max_degree``, in
     (degree, names) order.
 
-    Each membership atom of the cover (:attr:`Cover.atoms`) is evaluated once,
-    over its own points; a cell's system is the sum of the systems of the
-    atoms its points fall in.  Equals ``build_normal_system`` of the base
-    restricted to the cell's indices.
+    The nerve is enumerated first, so a refused nerve costs no evaluation.
+    Each membership atom of the cover (:attr:`Cover.atoms`) is then evaluated
+    once, over its own points; a cell of one atom takes that atom's system,
+    and a cell of several the sum of their systems, each atom written as
+    integers once (``model.integer_system``).  Equals ``build_normal_system``
+    of the base restricted to the cell's indices.
     """
     validate_cover(cover)
+    cells = enumerate_nerve(cover, max_degree)
     base = cover.base
     atom_systems = {}
     atom_of = {}
@@ -187,13 +191,19 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
             WeightedDataSet(points, base.ambient_dim), features
         )
         atom_of.update(dict.fromkeys(indices, signature))
-    return {
-        cell: sum_normal_systems(
-            atom_systems[signature]
-            for signature in dict.fromkeys(atom_of[i] for i in sorted(cell.indices))
-        )
-        for cell in enumerate_nerve(cover, max_degree)
-    }
+    integers = {}
+    systems = {}
+    for cell in cells:
+        # the sums are exact, so the order of the atoms does not matter
+        signatures = list(dict.fromkeys(atom_of[i] for i in cell.indices))
+        if len(signatures) == 1:
+            systems[cell] = atom_systems[signatures[0]]
+            continue
+        for signature in signatures:
+            if signature not in integers:
+                integers[signature] = integer_system(atom_systems[signature])
+        systems[cell] = sum_normal_systems([integers[s] for s in signatures])
+    return systems
 
 
 def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> CellFits:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 
@@ -33,6 +34,7 @@ from .assembly import (
 from .data import Cover, cover_from_json, dataset_from_csv, dataset_from_json
 from .errors import LsglueError, Singular, excerpt
 from .koszul import koszul_to_json
+from .linalg import modular_rank
 from .model import affine_features, model_from_json
 from .scalars import over_digit_limit
 
@@ -45,11 +47,31 @@ _EXIT_VERIFY = 4
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a malformed input (exit 1, one ``error:``
-    line) instead of argparse's usage block and exit 2; subcommand parsers
-    are built from the same class."""
+    line) instead of argparse's usage block and exit 2, with every
+    command-line value it echoes cut by ``errors.excerpt``; subcommand
+    parsers are built from the same class."""
 
     def error(self, message: str):
-        raise LsglueError(message)
+        raise LsglueError(_bounded(message))
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse would list every unrecognized argument, however many
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            raise LsglueError(f"unrecognized arguments: {excerpt(' '.join(extras))}")
+        return args
+
+
+# A quoted value in a message, or a run of characters without a space;
+# compiled on first use, so that a run without an error does not pay for it.
+_VALUE = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+"""
+
+
+def _bounded(message: str) -> str:
+    """``message`` with each quoted value, and each unquoted word, cut by
+    ``errors.excerpt``: a usage or file-system error echoes command-line
+    values, which may be of any length."""
+    return re.sub(_VALUE, lambda match: excerpt(match.group()), message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,14 +290,21 @@ def _cmd_cocycle(args) -> int:
 def _certified_cochain(args, cover: Cover, features) -> tuple:
     """(fits, cochain) for ``verify``: the fits are certified from the
     report's claims, then its cochain is parsed.  A cochain that cannot be
-    read is refused only after every cell is solved, so a singular cell
-    still exits 2.  The normal systems and the parsed document do not
-    outlive the call, so they are not held while the report is rebuilt."""
+    read is refused only after every cell whose rank modulo a prime is short
+    is solved, in (degree, names) order, so a singular cell still exits 2; a
+    full modular rank already proves a cell nonsingular.  The normal systems
+    and the parsed document do not outlive the call, so they are not held
+    while the report is rebuilt."""
     systems = cell_normal_systems(cover, features, args.max_degree)
     try:
         doc = _read_json(args.cochain)
     except (LsglueError, OSError):
-        fit_cells(systems, betas=False)
+        short = {
+            cell: system
+            for cell, system in systems.items()
+            if modular_rank(system.nmat) < system.param_dim
+        }
+        fit_cells(short, betas=False)
         raise
     fits = fit_cells(systems, doc, betas=False)
     return fits, cochain_from_json(doc, fits)
@@ -306,7 +335,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_PARSE
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_bounded(str(err))}", file=sys.stderr)
         return _EXIT_PARSE
 
 

@@ -14,14 +14,28 @@ evaluates each membership atom of the cover once and sums the atoms of every
 cell.  N is symmetric, and positive semidefinite whenever all weights are
 nonnegative; the minimizer solves N·â = -ν.
 
-The sums are accumulated on integers: each point's features are written as
-integers over one denominator, the terms are added as integer numerators over
-a running common denominator of N (and another of ν), and one rational per
-entry is built at the end, on the upper triangle of N only.  The systems of
-a cell's atoms are added the same way, each entry over one common
-denominator (:func:`sum_normal_systems`).  Only ``.numerator``,
-``.denominator`` and the backend's ``Rational`` constructor are used, so
-every scalar backend takes the same path.
+The sums are accumulated on integers, and no rational is built per
+monomial.  For a point with coordinates x_i = p_i/q_i, E_i the largest
+exponent of coordinate i over the monomials, the features are φ_k = P_k/D
+with P_k = Π_i p_i^e_ki·q_i^(E_i - e_ki) and D = Π_i q_i^E_i, read from a
+small table of powers per coordinate.  Divided by gcd(D, P_1, ..., P_n), D is
+the least common denominator of φ and P = D·φ: exactly the integers
+``linalg.integer_row`` makes of φ, so the accumulation holds the same
+integers that rational features would give it.  The terms are added as
+integer numerators over a running common denominator of N (and another of
+ν), and one rational per entry is built at the end, on the upper triangle of
+N only.  A power longer than the interpreter's limit on decimal integer
+strings is refused before any power of the point is computed: the length of
+p^e grows with e, so testing p_i and q_i at E_i refuses exactly the points
+that testing every monomial would, and :meth:`FeatureMap.evaluate` then
+raises the error naming the first offending monomial.
+
+The systems of a cell's atoms are added the same way: each atom's ν and N
+are written once as integers over one denominator each
+(:func:`integer_system`), and a cell adds them over the lcm of those
+denominators, with one rational per entry (:func:`sum_normal_systems`).
+Only ``.numerator``, ``.denominator`` and the backend's ``Rational``
+constructor are used, so every scalar backend takes the same path.
 """
 
 from __future__ import annotations
@@ -29,7 +43,8 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 from functools import cache
-from math import gcd
+from math import gcd, lcm, prod
+from operator import getitem, mul
 
 from .errors import DimensionMismatch, LsglueError, Singular, excerpt
 from .linalg import Matrix, Value, Vector, integer_row, solve_square
@@ -132,9 +147,14 @@ class NormalSystem(Value):
 
 
 def _evaluate(points, features: FeatureMap) -> NormalSystem:
-    # Per point, with D the lcm of the denominators of φ and P = D·φ integer:
+    # Per point, with P = D·φ integer and D the lcm of the denominators of φ:
     # 2wφ_kφ_l = 2w·P_kP_l / D² and -2wyφ_k = -2wy·P_k / D.
     n = features.param_dim
+    tops = [max(column) for column in zip(*features.monomials)]
+    used = [i for i, top in enumerate(tops) if top]
+    tops = [tops[i] for i in used]
+    exponents = [[mono[i] for i in used] for mono in features.monomials]
+    max_bits = _max_bits(getattr(sys, "get_int_max_str_digits", lambda: 0)())
     upper = [[0] * (n - k) for k in range(n)]
     nu_sum = [0] * n
     n_den = nu_den = 1
@@ -142,7 +162,15 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
         w = point.weight
         if w == 0:
             continue
-        p, d = integer_row(features.evaluate(point.x).entries)
+        x = point.x.entries
+        coords = [(x[i].numerator, x[i].denominator) for i in used]
+        # _too_long grows with the exponent, so the top exponents decide
+        if max_bits and any(
+            _too_long(num, top, max_bits) or _too_long(den, top, max_bits)
+            for (num, den), top in zip(coords, tops)
+        ):
+            features.evaluate(point.x)  # raises, naming the first such monomial
+        p, d = _integer_features(coords, tops, exponents)
         w_num, w_den = w.numerator, w.denominator
         n_den, lift = _grow(n_den, w_den * d * d, upper)
         c = 2 * w_num * lift
@@ -155,14 +183,35 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
             nu_den, lift = _grow(nu_den, w_den * y.denominator * d, [nu_sum])
             c = -2 * w_num * y.numerator * lift
             nu_sum[:] = [a + c * b for a, b in zip(nu_sum, p)]
-    upper = [[Rational(v, n_den) for v in row] for row in upper]
-    # N is symmetric: mirror the upper triangle.
-    rows = tuple(
-        tuple(upper[l][k - l] for l in range(k)) + tuple(upper[k]) for k in range(n)
-    )
-    return NormalSystem(
-        nu=Vector(tuple(Rational(v, nu_den) for v in nu_sum)), nmat=Matrix(rows, n)
-    )
+    return _system(nu_sum, nu_den, [v for row in upper for v in row], n_den)
+
+
+def _integer_features(coords: list, tops: list, exponents: list) -> tuple:
+    """(P, D): φ of one point as ``integer_row`` writes it, from the
+    (numerator, denominator) of each coordinate a monomial uses, its top
+    exponent E_i and each monomial's exponents of those coordinates.
+
+    With x_i = p_i/q_i, φ_k = P_k/D for P_k = Π p_i^e_ki·q_i^(E_i - e_ki) and
+    D = Π q_i^E_i; divided by g = gcd(D, *P), D is the least integer that
+    clears every φ_k, the lcm of their denominators, and P = D·φ.
+    """
+    tables = []
+    d = 1
+    for (num, den), top in zip(coords, tops):
+        # table[e] = num^e · den^(top - e)
+        ups, downs = [1], [1]
+        for _ in range(top):
+            ups.append(ups[-1] * num)
+            downs.append(downs[-1] * den)
+        d *= downs[-1]
+        downs.reverse()
+        tables.append(list(map(mul, ups, downs)))
+    p = [prod(map(getitem, tables, mono)) for mono in exponents]
+    g = gcd(d, *p)
+    if g != 1:
+        d //= g
+        p = [v // g for v in p]
+    return p, d
 
 
 def _grow(den: int, term_den: int, rows: list) -> tuple:
@@ -189,28 +238,47 @@ def build_normal_system(data, features: FeatureMap) -> NormalSystem:
     return _evaluate(data.points, features)
 
 
-def sum_normal_systems(systems) -> NormalSystem:
-    """The normal system of the union of disjoint point groups, one system
-    each: ν and N add."""
-    systems = list(systems)
-    if not systems:
-        raise LsglueError("cannot sum an empty list of normal systems")
-    if len(systems) == 1:
-        return systems[0]
-    n = systems[0].param_dim
-    if any(system.param_dim != n for system in systems):
-        raise DimensionMismatch("normal systems have different parameter dims")
-    nu = tuple(map(_exact_sum, zip(*(s.nu.entries for s in systems))))
-    rows = tuple(
-        tuple(map(_exact_sum, zip(*(s.nmat.rows[k] for s in systems)))) for k in range(n)
+def integer_system(system: NormalSystem) -> tuple:
+    """(ν', d_ν, N', d_N): the system's ν as integers ν' over their least
+    common denominator d_ν, and the upper triangle of N, row by row, as
+    integers N' over theirs; the form :func:`sum_normal_systems` adds."""
+    nu, nu_den = integer_row(system.nu.entries)
+    upper, n_den = integer_row(
+        [v for k, row in enumerate(system.nmat.rows) for v in row[k:]]
     )
-    return NormalSystem(nu=Vector(nu), nmat=Matrix(rows, n))
+    return nu, nu_den, upper, n_den
 
 
-def _exact_sum(terms):
-    """Σ terms on integer numerators: one rational per sum, not per addition."""
-    nums, den = integer_row(terms)
-    return Rational(sum(nums), den)
+def sum_normal_systems(parts: list) -> NormalSystem:
+    """The normal system of the union of disjoint point groups, each given
+    by its :func:`integer_system`: ν and N add, each over the lcm of the
+    groups' denominators, with one rational per entry."""
+    nus, nu_dens, uppers, n_dens = zip(*parts)
+    return _system(*_add(nus, nu_dens), *_add(uppers, n_dens))
+
+
+def _add(rows: tuple, dens: tuple) -> tuple:
+    """(Σ_j rows[j]·(d/dens[j]), d), d = lcm(dens): integer rows, each over
+    its own denominator, added over one."""
+    den = lcm(*dens)
+    lifts = [den // d for d in dens]
+    return [sum(map(mul, column, lifts)) for column in zip(*rows)], den
+
+
+def _system(nu: list, nu_den: int, upper: list, n_den: int) -> NormalSystem:
+    """(ν, N) from ν = nu / nu_den and the upper triangle of N, row by row,
+    as upper / n_den; N is symmetric, so the triangle is mirrored."""
+    n = len(nu)
+    flat = [Rational(v, n_den) for v in upper]
+    starts = [k * n - k * (k - 1) // 2 for k in range(n + 1)]
+    rows = tuple(
+        tuple(flat[starts[l] + k - l] for l in range(k))
+        + tuple(flat[starts[k] : starts[k + 1]])
+        for k in range(n)
+    )
+    return NormalSystem(
+        nu=Vector(tuple(Rational(v, nu_den) for v in nu)), nmat=Matrix(rows, n)
+    )
 
 
 class LSSolution(Value):

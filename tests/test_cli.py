@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from lsglue import cli, linalg
+from lsglue import assembly, cli, linalg, model
+from lsglue.errors import excerpt
 
 import oracles
 
@@ -428,6 +429,27 @@ def test_usage_error_exit_1(files, capsys, argv, message):
     code, out, err = run(capsys, [dataset if arg == "d.json" else arg for arg in argv])
     assert_one_error_line(code, out, err)
     assert message in err
+
+
+def test_usage_and_path_errors_cut_long_values(files, capsys, tmp_path):
+    # argparse quotes a value whole and lists every unrecognized argument,
+    # and an OSError quotes its path whole
+    value = "j" * 100_000
+    argv = ["fit", "--dataset", files("d.json", TOY_DATASET), "--format", value]
+    code, out, err = run(capsys, argv)
+    assert_one_error_line(code, out, err)
+    assert len(err.encode()) < 300
+    # the rest of argparse's message, the choices, is worded per Python version
+    assert err.startswith(f"error: argument --format: invalid choice: {excerpt(repr(value))} (")
+    extras = ["a"] * 50_000
+    code, out, err = run(capsys, [*argv[:3], *extras])
+    assert_one_error_line(code, out, err)
+    assert err == f"error: unrecognized arguments: {excerpt(' '.join(extras))}\n"
+    path = str(tmp_path / ("p" * 5000))
+    code, out, err = run(capsys, ["fit", "--dataset", path])
+    assert_one_error_line(code, out, err)
+    assert len(err.encode()) < 300
+    assert err.startswith("error: [Errno ") and err.endswith(f": {excerpt(repr(path))}\n")
 
 
 def test_help_exit_0(capsys):
@@ -923,6 +945,48 @@ QUAD_ARGV = [
 ]
 
 
+def test_unreadable_cochain_solves_only_short_rank_cells(files, capsys, tmp_path, monkeypatch):
+    # every quad3d cell has full rank modulo the prime, which proves it
+    # nonsingular, so a missing report is refused without an elimination; on
+    # ABC_CHARTS the pair A|C has a short modular rank, is solved, and exits 2
+    calls = []
+    solve = model.solve_square
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(model, "solve_square", counting)
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, ["verify", *QUAD_ARGV, "--cochain", missing])
+    assert (code, out, len(calls)) == (1, "", 0)
+    assert err == f"error: [Errno 2] No such file or directory: {excerpt(repr(missing))}\n"
+    dataset, cover = files("d.json", TOY_DATASET), files("c.json", ABC_CHARTS)
+    argv = ["verify", "--dataset", dataset, "--cover", cover, "--cochain", missing]
+    code, out, err = run(capsys, argv)
+    assert (code, out, len(calls)) == (2, "", 1)
+    assert err == "error: singular cell: normal matrix is singular on A|C (rank 1 < 2)\n"
+
+
+def test_refused_nerve_evaluates_no_atom(files, capsys, monkeypatch):
+    # the nerve is checked before any atom's normal system is accumulated
+    def fail(*args):
+        raise AssertionError("an atom was evaluated")
+
+    monkeypatch.setattr(assembly, "build_normal_system", fail)
+    code, out, err = run(capsys, ["fit", *QUAD_ARGV, "--max-degree", "-1"])
+    assert_one_error_line(code, out, err)
+    assert err == "error: max_degree must be >= 0\n"
+    # C(200, 1) + C(200, 2) + C(200, 3) subsets of the one atom's signature
+    dataset = files("d.json", {"ambient_dim": 1, "points": [{"x": ["0"], "y": "0"}]})
+    cover = files("c.json", {"charts": [{"name": f"C{i}", "indices": [1]} for i in range(200)]})
+    code, out, err = run(capsys, ["fit", "--dataset", dataset, "--cover", cover])
+    assert_one_error_line(code, out, err)
+    assert err == (
+        "error: the nerve up to degree 2 would visit more than 1000000 chart subsets\n"
+    )
+
+
 def _wrong_first_entry(a_hat):
     return ["1" if a_hat[0] != "1" else "2", *a_hat[1:]]
 
@@ -1051,11 +1115,11 @@ def test_os_errors_exit_1_with_their_message(files, capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     code, out, err = run(capsys, ["fit", "--dataset", missing])
     assert (code, out) == (1, "")
-    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert err == f"error: [Errno 2] No such file or directory: {excerpt(repr(missing))}\n"
     dataset = files("d.json", TOY_DATASET)
     code, out, err = run(capsys, ["fit", "--dataset", dataset, "--output", str(tmp_path)])
     assert (code, out) == (1, "")
-    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert err == f"error: [Errno 21] Is a directory: {excerpt(repr(str(tmp_path)))}\n"
 
 
 def test_import_loads_no_module_the_cli_does_not_use():

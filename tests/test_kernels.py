@@ -11,9 +11,13 @@ cofactor rank, and may only fall below it under a small prime.  The
 integer-numerator ``matvec`` and ``norm_sq`` must equal plain Fraction sums.
 The normal-system accumulation behind ``build_normal_system`` must equal the
 direct sums of ``oracles.normal_sums``, on the data, on its restriction to a
-chart and under fresh weights.
+chart and under fresh weights, whatever the top exponent of each coordinate,
+and with or without the limit on decimal integer strings; a power over that
+limit is refused, naming the first monomial that holds one, unless its point
+has weight zero.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsglue as lg
-from lsglue import linalg
+from lsglue import linalg, model
 
 import oracles
 
@@ -29,7 +33,14 @@ F = Fraction
 QUADRATIC_3D = [
     [a, b, c] for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2
 ]
-FEATURES = {"affine_1d": [[1], [0]], "quadratic_3d": QUADRATIC_3D}
+# the integer features raise each coordinate to its own top exponent: here
+# 3 and 2, and in "unused_coordinate" 0 for the first coordinate
+FEATURES = {
+    "affine_1d": [[1], [0]],
+    "quadratic_3d": QUADRATIC_3D,
+    "mixed_tops": [[3, 0], [1, 2], [0, 1], [0, 0]],
+    "unused_coordinate": [[0, 2], [0, 1], [0, 0]],
+}
 
 entries = st.one_of(
     st.just(F(0)),
@@ -242,6 +253,17 @@ def _assert_matches(system, points, point_weights, exponents):
     ),
     None,
 )
+# denominators 6 and 4 share a factor: Π q^E = 6³·4² = 3456, but the lcm of
+# the features' denominators is 864
+@example(
+    (
+        "mixed_tops",
+        FEATURES["mixed_tops"],
+        [((F(1, 6), F(5, 4)), F(1)), ((F(-7, 6), F(3, 2)), F(-2, 3))],
+        [F(1), F(5, 3)],
+    ),
+    None,
+)
 def test_normal_system_matches_direct_sums(case, data):
     _, exponents, points, point_weights = case
     features = lg.FeatureMap.of(exponents)
@@ -249,6 +271,14 @@ def test_normal_system_matches_direct_sums(case, data):
     _assert_matches(
         lg.build_normal_system(dataset, features), points, point_weights, exponents
     )
+    # each point's integer features, reduced by their gcd with D, are the
+    # integers that integer_row makes of its rational features
+    tops = [max(column) for column in zip(*exponents)]
+    for point in dataset.points:
+        coords = [(v.numerator, v.denominator) for v in point.x]
+        assert model._integer_features(coords, tops, exponents) == linalg.integer_row(
+            features.evaluate(point.x).entries
+        )
 
     m = len(points)
     keep = {1} if data is None else data.draw(st.sets(st.integers(1, m)))
@@ -269,3 +299,51 @@ def test_normal_system_matches_direct_sums(case, data):
         fresh,
         exponents,
     )
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="no limit on decimal integer strings in this interpreter"
+)
+# the smallest exponent e with 2**e longer than the limit
+OVER_LIMIT = (10**DIGIT_LIMIT - 1).bit_length()
+
+
+@needs_digit_limit
+def test_zero_weight_point_is_not_evaluated():
+    # 2**OVER_LIMIT would be refused, but its point has weight zero; the
+    # powers of 1, -1 and 0 are never too long
+    exponents = [[OVER_LIMIT], [1], [0]]
+    points = [((F(2),), F(1)), ((F(1),), F(2)), ((F(-1),), F(0)), ((F(0),), F(5))]
+    point_weights = [F(0), F(1), F(2), F(1, 2)]
+    system = lg.build_normal_system(
+        _dataset(exponents, points, point_weights), lg.FeatureMap.of(exponents)
+    )
+    _assert_matches(system, points, point_weights, exponents)
+
+
+@needs_digit_limit
+def test_over_long_power_names_the_first_monomial_holding_one():
+    # the first coordinate's top exponent is over the limit, but the first
+    # monomial holding an over-long power is [0, OVER_LIMIT]
+    exponents = [[1, 0], [0, OVER_LIMIT], [OVER_LIMIT, 0], [0, 0]]
+    points = [((F(3), F(2)), F(1))]
+    dataset = _dataset(exponents, points, [F(1)])
+    with pytest.raises(lg.LsglueError) as err:
+        lg.build_normal_system(dataset, lg.FeatureMap.of(exponents))
+    assert str(err.value).startswith(f"a power in monomial [0, {OVER_LIMIT}] exceeds the limit")
+
+
+@needs_digit_limit
+def test_normal_system_without_digit_limit():
+    exponents = [[OVER_LIMIT, 0], [1, 2], [0, 0]]
+    points = [((F(2), F(1, 3)), F(1)), ((F(-3, 2), F(5)), F(-1, 2))]
+    point_weights = [F(1), F(2, 3)]
+    sys.set_int_max_str_digits(0)
+    try:
+        system = lg.build_normal_system(
+            _dataset(exponents, points, point_weights), lg.FeatureMap.of(exponents)
+        )
+    finally:
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+    _assert_matches(system, points, point_weights, exponents)
