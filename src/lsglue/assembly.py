@@ -22,14 +22,17 @@ cell's differential has zero constant term, so:
 * every triple defect is the alternating sum of the face betas, slot by slot.
 
 So a witness r exists exactly when the defect vector is zero, and then r = 0
-does.  A cell's fit is its differential: the :class:`LinearizedDifferential`
-at the cell's least-squares point â, with the cell's normal matrix N.  Koszul
-elements are built only to serialize the cochain, for the residuals a check
-returns, and for ι of a supplied triple witness; each is based at its cell's
-â and holds bare (c0, c) coefficients, so the checks read and write those
-pairs directly.  A beta or witness based away from its cell's fit is refused
-(:class:`BaseMismatch`).  All residuals are exact; floats appear only in
-advisory metrics.
+does.  They also fix the report of the cochain built here, so
+:func:`assemble_cochain` derives it and only ``verify`` runs the check
+:func:`verify_cocycle`: β solves N·β = δ and α has constant 0, so every pair
+residual is zero, and a triple's residual is -defect on the slot constants.
+A cell's fit is its differential: the :class:`LinearizedDifferential` at the
+cell's least-squares point â, with the cell's normal matrix N.  Koszul
+elements are built only to serialize the cochain, for the residuals of a
+report, and for ι of a supplied triple witness; each is based at its cell's
+â and holds bare (c0, c) coefficients.  A beta or witness based away from
+its cell's fit is refused (:class:`BaseMismatch`).  All residuals are
+exact; floats appear only in advisory metrics.
 
 One loop fits every cell (:func:`fit_cells`): a cell takes the ``"a_hat"``
 its record in a report claims when N·â = -ν holds exactly and N has full
@@ -296,43 +299,41 @@ def _face_sum(terms: list, n: int) -> Vector:
 def build_zero_cocycle(
     cover: Cover, features: FeatureMap
 ) -> tuple[TotalCochain, ObstructionReport]:
-    """Construct (alpha, beta, r) over the cover's nerve and verify it.
+    """Construct (alpha, beta, r) over the cover's nerve, with its report.
 
     Pairs always solve exactly (the overlap's normal matrix is invertible
     whenever its fit exists).  A triple glues (r = 0) when its beta defect
     vanishes and is recorded as obstructed (never raised) otherwise.  The
-    returned report is the verification of the constructed cochain.
+    report is derived from the construction, not checked (module docstring).
     """
     return assemble_cochain(fit_all_cells(cover, features, 2))
 
 
 def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:
-    """The cell-level cochain construction behind :func:`build_zero_cocycle`,
-    from the fits of :func:`fit_all_cells`.
-
-    Everything is computed on vectors (module docstring): β = N⁻¹δ with
-    δ = â_j - â_i is the one the pair's fit solved for (``fits.betas``), each
-    triple's defect is the alternating sum of its face β vectors, and r is
-    the zero element when that sum vanishes and None otherwise.  No normal
-    matrix is eliminated here.  The cochain is then rechecked by
-    :func:`verify_cocycle`.
-    """
+    """The cochain of :func:`build_zero_cocycle` from the fits of
+    :func:`fit_all_cells`, and the report :func:`verify_cocycle` would give
+    it, in one loop (module docstring): β is the pair's ``fits.betas``, a
+    triple's defect the alternating sum of its face βs, and r is zero when
+    that sum vanishes, None otherwise.  Nothing is eliminated or rechecked."""
     by_names = _cells_by_names(fits)
-
-    alpha, beta, r = {}, {}, {}
+    alpha, beta, r, pairs, triples = {}, {}, {}, {}, {}
     for cell, fit in fits.items():
         if cell.degree == 0:
             alpha[cell] = canonical_alpha(fit)
         elif cell.degree == 1:
+            name_i, name_j = cell.chart_names
+            delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
             slots = {(m + 1,): value for m, value in enumerate(fits.betas[cell])}
             beta[cell] = KoszulElement.from_constants(1, fit.base, slots)
+            pairs[cell] = PairCheck(delta, fits.betas[cell], KoszulElement.zero(0, fit.base))
         elif cell.degree == 2:
-            faces = [fits.betas[by_names[face]] for face in cell.faces()]
-            defect = _face_sum(faces, fit.n)
+            defect = _face_sum([fits.betas[by_names[f]] for f in cell.faces()], fit.n)
             r[cell] = KoszulElement.zero(2, fit.base) if defect.is_zero() else None
-
+            slots = {(m + 1,): -value for m, value in enumerate(defect)}
+            residual = KoszulElement.from_constants(1, fit.base, slots)
+            triples[cell] = TripleCheck(defect, r[cell], residual)
     cochain = TotalCochain(alpha=alpha, beta=beta, r=r)
-    return cochain, verify_cocycle(cochain, fits)
+    return cochain, ObstructionReport(pairs=pairs, triples=triples)
 
 
 def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
@@ -470,8 +471,8 @@ def _cell_record(cell: NerveCell, fit: LinearizedDifferential) -> dict:
 
 
 def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport) -> dict:
-    """Serialize the cochain and its verification; rationals as `p/q` strings,
-    float companions advisory only."""
+    """Serialize the cochain and its report, derived or checked; rationals as
+    `p/q` strings, float companions advisory only."""
     charts = {
         cell.label: {
             **_cell_record(cell, fits[cell]),

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 unreadable or malformed inputs, usage errors
 included; 2 a singular (degenerate) cell; 3 an obstructed triple in
-`cocycle`; 4 a failed exact check in `verify`.  Both cochain commands ask
-one question of the report, ``ObstructionReport.all_verified``, which every
-obstructed triple fails.
+`cocycle`; 4 a failed exact check in `verify`.  `cocycle` derives its report
+from the cochain it builds (``assemble_cochain``); only `verify` runs the
+check (``verify_cocycle``).  Both ask one question of the report,
+``ObstructionReport.all_verified``, which every obstructed triple fails.
 
 `verify` takes each cell's fit from the report's ``"a_hat"`` where N·â = -ν
 holds exactly and N has full rank modulo a prime, and solves the cell

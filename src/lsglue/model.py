@@ -18,7 +18,7 @@ The sums are accumulated on integers, and no rational is built per
 monomial.  For a point with coordinates x_i = p_i/q_i, E_i the largest
 exponent of coordinate i over the monomials, the features are φ_k = P_k/D
 with P_k = Π_i p_i^e_ki·q_i^(E_i - e_ki) and D = Π_i q_i^E_i, read from a
-small table of powers per coordinate.  Divided by gcd(D, P_1, ..., P_n), D is
+table of the powers the monomials use.  Divided by gcd(D, P_1, ..., P_n), D is
 the least common denominator of φ and P = D·φ: exactly the integers
 ``linalg.integer_row`` makes of φ, so the accumulation holds the same
 integers that rational features would give it.  The terms are added as
@@ -150,9 +150,10 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
     # Per point, with P = D·φ integer and D the lcm of the denominators of φ:
     # 2wφ_kφ_l = 2w·P_kP_l / D² and -2wyφ_k = -2wy·P_k / D.
     n = features.param_dim
-    tops = [max(column) for column in zip(*features.monomials)]
-    used = [i for i, top in enumerate(tops) if top]
-    tops = [tops[i] for i in used]
+    # the exponents each coordinate takes over the monomials, the top one last
+    levels = [sorted(set(column)) for column in zip(*features.monomials)]
+    used = [i for i, exps in enumerate(levels) if exps[-1]]
+    levels = [levels[i] for i in used]
     exponents = [[mono[i] for i in used] for mono in features.monomials]
     max_bits = _max_bits(getattr(sys, "get_int_max_str_digits", lambda: 0)())
     upper = [[0] * (n - k) for k in range(n)]
@@ -166,11 +167,11 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
         coords = [(x[i].numerator, x[i].denominator) for i in used]
         # _too_long grows with the exponent, so the top exponents decide
         if max_bits and any(
-            _too_long(num, top, max_bits) or _too_long(den, top, max_bits)
-            for (num, den), top in zip(coords, tops)
+            _too_long(num, exps[-1], max_bits) or _too_long(den, exps[-1], max_bits)
+            for (num, den), exps in zip(coords, levels)
         ):
             features.evaluate(point.x)  # raises, naming the first such monomial
-        p, d = _integer_features(coords, tops, exponents)
+        p, d = _integer_features(coords, levels, exponents)
         w_num, w_den = w.numerator, w.denominator
         n_den, lift = _grow(n_den, w_den * d * d, upper)
         c = 2 * w_num * lift
@@ -186,26 +187,23 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
     return _system(nu_sum, nu_den, [v for row in upper for v in row], n_den)
 
 
-def _integer_features(coords: list, tops: list, exponents: list) -> tuple:
+def _integer_features(coords: list, levels: list, exponents: list) -> tuple:
     """(P, D): φ of one point as ``integer_row`` writes it, from the
-    (numerator, denominator) of each coordinate a monomial uses, its top
-    exponent E_i and each monomial's exponents of those coordinates.
+    (numerator, denominator) of each coordinate a monomial uses, the sorted
+    exponents the monomials give it (its top exponent E_i last) and each
+    monomial's exponents of those coordinates.
 
     With x_i = p_i/q_i, φ_k = P_k/D for P_k = Π p_i^e_ki·q_i^(E_i - e_ki) and
     D = Π q_i^E_i; divided by g = gcd(D, *P), D is the least integer that
-    clears every φ_k, the lcm of their denominators, and P = D·φ.
+    clears every φ_k, the lcm of their denominators, and P = D·φ.  Only the
+    powers at the exponents in ``levels`` are taken.
     """
     tables = []
     d = 1
-    for (num, den), top in zip(coords, tops):
-        # table[e] = num^e · den^(top - e)
-        ups, downs = [1], [1]
-        for _ in range(top):
-            ups.append(ups[-1] * num)
-            downs.append(downs[-1] * den)
-        d *= downs[-1]
-        downs.reverse()
-        tables.append(list(map(mul, ups, downs)))
+    for (num, den), exps in zip(coords, levels):
+        top = exps[-1]
+        tables.append({e: num**e * den ** (top - e) for e in exps})
+        d *= den**top
     p = [prod(map(getitem, tables, mono)) for mono in exponents]
     g = gcd(d, *p)
     if g != 1:

@@ -136,6 +136,10 @@ def test_three_chart_obstruction_matches_oracle(toy_dataset, affine1):
         ("D1", "D2", "D3")
     ]
     assert not check.residual_zero
+    # the residual is -defect on each slot constant, with no linear part
+    residual = [check.residual.coefficient((m,)) for m in (1, 2)]
+    assert [c.c0 for c in residual] == [-v for v in oracles.as_fractions(check.defect_constant)]
+    assert all(c.c.is_zero() for c in residual)
     assert not report.all_verified()
 
 

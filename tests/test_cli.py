@@ -1081,6 +1081,42 @@ def test_eliminations_per_command(
     assert calls == columns
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("cocycle_quad3d", QUAD_ARGV, 0),
+        (
+            "cocycle_three_charts",
+            ["--dataset", "sampledata/toy5.json", "--cover", "sampledata/cover_three_charts.json"],
+            3,
+        ),
+        (
+            "cocycle_line_three_charts",
+            [
+                "--dataset", "sampledata/line6.json",
+                "--cover", "sampledata/cover_line_three_charts.json",
+            ],
+            0,
+        ),
+    ],
+    ids=["quad3d", "three_charts_obstructed", "line_glues"],
+)
+def test_cocycle_report_is_derived_without_a_check(capsys, monkeypatch, name, argv, code, fmt):
+    # the report of cocycle follows from its construction; only verify checks
+    def fail(*args):
+        raise AssertionError("cocycle ran verify_cocycle")
+
+    monkeypatch.setattr(assembly, "verify_cocycle", fail)
+    monkeypatch.setattr(cli, "verify_cocycle", fail)
+    monkeypatch.chdir(ROOT)
+    assert run(capsys, ["cocycle", *argv, "--format", fmt]) == (
+        code,
+        (ROOT / f"tests/golden/{name}.{fmt}").read_text(),
+        "",
+    )
+
+
 @pytest.mark.parametrize(
     "command, charts, max_degree",
     [("fit", 64, "63"), ("cocycle", 2000, "2")],

@@ -12,12 +12,14 @@ integer-numerator ``matvec`` and ``norm_sq`` must equal plain Fraction sums.
 The normal-system accumulation behind ``build_normal_system`` must equal the
 direct sums of ``oracles.normal_sums``, on the data, on its restriction to a
 chart and under fresh weights, whatever the top exponent of each coordinate,
-and with or without the limit on decimal integer strings; a power over that
-limit is refused, naming the first monomial that holds one, unless its point
-has weight zero.
+and with or without the limit on decimal integer strings, in memory that does
+not grow with an exponent that only 1, -1 and 0 are raised to; a power over
+that limit is refused, naming the first monomial that holds one, unless its
+point has weight zero.
 """
 
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,12 +36,15 @@ QUADRATIC_3D = [
     [a, b, c] for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2
 ]
 # the integer features raise each coordinate to its own top exponent: here
-# 3 and 2, and in "unused_coordinate" 0 for the first coordinate
+# 3 and 2, and in "unused_coordinate" 0 for the first coordinate; "gap" uses
+# only the exponents 0 and 5 of the first coordinate, and 0, 2 and 3 of the
+# second
 FEATURES = {
     "affine_1d": [[1], [0]],
     "quadratic_3d": QUADRATIC_3D,
     "mixed_tops": [[3, 0], [1, 2], [0, 1], [0, 0]],
     "unused_coordinate": [[0, 2], [0, 1], [0, 0]],
+    "gap": [[5, 0], [0, 3], [0, 2], [0, 0]],
 }
 
 entries = st.one_of(
@@ -273,10 +278,10 @@ def test_normal_system_matches_direct_sums(case, data):
     )
     # each point's integer features, reduced by their gcd with D, are the
     # integers that integer_row makes of its rational features
-    tops = [max(column) for column in zip(*exponents)]
+    levels = [sorted(set(column)) for column in zip(*exponents)]
     for point in dataset.points:
         coords = [(v.numerator, v.denominator) for v in point.x]
-        assert model._integer_features(coords, tops, exponents) == linalg.integer_row(
+        assert model._integer_features(coords, levels, exponents) == linalg.integer_row(
             features.evaluate(point.x).entries
         )
 
@@ -346,4 +351,22 @@ def test_normal_system_without_digit_limit():
         )
     finally:
         sys.set_int_max_str_digits(DIGIT_LIMIT)
+    _assert_matches(system, points, point_weights, exponents)
+
+
+def test_power_table_does_not_grow_with_the_exponent():
+    # the powers of 1, -1 and 0 are never too long, at any exponent; only the
+    # exponents the monomials use, 10**6 and 0, are taken
+    exponents = [[10**6], [0]]
+    points = [((F(1),), F(2)), ((F(-1),), F(3)), ((F(0),), F(-1, 2))]
+    point_weights = [F(1), F(2), F(1, 3)]
+    dataset = _dataset(exponents, points, point_weights)
+    features = lg.FeatureMap.of(exponents)
+    tracemalloc.start()
+    try:
+        system = lg.build_normal_system(dataset, features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     _assert_matches(system, points, point_weights, exponents)

@@ -3,8 +3,9 @@
 Each pair's beta N⁻¹δ comes from the elimination that fits the pair, and
 must equal Cramer's rule; ``assemble_cochain`` takes it from there, computes
 each triple defect as the alternating sum of beta vectors, and sets r to zero
-or None from that sum alone; ``verify_cocycle`` checks the cocycle equations
-on the same vectors.
+or None from that sum alone, deriving its report without a check;
+``verify_cocycle`` checks the cocycle equations on the same vectors, and must
+return that report for the constructed cochain.
 Over random covers, the Koszul check of ``oracles.koszul_verify`` must agree:
 the transported defect has no linear part, its constants are the vector
 defect, r is the zero element exactly when that defect vanishes, and every
@@ -240,8 +241,10 @@ def test_vector_verify_matches_koszul_verify(case, data):
     fits = fit_cover(case)
     if fits is None:
         return
-    cochain, _ = assemble_cochain(fits)
-    assert verify_cocycle(cochain, fits) == oracles.koszul_verify(cochain, fits)
+    cochain, report = assemble_cochain(fits)
+    # the report cocycle derives from its construction is the one the check gives
+    assert verify_cocycle(cochain, fits) == report
+    assert report == oracles.koszul_verify(cochain, fits)
     fits, tampered = tamper(data.draw, fits, cochain)
     assert verify_cocycle(tampered, fits) == oracles.koszul_verify(tampered, fits)
 
