@@ -34,19 +34,19 @@ report, and for ι of a supplied triple witness; each is based at its cell's
 its cell's fit is refused (:class:`BaseMismatch`).  All residuals are
 exact; floats appear only in advisory metrics.
 
-One loop fits every cell (:func:`fit_cells`): a cell takes the ``"a_hat"``
-its record in a report claims when N·â = -ν holds exactly and N has full
-rank modulo a prime (``linalg.modular_rank``), which proves N nonsingular
-and so the claim the unique solution; any other cell is solved by
-elimination, so a degenerate cell raises :class:`Singular` whatever the
-report claims.  ``cocycle`` passes no report (:func:`fit_all_cells`);
-``verify`` passes the report it checks.  The loop visits cells in (degree,
-names) order, so both charts of a pair are fitted before the pair and
-δ = â_j - â_i is known: the pair's N is eliminated once, against -ν and δ
-together, and β = N⁻¹δ comes from that elimination; so a pair solved for its
-β takes no claim, which would save no elimination.  :func:`assemble_cochain`
-eliminates nothing.  A claim that is missing, unparsable or wrong is ignored,
-so the fits, and every byte of the report, never depend on the claims.
+One loop fits every cell (:func:`fit_cells`), in (degree, names) order: a
+cell takes the â claimed for it only when N·â = -ν holds exactly and N has
+full rank modulo a prime (:func:`_full_modular_rank`), which proves the claim
+the one solution; any other cell is solved, so a degenerate cell raises
+:class:`Singular` whatever is claimed, and the report never depends on the
+claims.  ``cocycle`` claims nothing; ``verify`` claims what its report holds
+(:func:`claims_from_json`), and solves only the cells the rank cannot prove
+when that report cannot be read (:func:`raise_if_singular`).  A pair's N is
+eliminated once, against -ν and δ = â_j - â_i, and β = N⁻¹δ comes from that
+elimination; :func:`assemble_cochain` eliminates nothing.
+
+The report's JSON form is this module's, Koszul elements included
+(:func:`koszul_to_json`, :func:`koszul_from_json`).
 
 Every cell map keeps the (degree, names) order of ``data.enumerate_nerve``,
 and every check and writer iterates what it is given.  A triple's verdict is
@@ -55,18 +55,12 @@ derived: ``TripleCheck.outcome`` follows from its witness and defect.
 
 from __future__ import annotations
 
+import re
 from math import isfinite, ldexp, sqrt
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
 from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
-from .koszul import (
-    KoszulElement,
-    LinearizedDifferential,
-    LinearizedElement,
-    koszul_diff,
-    koszul_from_json,
-    koszul_to_json,
-)
+from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
 from .linalg import Value, Vector, modular_rank
 from .model import (
     FeatureMap,
@@ -75,7 +69,7 @@ from .model import (
     solve_least_squares,
     sum_normal_systems,
 )
-from .scalars import rat_float, rational_from_string
+from .scalars import rat_float, rat_str, rational_from_string
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -217,7 +211,7 @@ def fit_all_cells(cover: Cover, features: FeatureMap, max_degree: int) -> CellFi
     return fit_cells(cell_normal_systems(cover, features, max_degree))
 
 
-def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
+def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
     """The fits of ``systems`` (:func:`cell_normal_systems`): for each cell
     the differential with base the cell's least-squares point â and matrix
     the cell's N.
@@ -226,13 +220,13 @@ def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
     before it and δ = â_j - â_i is known: with ``betas``, a pair is solved
     against -ν and δ in one elimination, and its β = N⁻¹δ is kept in
     ``fits.betas``; without, it is solved against -ν alone.  Any other cell
-    takes the ``"a_hat"`` of its record in the report ``doc`` when N·â = -ν
-    holds exactly and N has full rank modulo ``linalg.RANK_PRIME``, so that
-    the claim is the one solution; the equation is checked first, so a wrong
-    claim costs no rank.  A cell without such a claim is solved, which raises
-    :class:`lsglue.errors.Singular` naming the first degenerate cell in that
-    order, whatever ``doc`` claims.
+    takes its â in ``claims``, ``{cell: Vector}``, when N·â = -ν holds exactly
+    (checked first, so a wrong claim costs no rank) and
+    :func:`_full_modular_rank`.  A cell without such a claim is solved, which
+    raises :class:`lsglue.errors.Singular` naming the first degenerate cell in
+    that order, whatever is claimed.
     """
+    claims = claims or {}
     fits = CellFits()
     bases = {}
     for cell, system in systems.items():
@@ -241,12 +235,9 @@ def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
             name_i, name_j = cell.chart_names
             also = (bases[(name_j,)] - bases[(name_i,)],)
         # a cell that needs β is eliminated anyway, so its claim would save nothing
-        a_hat = None if also else _claimed_a_hat(doc, cell, system.param_dim)
-        if (
-            a_hat is None
-            or system.nmat.matvec(a_hat) != -system.nu
-            or modular_rank(system.nmat) < system.param_dim
-        ):
+        a_hat = None if also else claims.get(cell)
+        claimed = a_hat is not None and system.nmat.matvec(a_hat) == -system.nu
+        if not (claimed and _full_modular_rank(system)):
             solution = solve_least_squares(system, chart=cell.label, also=also)
             a_hat = solution.a_hat
             if also:
@@ -256,20 +247,34 @@ def fit_cells(systems: dict, doc=None, betas: bool = True) -> CellFits:
     return fits
 
 
-def _claimed_a_hat(doc, cell: NerveCell, dim: int) -> Vector | None:
-    """The ``"a_hat"`` of the cell's record in a report, or None when there
-    is none that parses as a vector of dimension ``dim``."""
-    if not isinstance(doc, dict) or cell.degree >= len(_SECTIONS):
-        return None
-    section = doc.get(_SECTIONS[cell.degree])
-    record = section.get(cell.label) if isinstance(section, dict) else None
-    claim = record.get("a_hat") if isinstance(record, dict) else None
-    if not isinstance(claim, list) or len(claim) != dim:
-        return None
-    try:
-        return Vector(tuple(rational_from_string(s) for s in claim))
-    except LsglueError:
-        return None
+def _full_modular_rank(system) -> bool:
+    """The rank rule: a full rank of N modulo ``linalg.RANK_PRIME`` proves N
+    nonsingular (``linalg.modular_rank``); a short one proves nothing."""
+    return modular_rank(system.nmat) == system.param_dim
+
+
+def raise_if_singular(systems: dict) -> None:
+    """Raise the :class:`lsglue.errors.Singular` that :func:`fit_cells` of
+    ``systems`` would, solving only the cells without :func:`_full_modular_rank`."""
+    fit_cells({c: s for c, s in systems.items() if not _full_modular_rank(s)}, betas=False)
+
+
+def claims_from_json(doc, systems: dict) -> dict:
+    """``{cell: â}`` for each cell of ``systems`` whose record in the report
+    ``doc`` has an ``"a_hat"`` that parses as a vector of the cell's
+    dimension; any other claim is left out, and nothing is raised."""
+    sections = doc if isinstance(doc, dict) else {}
+    claims = {}
+    for cell, system in systems.items():
+        section = sections.get(_SECTIONS[cell.degree]) if cell.degree < len(_SECTIONS) else None
+        record = section.get(cell.label) if isinstance(section, dict) else None
+        claim = record.get("a_hat") if isinstance(record, dict) else None
+        if isinstance(claim, list) and len(claim) == system.param_dim:
+            try:
+                claims[cell] = Vector(tuple(rational_from_string(s) for s in claim))
+            except LsglueError:
+                pass
+    return claims
 
 
 def canonical_alpha(fit: LinearizedDifferential) -> KoszulElement:
@@ -457,6 +462,64 @@ def _l2(vec: Vector) -> float | None:
         return ldexp(sqrt(square / 4**k), k)
     except OverflowError:
         return None
+
+
+# A slot key as _index_key writes it: canonical JSON integers, no spaces.
+_KEY = re.compile(r"\[(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?\]")
+
+
+def _index_key(idx) -> str:
+    return "[" + ",".join(map(str, idx)) + "]"
+
+
+def koszul_to_json(element: KoszulElement) -> dict:
+    """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients,
+    each written with the element's base."""
+    base = element.base.to_strings()
+    return {
+        _index_key(idx): {"c0": rat_str(coeff.c0), "c": coeff.c.to_strings(), "base": base}
+        for idx, coeff in sorted(element.coeffs.items())
+    }
+
+
+def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
+    """Parse the :func:`koszul_to_json` format, enforcing the expected shape.
+
+    A key is read only when written as the writer writes it, which ``_KEY``
+    and ``int`` decide (``"[1,2]"``: no spaces, no leading zero, no ``-0``, no
+    entry past the digit limit), so two keys can never name the same wedge
+    slot.  Every coefficient's ``"base"`` must equal ``base``."""
+    if not isinstance(doc, dict):
+        raise LsglueError("Koszul element JSON must be an object")
+    coeffs = {}
+    for key, record in doc.items():
+        try:
+            if not _KEY.fullmatch(key):
+                raise ValueError
+            idx = tuple(map(int, key[1:-1].split(","))) if key != "[]" else ()
+        except ValueError:
+            raise LsglueError(f"bad index tuple key {excerpt(repr(key))}") from None
+        if (
+            not isinstance(record, dict)
+            or not isinstance(record.get("c0"), str)
+            or not isinstance(record.get("c"), list)
+            or not isinstance(record.get("base"), list)
+        ):
+            raise LsglueError(
+                f"coefficient at {excerpt(key)} needs string 'c0' and arrays 'c' and 'base'"
+            )
+        parsed_base = Vector(tuple(rational_from_string(s) for s in record["base"]))
+        if parsed_base != base:
+            raise LsglueError(
+                f"coefficient at {excerpt(key)} is based at"
+                f" {excerpt(str(parsed_base.to_strings()))},"
+                f" expected {excerpt(str(base.to_strings()))}"
+            )
+        coeffs[idx] = LinearizedElement(
+            rational_from_string(record["c0"]),
+            Vector(tuple(rational_from_string(s) for s in record["c"])),
+        )
+    return KoszulElement.build(degree, base, coeffs)
 
 
 def _exact(name: str, vec: Vector) -> dict:

@@ -7,10 +7,11 @@ from the cochain it builds (``assemble_cochain``); only `verify` runs the
 check (``verify_cocycle``).  Both ask one question of the report,
 ``ObstructionReport.all_verified``, which every obstructed triple fails.
 
-`verify` takes each cell's fit from the report's ``"a_hat"`` where N·â = -ν
-holds exactly and N has full rank modulo a prime, and solves the cell
-otherwise (``assembly.fit_cells``), so a singular cell (2) wins over every
-fault of the cochain (1).
+This module holds only the files and the exit codes: it reads the inputs,
+renders and writes the report, and maps each error to its code.  The report
+format and the rule that certifies a fit are ``assembly``'s, which solves a
+singular cell before the cochain is parsed, so a singular cell (2) wins over
+every fault of the cochain (1), an unreadable report included.
 """
 
 from __future__ import annotations
@@ -25,17 +26,18 @@ from .assembly import (
     ObstructionReport,
     assemble_cochain,
     cell_normal_systems,
+    claims_from_json,
     cochain_from_json,
     fit_all_cells,
     fit_cells,
     fits_to_json,
+    koszul_to_json,
+    raise_if_singular,
     report_to_json,
     verify_cocycle,
 )
 from .data import Cover, cover_from_json, dataset_from_csv, dataset_from_json
 from .errors import LsglueError, Singular, excerpt
-from .koszul import koszul_to_json
-from .linalg import modular_rank
 from .model import affine_features, model_from_json
 from .scalars import over_digit_limit
 
@@ -291,23 +293,16 @@ def _cmd_cocycle(args) -> int:
 def _certified_cochain(args, cover: Cover, features) -> tuple:
     """(fits, cochain) for ``verify``: the fits are certified from the
     report's claims, then its cochain is parsed.  A cochain that cannot be
-    read is refused only after every cell whose rank modulo a prime is short
-    is solved, in (degree, names) order, so a singular cell still exits 2; a
-    full modular rank already proves a cell nonsingular.  The normal systems
-    and the parsed document do not outlive the call, so they are not held
-    while the report is rebuilt."""
+    read is refused only after ``assembly.raise_if_singular``, so a singular
+    cell still exits 2.  The normal systems and the parsed document do not
+    outlive the call, so they are not held while the report is rebuilt."""
     systems = cell_normal_systems(cover, features, args.max_degree)
     try:
         doc = _read_json(args.cochain)
     except (LsglueError, OSError):
-        short = {
-            cell: system
-            for cell, system in systems.items()
-            if modular_rank(system.nmat) < system.param_dim
-        }
-        fit_cells(short, betas=False)
+        raise_if_singular(systems)
         raise
-    fits = fit_cells(systems, doc, betas=False)
+    fits = fit_cells(systems, claims_from_json(doc, systems), betas=False)
     return fits, cochain_from_json(doc, fits)
 
 

@@ -18,19 +18,17 @@ constant triple defect a genuine obstruction.
 Translation is the substitution a ↦ a - (b - â): the element moves to base b
 with its coefficients (c0, c) unchanged, which is a chain isomorphism (it is
 NOT a Taylor re-expansion).  Base points are compared only where an element
-meets another element or a differential.  Serialization to and from JSON
-closes the module; a slot key is read back only when written as the writer
-writes it, which one regular expression (``_KEY``) and ``int`` decide.
+meets another element or a differential.  The module holds only the
+algebra: the report's JSON form of an element is ``assembly``'s.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 
 from .errors import BaseMismatch, DegreeZero, DimensionMismatch, LsglueError, excerpt
 from .linalg import Matrix, Value, Vector
-from .scalars import ZERO, rat, rat_str, rational_from_string
+from .scalars import ZERO, rat
 
 
 class LinearizedElement(Value):
@@ -130,7 +128,8 @@ class KoszulElement(Value):
         )
 
     def coefficient(self, idx) -> LinearizedElement:
-        return self.coeffs.get(tuple(idx), LinearizedElement.constant(self.n, 0))
+        coeff = self.coeffs.get(tuple(idx))
+        return LinearizedElement.constant(self.n, 0) if coeff is None else coeff
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -198,63 +197,3 @@ def translate(xi: KoszulElement, new_base: Vector) -> KoszulElement:
     if new_base.dim != xi.n:
         raise DimensionMismatch(f"new base dim {new_base.dim} for rank-{xi.n} element")
     return KoszulElement(degree=xi.degree, base=new_base, coeffs=xi.coeffs)
-
-
-# A slot key as _index_key writes it: canonical JSON integers, no spaces.
-_KEY = re.compile(r"\[(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?\]")
-
-
-def _index_key(idx) -> str:
-    return "[" + ",".join(map(str, idx)) + "]"
-
-
-def koszul_to_json(element: KoszulElement) -> dict:
-    """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients,
-    each written with the element's base."""
-    base = element.base.to_strings()
-    return {
-        _index_key(idx): {"c0": rat_str(coeff.c0), "c": coeff.c.to_strings(), "base": base}
-        for idx, coeff in sorted(element.coeffs.items())
-    }
-
-
-def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
-    """Parse the :func:`koszul_to_json` format, enforcing the expected shape.
-
-    A key must be an array of JSON integers written exactly as
-    :func:`koszul_to_json` writes it (``"[1,2]"``: no spaces, no leading zero,
-    no ``-0``; ``int`` refuses an entry past the digit limit), so two keys
-    can never name the same wedge slot.  Every coefficient's ``"base"`` must
-    equal ``base``.
-    """
-    if not isinstance(doc, dict):
-        raise LsglueError("Koszul element JSON must be an object")
-    coeffs = {}
-    for key, record in doc.items():
-        try:
-            if not _KEY.fullmatch(key):
-                raise ValueError
-            idx = tuple(map(int, key[1:-1].split(","))) if key != "[]" else ()
-        except ValueError:
-            raise LsglueError(f"bad index tuple key {excerpt(repr(key))}") from None
-        if (
-            not isinstance(record, dict)
-            or not isinstance(record.get("c0"), str)
-            or not isinstance(record.get("c"), list)
-            or not isinstance(record.get("base"), list)
-        ):
-            raise LsglueError(
-                f"coefficient at {excerpt(key)} needs string 'c0' and arrays 'c' and 'base'"
-            )
-        parsed_base = Vector(tuple(rational_from_string(s) for s in record["base"]))
-        if parsed_base != base:
-            raise LsglueError(
-                f"coefficient at {excerpt(key)} is based at"
-                f" {excerpt(str(parsed_base.to_strings()))},"
-                f" expected {excerpt(str(base.to_strings()))}"
-            )
-        coeffs[idx] = LinearizedElement(
-            rational_from_string(record["c0"]),
-            Vector(tuple(rational_from_string(s) for s in record["c"])),
-        )
-    return KoszulElement.build(degree, base, coeffs)

@@ -40,7 +40,6 @@ constructor are used, so every scalar backend takes the same path.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable
 from functools import cache
 from math import gcd, lcm, prod
@@ -48,7 +47,7 @@ from operator import getitem, mul
 
 from .errors import DimensionMismatch, LsglueError, Singular, excerpt
 from .linalg import Matrix, Value, Vector, integer_row, solve_square
-from .scalars import ONE, ZERO, Rational, over_digit_limit
+from .scalars import ONE, ZERO, Rational, digit_limit, over_digit_limit
 
 
 class FeatureMap(Value):
@@ -88,7 +87,7 @@ class FeatureMap(Value):
             raise DimensionMismatch(
                 f"feature map over {self.ambient_dim} coordinates applied to dim-{x.dim} point"
             )
-        max_bits = _max_bits(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+        max_bits = _max_bits(digit_limit())
         values = []
         for mono in self.monomials:
             term = ONE
@@ -155,7 +154,7 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
     used = [i for i, exps in enumerate(levels) if exps[-1]]
     levels = [levels[i] for i in used]
     exponents = [[mono[i] for i in used] for mono in features.monomials]
-    max_bits = _max_bits(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+    max_bits = _max_bits(digit_limit())
     upper = [[0] * (n - k) for k in range(n)]
     nu_sum = [0] * n
     n_den = nu_den = 1

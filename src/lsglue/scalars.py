@@ -87,13 +87,16 @@ def rational_from_string(text: str) -> Rational:
     raise MalformedNumber(f"cannot parse rational literal {excerpt(repr(text))}")
 
 
+def digit_limit() -> int:
+    """Python's limit on decimal integer strings; 0 for none, also where
+    ``sys.get_int_max_str_digits`` is missing (3.10.0-3.10.6)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def over_digit_limit(what: str) -> str:
     """Error message for a number longer than Python allows in int/str
-    conversion (``sys.set_int_max_str_digits``)."""
-    return (
-        f"{what} exceeds the limit of {sys.get_int_max_str_digits()} digits"
-        " for decimal integers"
-    )
+    conversion (:func:`digit_limit`)."""
+    return f"{what} exceeds the limit of {digit_limit()} digits for decimal integers"
 
 
 def rat(value) -> Rational:

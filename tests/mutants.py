@@ -1,0 +1,202 @@
+"""Mutants of ``src/lsglue`` and the tests that must kill them.
+
+Each entry of :data:`CATALOG` is one mutant: the file under ``src/lsglue``,
+an exact text that occurs once in ``src/``, the text that replaces it, and
+the pytest node ids that must fail on the mutated code.  A node id that
+covers several parametrized or hypothesis cases fails when one of them does.
+``tests/test_mutants.py`` checks in tier-1 that every old text still occurs
+exactly once and that every node id names a test, so a change that moves or
+renames the code or a test must carry its entry along.
+
+Run it with the standard library and pytest:
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries
+
+For each entry the runner copies ``src/`` to a temporary directory, applies
+the entry there, and runs only the entry's node ids against the copy, with
+hypothesis seeded, so the working tree is never touched.  It prints one line
+per entry and exits 1 when a node id passes, selects no test, or an entry
+cannot be applied.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name path old new tests")
+
+_KEY = r'_KEY = re.compile(r"\[(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?\]")'
+_SLOT_KEY_TEST = "tests/test_koszul.py::test_slot_key_grammar_matches_json_round_trip"
+_SINGULAR_FIRST = "tests/test_cli.py::test_verify_singular_cell_exit_2_before_the_cochain"
+
+CATALOG = [
+    Mutant(
+        "rhs_not_scaled_with_its_row",
+        "linalg.py",
+        "nums + [den * column[i] for column in columns]",
+        "nums + [column[i] for column in columns]",
+        ["tests/test_kernels.py::test_elimination_matches_adjugate"],
+    ),
+    Mutant(
+        "no_rescale_when_q_grows",
+        "linalg.py",
+        "x[i + 1 :] = [v * scale for v in x[i + 1 :]]",
+        "pass",
+        ["tests/test_kernels.py::test_elimination_matches_adjugate"],
+    ),
+    Mutant(
+        "column_denominator_dropped",
+        "linalg.py",
+        "Rational(v, q * den)",
+        "Rational(v, q)",
+        ["tests/test_kernels.py::test_elimination_matches_adjugate"],
+    ),
+    Mutant(
+        "delta_reversed",
+        "assembly.py",
+        "also = (bases[(name_j,)] - bases[(name_i,)],)",
+        "also = (bases[(name_i,)] - bases[(name_j,)],)",
+        [
+            "tests/test_vector_cochain.py::test_pair_beta_from_its_fit_is_the_cramer_solution",
+            "tests/test_assembly.py::test_build_zero_cocycle_toy",
+        ],
+    ),
+    Mutant(
+        "value_eq_reads_only_the_first_field",
+        "linalg.py",
+        "return fields(self) == fields(other)",
+        "return getattr(self, self.__slots__[0]) == getattr(other, self.__slots__[0])",
+        ["tests/test_values.py::test_value_semantics"],
+    ),
+    Mutant(
+        "rank_condition_dropped_from_fit_cells",
+        "assembly.py",
+        "if not (claimed and _full_modular_rank(system)):",
+        "if not claimed:",
+        [
+            "tests/test_vector_cochain.py::test_claims_that_solve_a_singular_cell_are_not_taken",
+            f"{_SINGULAR_FIRST}[a_hat_solves]",
+        ],
+    ),
+    Mutant(
+        "except_dropped_from_certified_cochain",
+        "cli.py",
+        "    except (LsglueError, OSError):\n        raise_if_singular(systems)",
+        "    except ():\n        raise_if_singular(systems)",
+        [
+            f"{_SINGULAR_FIRST}[invalid_json]",
+            f"{_SINGULAR_FIRST}[missing_file]",
+            "tests/test_cli.py::test_unreadable_cochain_solves_only_short_rank_cells",
+        ],
+    ),
+    Mutant(
+        "slot_key_admits_minus_zero",
+        "assembly.py",
+        _KEY,
+        _KEY.replace("(?:0|", "(?:-?0|"),
+        [_SLOT_KEY_TEST],
+    ),
+    Mutant(
+        "slot_key_admits_leading_zeros",
+        "assembly.py",
+        _KEY,
+        _KEY.replace("[1-9]", "0*[1-9]"),
+        [_SLOT_KEY_TEST],
+    ),
+    Mutant(
+        "slot_key_admits_any_unicode_digit",
+        "assembly.py",
+        _KEY,
+        _KEY.replace("[0-9]*", r"\d*"),
+        [_SLOT_KEY_TEST],
+    ),
+]
+
+# One line of pytest's -rA summary: the outcome and the node id.
+_OUTCOME = re.compile(r"(PASSED|FAILED|ERROR) (\S+)")
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Apply ``mutant`` to the copy of ``src/`` at ``src``."""
+    path = src / "lsglue" / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"its old text occurs {text.count(mutant.old)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def survivors(mutant: Mutant) -> list:
+    """The node ids of ``mutant`` that did not fail on the mutated copy, each
+    with the reason; empty when the mutant is killed."""
+    with tempfile.TemporaryDirectory(prefix="lsglue-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(mutant, src)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", "import lsglue; print(lsglue.__file__)"],
+            cwd=tmp, env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not where.startswith(str(src)):
+            raise ValueError(f"the tests would import lsglue from {where}, not the copy")
+        # run in the temporary directory, so that hypothesis keeps its
+        # examples of the mutant there, not in the working tree
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", f"--rootdir={ROOT}",
+                *(str(ROOT / node) for node in mutant.tests),
+            ],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    # pytest writes each node id's path relative to the working directory
+    outcomes = []
+    for outcome, ran in _OUTCOME.findall(run.stdout):
+        path, sep, rest = ran.partition("::")
+        path = Path(os.path.normpath(Path(tmp) / path)).relative_to(ROOT).as_posix()
+        outcomes.append((outcome, path + sep + rest))
+    left = []
+    for node in mutant.tests:
+        mine = [outcome for outcome, ran in outcomes if ran == node or ran.startswith(node + "[")]
+        if not mine:
+            left.append(f"{node}: selected no test (pytest exit {run.returncode})")
+        elif "FAILED" not in mine and "ERROR" not in mine:
+            left.append(f"{node}: passed")
+    return left
+
+
+def main(names: list) -> int:
+    unknown = set(names) - {mutant.name for mutant in CATALOG}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
+    alive = 0
+    for mutant in CATALOG:
+        if names and mutant.name not in names:
+            continue
+        start = time.perf_counter()
+        try:
+            left = survivors(mutant)
+        except (ValueError, subprocess.CalledProcessError) as err:
+            left = [f"cannot run: {err}"]
+        took = time.perf_counter() - start
+        print(f"{'SURVIVED' if left else 'killed'} {mutant.name} ({took:.1f} s)", flush=True)
+        for reason in left:
+            print(f"    {reason}", flush=True)
+        alive += bool(left)
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

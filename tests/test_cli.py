@@ -1081,6 +1081,61 @@ def test_eliminations_per_command(
     assert calls == columns
 
 
+# the report fields that hold exact values, as strings or arrays of them
+SPELLED = ("a_hat", "base", "c", "c0", "delta")
+
+
+def _respell(node):
+    """A report with every exact value of ``SPELLED`` written as the writer
+    never writes it: 13/14 as 26/28, 0 as 000, -2 as -002."""
+    if isinstance(node, dict):
+        return {
+            key: _respell_value(value) if key in SPELLED else _respell(value)
+            for key, value in node.items()
+        }
+    return node
+
+
+def _respell_value(value):
+    if isinstance(value, list):
+        return [_respell_value(entry) for entry in value]
+    sign, digits = ("-", value[1:]) if value.startswith("-") else ("", value)
+    if "/" in digits:
+        num, den = digits.split("/")
+        return f"{sign}{2 * int(num)}/{2 * int(den)}"
+    return f"{sign}00{digits}"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_reads_non_canonical_spellings(capsys, tmp_path, monkeypatch, fmt):
+    # the same values spelled otherwise: every claim is still taken, so no
+    # cell is solved, and the output is that of the canonical report
+    golden = ROOT / "tests/golden/cocycle_two_charts.json"
+    doc = _respell(json.loads(golden.read_text()))
+    assert doc["charts"]["D1"]["a_hat"] == ["22/84", "100/42"]
+    assert doc["charts"]["D1"]["alpha"]["[]"]["c0"] == "000"
+    respelled = tmp_path / "respelled.json"
+    respelled.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [
+        "verify",
+        "--dataset", str(ROOT / "sampledata/toy5.json"),
+        "--cover", str(ROOT / "sampledata/cover_two_charts.json"),
+        "--format", fmt,
+    ]
+    calls = []
+    original = linalg._row_echelon
+
+    def counting(rows, rhs):
+        calls.append(len(rhs))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(linalg, "_row_echelon", counting)
+    canonical = run(capsys, [*argv, "--cochain", str(golden)])
+    assert canonical[0] == 0 and canonical[2] == ""
+    assert run(capsys, [*argv, "--cochain", str(respelled)]) == canonical
+    assert calls == []
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize(
     "name, argv, code",

@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsglue as lg
+from lsglue.assembly import koszul_from_json, koszul_to_json
 from lsglue.koszul import (
     KoszulElement,
     LinearizedDifferential,
     LinearizedElement,
     koszul_diff,
-    koszul_from_json,
-    koszul_to_json,
     ring_mul,
     translate,
 )
@@ -86,6 +85,20 @@ def test_add_base_mismatch():
         u + v
     with pytest.raises(lg.BaseMismatch):
         u - v
+
+
+def test_coefficient_builds_a_zero_only_for_an_absent_slot(monkeypatch):
+    xi = KoszulElement.from_constants(1, vec(1, 2), {(1,): 5})
+    stored = xi.coeffs[(1,)]
+
+    def fail(*args):
+        raise AssertionError("a zero coefficient was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LinearizedElement, "constant", fail)
+        assert xi.coefficient((1,)) is stored
+        assert xi.coefficient([1]) is stored
+    assert xi.coefficient((2,)) == LinearizedElement(lg.rat(0), vec(0, 0))
 
 
 # ------------------------------------------------------------- koszul_diff

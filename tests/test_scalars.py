@@ -4,8 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+import lsglue as lg
 from lsglue import LsglueError, MalformedNumber, ZeroDenominator
-from lsglue.scalars import BACKEND, rat, rat_float, rat_str, rational_from_string
+from lsglue.scalars import (
+    BACKEND,
+    digit_limit,
+    over_digit_limit,
+    rat,
+    rat_float,
+    rat_str,
+    rational_from_string,
+)
 
 
 def test_backend_selected():
@@ -97,3 +106,15 @@ def test_digit_limit_is_an_lsglue_error():
     with pytest.raises(LsglueError, match=f"limit of {limit} digits"):
         rat_str(rat(10**limit))
     assert rat_str(rat(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+
+
+def test_interpreter_without_a_digit_limit(monkeypatch):
+    # sys.get_int_max_str_digits is missing on Python 3.10.0-3.10.6
+    data = lg.WeightedDataSet.of([(2, 3), ("1/3", -1, "2/5"), (-4, "7/2")])
+    features = lg.FeatureMap.of([[2], [1], [0]])
+    expected = lg.build_normal_system(data, features)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert digit_limit() == 0
+    assert over_digit_limit("a literal").startswith("a literal exceeds the limit of 0 digits")
+    assert lg.build_normal_system(data, features) == expected
+    assert features.evaluate(lg.Vector.of(["1/3"])) == lg.Vector.of(["1/9", "1/3", 1])

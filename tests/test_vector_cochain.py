@@ -14,10 +14,10 @@ changed, fits given non-symmetric matrices) both checks must return the same
 report, residuals included, and must reject a beta based away from its pair.
 
 The fits ``verify`` takes from a report's claimed â (the fit loop
-``fit_cells`` given the report) must be those of ``fit_all_cells``, with the
-same report, whatever the claims say; on a singular cover the loop must
-raise the same :class:`Singular`, also when every claim satisfies its
-N·â = -ν.  Under the prime 3 in place of 2⁶¹ - 1 the modular rank is often
+``fit_cells`` given the report's ``claims_from_json``) must be those of
+``fit_all_cells``, with the same report, whatever the claims say; on a
+singular cover the loop must raise the same :class:`Singular`, also when
+every claim satisfies its N·â = -ν.  Under the prime 3 in place of 2⁶¹ - 1 the modular rank is often
 short, so a right claim is not taken and its cell is solved; the
 eliminations (``linalg._row_echelon`` calls) show which cells were solved.
 """
@@ -37,6 +37,7 @@ from lsglue.assembly import (
     _cells_by_names,
     assemble_cochain,
     cell_normal_systems,
+    claims_from_json,
     cochain_from_json,
     fit_cells,
     report_to_json,
@@ -334,7 +335,7 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
             event("singular cover")
             claims = spoil_claims(data.draw, solution_claims(systems))
             with pytest.raises(lg.Singular) as raised:
-                fit_cells(systems, claims)
+                fit_cells(systems, claims_from_json(claims, systems))
             assert (str(raised.value), raised.value.cell, raised.value.rank) == (
                 str(expected),
                 expected.cell,
@@ -345,7 +346,7 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
         doc = report_to_json(cochain, fits, report)
         claims = spoil_claims(data.draw, copy.deepcopy(doc))
         eliminations = count_eliminations(patch)
-        certified = fit_cells(systems, claims)
+        certified = fit_cells(systems, claims_from_json(claims, systems))
         event("a cell solved" if eliminations else "no cell solved")
     assert certified == fits
     for cell, system in systems.items():
@@ -381,11 +382,11 @@ def test_small_prime_falls_back_to_elimination():
         eliminations = count_eliminations(patch)
         for claims, betas in ((doc, False), (wrong, False), (doc, True)):
             eliminations.clear()
-            assert fit_cells(systems, claims, betas=betas) == fits
+            assert fit_cells(systems, claims_from_json(claims, systems), betas=betas) == fits
             assert Counter(eliminations) == once
     with pytest.MonkeyPatch.context() as patch:
         eliminations = count_eliminations(patch)
-        assert fit_cells(systems, doc, betas=False) == fits
+        assert fit_cells(systems, claims_from_json(doc, systems), betas=False) == fits
     assert eliminations == []
 
 
@@ -408,7 +409,7 @@ def test_claims_that_solve_a_singular_cell_are_not_taken():
         lg.fit_all_cells(cover, features, 2)
     for betas in (False, True):
         with pytest.raises(lg.Singular) as raised:
-            fit_cells(systems, claims, betas=betas)
+            fit_cells(systems, claims_from_json(claims, systems), betas=betas)
         assert (str(raised.value), raised.value.cell, raised.value.rank) == (
             "normal matrix is singular on A (rank 1 < 2)",
             "A",
@@ -427,7 +428,8 @@ def test_claims_with_betas_give_the_cocycle():
     doc = json.loads((root / "tests/golden/cocycle_three_charts.json").read_text())
     features = lg.affine_features(1)
     cochain, report = lg.build_zero_cocycle(cover, features)
-    fits = fit_cells(cell_normal_systems(cover, features, 2), doc)
+    systems = cell_normal_systems(cover, features, 2)
+    fits = fit_cells(systems, claims_from_json(doc, systems))
     claimed, claimed_report = assemble_cochain(fits)
     assert (claimed.alpha, claimed.beta, claimed.r) == (cochain.alpha, cochain.beta, cochain.r)
     assert claimed_report == report
