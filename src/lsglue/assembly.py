@@ -43,14 +43,15 @@ claims.  ``cocycle`` claims nothing; ``verify`` claims what its report holds
 (:func:`claims_from_json`), and solves only the cells the rank cannot prove
 when that report cannot be read (:func:`raise_if_singular`).  A pair's N is
 eliminated once, against -ν and δ = â_j - â_i, and β = N⁻¹δ comes from that
-elimination; :func:`assemble_cochain` eliminates nothing.
+elimination; the loop keeps (δ, β) under the pair's chart names, where
+:func:`assemble_cochain` reads them, eliminating and subtracting nothing.
 
 The report's JSON form is this module's, Koszul elements included
 (:func:`koszul_to_json`, :func:`koszul_from_json`).
 
 Every cell map keeps the (degree, names) order of ``data.enumerate_nerve``,
 and every check and writer iterates what it is given.  A triple's verdict is
-derived: ``TripleCheck.outcome`` follows from its witness and defect.
+its witness and its residual (:meth:`ObstructionReport.all_verified`).
 """
 
 from __future__ import annotations
@@ -105,13 +106,11 @@ class PairCheck(Value):
 
 
 class TripleCheck(Value):
-    """Exact verification data for one triple overlap.
-
-    ``outcome`` is "ok" (witness supplied), "constant_defect" (nonzero
-    constant part, rigorously un-witnessable), or "inconsistent" (no witness
-    supplied although the constant part vanishes: a false obstruction claim,
-    which only an external cochain can make and which fails verification).
-    """
+    """Exact verification data for one triple overlap: its defect constant,
+    its witness (None when obstructed) and its residual.  Without a witness
+    the residual carries -defect on the slot constants, so it is zero only
+    for a false obstruction claim (zero defect, no witness), which only an
+    external cochain can make and which fails verification."""
 
     __slots__ = ("defect_constant", "witness", "residual")
     __hash__ = None
@@ -131,12 +130,6 @@ class TripleCheck(Value):
     def obstructed(self) -> bool:
         return self.witness is None
 
-    @property
-    def outcome(self) -> str:
-        if self.witness is not None:
-            return "ok"
-        return "inconsistent" if self.defect_constant.is_zero() else "constant_defect"
-
 
 class ObstructionReport(Value):
     __slots__ = ("pairs", "triples")
@@ -147,23 +140,22 @@ class ObstructionReport(Value):
         object.__setattr__(self, "triples", triples)
 
     def all_verified(self) -> bool:
-        """Every residual is zero, and no triple claims an obstruction that
-        its zero defect constant contradicts.  An obstructed triple never
-        passes: its residual carries -defect, or it is "inconsistent"."""
+        """Every pair residual is zero, and every triple has a witness and a
+        zero residual: an obstructed triple never passes."""
         return all(check.residual_zero for check in self.pairs.values()) and all(
-            check.residual_zero and check.outcome != "inconsistent"
-            for check in self.triples.values()
+            not check.obstructed and check.residual_zero for check in self.triples.values()
         )
 
 
 class CellFits(dict):
     """``{cell: differential}`` from :func:`fit_cells`, in (degree, names)
-    order, with ``betas``: ``{pair: N⁻¹δ}`` for each pair cell the loop
-    solved when asked for betas, from the elimination that gave its â."""
+    order, with ``pairs``: ``{chart names: (δ, β)}`` for each pair cell the
+    loop solved when asked for betas, δ = â_j - â_i and β = N⁻¹δ from the
+    elimination that gave its â."""
 
     def __init__(self):
         super().__init__()
-        self.betas = {}
+        self.pairs = {}
 
 
 def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> dict:
@@ -218,13 +210,13 @@ def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
 
     The cells come in (degree, names) order, so a pair's charts are fitted
     before it and δ = â_j - â_i is known: with ``betas``, a pair is solved
-    against -ν and δ in one elimination, and its β = N⁻¹δ is kept in
-    ``fits.betas``; without, it is solved against -ν alone.  Any other cell
-    takes its â in ``claims``, ``{cell: Vector}``, when N·â = -ν holds exactly
-    (checked first, so a wrong claim costs no rank) and
-    :func:`_full_modular_rank`.  A cell without such a claim is solved, which
-    raises :class:`lsglue.errors.Singular` naming the first degenerate cell in
-    that order, whatever is claimed.
+    against -ν and δ in one elimination, and (δ, β = N⁻¹δ) is kept in
+    ``fits.pairs`` under the pair's chart names; without, it is solved
+    against -ν alone.  Any other cell takes its â in ``claims``, ``{cell:
+    Vector}``, when N·â = -ν holds exactly (checked first, so a wrong claim
+    costs no rank) and :func:`_full_modular_rank`.  A cell without such a
+    claim is solved, which raises :class:`lsglue.errors.Singular` naming the
+    first degenerate cell in that order, whatever is claimed.
     """
     claims = claims or {}
     fits = CellFits()
@@ -241,7 +233,7 @@ def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
             solution = solve_least_squares(system, chart=cell.label, also=also)
             a_hat = solution.a_hat
             if also:
-                fits.betas[cell] = solution.also[0]
+                fits.pairs[cell.chart_names] = (also[0], solution.also[0])
         bases[cell.chart_names] = a_hat
         fits[cell] = LinearizedDifferential(base=a_hat, nmat=system.nmat)
     return fits
@@ -271,7 +263,7 @@ def claims_from_json(doc, systems: dict) -> dict:
         claim = record.get("a_hat") if isinstance(record, dict) else None
         if isinstance(claim, list) and len(claim) == system.param_dim:
             try:
-                claims[cell] = Vector(tuple(rational_from_string(s) for s in claim))
+                claims[cell] = _vector_from_strings(claim)
             except LsglueError:
                 pass
     return claims
@@ -317,22 +309,21 @@ def build_zero_cocycle(
 def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:
     """The cochain of :func:`build_zero_cocycle` from the fits of
     :func:`fit_all_cells`, and the report :func:`verify_cocycle` would give
-    it, in one loop (module docstring): β is the pair's ``fits.betas``, a
-    triple's defect the alternating sum of its face βs, and r is zero when
-    that sum vanishes, None otherwise.  Nothing is eliminated or rechecked."""
-    by_names = _cells_by_names(fits)
+    it, in one loop (module docstring): a pair's δ and β are its entry of
+    ``fits.pairs``, a triple's defect the alternating sum of the βs there
+    under its faces' chart names, and r is zero when that sum vanishes, None
+    otherwise.  Nothing is eliminated, subtracted again or rechecked."""
     alpha, beta, r, pairs, triples = {}, {}, {}, {}, {}
     for cell, fit in fits.items():
         if cell.degree == 0:
             alpha[cell] = canonical_alpha(fit)
         elif cell.degree == 1:
-            name_i, name_j = cell.chart_names
-            delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
-            slots = {(m + 1,): value for m, value in enumerate(fits.betas[cell])}
+            delta, constants = fits.pairs[cell.chart_names]
+            slots = {(m + 1,): value for m, value in enumerate(constants)}
             beta[cell] = KoszulElement.from_constants(1, fit.base, slots)
-            pairs[cell] = PairCheck(delta, fits.betas[cell], KoszulElement.zero(0, fit.base))
+            pairs[cell] = PairCheck(delta, constants, KoszulElement.zero(0, fit.base))
         elif cell.degree == 2:
-            defect = _face_sum([fits.betas[by_names[f]] for f in cell.faces()], fit.n)
+            defect = _face_sum([fits.pairs[face][1] for face in cell.faces()], fit.n)
             r[cell] = KoszulElement.zero(2, fit.base) if defect.is_zero() else None
             slots = {(m + 1,): -value for m, value in enumerate(defect)}
             residual = KoszulElement.from_constants(1, fit.base, slots)
@@ -508,7 +499,7 @@ def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
             raise LsglueError(
                 f"coefficient at {excerpt(key)} needs string 'c0' and arrays 'c' and 'base'"
             )
-        parsed_base = Vector(tuple(rational_from_string(s) for s in record["base"]))
+        parsed_base = _vector_from_strings(record["base"])
         if parsed_base != base:
             raise LsglueError(
                 f"coefficient at {excerpt(key)} is based at"
@@ -517,9 +508,14 @@ def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
             )
         coeffs[idx] = LinearizedElement(
             rational_from_string(record["c0"]),
-            Vector(tuple(rational_from_string(s) for s in record["c"])),
+            _vector_from_strings(record["c"]),
         )
     return KoszulElement.build(degree, base, coeffs)
+
+
+def _vector_from_strings(literals) -> Vector:
+    """A report vector, each entry read by ``rational_from_string``."""
+    return Vector(tuple(rational_from_string(s) for s in literals))
 
 
 def _exact(name: str, vec: Vector) -> dict:

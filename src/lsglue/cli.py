@@ -256,7 +256,7 @@ def _dump_failures(report: ObstructionReport) -> None:
                 f" (defect constant {check.defect_constant.to_strings()})",
                 file=sys.stderr,
             )
-        if check.outcome == "inconsistent":
+        if check.obstructed and check.defect_constant.is_zero():
             print(
                 f"triple {cell.label}: no witness, but the defect constant is zero",
                 file=sys.stderr,

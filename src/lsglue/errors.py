@@ -19,7 +19,7 @@ class LsglueError(Exception):
 
 
 class MalformedNumber(LsglueError):
-    """A rational literal did not match ``[-]?digits(/digits)?`` or ``[-]?digits(.digits)?``."""
+    """A rational literal was outside ``[-]?digits(/digits|.digits)?`` or the digit limit."""
 
 
 class ZeroDenominator(LsglueError):

@@ -53,38 +53,38 @@ else:
 ZERO = Rational(0)
 ONE = Rational(1)
 
-_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
-_DECIMAL_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
+_LITERAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?\Z")
 
 
 def rational_from_string(text: str) -> Rational:
     """Parse ``p``, ``p/q`` or a terminating decimal into an exact rational.
 
-    Decimal strings expand exactly (``"2.5"`` -> 5/2); there is no float
-    round trip.  Raises :class:`MalformedNumber` for anything outside the
-    grammar and :class:`ZeroDenominator` for ``p/0``.
+    One pattern, ``_LITERAL_RE``, is the grammar; ``/`` or ``.`` tells the
+    form.  Decimal strings expand exactly (``"2.5"`` -> 5/2); there is no
+    float round trip.  Raises :class:`MalformedNumber` for anything outside
+    the grammar or the digit limit, :class:`ZeroDenominator` for ``p/0``.
     """
     if not isinstance(text, str):
         raise MalformedNumber(f"expected string, got {type(text).__name__}")
     body = text.strip()
+    if not _LITERAL_RE.match(body):
+        raise MalformedNumber(f"cannot parse rational literal {excerpt(repr(text))}")
     try:
-        if _FRACTION_RE.match(body):
-            if "/" in body:
-                num_s, den_s = body.split("/")
-                den = int(den_s)
-                if den == 0:
-                    raise ZeroDenominator(f"zero denominator in {excerpt(repr(text))}")
-                return Rational(int(num_s), den)
-            return Rational(int(body))
-        if _DECIMAL_RE.match(body):
+        if "/" in body:
+            num_s, den_s = body.split("/")
+            den = int(den_s)
+            if den == 0:
+                raise ZeroDenominator(f"zero denominator in {excerpt(repr(text))}")
+            return Rational(int(num_s), den)
+        if "." in body:
             # Fraction parses terminating decimals exactly; convert to the backend.
             return Rational(Fraction(body))
+        return Rational(int(body))
     except ValueError:
         # The grammar admits only digits, so int() fails only on Python's
         # limit on the length of decimal integer strings.
         what = f"rational literal {excerpt(repr(body))}"
         raise MalformedNumber(over_digit_limit(what)) from None
-    raise MalformedNumber(f"cannot parse rational literal {excerpt(repr(text))}")
 
 
 def digit_limit() -> int:

@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 _KEY = r'_KEY = re.compile(r"\[(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?\]")'
+_LITERAL = r'_LITERAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?\Z")'
 _SLOT_KEY_TEST = "tests/test_koszul.py::test_slot_key_grammar_matches_json_round_trip"
 _SINGULAR_FIRST = "tests/test_cli.py::test_verify_singular_cell_exit_2_before_the_cochain"
 
@@ -120,6 +121,27 @@ CATALOG = [
         _KEY,
         _KEY.replace("[0-9]*", r"\d*"),
         [_SLOT_KEY_TEST],
+    ),
+    Mutant(
+        "all_verified_passes_a_false_obstruction",
+        "assembly.py",
+        "not check.obstructed and check.residual_zero",
+        "check.residual_zero",
+        ["tests/test_cli.py::test_verify_false_obstruction_exit_4"],
+    ),
+    Mutant(
+        "literal_admits_any_unicode_digit",
+        "scalars.py",
+        _LITERAL,
+        _LITERAL.replace("[0-9]", r"\d"),
+        ["tests/test_scalars.py::test_literal_grammar_matches_the_two_pattern_reader"],
+    ),
+    Mutant(
+        "pair_delta_and_beta_swapped",
+        "assembly.py",
+        "fits.pairs[cell.chart_names] = (also[0], solution.also[0])",
+        "fits.pairs[cell.chart_names] = (solution.also[0], also[0])",
+        ["tests/test_golden.py::test_cli_matches_golden"],
     ),
 ]
 

@@ -10,18 +10,22 @@ The one exception is :func:`koszul_verify`, the cocycle check written with
 the package's Koszul arithmetic (``translate``, ``koszul_diff``, element
 subtraction), as the paper states the equations; ``verify_cocycle`` checks
 the same equations on plain vectors.  :func:`slot_key_accepted` decides a
-wedge-slot key by a JSON round trip instead of the package's grammar.
+wedge-slot key by a JSON round trip instead of the package's grammar, and
+:func:`two_pattern_rational` reads a rational literal with two patterns, one
+for ``p`` and ``p/q`` and one for decimals, where the package has one.
 """
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from lsglue.assembly import ObstructionReport, PairCheck, TripleCheck
-from lsglue.errors import CellMismatch
+from lsglue.errors import CellMismatch, MalformedNumber, ZeroDenominator, excerpt
 from lsglue.koszul import KoszulElement, koszul_diff, translate
 from lsglue.linalg import Vector
+from lsglue.scalars import Rational, over_digit_limit
 
 F = Fraction
 
@@ -319,3 +323,30 @@ def slot_key_accepted(key):
         and all(isinstance(i, int) and not isinstance(i, bool) for i in raw)
         and key == json.dumps(raw, separators=(",", ":"))
     )
+
+
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+_DECIMAL_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
+
+
+def two_pattern_rational(text):
+    """``scalars.rational_from_string`` as written with two patterns: the
+    same values, and the same error classes and messages, are expected."""
+    if not isinstance(text, str):
+        raise MalformedNumber(f"expected string, got {type(text).__name__}")
+    body = text.strip()
+    try:
+        if _FRACTION_RE.match(body):
+            if "/" in body:
+                num_s, den_s = body.split("/")
+                den = int(den_s)
+                if den == 0:
+                    raise ZeroDenominator(f"zero denominator in {excerpt(repr(text))}")
+                return Rational(int(num_s), den)
+            return Rational(int(body))
+        if _DECIMAL_RE.match(body):
+            return Rational(Fraction(body))
+    except ValueError:
+        what = f"rational literal {excerpt(repr(body))}"
+        raise MalformedNumber(over_digit_limit(what)) from None
+    raise MalformedNumber(f"cannot parse rational literal {excerpt(repr(text))}")

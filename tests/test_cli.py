@@ -206,6 +206,31 @@ def test_verify_unknown_chart_exit_1(files, capsys, tmp_path):
     assert "GHOST" in err
 
 
+def test_a_chart_with_no_points_is_not_a_cell(files, capsys, tmp_path):
+    # the nerve takes only nonempty intersections, as oracles.nerve does, so
+    # an empty chart E is no cell and gets no record: every command runs as
+    # on D1 and D2 alone, and a record for E is one for an unknown cell
+    charts = {"D1": {1, 2, 3, 4}, "D2": {2, 3, 4, 5}, "E": set()}
+    assert [names for names, _ in oracles.nerve(charts, 2)] == [("D1",), ("D2",), ("D1", "D2")]
+    cover = files("c.json", {"charts": TWO_CHARTS["charts"] + [{"name": "E", "indices": []}]})
+    inputs = ["--dataset", files("d.json", TOY_DATASET), "--cover", cover]
+    code, out, err = run(capsys, ["fit", *inputs])
+    assert (code, err) == (0, "")
+    assert set(json.loads(out)["cells"]) == {"D1", "D2", "D1|D2"}
+    report = tmp_path / "report.json"
+    assert run(capsys, ["cocycle", *inputs, "--output", str(report)]) == (0, "", "")
+    golden = (ROOT / "tests/golden/cocycle_two_charts.json").read_text(encoding="utf-8")
+    assert report.read_text(encoding="utf-8") == golden
+    code, out, err = run(capsys, ["verify", *inputs, "--cochain", str(report)])
+    assert (code, out, err) == (0, golden, "")
+    doc = json.loads(golden)
+    doc["charts"]["E"] = doc["charts"]["D1"]
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", *inputs, "--cochain", str(report)])
+    assert_one_error_line(code, out, err)
+    assert err == "error: cochain references unknown degree-0 cell 'E'\n"
+
+
 def test_csv_dataset(files, capsys):
     dataset = files("d.csv", "x1,y,weight\n-4,2,1\n-1,1,1\n1,2,1\n2,4,1\n5,6,1\n")
     code, out, _ = run(capsys, ["fit", "--dataset", dataset])

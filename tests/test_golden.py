@@ -32,7 +32,12 @@ from pathlib import Path
 
 import pytest
 
+import lsglue
+
 ROOT = Path(__file__).resolve().parent.parent
+# the package this process imports, so that the CLI runs the code the other
+# tests check, also a mutated copy of src/ (tests/mutants.py)
+SRC = Path(lsglue.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TOY = ["--dataset", "sampledata/toy5.json"]
@@ -98,7 +103,7 @@ CASES = [
 def test_cli_matches_golden(name, argv, code, fmt):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
         [sys.executable, "-m", "lsglue.cli", *argv, "--format", fmt],

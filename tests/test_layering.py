@@ -1,12 +1,15 @@
 """One job per module: ``koszul`` holds the algebra, ``assembly`` the report
-format and the rule that certifies a fit, ``cli`` the files and exit codes."""
+format and the rule that certifies a fit, ``cli`` the files and exit codes.
+Each fact is stated once: a pair's (δ, β) in the fit loop, a triple's verdict
+in its witness and residual, the literal grammar in one pattern."""
 
 import ast
 import inspect
 import json
+import re
 from pathlib import Path
 
-from lsglue import assembly, cli, koszul
+from lsglue import assembly, cli, koszul, scalars
 from lsglue.data import cover_from_json, dataset_from_json
 from lsglue.model import affine_features
 
@@ -30,6 +33,28 @@ def test_cli_imports_nothing_from_koszul_or_linalg():
     assert not {"koszul", "linalg", "lsglue.koszul", "lsglue.linalg"} & imported
 
 
+def _toy_systems(cover_file):
+    data = dataset_from_json(json.loads((ROOT / "sampledata/toy5.json").read_text()))
+    cover_doc = json.loads((ROOT / "sampledata" / cover_file).read_text())
+    return assembly.cell_normal_systems(cover_from_json(cover_doc, data), affine_features(1), 2)
+
+
+def test_each_fact_is_stated_once():
+    # a triple's verdict is its witness and residual; the fit loop keeps each
+    # pair's (δ, β) under its chart names, where assemble_cochain reads them
+    # without an index of its own; and one pattern is the literal grammar
+    assert not hasattr(assembly.TripleCheck, "outcome")
+    fits = assembly.fit_cells(_toy_systems("cover_three_charts.json"), betas=True)
+    assert not hasattr(fits, "betas")
+    assert list(fits.pairs) == [("D1", "D2"), ("D1", "D3"), ("D2", "D3")]
+    bases = {cell.chart_names: fit.base for cell, fit in fits.items()}
+    for (name_i, name_j), (delta, _) in fits.pairs.items():
+        assert delta == bases[(name_j,)] - bases[(name_i,)]
+    assert "_cells_by_names" not in assembly.assemble_cochain.__code__.co_names
+    patterns = [name for name, value in vars(scalars).items() if isinstance(value, re.Pattern)]
+    assert patterns == ["_LITERAL_RE"]
+
+
 def test_fit_cells_takes_claims_not_a_report(monkeypatch):
     # a whole report passed as the claims has no cell among its keys, so it
     # claims nothing and every cell is solved; its claims_from_json is taken
@@ -38,10 +63,8 @@ def test_fit_cells_takes_claims_not_a_report(monkeypatch):
         "claims",
         "betas",
     ]
-    data = dataset_from_json(json.loads((ROOT / "sampledata/toy5.json").read_text()))
-    cover_doc = json.loads((ROOT / "sampledata/cover_two_charts.json").read_text())
+    systems = _toy_systems("cover_two_charts.json")
     report = json.loads((ROOT / "tests/golden/cocycle_two_charts.json").read_text())
-    systems = assembly.cell_normal_systems(cover_from_json(cover_doc, data), affine_features(1), 2)
     solved = []
     solve = assembly.solve_least_squares
 

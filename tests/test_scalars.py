@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lsglue as lg
 from lsglue import LsglueError, MalformedNumber, ZeroDenominator
@@ -15,6 +17,8 @@ from lsglue.scalars import (
     rat_str,
     rational_from_string,
 )
+
+import oracles
 
 
 def test_backend_selected():
@@ -45,6 +49,41 @@ def test_parse_exact(text, num, den):
 def test_parse_malformed(text):
     with pytest.raises(MalformedNumber):
         rational_from_string(text)
+
+
+def _reading(parse, text):
+    """What ``parse`` makes of ``text``: the value with its type, or the
+    class and message of the error it raises."""
+    try:
+        value = parse(text)
+    except LsglueError as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+# strings of literal-like characters (with "e", "_", a plus sign, a space
+# and the non-ASCII digit U+0663, which int() and Fraction() would accept),
+# and near-literals of one to four digits on each side of "/" or "."
+LITERALS = st.one_of(
+    st.text(st.sampled_from("0123456789-+/.e_ \u0663"), max_size=10),
+    st.from_regex(r"[-+]?[0-9\u0663]{1,4}([/.][0-9\u0663]{1,4})?", fullmatch=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@example("")
+@example("\u0663")
+@example("1/\u0663")
+@example("+5")
+@example("1_000")
+@example(" -2.50 ")
+@example("3/0")
+@example("7" * 5000)
+@example("7" * 5000 + "/0")
+@example("0." + "5" * 5000)
+@given(LITERALS)
+def test_literal_grammar_matches_the_two_pattern_reader(text):
+    assert _reading(rational_from_string, text) == _reading(oracles.two_pattern_rational, text)
 
 
 def test_parse_zero_denominator():

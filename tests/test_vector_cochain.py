@@ -172,13 +172,14 @@ def test_pair_beta_from_its_fit_is_the_cramer_solution(case):
         return
     by_names = _cells_by_names(fits)
     pairs = [cell for cell in fits if cell.degree == 1]
-    assert set(fits.betas) == set(pairs)
+    assert set(fits.pairs) == {cell.chart_names for cell in pairs}
     cochain, _ = assemble_cochain(fits)
     for cell in pairs:
         name_i, name_j = cell.chart_names
         delta = fits[by_names[(name_j,)]].base - fits[by_names[(name_i,)]].base
         expected = oracles.cramer_solve(_rows(fits[cell].nmat), oracles.as_fractions(delta))
-        assert oracles.as_fractions(fits.betas[cell]) == expected, cell.label
+        assert fits.pairs[cell.chart_names][0] == delta, cell.label
+        assert oracles.as_fractions(fits.pairs[cell.chart_names][1]) == expected, cell.label
         constants = [cochain.beta[cell].coefficient((m,)).c0 for m in range(1, fits[cell].n + 1)]
         assert oracles.as_fractions(constants) == expected, cell.label
 
