@@ -47,7 +47,19 @@ elimination; the loop keeps (δ, β) under the pair's chart names, where
 :func:`assemble_cochain` reads them, eliminating and subtracting nothing.
 
 The report's JSON form is this module's, Koszul elements included
-(:func:`koszul_to_json`, :func:`koszul_from_json`).
+(:func:`koszul_to_json`, :func:`koszul_from_json`), and each exact value of
+a document is converted once each way.  The writer converts through one
+:class:`ReportStrings` per report: a vector's strings are kept by the vector
+object, so â's one list serves ``a_hat``, α's ``c`` and ``base`` and every
+β slot's ``base``, and a scalar's by its value; ``verify`` hands the same
+strings to its failure dump.  The reader parses through one ``seen`` dict
+per document (:func:`_vector_from_strings`), shared by
+:func:`claims_from_json` and :func:`cochain_from_json`: each distinct
+literal is parsed once, and a list of strings read before is the same
+Vector, so a slot's ``base`` spelled as its cell's claimed â is that â.
+Every ``base`` is still compared with its cell's fit by value, any spelling
+the grammar admits (``26/28``, ``000``) is read, and what is written is
+canonical.
 
 Every cell map keeps the (degree, names) order of ``data.enumerate_nerve``,
 and every check and writer iterates what it is given.  A triple's verdict is
@@ -58,11 +70,12 @@ from __future__ import annotations
 
 import re
 from math import isfinite, ldexp, sqrt
+from operator import mul
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
 from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
-from .linalg import Value, Vector, modular_rank
+from .linalg import Value, Vector, integer_row, modular_rank
 from .model import (
     FeatureMap,
     build_normal_system,
@@ -70,7 +83,7 @@ from .model import (
     solve_least_squares,
     sum_normal_systems,
 )
-from .scalars import rat_float, rat_str, rational_from_string
+from .scalars import rat_str, rational_from_string
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -251,11 +264,14 @@ def raise_if_singular(systems: dict) -> None:
     fit_cells({c: s for c, s in systems.items() if not _full_modular_rank(s)}, betas=False)
 
 
-def claims_from_json(doc, systems: dict) -> dict:
+def claims_from_json(doc, systems: dict, seen: dict | None = None) -> dict:
     """``{cell: â}`` for each cell of ``systems`` whose record in the report
     ``doc`` has an ``"a_hat"`` that parses as a vector of the cell's
-    dimension; any other claim is left out, and nothing is raised."""
+    dimension; any other claim is left out, and nothing is raised.  The
+    literals are read through ``seen`` (:func:`_vector_from_strings`)."""
     sections = doc if isinstance(doc, dict) else {}
+    if seen is None:
+        seen = {}
     claims = {}
     for cell, system in systems.items():
         section = sections.get(_SECTIONS[cell.degree]) if cell.degree < len(_SECTIONS) else None
@@ -263,7 +279,7 @@ def claims_from_json(doc, systems: dict) -> dict:
         claim = record.get("a_hat") if isinstance(record, dict) else None
         if isinstance(claim, list) and len(claim) == system.param_dim:
             try:
-                claims[cell] = _vector_from_strings(claim)
+                claims[cell] = _vector_from_strings(claim, seen)
             except LsglueError:
                 pass
     return claims
@@ -442,15 +458,22 @@ def _max_mean(norms: list) -> tuple:
 
 
 def _l2(vec: Vector) -> float | None:
-    """Float Euclidean norm; None when it lies beyond the float range."""
-    square = vec.norm_sq()
-    value = rat_float(square)
-    if value is not None:
-        return sqrt(value)
-    # The square overflows but the norm may not: root of square / 4^k, times 2^k.
-    k = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+    """Float Euclidean norm; None when it lies beyond the float range.
+
+    The square is Σ pᵢ² / d² over the common denominator d, and int true
+    division rounds that ratio correctly, as ``float`` of the reduced
+    rational would, so no gcd is taken."""
+    nums, den = integer_row(vec.entries)
+    # ints, as Fraction.__float__ takes them: int true division on either backend
+    square, den_sq = int(sum(map(mul, nums, nums))), int(den * den)
     try:
-        return ldexp(sqrt(square / 4**k), k)
+        return sqrt(square / den_sq)
+    except OverflowError:
+        pass
+    # The square overflows but the norm may not: root of square / 4^k, times 2^k.
+    k = (square.bit_length() - den_sq.bit_length()) // 2
+    try:
+        return ldexp(sqrt(square / (den_sq << 2 * k)), k)
     except OverflowError:
         return None
 
@@ -463,25 +486,74 @@ def _index_key(idx) -> str:
     return "[" + ",".join(map(str, idx)) + "]"
 
 
-def koszul_to_json(element: KoszulElement) -> dict:
+class ReportStrings:
+    """The `p/q` strings (``scalars.rat_str``) of one report's exact values,
+    each value converted once.
+
+    A vector's list is kept by the vector object, so every field that writes
+    that vector holds the one list; the vector is kept with it, so that its
+    ``id`` cannot be reused while the strings are.  A scalar's string is kept
+    by its value, and the negative of a value already converted is spelled
+    from its string: a triple's residual constants are its negated defect.
+    """
+
+    __slots__ = ("_vectors", "_scalars")
+
+    def __init__(self):
+        self._vectors = {}
+        self._scalars = {}
+
+    def vector(self, vec: Vector) -> list:
+        key = id(vec)
+        held = self._vectors.get(key)
+        if held is None:
+            held = self._vectors[key] = (vec, [self.scalar(x) for x in vec.entries])
+        return held[1]
+
+    def scalar(self, value) -> str:
+        num, den = value.numerator, value.denominator
+        text = self._scalars.get((num, den))
+        if text is None:
+            negative = self._scalars.get((-num, den))
+            if negative is None:
+                text = rat_str(value)
+            else:
+                text = negative[1:] if negative.startswith("-") else "-" + negative
+            self._scalars[(num, den)] = text
+        return text
+
+
+def koszul_to_json(element: KoszulElement, strings: ReportStrings | None = None) -> dict:
     """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients,
-    each written with the element's base."""
-    base = element.base.to_strings()
+    each written with the element's base; the values are converted by
+    ``strings``, a fresh :class:`ReportStrings` when None."""
+    if strings is None:
+        strings = ReportStrings()
+    base = strings.vector(element.base)
     return {
-        _index_key(idx): {"c0": rat_str(coeff.c0), "c": coeff.c.to_strings(), "base": base}
+        _index_key(idx): {
+            "c0": strings.scalar(coeff.c0),
+            "c": strings.vector(coeff.c),
+            "base": base,
+        }
         for idx, coeff in sorted(element.coeffs.items())
     }
 
 
-def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
+def koszul_from_json(
+    doc: dict, degree: int, base: Vector, seen: dict | None = None
+) -> KoszulElement:
     """Parse the :func:`koszul_to_json` format, enforcing the expected shape.
 
     A key is read only when written as the writer writes it, which ``_KEY``
     and ``int`` decide (``"[1,2]"``: no spaces, no leading zero, no ``-0``, no
     entry past the digit limit), so two keys can never name the same wedge
-    slot.  Every coefficient's ``"base"`` must equal ``base``."""
+    slot.  Every coefficient's ``"base"`` must equal ``base``.  The literals
+    are read through ``seen`` (:func:`_vector_from_strings`)."""
     if not isinstance(doc, dict):
         raise LsglueError("Koszul element JSON must be an object")
+    if seen is None:
+        seen = {}
     coeffs = {}
     for key, record in doc.items():
         try:
@@ -499,7 +571,7 @@ def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
             raise LsglueError(
                 f"coefficient at {excerpt(key)} needs string 'c0' and arrays 'c' and 'base'"
             )
-        parsed_base = _vector_from_strings(record["base"])
+        parsed_base = _vector_from_strings(record["base"], seen)
         if parsed_base != base:
             raise LsglueError(
                 f"coefficient at {excerpt(key)} is based at"
@@ -507,52 +579,82 @@ def koszul_from_json(doc: dict, degree: int, base: Vector) -> KoszulElement:
                 f" expected {excerpt(str(base.to_strings()))}"
             )
         coeffs[idx] = LinearizedElement(
-            rational_from_string(record["c0"]),
-            _vector_from_strings(record["c"]),
+            _literal(record["c0"], seen),
+            _vector_from_strings(record["c"], seen),
         )
     return KoszulElement.build(degree, base, coeffs)
 
 
-def _vector_from_strings(literals) -> Vector:
-    """A report vector, each entry read by ``rational_from_string``."""
-    return Vector(tuple(rational_from_string(s) for s in literals))
+def _vector_from_strings(strings: list, seen: dict) -> Vector:
+    """A report vector, each entry read by ``rational_from_string``.
+
+    ``seen`` is one document's: ``{literal: value}`` and ``{tuple of
+    literals: Vector}``, filled as the document is read.  So each distinct
+    literal is parsed once, and a list of strings equal to one read before,
+    â's in a slot's ``base`` say, is that same Vector without a parse."""
+    if not all(isinstance(s, str) for s in strings):
+        # the list is refused: read entry by entry, for the reader's message
+        return Vector(tuple(map(rational_from_string, strings)))
+    key = tuple(strings)
+    vector = seen.get(key)
+    if vector is None:
+        vector = seen[key] = Vector(tuple(_literal(s, seen) for s in strings))
+    return vector
 
 
-def _exact(name: str, vec: Vector) -> dict:
+def _literal(text: str, seen: dict):
+    """``rational_from_string(text)``, parsed once per ``seen``."""
+    value = seen.get(text)
+    if value is None:
+        value = seen[text] = rational_from_string(text)
+    return value
+
+
+def _exact(name: str, vec: Vector, strings: ReportStrings) -> dict:
     """A vector's report fields: exact `p/q` strings under ``name``, advisory
     floats under ``name_float``."""
-    return {name: vec.to_strings(), f"{name}_float": vec.to_floats()}
+    return {name: strings.vector(vec), f"{name}_float": vec.to_floats()}
 
 
-def _cell_record(cell: NerveCell, fit: LinearizedDifferential) -> dict:
+def _cell_record(cell: NerveCell, fit: LinearizedDifferential, strings: ReportStrings) -> dict:
     """The fields every cell record starts with: its indices and its â."""
-    return {"indices": sorted(cell.indices), **_exact("a_hat", fit.base)}
+    return {"indices": sorted(cell.indices), **_exact("a_hat", fit.base, strings)}
 
 
-def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport) -> dict:
+def report_to_json(
+    cochain: TotalCochain,
+    fits: dict,
+    report: ObstructionReport,
+    strings: ReportStrings | None = None,
+) -> dict:
     """Serialize the cochain and its report, derived or checked; rationals as
-    `p/q` strings, float companions advisory only."""
+    `p/q` strings, float companions advisory only.  The values are converted
+    by ``strings``, a fresh :class:`ReportStrings` when None, so the fields
+    that write one vector, â in ``a_hat``, in α and in every slot's ``base``,
+    hold one list object."""
+    if strings is None:
+        strings = ReportStrings()
     charts = {
         cell.label: {
-            **_cell_record(cell, fits[cell]),
-            "alpha": koszul_to_json(cochain.alpha[cell]),
+            **_cell_record(cell, fits[cell], strings),
+            "alpha": koszul_to_json(cochain.alpha[cell], strings),
         }
         for cell in cochain.alpha
     }
     pairs = {
         cell.label: {
-            **_cell_record(cell, fits[cell]),
-            **_exact("delta", check.delta),
-            "beta": koszul_to_json(cochain.beta[cell]),
+            **_cell_record(cell, fits[cell], strings),
+            **_exact("delta", check.delta, strings),
+            "beta": koszul_to_json(cochain.beta[cell], strings),
             "residual_zero": check.residual_zero,
         }
         for cell, check in report.pairs.items()
     }
     triples = {
         cell.label: {
-            **_cell_record(cell, fits[cell]),
-            **_exact("defect_constant", check.defect_constant),
-            "r": None if check.witness is None else koszul_to_json(check.witness),
+            **_cell_record(cell, fits[cell], strings),
+            **_exact("defect_constant", check.defect_constant, strings),
+            "r": None if check.witness is None else koszul_to_json(check.witness, strings),
             "obstructed": check.obstructed,
             "residual_zero": check.residual_zero,
         }
@@ -562,9 +664,11 @@ def report_to_json(cochain: TotalCochain, fits: dict, report: ObstructionReport)
     return {"charts": charts, "pairs": pairs, "triples": triples, "metrics": metrics}
 
 
-def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
+def cochain_from_json(doc: dict, fits: dict, seen: dict | None = None) -> TotalCochain:
     """Parse a report produced by :func:`report_to_json` back into a cochain,
-    each layer in the order of ``fits``.
+    each layer in the order of ``fits``, every literal read through ``seen``
+    (:func:`_vector_from_strings`; pass the one :func:`claims_from_json` of
+    the same document filled, and â's lists are not parsed again).
 
     Cells are resolved by label against ``fits``; unknown labels, elements
     based away from their cell's fit, and a chart, pair or triple of ``fits``
@@ -573,6 +677,8 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
     """
     if not isinstance(doc, dict):
         raise LsglueError("cochain JSON must be an object")
+    if seen is None:
+        seen = {}
     by_label = {cell.label: cell for cell in fits}
 
     def elements(degree: int, field: str):
@@ -597,7 +703,7 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
             element = record.get(field)
             if element is not None or required:
                 try:
-                    element = koszul_from_json(element, degree, fits[cell].base)
+                    element = koszul_from_json(element, degree, fits[cell].base, seen)
                 except LsglueError as err:
                     err.args = (f"{entry}: {err}",)
                     raise
@@ -618,9 +724,10 @@ def cochain_from_json(doc: dict, fits: dict) -> TotalCochain:
 
 def fits_to_json(fits: dict) -> dict:
     """Serialize per-cell least-squares solutions (the `fit` command payload)."""
+    strings = ReportStrings()
     return {
         "cells": {
-            cell.label: {"degree": cell.degree, **_cell_record(cell, fits[cell])}
+            cell.label: {"degree": cell.degree, **_cell_record(cell, fits[cell], strings)}
             for cell in fits
         }
     }

@@ -24,6 +24,7 @@ from collections import Counter
 
 from .assembly import (
     ObstructionReport,
+    ReportStrings,
     assemble_cochain,
     cell_normal_systems,
     claims_from_json,
@@ -187,8 +188,90 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+_INF = float("inf")
+_ENCODE = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The JSON text of a leaf, by its type.
+_LEAF = {
+    str: _ENCODE,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for
+    byte, for a document of dicts with string keys, lists, strings, ints,
+    floats, bools and None (the types themselves, no subclasses).
+
+    A list of leaves is rendered once per depth: the report holds one list
+    object per vector (``assembly.ReportStrings``), â's in ``a_hat``, in α
+    and in every slot's ``base``.  Such a list is held by ``doc`` while this
+    runs, so its ``id`` names it.
+    """
+    out = []
+    append = out.append
+    lists = {}
+
+    def write(node, depth: int) -> None:
+        leaf = _LEAF.get(type(node))
+        if leaf is not None:
+            append(leaf(node))
+        elif type(node) is dict:
+            if not node:
+                append("{}")
+                return
+            newline = "\n" + "  " * (depth + 1)
+            separator = "{" + newline
+            for key in sorted(node):
+                append(f"{separator}{_ENCODE(key)}: ")
+                write(node[key], depth + 1)
+                separator = "," + newline
+            append("\n" + "  " * depth + "}")
+        elif type(node) is list:
+            if not node:
+                append("[]")
+                return
+            key = (id(node), depth)
+            text = lists.get(key)
+            if text is None:
+                newline = "\n" + "  " * (depth + 1)
+                try:
+                    if type(node[0]) is str:
+                        items = map(_ENCODE, node)
+                    else:
+                        items = [_LEAF[type(item)](item) for item in node]
+                    text = f"[{newline}{(',' + newline).join(items)}\n{'  ' * depth}]"
+                except (KeyError, TypeError):  # not a list of leaves
+                    separator = "[" + newline
+                    for item in node:
+                        append(separator)
+                        write(item, depth + 1)
+                        separator = "," + newline
+                    append("\n" + "  " * depth + "]")
+                    return
+                lists[key] = text
+            append(text)
+        else:
+            raise TypeError(f"Object of type {node.__class__.__name__} is not JSON serializable")
+
+    write(doc, 0)
+    append("\n")
+    return "".join(out)
 
 
 def _fmt_float(value: float | None) -> str:
@@ -242,18 +325,21 @@ def _render_report_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dump_failures(report: ObstructionReport) -> None:
+def _dump_failures(report: ObstructionReport, strings: ReportStrings) -> None:
+    """Each failed check's residual on stderr, its values converted by the
+    ``strings`` that wrote the report: the bases and defects are not
+    converted again, and a residual constant, -defect, is spelled from the
+    defect's string."""
     for cell, check in report.pairs.items():
         if not check.residual_zero:
-            print(
-                f"pair {cell.label}: residual {json.dumps(koszul_to_json(check.residual))}",
-                file=sys.stderr,
-            )
+            residual = json.dumps(koszul_to_json(check.residual, strings))
+            print(f"pair {cell.label}: residual {residual}", file=sys.stderr)
     for cell, check in report.triples.items():
         if not check.residual_zero:
+            residual = json.dumps(koszul_to_json(check.residual, strings))
             print(
-                f"triple {cell.label}: residual {json.dumps(koszul_to_json(check.residual))}"
-                f" (defect constant {check.defect_constant.to_strings()})",
+                f"triple {cell.label}: residual {residual}"
+                f" (defect constant {strings.vector(check.defect_constant)})",
                 file=sys.stderr,
             )
         if check.obstructed and check.defect_constant.is_zero():
@@ -302,8 +388,10 @@ def _certified_cochain(args, cover: Cover, features) -> tuple:
     except (LsglueError, OSError):
         raise_if_singular(systems)
         raise
-    fits = fit_cells(systems, claims_from_json(doc, systems), betas=False)
-    return fits, cochain_from_json(doc, fits)
+    # one document, so each literal is read once across the claims and the cochain
+    seen = {}
+    fits = fit_cells(systems, claims_from_json(doc, systems, seen), betas=False)
+    return fits, cochain_from_json(doc, fits, seen)
 
 
 def _cmd_verify(args) -> int:
@@ -311,10 +399,11 @@ def _cmd_verify(args) -> int:
     _, cover, features = _load_inputs(args)
     fits, cochain = _certified_cochain(args, cover, features)
     report = verify_cocycle(cochain, fits)
-    doc = report_to_json(cochain, fits, report)
+    strings = ReportStrings()
+    doc = report_to_json(cochain, fits, report, strings)
     _emit(args, _json_text(doc) if args.format == "json" else _render_report_text(doc))
     if not report.all_verified():
-        _dump_failures(report)
+        _dump_failures(report, strings)
         return _EXIT_VERIFY
     return _EXIT_OK
 

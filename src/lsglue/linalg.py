@@ -27,14 +27,13 @@ output cannot differ by a byte from rational elimination.  A wide
 right-hand side does not widen the rows of A, and no gcd is taken per
 arithmetic operation.
 
-Dot products (:meth:`Matrix.matvec`) and squared norms
-(:meth:`Vector.norm_sq`) write each operand as integers over one common
-denominator (:func:`integer_row`) and sum integer products, building one
-rational per result instead of one per term.  :func:`modular_rank` is the
-rank of a matrix modulo the prime :data:`RANK_PRIME` once every row is
-cleared of its denominators.  It never exceeds the rank over the rationals,
-so a full modular rank proves a square matrix nonsingular; a short one
-proves nothing.
+Dot products (:meth:`Matrix.matvec`) write each operand as integers over
+one common denominator (:func:`integer_row`) and sum integer products,
+building one rational per result instead of one per term.
+:func:`modular_rank` is the rank of a matrix modulo the prime
+:data:`RANK_PRIME` once every row is cleared of its denominators.  It
+never exceeds the rank over the rationals, so a full modular rank proves a
+square matrix nonsingular; a short one proves nothing.
 
 Every immutable record of the package is a :class:`Value`: a subclass names
 its fields in ``__slots__``, sets them once in ``__init__``, and two objects
@@ -150,11 +149,6 @@ class Vector(Value):
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def norm_sq(self):
-        """Σ vᵢ², as Σ pᵢ² / d² over the common denominator d."""
-        nums, den = integer_row(self.entries)
-        return Rational(sum(map(mul, nums, nums)), den * den)
 
     def to_strings(self) -> list[str]:
         return [rat_str(a) for a in self.entries]

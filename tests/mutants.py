@@ -143,6 +143,43 @@ CATALOG = [
         "fits.pairs[cell.chart_names] = (solution.also[0], also[0])",
         ["tests/test_golden.py::test_cli_matches_golden"],
     ),
+    Mutant(
+        "reader_takes_a_base_read_before_unchecked",
+        "assembly.py",
+        "if parsed_base != base:",
+        'if parsed_base != base and tuple(record["base"]) not in seen:',
+        [
+            "tests/test_cli.py::test_verify_respelled_base_of_another_value_exit_1",
+            "tests/test_cli.py::test_verify_beta_based_away_from_the_fit_exit_1",
+        ],
+    ),
+    Mutant(
+        "writer_strings_kept_by_dimension",
+        "assembly.py",
+        "key = id(vec)",
+        "key = len(vec)",
+        [
+            "tests/test_assembly.py::test_report_json_shape_and_round_trip",
+            "tests/test_golden.py::test_cli_matches_golden",
+        ],
+    ),
+    Mutant(
+        "writer_negative_spelled_as_its_value",
+        "assembly.py",
+        'text = negative[1:] if negative.startswith("-") else "-" + negative',
+        "text = negative",
+        ["tests/test_golden.py::test_cli_matches_golden"],
+    ),
+    Mutant(
+        "json_text_list_shared_across_depths",
+        "cli.py",
+        "key = (id(node), depth)",
+        "key = id(node)",
+        [
+            "tests/test_cli.py::test_json_text_is_json_dumps_indent_2",
+            "tests/test_golden.py::test_cli_matches_golden",
+        ],
+    ),
 ]
 
 # One line of pytest's -rA summary: the outcome and the node id.

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lsglue as lg
 from lsglue.assembly import (
+    _l2,
     _max_mean,
     assemble_cochain,
     build_zero_cocycle,
@@ -314,6 +317,45 @@ def test_metric_mean_sums_left_to_right():
     norms = [1e16, 1.0, 1.0]
     assert _max_mean(norms) == (1e16, 1e16 / 3)
     assert math.fsum(norms) / 3 != 1e16 / 3
+
+
+def _l2_through_the_rational(values) -> float | None:
+    """The norm as it was taken through the reduced rational square: its
+    float, else the root of square / 4^k times 2^k, else None."""
+    square = sum((x * x for x in values), F(0))
+    try:
+        return math.sqrt(float(square))
+    except OverflowError:
+        pass
+    k = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(square / 4**k), k)
+    except OverflowError:
+        return None
+
+
+# values from far below the float range to far beyond it, with denominators
+# that share factors with the numerators of other entries
+_NORM_ENTRIES = st.builds(
+    lambda num, den, base, exponent: F(num, den) * F(base) ** exponent,
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
+    st.sampled_from([2, 3, 10]),
+    st.integers(-1300, 1300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NORM_ENTRIES, max_size=6))
+@example([F(2) ** 600, F(3, 2) ** 400])
+@example([F(2) ** 1100])
+@example([F(1, 2) ** 1100, F(-1, 3) ** 700])
+@example([])
+def test_l2_equals_the_float_of_the_reduced_square(values):
+    # int true division of the unreduced Σp²/d² rounds as float() of the
+    # reduced rational does, so the norms, and None past the float range,
+    # are those of the rational formula
+    assert _l2(lg.Vector(tuple(values))) == _l2_through_the_rational(values)
 
 
 def test_fits_to_json(toy_cover, affine1):

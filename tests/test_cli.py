@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsglue import assembly, cli, linalg, model
 from lsglue.errors import excerpt
@@ -15,6 +17,10 @@ import oracles
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
+# the package this process imports, for the tests that start the CLI as a
+# subprocess, so that they run the code the other tests check, also a
+# mutated copy of src/ (tests/mutants.py)
+SRC = Path(cli.__file__).resolve().parent.parent
 
 TOY_DATASET = {
     "ambient_dim": 1,
@@ -1134,19 +1140,9 @@ def _respell_value(value):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_reads_non_canonical_spellings(capsys, tmp_path, monkeypatch, fmt):
     # the same values spelled otherwise: every claim is still taken, so no
-    # cell is solved, and the output is that of the canonical report
-    golden = ROOT / "tests/golden/cocycle_two_charts.json"
-    doc = _respell(json.loads(golden.read_text()))
-    assert doc["charts"]["D1"]["a_hat"] == ["22/84", "100/42"]
-    assert doc["charts"]["D1"]["alpha"]["[]"]["c0"] == "000"
-    respelled = tmp_path / "respelled.json"
-    respelled.write_text(json.dumps(doc), encoding="utf-8")
-    argv = [
-        "verify",
-        "--dataset", str(ROOT / "sampledata/toy5.json"),
-        "--cover", str(ROOT / "sampledata/cover_two_charts.json"),
-        "--format", fmt,
-    ]
+    # cell is solved, and the output is that of the canonical report, for
+    # the obstructed report its failure dump on stderr included, so no
+    # input spelling is echoed
     calls = []
     original = linalg._row_echelon
 
@@ -1155,10 +1151,49 @@ def test_verify_reads_non_canonical_spellings(capsys, tmp_path, monkeypatch, fmt
         return original(rows, rhs)
 
     monkeypatch.setattr(linalg, "_row_echelon", counting)
-    canonical = run(capsys, [*argv, "--cochain", str(golden)])
-    assert canonical[0] == 0 and canonical[2] == ""
-    assert run(capsys, [*argv, "--cochain", str(respelled)]) == canonical
+    for name, cover, code in [
+        ("cocycle_two_charts", "cover_two_charts", 0),
+        ("cocycle_three_charts", "cover_three_charts", 4),
+    ]:
+        golden = ROOT / f"tests/golden/{name}.json"
+        doc = _respell(json.loads(golden.read_text()))
+        assert doc["charts"]["D1"]["a_hat"] == ["22/84", "100/42"]
+        assert doc["charts"]["D1"]["alpha"]["[]"]["c0"] == "000"
+        respelled = tmp_path / f"{name}.json"
+        respelled.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [
+            "verify",
+            "--dataset", str(ROOT / "sampledata/toy5.json"),
+            "--cover", str(ROOT / f"sampledata/{cover}.json"),
+            "--format", fmt,
+        ]
+        canonical = run(capsys, [*argv, "--cochain", str(golden)])
+        assert canonical[0] == code and (canonical[2] == "") == (code == 0)
+        assert run(capsys, [*argv, "--cochain", str(respelled)]) == canonical
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "base, named",
+    [
+        (["54/56", "24/14"], "['27/28', '12/7']"),
+        (["22/84", "100/42"], "['11/42', '50/21']"),
+    ],
+    ids=["another_point", "chart_a_hat_read_before"],
+)
+def test_verify_respelled_base_of_another_value_exit_1(capsys, tmp_path, base, named):
+    # a slot base is compared with its cell's fit by value, also when its
+    # strings were read before in the document (chart D1's a_hat, a claim)
+    doc = _respell(json.loads((ROOT / "tests/golden/cocycle_two_charts.json").read_text()))
+    record = doc["pairs"]["D1|D2"]
+    assert record["beta"]["[1]"]["base"] == ["26/28", "24/14"]
+    record["beta"]["[2]"]["base"] = base
+    code, out, err = _verify_golden(capsys, tmp_path, doc)
+    assert_one_error_line(code, out, err)
+    assert err == (
+        f"error: cochain 'pairs' entry 'D1|D2': coefficient at [2] is based at"
+        f" {named}, expected ['13/14', '12/7']\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -1209,9 +1244,7 @@ def test_oversized_nerve_exit_1_without_listing_it(files, command, charts, max_d
         "c.json", {"charts": [{"name": f"C{i}", "indices": [1]} for i in range(charts)]}
     )
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [command, "--dataset", dataset, "--cover", cover, "--max-degree", max_degree]
     proc = subprocess.run(
         [sys.executable, "-m", "lsglue.cli", *argv],
@@ -1242,7 +1275,7 @@ def test_import_loads_no_module_the_cli_does_not_use():
     # started as the benchmark starts it: without site, from src, and with no
     # PYTHON* variable of the calling environment
     env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, lsglue.cli; print(*sys.modules)"],
         env=env,
@@ -1254,3 +1287,38 @@ def test_import_loads_no_module_the_cli_does_not_use():
     loaded = set(proc.stdout.split())
     assert "lsglue.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "pathlib", "typing", "csv"} == set()
+
+
+# JSON leaves and keys that json.dumps treats specially: quotes, backslashes,
+# control characters, non-ASCII text and astral characters escaped as
+# surrogate pairs; -0.0, subnormals, 1e16, NaN and the infinities; ints far
+# past 64 bits
+_JSON_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\x7f\n\t/é€😀\u2028'), max_size=5)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 123456789.0])
+    | _JSON_TEXT
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=_JSON_DOCS,
+    shared=st.lists(_JSON_TEXT | st.integers() | st.floats(), min_size=1, max_size=4),
+)
+@example(doc={}, shared=["a"])
+def test_json_text_is_json_dumps_indent_2(doc, shared):
+    # one list object at several depths, and twice at one, as the report
+    # holds one list per vector
+    deeper = {"a": shared, "b": [[shared], []], "c": {"x": shared, "y": shared}, "d": {}}
+    doc = {"doc": doc, "shared": shared, "deeper": deeper}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -8,7 +8,8 @@ with mixed denominators, on right-hand sides far wider than the matrix, and on
 singular matrices of every rank, where :class:`Singular` must carry the rank
 whatever the number of right-hand sides.  The modular rank must equal the
 cofactor rank, and may only fall below it under a small prime.  The
-integer-numerator ``matvec`` and ``norm_sq`` must equal plain Fraction sums.
+integer-numerator ``matvec`` must equal plain Fraction sums, and the float
+norms of ``assembly._l2`` the floats of those sums.
 The normal-system accumulation behind ``build_normal_system`` must equal the
 direct sums of ``oracles.normal_sums``, on the data, on its restriction to a
 chart and under fresh weights, whatever the top exponent of each coordinate,
@@ -18,6 +19,7 @@ that limit is refused, naming the first monomial that holds one, unless its
 point has weight zero.
 """
 
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 import lsglue as lg
 from lsglue import linalg, model
+from lsglue.assembly import _l2
 
 import oracles
 
@@ -208,9 +211,9 @@ def test_integer_matvec_and_norm_match_fraction_sums(case):
     a = lg.Matrix.of(rows, ncols=len(v))
     vector = lg.Vector.of(v)
     assert oracles.as_fractions(a.matvec(vector)) == oracles.matvec(rows, v)
-    assert vector.norm_sq() == sum((x * x for x in v), F(0))
+    assert _l2(vector) == math.sqrt(float(sum((x * x for x in v), F(0))))
     for row in rows:
-        assert lg.Vector.of(row).norm_sq() == sum((x * x for x in row), F(0))
+        assert _l2(lg.Vector.of(row)) == math.sqrt(float(sum((x * x for x in row), F(0))))
 
 
 coordinates = st.fractions(min_value=-40, max_value=40, max_denominator=32)
