@@ -47,16 +47,18 @@ elimination; the loop keeps (δ, β) under the pair's chart names, where
 :func:`assemble_cochain` reads them, eliminating and subtracting nothing.
 
 The report's JSON form is this module's, Koszul elements included
-(:func:`koszul_to_json`, :func:`koszul_from_json`), and each exact value of
-a document is converted once each way.  The writer converts through one
+(:func:`koszul_to_json`, :func:`koszul_from_json`): the exact `p/q` strings
+and advisory floats of a vector are written here, and a ``Vector`` holds
+neither.  A report is mostly â's list of literals, repeated, so each list is
+converted once each way.  The writer converts through one
 :class:`ReportStrings` per report: a vector's strings are kept by the vector
 object, so â's one list serves ``a_hat``, α's ``c`` and ``base`` and every
 β slot's ``base``, and a scalar's by its value; ``verify`` hands the same
 strings to its failure dump.  The reader parses through one ``seen`` dict
 per document (:func:`_vector_from_strings`), shared by
-:func:`claims_from_json` and :func:`cochain_from_json`: each distinct
-literal is parsed once, and a list of strings read before is the same
-Vector, so a slot's ``base`` spelled as its cell's claimed â is that â.
+:func:`claims_from_json` and :func:`cochain_from_json`: each distinct list
+of literals is parsed once, and a list read before is the same Vector, so a
+slot's ``base`` spelled as its cell's claimed â is that â.
 Every ``base`` is still compared with its cell's fit by value, any spelling
 the grammar admits (``26/28``, ``000``) is read, and what is written is
 canonical.
@@ -83,7 +85,7 @@ from .model import (
     solve_least_squares,
     sum_normal_systems,
 )
-from .scalars import rat_str, rational_from_string
+from .scalars import rat_float, rat_str, rational_from_string
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -268,7 +270,7 @@ def claims_from_json(doc, systems: dict, seen: dict | None = None) -> dict:
     """``{cell: â}`` for each cell of ``systems`` whose record in the report
     ``doc`` has an ``"a_hat"`` that parses as a vector of the cell's
     dimension; any other claim is left out, and nothing is raised.  The
-    literals are read through ``seen`` (:func:`_vector_from_strings`)."""
+    lists are read through ``seen`` (:func:`_vector_from_strings`)."""
     sections = doc if isinstance(doc, dict) else {}
     if seen is None:
         seen = {}
@@ -548,8 +550,9 @@ def koszul_from_json(
     A key is read only when written as the writer writes it, which ``_KEY``
     and ``int`` decide (``"[1,2]"``: no spaces, no leading zero, no ``-0``, no
     entry past the digit limit), so two keys can never name the same wedge
-    slot.  Every coefficient's ``"base"`` must equal ``base``.  The literals
-    are read through ``seen`` (:func:`_vector_from_strings`)."""
+    slot.  Every coefficient's ``"base"`` must equal ``base``.  The ``"base"``
+    and ``"c"`` lists are read through ``seen`` (:func:`_vector_from_strings`),
+    and each ``"c0"`` by ``rational_from_string``."""
     if not isinstance(doc, dict):
         raise LsglueError("Koszul element JSON must be an object")
     if seen is None:
@@ -575,11 +578,11 @@ def koszul_from_json(
         if parsed_base != base:
             raise LsglueError(
                 f"coefficient at {excerpt(key)} is based at"
-                f" {excerpt(str(parsed_base.to_strings()))},"
-                f" expected {excerpt(str(base.to_strings()))}"
+                f" {excerpt(str([rat_str(x) for x in parsed_base]))},"
+                f" expected {excerpt(str([rat_str(x) for x in base]))}"
             )
         coeffs[idx] = LinearizedElement(
-            _literal(record["c0"], seen),
+            rational_from_string(record["c0"]),
             _vector_from_strings(record["c"], seen),
         )
     return KoszulElement.build(degree, base, coeffs)
@@ -588,32 +591,24 @@ def koszul_from_json(
 def _vector_from_strings(strings: list, seen: dict) -> Vector:
     """A report vector, each entry read by ``rational_from_string``.
 
-    ``seen`` is one document's: ``{literal: value}`` and ``{tuple of
-    literals: Vector}``, filled as the document is read.  So each distinct
-    literal is parsed once, and a list of strings equal to one read before,
-    â's in a slot's ``base`` say, is that same Vector without a parse."""
+    ``seen`` is one document's ``{tuple of literals: Vector}``, filled as the
+    document is read.  So each distinct list is parsed once, and a list of
+    strings equal to one read before, â's in a slot's ``base`` say, is that
+    same Vector without a parse."""
     if not all(isinstance(s, str) for s in strings):
         # the list is refused: read entry by entry, for the reader's message
         return Vector(tuple(map(rational_from_string, strings)))
     key = tuple(strings)
     vector = seen.get(key)
     if vector is None:
-        vector = seen[key] = Vector(tuple(_literal(s, seen) for s in strings))
+        vector = seen[key] = Vector(tuple(map(rational_from_string, strings)))
     return vector
-
-
-def _literal(text: str, seen: dict):
-    """``rational_from_string(text)``, parsed once per ``seen``."""
-    value = seen.get(text)
-    if value is None:
-        value = seen[text] = rational_from_string(text)
-    return value
 
 
 def _exact(name: str, vec: Vector, strings: ReportStrings) -> dict:
     """A vector's report fields: exact `p/q` strings under ``name``, advisory
-    floats under ``name_float``."""
-    return {name: strings.vector(vec), f"{name}_float": vec.to_floats()}
+    floats (``scalars.rat_float``) under ``name_float``."""
+    return {name: strings.vector(vec), f"{name}_float": list(map(rat_float, vec))}
 
 
 def _cell_record(cell: NerveCell, fit: LinearizedDifferential, strings: ReportStrings) -> dict:
@@ -666,7 +661,7 @@ def report_to_json(
 
 def cochain_from_json(doc: dict, fits: dict, seen: dict | None = None) -> TotalCochain:
     """Parse a report produced by :func:`report_to_json` back into a cochain,
-    each layer in the order of ``fits``, every literal read through ``seen``
+    each layer in the order of ``fits``, every list read through ``seen``
     (:func:`_vector_from_strings`; pass the one :func:`claims_from_json` of
     the same document filled, and â's lists are not parsed again).
 

@@ -21,6 +21,7 @@ import json
 import re
 import sys
 from collections import Counter
+from math import isfinite
 
 from .assembly import (
     ObstructionReport,
@@ -188,19 +189,16 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-_INF = float("inf")
 _ENCODE = json.encoder.encode_basestring_ascii
 
 
 def _float_text(value: float) -> str:
-    """A float as ``json.dumps`` writes it."""
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
+    """A float as ``json.dumps(allow_nan=False)`` writes it: NaN and the
+    infinities are refused with its ``ValueError``, as RFC 8259 JSON has no
+    spelling for them."""
+    if isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
 # The JSON text of a leaf, by its type.
@@ -214,9 +212,10 @@ _LEAF = {
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for
-    byte, for a document of dicts with string keys, lists, strings, ints,
-    floats, bools and None (the types themselves, no subclasses).
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` and a
+    newline, byte for byte, for a document of dicts with string keys, lists,
+    strings, ints, floats, bools and None (the types themselves, no
+    subclasses); a NaN or an infinity raises the same ``ValueError``.
 
     A list of leaves is rendered once per depth: the report holds one list
     object per vector (``assembly.ReportStrings``), â's in ``a_hat``, in α
@@ -388,7 +387,7 @@ def _certified_cochain(args, cover: Cover, features) -> tuple:
     except (LsglueError, OSError):
         raise_if_singular(systems)
         raise
-    # one document, so each literal is read once across the claims and the cochain
+    # one document, so each list of literals is read once across the claims and the cochain
     seen = {}
     fits = fit_cells(systems, claims_from_json(doc, systems, seen), betas=False)
     return fits, cochain_from_json(doc, fits, seen)

@@ -2,15 +2,17 @@
 modular rank.
 
 All arithmetic is over the scalar backend from :mod:`lsglue.scalars`; nothing
-here ever touches floats.  :func:`solve_square` brings a square system
-augmented by any number of right-hand sides to row echelon form in one
-forward-elimination pass and counts the pivots; a count short of n is the
-rank carried by :class:`Singular`, and a full-rank system is solved by
-back-substitution, every right-hand side at once.  Pivoting takes the first
-nonzero entry scanning rows top-down (exact arithmetic needs no magnitude
-pivoting), which makes the solver deterministic; the solution of an
-invertible system is unique and rationals are canonical, so it does not
-depend on the elimination order anyway.
+here ever touches floats, and a :class:`Vector` holds its exact entries
+only: the report's `p/q` strings and advisory floats are ``assembly``'s.
+:func:`solve_square` brings a square system augmented by any number of
+right-hand sides to row echelon form in one forward-elimination pass and
+counts the pivots; a count short of n is the rank carried by
+:class:`Singular`, and a full-rank system is solved by back-substitution,
+every right-hand side at once.  Pivoting takes the first nonzero entry
+scanning rows top-down (exact arithmetic needs no magnitude pivoting), which
+makes the solver deterministic; the solution of an invertible system is
+unique and rationals are canonical, so it does not depend on the elimination
+order anyway.
 
 The elimination runs on integer rows; no rational is built until the
 solutions are.  Each right-hand side b is written as integers D·b over its
@@ -49,7 +51,7 @@ from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, Singular
-from .scalars import ZERO, Rational, rat, rat_float, rat_str
+from .scalars import ZERO, Rational, rat
 
 # The prime of :func:`modular_rank`.  Residues stay below 2**61, so every
 # product in its elimination is small, however wide the matrix entries are.
@@ -149,12 +151,6 @@ class Vector(Value):
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def to_strings(self) -> list[str]:
-        return [rat_str(a) for a in self.entries]
-
-    def to_floats(self) -> list[float | None]:
-        return [rat_float(a) for a in self.entries]
 
     def _check_dim(self, other: "Vector") -> None:
         if len(self.entries) != len(other.entries):

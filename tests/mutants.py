@@ -180,6 +180,33 @@ CATALOG = [
             "tests/test_golden.py::test_cli_matches_golden",
         ],
     ),
+    Mutant(
+        "reader_lists_keyed_by_their_first_literal",
+        "assembly.py",
+        "key = tuple(strings)",
+        "key = tuple(strings[:1])",
+        [
+            "tests/test_assembly.py::test_reader_keeps_one_vector_per_distinct_list",
+            "tests/test_golden.py::test_cli_matches_golden",
+        ],
+    ),
+    Mutant(
+        "json_text_spells_nan",
+        "cli.py",
+        "    if isfinite(value):\n",
+        '    if value != value:\n        return "NaN"\n    if isfinite(value):\n',
+        ["tests/test_cli.py::test_json_text_is_json_dumps_indent_2"],
+    ),
+    Mutant(
+        "exact_writes_another_vectors_floats",
+        "assembly.py",
+        "list(map(rat_float, vec))",
+        "list(map(rat_float, -vec))",
+        [
+            "tests/test_assembly.py::test_float_fields_are_the_floats_of_their_exact_fields",
+            "tests/test_golden.py::test_cli_matches_golden",
+        ],
+    ),
 ]
 
 # One line of pytest's -rA summary: the outcome and the node id.

@@ -1,10 +1,13 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here works on plain ``fractions.Fraction`` lists, recomputes every
-weighted sum from scratch, and inverts matrices by cofactor expansion and
-adjugates -- a deliberately different path from the package's forward
-elimination with back-substitution and its integer-numerator accumulation of
-the normal sums, so agreement between the two is meaningful.
+Everything here works on plain ``fractions.Fraction`` lists and recomputes
+every weighted sum from scratch.  Determinants, ranks and solutions come from
+Gauss-Jordan elimination on Fraction rows, which imports nothing from the
+package, and inverses from adjugates and Cramer's rule on those
+determinants -- a deliberately different path from the package's integer
+forward elimination with back-substitution, its modular rank and its
+integer-numerator accumulation of the normal sums, so agreement between the
+two is meaningful.
 
 The one exception is :func:`koszul_verify`, the cocycle check written with
 the package's Koszul arithmetic (``translate``, ``koszul_diff``, element
@@ -18,7 +21,6 @@ for ``p`` and ``p/q`` and one for decimals, where the package has one.
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from lsglue.assembly import ObstructionReport, PairCheck, TripleCheck
@@ -55,36 +57,43 @@ def normal_sums(points, weights, exponents):
     return nu, nmat
 
 
+def _gauss_jordan(m):
+    """(rows, pivots, factor): ``m`` in reduced row echelon form by
+    Gauss-Jordan elimination over Fractions, pivoting on the first nonzero
+    entry of each column, the pivot column of each nonzero row, and the
+    product of the pivots as found, negated once per row swap."""
+    rows = [[F(v) for v in row] for row in m]
+    pivots, factor = [], F(1)
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        hit = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if hit is None:
+            continue
+        if hit != top:
+            rows[top], rows[hit] = rows[hit], rows[top]
+            factor = -factor
+        pivot = rows[top][col]
+        factor *= pivot
+        # every entry of the pivot row left of its pivot is zero
+        tail = [v / pivot for v in rows[top][col:]]
+        rows[top][col:] = tail
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != top and f:
+                row[col:] = [a - f * b if b else a for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    return rows, pivots, factor
+
+
 def det(m):
-    """Determinant by cofactor expansion along the rows, each minor (the rows
-    below, a subset of the columns) computed once."""
-    size = len(m)
-
-    @lru_cache(maxsize=None)
-    def minor(row, cols):
-        if row == size:
-            return F(1)
-        total = F(0)
-        for pos, col in enumerate(cols):
-            if m[row][col] != 0:
-                term = m[row][col] * minor(row + 1, cols[:pos] + cols[pos + 1 :])
-                total += -term if pos % 2 else term
-        return total
-
-    return minor(0, tuple(range(size)))
+    """Determinant: the signed product of the pivots, 0 short of full rank."""
+    _, pivots, factor = _gauss_jordan(m)
+    return factor if len(pivots) == len(m) else F(0)
 
 
 def rank(m):
-    """Rank as the size of the largest nonzero minor."""
-    if not m:
-        return 0
-    rows, cols = range(len(m)), range(len(m[0]))
-    for size in range(min(len(rows), len(cols)), 0, -1):
-        for rs in combinations(rows, size):
-            for cs in combinations(cols, size):
-                if det([[m[r][c] for c in cs] for r in rs]) != 0:
-                    return size
-    return 0
+    """Rank as the number of pivots."""
+    return len(_gauss_jordan(m)[1])
 
 
 def adjugate_inverse(m):
@@ -120,19 +129,16 @@ def cramer_solve(m, b):
 
 
 def some_solution(m, b):
-    """A solution of m x = b, None when there is none: Cramer's rule on the
-    first largest nonzero minor, every other unknown zero."""
-    rows, cols = range(len(m)), range(len(m[0]))
-    for size in range(min(len(rows), len(cols)), 0, -1):
-        for rs in combinations(rows, size):
-            for cs in combinations(cols, size):
-                x = cramer_solve([[m[r][c] for c in cs] for r in rs], [b[r] for r in rs])
-                if x is not None:
-                    solution = [F(0)] * len(cols)
-                    for c, value in zip(cs, x):
-                        solution[c] = value
-                    return solution if matvec(m, solution) == list(b) else None
-    return [F(0)] * len(cols) if not any(b) else None
+    """A solution of m x = b, None when there is none: the reduced echelon
+    form of [m | b], every unknown without a pivot zero."""
+    ncols = len(m[0])
+    rows, pivots, _ = _gauss_jordan([list(row) + [v] for row, v in zip(m, b)])
+    if ncols in pivots:
+        return None
+    solution = [F(0)] * ncols
+    for row, col in zip(rows, pivots):
+        solution[col] = row[ncols]
+    return solution
 
 
 def matvec(m, v):

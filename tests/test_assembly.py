@@ -11,6 +11,7 @@ import lsglue as lg
 from lsglue.assembly import (
     _l2,
     _max_mean,
+    _vector_from_strings,
     assemble_cochain,
     build_zero_cocycle,
     canonical_alpha,
@@ -266,6 +267,31 @@ def test_report_json_shape_and_round_trip(toy_cover, affine1):
     assert parsed.r == cochain.r
     re_report = verify_cocycle(parsed, fits)
     assert re_report.all_verified()
+
+
+def test_float_fields_are_the_floats_of_their_exact_fields(toy_cover, affine1):
+    fits = toy_fits(toy_cover, affine1)
+    cochain, report = assemble_cochain(fits)
+    doc = report_to_json(cochain, fits, report)
+    written = 0
+    for section in ("charts", "pairs", "triples"):
+        for record in doc[section].values():
+            for name in [key[: -len("_float")] for key in record if key.endswith("_float")]:
+                assert record[f"{name}_float"] == [float(F(s)) for s in record[name]]
+                written += 1
+    assert written == len(doc["charts"]) + 2 * len(doc["pairs"]) + 2 * len(doc["triples"])
+
+
+def test_reader_keeps_one_vector_per_distinct_list():
+    # a list read before is the same Vector; one that differs anywhere, or
+    # spells the same values differently, is parsed as a list of its own
+    seen = {}
+    first = _vector_from_strings(["1", "2/3"], seen)
+    assert _vector_from_strings(["1", "2/3"], seen) is first
+    assert _vector_from_strings(["1", "4"], seen) == lg.Vector.of([1, 4])
+    respelled = _vector_from_strings(["01", "4/6"], seen)
+    assert respelled == first and respelled is not first
+    assert list(seen) == [("1", "2/3"), ("1", "4"), ("01", "4/6")]
 
 
 def test_report_json_deterministic(toy_cover, affine1):

@@ -1112,6 +1112,33 @@ def test_eliminations_per_command(
     assert calls == columns
 
 
+def test_verify_parses_each_distinct_list_once(capsys, monkeypatch):
+    # the reader keeps whole lists only: a literal is parsed once for each
+    # distinct list of strings that holds it (a_hat, base, c), and each c0
+    # is parsed where it stands
+    golden = ROOT / "tests/golden/cocycle_quad3d.json"
+    doc = json.loads(golden.read_text())
+    lists, scalars = set(), 0
+    for section, field in (("charts", "alpha"), ("pairs", "beta"), ("triples", "r")):
+        for record in doc[section].values():
+            lists.add(tuple(record["a_hat"]))
+            for coeff in (record[field] or {}).values():
+                lists.update((tuple(coeff["base"]), tuple(coeff["c"])))
+                scalars += 1
+    parsed = []
+    original = assembly.rational_from_string
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(assembly, "rational_from_string", counting)
+    code, out, err = run(capsys, ["verify", *QUAD_ARGV, "--cochain", str(golden)])
+    assert (code, err) == (0, "")
+    assert out == (ROOT / "tests/golden/verify_quad3d.json").read_text()
+    assert len(parsed) == sum(map(len, lists)) + scalars
+
+
 # the report fields that hold exact values, as strings or arrays of them
 SPELLED = ("a_hat", "base", "c", "c0", "delta")
 
@@ -1316,9 +1343,19 @@ _JSON_DOCS = st.recursive(
     shared=st.lists(_JSON_TEXT | st.integers() | st.floats(), min_size=1, max_size=4),
 )
 @example(doc={}, shared=["a"])
+@example(doc=[1.0, float("nan")], shared=["a"])
+@example(doc={}, shared=["a", float("-inf")])
 def test_json_text_is_json_dumps_indent_2(doc, shared):
     # one list object at several depths, and twice at one, as the report
-    # holds one list per vector
+    # holds one list per vector; a NaN or an infinity is refused as strict
+    # JSON refuses it, with the same message
     deeper = {"a": shared, "b": [[shared], []], "c": {"x": shared, "y": shared}, "d": {}}
     doc = {"doc": doc, "shared": shared, "deeper": deeper}
-    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            cli._json_text(doc)
+        assert str(raised.value) == str(err)
+    else:
+        assert cli._json_text(doc) == expected

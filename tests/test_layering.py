@@ -9,7 +9,7 @@ import json
 import re
 from pathlib import Path
 
-from lsglue import assembly, cli, koszul, scalars
+from lsglue import assembly, cli, koszul, linalg, scalars
 from lsglue.data import cover_from_json, dataset_from_json
 from lsglue.model import affine_features
 
@@ -79,3 +79,12 @@ def test_fit_cells_takes_claims_not_a_report(monkeypatch):
     claims = assembly.claims_from_json(report, systems)
     assert assembly.fit_cells(systems, claims, betas=False) == fits
     assert solved == []
+
+
+def test_vector_holds_no_report_form():
+    # a vector's `p/q` strings and advisory floats are the report's, written
+    # in assembly; linalg keeps the exact entries only
+    for name in ("rat_str", "rat_float"):
+        assert not hasattr(linalg, name), name
+    for name in ("to_strings", "to_floats"):
+        assert not hasattr(linalg.Vector, name), name
