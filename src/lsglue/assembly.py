@@ -78,13 +78,7 @@ from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_c
 from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
 from .linalg import Value, Vector, integer_row, modular_rank
-from .model import (
-    FeatureMap,
-    build_normal_system,
-    integer_system,
-    solve_least_squares,
-    sum_normal_systems,
-)
+from .model import FeatureMap, build_normal_system, solve_least_squares, sum_normal_systems
 from .scalars import rat_float, rat_str, rational_from_string
 
 # The report section of each cell degree.
@@ -180,9 +174,9 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
     The nerve is enumerated first, so a refused nerve costs no evaluation.
     Each membership atom of the cover (:attr:`Cover.atoms`) is then evaluated
     once, over its own points; a cell of one atom takes that atom's system,
-    and a cell of several the sum of their systems, each atom written as
-    integers once (``model.integer_system``).  Equals ``build_normal_system``
-    of the base restricted to the cell's indices.
+    and a cell of several the sum of their systems, added on the integer
+    rows of their N (``model.sum_normal_systems``).  Equals
+    ``build_normal_system`` of the base restricted to the cell's indices.
     """
     validate_cover(cover)
     cells = enumerate_nerve(cover, max_degree)
@@ -195,18 +189,14 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
             WeightedDataSet(points, base.ambient_dim), features
         )
         atom_of.update(dict.fromkeys(indices, signature))
-    integers = {}
     systems = {}
     for cell in cells:
         # the sums are exact, so the order of the atoms does not matter
         signatures = list(dict.fromkeys(atom_of[i] for i in cell.indices))
         if len(signatures) == 1:
             systems[cell] = atom_systems[signatures[0]]
-            continue
-        for signature in signatures:
-            if signature not in integers:
-                integers[signature] = integer_system(atom_systems[signature])
-        systems[cell] = sum_normal_systems([integers[s] for s in signatures])
+        else:
+            systems[cell] = sum_normal_systems([atom_systems[s] for s in signatures])
     return systems
 
 

@@ -14,28 +14,30 @@ makes the solver deterministic; the solution of an invertible system is
 unique and rationals are canonical, so it does not depend on the elimination
 order anyway.
 
-The elimination runs on integer rows; no rational is built until the
+A :class:`Matrix` is stored as integer rows ``nums`` over one positive
+denominator ``den`` in lowest terms (gcd(den, every numerator) = 1), so
+equal matrices have equal fields; its rational rows are a derived view.  The
+elimination runs on those integer rows; no rational is built until the
 solutions are.  Each right-hand side b is written as integers D·b over its
-own common denominator D, so the system solved is A·x' = D·b, and x = x'/D.
-Row i of [A | D₁b₁ ... D_kb_k] is multiplied by the least common denominator
-of row i of A alone and divided by the gcd of its entries.  A row below a
-pivot p, with f in the pivot column, becomes (p/g)·row - (f/g)·pivot row,
-g = gcd(p, f), and is again divided by the gcd of its entries.  Invariant:
-at every step, on every column still read, each integer row is a nonzero
-multiple of the row that elimination of [A | D₁b₁ ... D_kb_k] over the
-rationals would hold.  So the two have the same zero pattern, hence the
+own common denominator D, so A·x' = D·b is solved, and x = x'/D; with
+A = nums/den that is nums·x' = den·D·b.  Row i of
+[nums | den·D₁b₁ ... den·D_kb_k] is divided by the gcd of its entries.  A row
+below a pivot p, with f in the pivot column, becomes (p/g)·row - (f/g)·pivot
+row, g = gcd(p, f), and is again divided by the gcd of its entries.
+Invariant: at every step, on every column still read, each integer row is a
+nonzero multiple of the row that elimination of [A | D₁b₁ ... D_kb_k] over
+the rationals would hold.  So the two have the same zero pattern, hence the
 same pivots, the same pivot count and the same unique solutions, and the
 output cannot differ by a byte from rational elimination.  A wide
 right-hand side does not widen the rows of A, and no gcd is taken per
 arithmetic operation.
 
-Dot products (:meth:`Matrix.matvec`) write each operand as integers over
-one common denominator (:func:`integer_row`) and sum integer products,
-building one rational per result instead of one per term.
-:func:`modular_rank` is the rank of a matrix modulo the prime
-:data:`RANK_PRIME` once every row is cleared of its denominators.  It
-never exceeds the rank over the rationals, so a full modular rank proves a
-square matrix nonsingular; a short one proves nothing.
+:meth:`Matrix.matvec` writes the vector as integers over one common
+denominator (:func:`integer_row`) and sums integer products with the rows of
+``nums``, building one rational per result instead of one per term.
+:func:`modular_rank` is the rank of ``nums`` modulo the prime
+:data:`RANK_PRIME`.  It never exceeds the rank over the rationals, so a full
+modular rank proves a square matrix nonsingular; a short one proves nothing.
 
 Every immutable record of the package is a :class:`Value`: a subclass names
 its fields in ``__slots__``, sets them once in ``__init__``, and two objects
@@ -47,10 +49,11 @@ sets ``__hash__ = None``), and the repr is ``ClassName(field!r, ...)``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, mul
 
-from .errors import DimensionMismatch, Singular
+from .errors import DimensionMismatch, Singular, ZeroDenominator
 from .scalars import ZERO, Rational, rat
 
 # The prime of :func:`modular_rank`.  Residues stay below 2**61, so every
@@ -160,15 +163,25 @@ class Vector(Value):
 
 
 class Matrix(Value):
-    """Immutable exact matrix, row-major; ``ncols`` is explicit so zero-row
-    matrices keep their width."""
+    """Immutable exact matrix: integer rows ``nums`` over one positive
+    denominator ``den``, so entry (i, j) is nums[i][j] / den.  The
+    constructor brings (nums, den) to lowest terms, so equal matrices have
+    equal fields; ``ncols`` is explicit so zero-row matrices keep their
+    width.  :meth:`of` builds one from rationals, and :attr:`rows` and
+    :meth:`row` are the rational views."""
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("nums", "den", "ncols")
 
-    def __init__(self, rows: tuple, ncols: int):
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, nums, den: int, ncols: int):
+        if not den:
+            raise ZeroDenominator("matrix denominator is zero")
+        g = gcd(den, *chain.from_iterable(nums))
+        if den < 0:
+            g = -g
+        object.__setattr__(self, "nums", tuple(tuple(v // g for v in row) for row in nums))
+        object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "ncols", ncols)
-        for row in self.rows:
+        for row in self.nums:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged matrix rows")
 
@@ -179,57 +192,62 @@ class Matrix(Value):
             if not converted:
                 raise DimensionMismatch("cannot infer ncols of an empty matrix")
             ncols = len(converted[0])
-        return cls(converted, ncols)
+        den = lcm(*(v.denominator for row in converted for v in row))
+        return cls(
+            tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in converted),
+            den,
+            ncols,
+        )
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    @property
+    def rows(self) -> tuple:
+        return tuple(self.row(i).entries for i in range(self.nrows))
+
     def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
+        return Vector(tuple(Rational(v, self.den) for v in self.nums[i]))
 
     def matvec(self, v: Vector) -> Vector:
-        """A·v; entry i is the integer dot product of row i's and v's
-        numerators over the product of their common denominators."""
+        """A·v; entry i is the integer dot product of row i of ``nums`` and
+        v's numerators over ``den`` times v's common denominator."""
         if self.ncols != v.dim:
             raise DimensionMismatch(f"matvec: {self.ncols} columns vs dim-{v.dim} vector")
         v_nums, v_den = integer_row(v.entries)
-        out = []
-        for row in self.rows:
-            nums, den = integer_row(row)
-            out.append(Rational(sum(map(mul, nums, v_nums)), den * v_den))
-        return Vector(tuple(out))
+        den = self.den * v_den
+        return Vector(tuple(Rational(sum(map(mul, row, v_nums)), den) for row in self.nums))
 
     def transpose(self) -> "Matrix":
         return Matrix(
-            tuple(tuple(row[j] for row in self.rows) for j in range(self.ncols)),
+            tuple(tuple(row[j] for row in self.nums) for j in range(self.ncols)),
+            self.den,
             self.nrows,
         )
 
 
 def _row_echelon(rows, columns) -> tuple[int, list]:
-    """Forward elimination of the n x n matrix with rows ``rows`` augmented
-    by the integer right-hand sides ``columns``, on integer rows.
+    """Forward elimination of the n x n integer matrix with rows ``rows``
+    augmented by the integer right-hand sides ``columns``.
 
-    Row i of the work starts as L_i times row i of [A | columns], L_i the
-    least common denominator of row i of A, divided by its content (the gcd
-    of its entries).  Pivot choice: first nonzero entry scanning rows
-    top-down, leftmost column first.  Each row r below a pivot p in column k,
-    with f = r[k], becomes (p/g)·r - (f/g)·pivot row, g = gcd(p, f), on the
-    columns right of k, and is divided by its content; entries at and left
-    of a pivot column are left as they are, since nothing reads them again.
-    Returns the number of pivots, the rank of A, and the work rows; at full
-    rank, pivot i sits at (i, i).
+    Row i of the work starts as row i of [rows | columns] divided by its
+    content (the gcd of its entries).  Pivot choice: first nonzero entry
+    scanning rows top-down, leftmost column first.  Each row r below a pivot
+    p in column k, with f = r[k], becomes (p/g)·r - (f/g)·pivot row,
+    g = gcd(p, f), on the columns right of k, and is divided by its content;
+    entries at and left of a pivot column are left as they are, since
+    nothing reads them again.  Returns the number of pivots, the rank of the
+    matrix, and the work rows; at full rank, pivot i sits at (i, i).
     """
     nrows = len(rows)
-    work = []
-    for i, row in enumerate(rows):
-        nums, den = integer_row(row)
-        work.append(_primitive(nums + [den * column[i] for column in columns]))
+    work = [
+        _primitive([*row, *(column[i] for column in columns)]) for i, row in enumerate(rows)
+    ]
     pivot_row = 0
     for col in range(nrows):
         hit = next((r for r in range(pivot_row, nrows) if work[r][col]), None)
@@ -294,7 +312,7 @@ def solve_square(a: Matrix, *columns: Vector) -> tuple:
         if b.dim != n:
             raise DimensionMismatch(f"rhs dim {b.dim} does not match {n} rows")
     cleared = [integer_row(b.entries) for b in columns]
-    found, work = _row_echelon(a.rows, [nums for nums, _ in cleared])
+    found, work = _row_echelon(a.nums, [[a.den * v for v in nums] for nums, _ in cleared])
     if found < n:
         raise Singular(f"matrix is singular (rank {found} < {n})", rank=found)
     return tuple(
@@ -303,16 +321,15 @@ def solve_square(a: Matrix, *columns: Vector) -> tuple:
 
 
 def modular_rank(a: Matrix) -> int:
-    """The rank modulo :data:`RANK_PRIME` of A with each row multiplied by the
-    least common denominator of its entries.
+    """The rank modulo :data:`RANK_PRIME` of the integer rows of A.
 
-    Scaling a row by a nonzero integer keeps the rank, and a nonzero minor
-    modulo a prime is a nonzero minor over the integers, so the result is at
-    most rank(A); when it equals the size of a square A, A is nonsingular.
-    Elimination as in :func:`_row_echelon`, on residues.
+    They are A times its denominator, which keeps the rank, and a nonzero
+    minor modulo a prime is a nonzero minor over the integers, so the result
+    is at most rank(A); when it equals the size of a square A, A is
+    nonsingular.  Elimination as in :func:`_row_echelon`, on residues.
     """
     p = RANK_PRIME
-    rows = [[x % p for x in integer_row(row)[0]] for row in a.rows]
+    rows = [[x % p for x in row] for row in a.nums]
     rank = 0
     for col in range(a.ncols):
         hit = next((r for r in range(rank, len(rows)) if rows[r][col]), None)

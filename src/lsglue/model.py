@@ -23,19 +23,20 @@ the least common denominator of φ and P = D·φ: exactly the integers
 ``linalg.integer_row`` makes of φ, so the accumulation holds the same
 integers that rational features would give it.  The terms are added as
 integer numerators over a running common denominator of N (and another of
-ν), and one rational per entry is built at the end, on the upper triangle of
-N only.  A power longer than the interpreter's limit on decimal integer
+ν), on the upper triangle of N only, and N is the mirrored triangle's
+integer rows over that denominator (``linalg.Matrix``), with no rational per
+entry.  A power longer than the interpreter's limit on decimal integer
 strings is refused before any power of the point is computed: the length of
 p^e grows with e, so testing p_i and q_i at E_i refuses exactly the points
 that testing every monomial would, and :meth:`FeatureMap.evaluate` then
 raises the error naming the first offending monomial.
 
-The systems of a cell's atoms are added the same way: each atom's ν and N
-are written once as integers over one denominator each
-(:func:`integer_system`), and a cell adds them over the lcm of those
-denominators, with one rational per entry (:func:`sum_normal_systems`).
-Only ``.numerator``, ``.denominator`` and the backend's ``Rational``
-constructor are used, so every scalar backend takes the same path.
+The systems of a cell's atoms are added the same way
+(:func:`sum_normal_systems`): the integer rows of the atoms' N are added over
+the lcm of their denominators, and so are their ν, each written as integers
+over one denominator.  Only ``.numerator``, ``.denominator`` and the
+backend's ``Rational`` constructor are used, so every scalar backend takes
+the same path.
 """
 
 from __future__ import annotations
@@ -183,7 +184,12 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
             nu_den, lift = _grow(nu_den, w_den * y.denominator * d, [nu_sum])
             c = -2 * w_num * y.numerator * lift
             nu_sum[:] = [a + c * b for a, b in zip(nu_sum, p)]
-    return _system(nu_sum, nu_den, [v for row in upper for v in row], n_den)
+    nmat = Matrix(
+        tuple(tuple(upper[l][k - l] for l in range(k)) + tuple(upper[k]) for k in range(n)),
+        n_den,
+        n,
+    )
+    return NormalSystem(_vector(nu_sum, nu_den), nmat)
 
 
 def _integer_features(coords: list, levels: list, exponents: list) -> tuple:
@@ -235,23 +241,15 @@ def build_normal_system(data, features: FeatureMap) -> NormalSystem:
     return _evaluate(data.points, features)
 
 
-def integer_system(system: NormalSystem) -> tuple:
-    """(ν', d_ν, N', d_N): the system's ν as integers ν' over their least
-    common denominator d_ν, and the upper triangle of N, row by row, as
-    integers N' over theirs; the form :func:`sum_normal_systems` adds."""
-    nu, nu_den = integer_row(system.nu.entries)
-    upper, n_den = integer_row(
-        [v for k, row in enumerate(system.nmat.rows) for v in row[k:]]
-    )
-    return nu, nu_den, upper, n_den
-
-
-def sum_normal_systems(parts: list) -> NormalSystem:
-    """The normal system of the union of disjoint point groups, each given
-    by its :func:`integer_system`: ν and N add, each over the lcm of the
-    groups' denominators, with one rational per entry."""
-    nus, nu_dens, uppers, n_dens = zip(*parts)
-    return _system(*_add(nus, nu_dens), *_add(uppers, n_dens))
+def sum_normal_systems(systems: list) -> NormalSystem:
+    """The normal system of the union of disjoint point groups, one
+    :class:`NormalSystem` each: the integer rows of N add over the lcm of the
+    groups' denominators, and so do the numerators of ν."""
+    nu, nu_den = _add(*zip(*(integer_row(s.nu.entries) for s in systems)))
+    nmats = [s.nmat for s in systems]
+    dens = [m.den for m in nmats]
+    rows = [_add(atom_rows, dens)[0] for atom_rows in zip(*(m.nums for m in nmats))]
+    return NormalSystem(_vector(nu, nu_den), Matrix(rows, lcm(*dens), nmats[0].ncols))
 
 
 def _add(rows: tuple, dens: tuple) -> tuple:
@@ -262,20 +260,9 @@ def _add(rows: tuple, dens: tuple) -> tuple:
     return [sum(map(mul, column, lifts)) for column in zip(*rows)], den
 
 
-def _system(nu: list, nu_den: int, upper: list, n_den: int) -> NormalSystem:
-    """(ν, N) from ν = nu / nu_den and the upper triangle of N, row by row,
-    as upper / n_den; N is symmetric, so the triangle is mirrored."""
-    n = len(nu)
-    flat = [Rational(v, n_den) for v in upper]
-    starts = [k * n - k * (k - 1) // 2 for k in range(n + 1)]
-    rows = tuple(
-        tuple(flat[starts[l] + k - l] for l in range(k))
-        + tuple(flat[starts[k] : starts[k + 1]])
-        for k in range(n)
-    )
-    return NormalSystem(
-        nu=Vector(tuple(Rational(v, nu_den) for v in nu)), nmat=Matrix(rows, n)
-    )
+def _vector(nums: list, den: int) -> Vector:
+    """The vector of the rationals nums[k] / den."""
+    return Vector(tuple(Rational(v, den) for v in nums))
 
 
 class LSSolution(Value):

@@ -45,9 +45,16 @@ CATALOG = [
     Mutant(
         "rhs_not_scaled_with_its_row",
         "linalg.py",
-        "nums + [den * column[i] for column in columns]",
-        "nums + [column[i] for column in columns]",
+        "[[a.den * v for v in nums] for nums, _ in cleared]",
+        "[nums for nums, _ in cleared]",
         ["tests/test_kernels.py::test_elimination_matches_adjugate"],
+    ),
+    Mutant(
+        "matrix_not_in_lowest_terms",
+        "linalg.py",
+        "g = gcd(den, *chain.from_iterable(nums))",
+        "g = 1",
+        ["tests/test_linalg.py::test_matrix_fields_are_its_entries_in_lowest_terms"],
     ),
     Mutant(
         "no_rescale_when_q_grows",

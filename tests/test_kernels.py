@@ -1,13 +1,14 @@
 """The exact kernels against brute force, over random inputs.
 
-Elimination (``solve_square``) must agree with cofactor determinants and
-adjugate inverses: solved against every unit vector and a further right-hand
-side in one call, it must give the columns of the inverse and A⁻¹b, including
-on matrices whose leading entries are zero, so that rows are swapped, on rows
-with mixed denominators, on right-hand sides far wider than the matrix, and on
-singular matrices of every rank, where :class:`Singular` must carry the rank
-whatever the number of right-hand sides.  The modular rank must equal the
-cofactor rank, and may only fall below it under a small prime.  The
+Elimination (``solve_square``) must agree with the oracles' Fraction
+Gauss-Jordan determinants and the adjugate inverses built on them: solved
+against every unit vector and a further right-hand side in one call, it must
+give the columns of the inverse and A⁻¹b, including on matrices whose leading
+entries are zero, so that rows are swapped, on rows with mixed denominators,
+on right-hand sides far wider than the matrix, and on singular matrices of
+every rank, where :class:`Singular` must carry the Gauss-Jordan rank whatever
+the number of right-hand sides.  The modular rank must equal that rank, and
+may only fall below it under a small prime.  The
 integer-numerator ``matvec`` must equal plain Fraction sums, and the float
 norms of ``assembly._l2`` the floats of those sums.
 The normal-system accumulation behind ``build_normal_system`` must equal the
@@ -50,10 +51,9 @@ FEATURES = {
     "gap": [[5, 0], [0, 3], [0, 2], [0, 0]],
 }
 
-entries = st.one_of(
-    st.just(F(0)),
-    st.fractions(min_value=-6, max_value=6, max_denominator=6),
-)
+# every reduced p/q with q <= 6 and |p/q| <= 6, drawn as one choice each
+_VALUES = sorted({F(p, q) for q in range(1, 7) for p in range(-6 * q, 6 * q + 1)})
+entries = st.one_of(st.just(F(0)), st.sampled_from(_VALUES))
 
 
 @st.composite
@@ -103,7 +103,7 @@ def square_systems(draw):
 @given(square_systems())
 @example(([[F(0), F(1)], [F(1), F(0)]], [F(1, 2), F(1, 3)]))
 @example(([[F(0), F(0), F(2)], [F(0), F(3), F(1)], [F(5), F(1), F(1)]], [F(1)] * 3))
-# rows with mixed denominators, each cleared by its own lcm
+# rows with mixed denominators, cleared by one common denominator
 @example(([[F(1, 2), F(1, 3)], [F(-5, 6), F(7)]], [F(1, 7), F(-2, 5)]))
 # a right-hand side far wider than N, cleared apart from N's rows
 @example(([[F(2), F(1, 3)], [F(1), F(3)]], [F(1, 2**64 - 59), F(-(2**70), 2**61 - 1)]))
@@ -155,12 +155,12 @@ def test_singular_carries_rank(case):
 @example([[F(1, 2), F(1, 3)], [F(1), F(2, 3)]])
 @example([[F(0), F(0)], [F(0), F(0)]])
 def test_modular_rank_is_the_rank(rows):
-    # Cleared of its denominators (lcm 60 at most), a drawn matrix has integer
+    # Over its common denominator (60 at most), a drawn matrix has integer
     # entries of at most 360 in absolute value, so by Hadamard's bound a
     # nonzero minor is below 6**3 * 360**6 < 2**61 - 1 and no minor vanishes
     # modulo that prime that does not vanish over the rationals.  The rows of
-    # the first example have mixed denominators: rank 1 only when each row is
-    # scaled by its own lcm.
+    # the first example have mixed denominators; over their common
+    # denominator 6 they are [3, 2] and [6, 4], of rank 1.
     a = lg.Matrix.of(rows)
     assert linalg.modular_rank(a) == oracles.rank(rows)
     assert linalg.modular_rank(a.transpose()) == oracles.rank(rows)

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsglue import (
     DimensionMismatch,
     Matrix,
     Singular,
     Vector,
+    ZeroDenominator,
     solve_square,
 )
 
@@ -77,6 +82,33 @@ def test_random_solve_square_zero_residual():
         done += 1
 
 
+fractions = st.builds(Fraction, st.integers(-36, 36), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 4), st.integers(-30, 30).filter(bool), st.data())
+def test_matrix_fields_are_its_entries_in_lowest_terms(nrows, ncols, scale, data):
+    # integer rows over one positive denominator with no common factor, so
+    # a matrix built from any multiple of its fields has the same fields,
+    # and equality and hash follow the rational entries
+    row = st.lists(fractions, min_size=ncols, max_size=ncols).map(tuple)
+    matrices = st.lists(row, min_size=nrows, max_size=nrows).map(tuple)
+    rows = data.draw(matrices)
+    a = Matrix.of(rows, ncols)
+    assert a.rows == rows and a.nrows == nrows and a.ncols == ncols
+    assert a.den > 0 and gcd(a.den, *chain.from_iterable(a.nums)) == 1
+    scaled = Matrix(tuple(tuple(scale * v for v in r) for r in a.nums), scale * a.den, ncols)
+    assert (scaled.nums, scaled.den) == (a.nums, a.den)
+    assert scaled == a and hash(scaled) == hash(a)
+    other = data.draw(st.one_of(st.just(rows), matrices))
+    assert (Matrix.of(other, ncols) == a) == (other == rows)
+
+
+def test_matrix_refuses_a_zero_denominator():
+    with pytest.raises(ZeroDenominator):
+        Matrix(((0, 0),), 0, 2)
+
+
 def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         solve_square(Matrix.of([[1, 2]]), Vector.of([1]))
@@ -85,4 +117,4 @@ def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         Vector.of([1]) + Vector.of([1, 2])
     with pytest.raises(DimensionMismatch, match="ragged matrix rows"):
-        Matrix(((Fraction(1), Fraction(2)), (Fraction(3),)), 2)
+        Matrix(((1, 2), (3,)), 1, 2)

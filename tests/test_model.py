@@ -229,4 +229,4 @@ def test_singular_chart_eliminates_once(toy_dataset, affine1, monkeypatch):
     with pytest.raises(lg.Singular, match=r"rank 1 < 2") as err:
         solve_least_squares(system, chart="D3")
     assert err.value.rank == 1 and err.value.cell == "D3"
-    assert calls == [system.nmat.rows]
+    assert calls == [system.nmat.nums]

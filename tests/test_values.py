@@ -64,7 +64,7 @@ CASES = {
     ),
     "Matrix": (
         lambda: lg.Matrix.of(MATRIX_ROWS),
-        lambda: lg.Matrix(tuple(tuple(rat(v) for v in row) for row in MATRIX_ROWS), 2),
+        lambda: lg.Matrix(((3, 2), (0, 3)), 3, 2),
         lambda: lg.Matrix.of([[1, "2/3"], [0, -1]]),
     ),
     "WeightedPoint": (

@@ -228,7 +228,7 @@ def tamper(draw, fits, cochain):
         }[choice]
     fits = {
         cell: lg.LinearizedDifferential(
-            base=fit.base, nmat=lg.Matrix(tuple(_vector(draw, n).entries for _ in range(n)), n)
+            base=fit.base, nmat=lg.Matrix.of([_vector(draw, n) for _ in range(n)], n)
         )
         if draw(st.booleans())
         else fit
@@ -309,7 +309,7 @@ def solution_claims(systems) -> dict:
 
 def count_eliminations(patch) -> list:
     """Record, from now on, the normal matrix of every elimination
-    (``linalg._row_echelon`` call), as a tuple of rows."""
+    (``linalg._row_echelon`` call), as its tuple of integer rows."""
     calls = []
     original = linalg._row_echelon
 
@@ -376,7 +376,7 @@ def test_small_prime_falls_back_to_elimination():
     for section in ("charts", "pairs", "triples"):
         for record in wrong[section].values():
             record["a_hat"] = CLAIMS["wrong"](record["a_hat"])
-    once = Counter(system.nmat.rows for system in systems.values())
+    once = Counter(system.nmat.nums for system in systems.values())
     assert sum(once.values()) == 7
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "RANK_PRIME", 2)
