@@ -17,12 +17,14 @@ generator's own terms:
     m4000_k200_n2       4000   200  2   affine in 1-d
     m40000_k200_n2      40000  200  2   affine in 1-d
 
-Each command of each rung is one row of the output, whatever its exit code:
-the wall time of the subprocess, its exit code, its first ``error:`` line,
-the sizes of its report and its stderr, and the largest numerator and
-denominator bits of â (every record's ``a_hat``), β (the pairs' slot
-constants) and the triple defects, read from the report.  A rung whose
-``cocycle`` writes no report keeps a ``verify`` row that says it did not run.
+Each command of each rung runs ``REPEATS`` times and is one row of the
+output, whatever its exit code: the median, least and greatest wall time of
+the subprocess, its exit code, its first ``error:`` line, the sizes of its
+report and its stderr, and the largest numerator and denominator bits of â
+(every record's ``a_hat``), β (the pairs' slot constants) and the triple
+defects, read from the report.  Runs that disagree on the exit code or the
+report bytes make the row's ``error``.  A rung whose ``cocycle`` writes no
+report keeps a ``verify`` row that says it did not run.
 
 Usage:
 
@@ -39,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -70,6 +73,9 @@ RUNGS = {
 }
 
 SEED = 0
+
+# Runs of each command of each rung; the row's wall_s is their median.
+REPEATS = 3
 
 CHILD_ENV = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
 CHILD_ENV.update(PYTHONPATH=str(ROOT / "src"), LSGLUE_BACKEND="fractions")
@@ -112,30 +118,39 @@ def report_bits(doc: dict) -> dict:
 
 
 def run_command(command: str, argv: list, directory: Path) -> dict:
-    """Run one CLI command with its report and stderr in files; its row."""
+    """Run one CLI command ``REPEATS`` times, with its report and stderr in
+    files; its row, read from the last run's files."""
     report, stderr = directory / f"{command}.json", directory / f"{command}.err"
-    start = time.perf_counter()
-    with open(stderr, "wb") as err:
-        code = subprocess.run(
-            [sys.executable, "-S", "-m", "lsglue.cli", command, *argv, "--output", str(report)],
-            stdout=subprocess.DEVNULL,
-            stderr=err,
-            env=CHILD_ENV,
-            check=False,
-        ).returncode
-    wall = time.perf_counter() - start
+    cli = [sys.executable, "-S", "-m", "lsglue.cli", command, *argv, "--output", str(report)]
+    walls, codes, reports = [], [], []
+    for _ in range(REPEATS):
+        report.unlink(missing_ok=True)
+        start = time.perf_counter()
+        with open(stderr, "wb") as err:
+            code = subprocess.run(
+                cli, stdout=subprocess.DEVNULL, stderr=err, env=CHILD_ENV, check=False
+            ).returncode
+        walls.append(time.perf_counter() - start)
+        codes.append(code)
+        reports.append(report.read_bytes() if report.exists() else None)
     text = stderr.read_text(encoding="utf-8", errors="replace")
     error = next((line for line in text.splitlines() if line.startswith("error:")), None)
-    written = report.exists()
+    if len(set(codes)) > 1:
+        error = f"the {REPEATS} runs disagree on the exit code: {codes}"
+    elif len(set(reports)) > 1:
+        error = f"the {REPEATS} runs disagree on the report bytes"
+    written = reports[-1] is not None
     return {
         "command": command,
         "ran": True,
         "exit_code": code,
-        "wall_s": round(wall, 3),
+        "wall_s": round(statistics.median(walls), 3),
+        "wall_min_s": round(min(walls), 3),
+        "wall_max_s": round(max(walls), 3),
         "error": error,
-        "report_bytes": report.stat().st_size if written else None,
+        "report_bytes": len(reports[-1]) if written else None,
         "stderr_bytes": stderr.stat().st_size,
-        "bits": report_bits(json.loads(report.read_text(encoding="utf-8"))) if written else None,
+        "bits": report_bits(json.loads(reports[-1])) if written else None,
     }
 
 
@@ -145,6 +160,8 @@ def not_run(command: str, why: str) -> dict:
         "ran": False,
         "exit_code": None,
         "wall_s": None,
+        "wall_min_s": None,
+        "wall_max_s": None,
         "error": why,
         "report_bytes": None,
         "stderr_bytes": None,
@@ -189,7 +206,7 @@ def main(argv=None) -> int:
             shown = row["error"] or f"report {row['report_bytes']} B"
             print(
                 f"{name:<20} {row['command']:<8} exit {row['exit_code']}"
-                f"  {row['wall_s']} s  {shown}",
+                f"  {row['wall_s']} s ({row['wall_min_s']}-{row['wall_max_s']})  {shown}",
                 flush=True,
             )
     doc = {

@@ -34,17 +34,22 @@ report, and for ι of a supplied triple witness; each is based at its cell's
 its cell's fit is refused (:class:`BaseMismatch`).  All residuals are
 exact; floats appear only in advisory metrics.
 
-One loop fits every cell (:func:`fit_cells`), in (degree, names) order: a
-cell takes the â claimed for it only when N·â = -ν holds exactly and N has
-full rank modulo a prime (:func:`_full_modular_rank`), which proves the claim
-the one solution; any other cell is solved, so a degenerate cell raises
-:class:`Singular` whatever is claimed, and the report never depends on the
-claims.  ``cocycle`` claims nothing; ``verify`` claims what its report holds
-(:func:`claims_from_json`), and solves only the cells the rank cannot prove
-when that report cannot be read (:func:`raise_if_singular`).  A pair's N is
-eliminated once, against -ν and δ = â_j - â_i, and β = N⁻¹δ comes from that
-elimination; the loop keeps (δ, β) under the pair's chart names, where
-:func:`assemble_cochain` reads them, eliminating and subtracting nothing.
+A cell's system depends only on its point set, and one loop fits each
+distinct system once (:func:`fit_cells`), at its first cell in (degree,
+names) order.  It takes the â claimed for it only when N·â = -ν holds
+exactly and N has full rank modulo a prime (:func:`_full_modular_rank`),
+which proves the claim the one solution; otherwise it is solved, so a
+degenerate cell raises :class:`Singular` whatever is claimed, and the report
+never depends on the claims.  ``cocycle`` claims nothing; ``verify`` claims
+what its report holds (:func:`claims_from_json`), and solves only the
+systems the rank cannot prove when that report cannot be read
+(:func:`raise_if_singular`).  The pairs of one system are eliminated
+together, against -ν and each δ = â_j - â_i, and the loop keeps each
+(δ, β = N⁻¹δ) under the pair's chart names, where :func:`assemble_cochain`
+reads them.  The cocycle sums are taken on integer rows: a triple's face
+sum over one lcm (:func:`_face_sum`), and a pair's Nᵀβ₀ = δ by
+cross-multiplying (:func:`_pair_linear`), a rational residual being built
+only for a pair that fails.
 
 The report's JSON form is this module's, Koszul elements included
 (:func:`koszul_to_json`, :func:`koszul_from_json`): the exact `p/q` strings
@@ -71,15 +76,15 @@ its witness and its residual (:meth:`ObstructionReport.all_verified`).
 from __future__ import annotations
 
 import re
-from math import isfinite, ldexp, sqrt
+from math import isfinite, lcm, ldexp, sqrt
 from operator import mul
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
 from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
-from .linalg import Value, Vector, integer_row, modular_rank
+from .linalg import Matrix, Value, Vector, integer_row, modular_rank
 from .model import FeatureMap, build_normal_system, solve_least_squares, sum_normal_systems
-from .scalars import rat_float, rat_str, rational_from_string
+from .scalars import Rational, rat_float, rat_str, rational_from_string
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -158,9 +163,9 @@ class ObstructionReport(Value):
 
 class CellFits(dict):
     """``{cell: differential}`` from :func:`fit_cells`, in (degree, names)
-    order, with ``pairs``: ``{chart names: (δ, β)}`` for each pair cell the
-    loop solved when asked for betas, δ = â_j - â_i and β = N⁻¹δ from the
-    elimination that gave its â."""
+    order, with ``pairs``: ``{chart names: (δ, β)}`` for each pair cell when
+    the loop was asked for betas, δ = â_j - â_i and β = N⁻¹δ from the one
+    elimination of the pair's system against its pairs' δs."""
 
     def __init__(self):
         super().__init__()
@@ -173,30 +178,33 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
 
     The nerve is enumerated first, so a refused nerve costs no evaluation.
     Each membership atom of the cover (:attr:`Cover.atoms`) is then evaluated
-    once, over its own points; a cell of one atom takes that atom's system,
-    and a cell of several the sum of their systems, added on the integer
-    rows of their N (``model.sum_normal_systems``).  Equals
-    ``build_normal_system`` of the base restricted to the cell's indices.
+    once, over its own points.  A cell's points are a union of atoms, and
+    every cell with one set of atoms holds one :class:`NormalSystem` object:
+    the atom's, or the sum of theirs on the integer rows of their N
+    (``model.sum_normal_systems``).  Equals ``build_normal_system`` of the
+    base restricted to the cell's indices.
     """
     validate_cover(cover)
     cells = enumerate_nerve(cover, max_degree)
     base = cover.base
-    atom_systems = {}
+    shared = {}
     atom_of = {}
     for signature, indices in cover.atoms.items():
         points = tuple(base.points[i - 1] for i in indices)
-        atom_systems[signature] = build_normal_system(
+        shared[frozenset((signature,))] = build_normal_system(
             WeightedDataSet(points, base.ambient_dim), features
         )
         atom_of.update(dict.fromkeys(indices, signature))
     systems = {}
     for cell in cells:
-        # the sums are exact, so the order of the atoms does not matter
-        signatures = list(dict.fromkeys(atom_of[i] for i in cell.indices))
-        if len(signatures) == 1:
-            systems[cell] = atom_systems[signatures[0]]
-        else:
-            systems[cell] = sum_normal_systems([atom_systems[s] for s in signatures])
+        signatures = frozenset(atom_of[i] for i in cell.indices)
+        system = shared.get(signatures)
+        if system is None:
+            # the sums are exact, so the order of the atoms does not matter
+            system = shared[signatures] = sum_normal_systems(
+                [shared[frozenset((s,))] for s in signatures]
+            )
+        systems[cell] = system
     return systems
 
 
@@ -213,33 +221,41 @@ def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
     the differential with base the cell's least-squares point â and matrix
     the cell's N.
 
-    The cells come in (degree, names) order, so a pair's charts are fitted
-    before it and δ = â_j - â_i is known: with ``betas``, a pair is solved
-    against -ν and δ in one elimination, and (δ, β = N⁻¹δ) is kept in
-    ``fits.pairs`` under the pair's chart names; without, it is solved
-    against -ν alone.  Any other cell takes its â in ``claims``, ``{cell:
-    Vector}``, when N·â = -ν holds exactly (checked first, so a wrong claim
-    costs no rank) and :func:`_full_modular_rank`.  A cell without such a
-    claim is solved, which raises :class:`lsglue.errors.Singular` naming the
-    first degenerate cell in that order, whatever is claimed.
+    The work is keyed by the system object: each is fitted at its first cell
+    in (degree, names) order, and later cells take that â, the same vector.
+    The fit is the â in ``claims``, ``{cell: Vector}``, when N·â = -ν holds
+    exactly (checked first, so a wrong claim costs no rank) and
+    :func:`_full_modular_rank`, else the solution, which raises
+    :class:`lsglue.errors.Singular` naming the first degenerate cell in that
+    order, whatever is claimed.  With ``betas``, the pairs of a system are
+    eliminated once, at its first pair, against -ν and each pair's
+    δ = â_j - â_i (every chart is fitted by then), and (δ, β = N⁻¹δ) is kept
+    in ``fits.pairs`` under the pair's chart names.
     """
     claims = claims or {}
     fits = CellFits()
-    bases = {}
+    pending = {}
     for cell, system in systems.items():
-        also = ()
         if betas and cell.degree == 1:
-            name_i, name_j = cell.chart_names
-            also = (bases[(name_j,)] - bases[(name_i,)],)
-        # a cell that needs β is eliminated anyway, so its claim would save nothing
-        a_hat = None if also else claims.get(cell)
-        claimed = a_hat is not None and system.nmat.matvec(a_hat) == -system.nu
-        if not (claimed and _full_modular_rank(system)):
-            solution = solve_least_squares(system, chart=cell.label, also=also)
-            a_hat = solution.a_hat
-            if also:
-                fits.pairs[cell.chart_names] = (also[0], solution.also[0])
-        bases[cell.chart_names] = a_hat
+            pending.setdefault(id(system), []).append(cell.chart_names)
+    bases, a_hats = {}, {}
+    for cell, system in systems.items():
+        key = id(system)
+        a_hat = a_hats.get(key)
+        pairs = pending.pop(key, ()) if cell.degree == 1 else ()
+        if pairs:
+            # a group solved for its βs takes no claim, which would save nothing
+            deltas = tuple(bases[(j,)] - bases[(i,)] for i, j in pairs)
+            solution = solve_least_squares(system, chart=cell.label, also=deltas)
+            fits.pairs.update(zip(pairs, zip(deltas, solution.also)))
+            if a_hat is None:
+                a_hat = solution.a_hat
+        elif a_hat is None:
+            a_hat = claims.get(cell)
+            claimed = a_hat is not None and system.nmat.matvec(a_hat) == -system.nu
+            if not (claimed and _full_modular_rank(system)):
+                a_hat = solve_least_squares(system, chart=cell.label).a_hat
+        a_hats[key] = bases[cell.chart_names] = a_hat
         fits[cell] = LinearizedDifferential(base=a_hat, nmat=system.nmat)
     return fits
 
@@ -293,12 +309,33 @@ def _slot_constants(beta: KoszulElement) -> Vector:
 
 def _face_sum(terms: list, n: int) -> Vector:
     """Σ_j (-1)^j terms[j]: the alternating sum of vectors given for a cell's
-    faces in drop-position order.  Zero terms are skipped."""
-    total = Vector.zeros(n)
-    for position, term in enumerate(terms):
-        if not term.is_zero():
-            total = total - term if position % 2 else total + term
-    return total
+    faces in drop-position order.  The nonzero terms are added as integer
+    rows (``linalg.integer_row``) over the lcm of their denominators, and one
+    rational is built per entry, at the end."""
+    rows = [(integer_row(t.entries), j % 2) for j, t in enumerate(terms) if not t.is_zero()]
+    if not rows:
+        return Vector.zeros(n)
+    den = lcm(*(d for (_, d), _ in rows))
+    total = [0] * n
+    for (nums, d), odd in rows:
+        lift = -(den // d) if odd else den // d
+        total = [a + lift * b for a, b in zip(total, nums)]
+    return Vector(tuple(Rational(v, den) for v in total))
+
+
+def _pair_linear(nmat: Matrix, beta_constants: Vector, delta: Vector) -> Vector:
+    """Nᵀβ₀ - δ, the linear part of a pair residual, on integers: column j
+    of ``nmat.nums`` against β₀'s numerators b, over d_N·d_β, is compared
+    with δ_j = p_j / d_δ by cross-multiplying.  The zero vector when every
+    entry agrees; only otherwise is a rational built per entry."""
+    b, d_beta = integer_row(beta_constants.entries)
+    p, d_delta = integer_row(delta.entries)
+    den = nmat.den * d_beta
+    columns = zip(*nmat.nums)
+    diffs = [sum(map(mul, col, b)) * d_delta - p_j * den for col, p_j in zip(columns, p)]
+    if not any(diffs):
+        return Vector.zeros(len(diffs))
+    return Vector(tuple(Rational(v, den * d_delta) for v in diffs))
 
 
 def build_zero_cocycle(
@@ -345,13 +382,14 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
 
     Pairs: ι(β) = (N·β₀)·(a - â) must equal the alphas' discrepancy
     (α_j.c0 - α_i.c0) + δ·(a - â), δ = α_j.c - α_i.c, so the residual has
-    constant α_i.c0 - α_j.c0 and linear part N·β₀ - δ (taken as Nᵀβ₀, the
-    form ι has for any N).  Triples: ι(r), zero when r is absent and computed
-    only for a supplied witness, must equal the alternating face sum of the
-    betas, slot by slot; ι(r) has no constant term, so slot m of the residual
-    is (-defect_m, ι(r).c_m - Σ±β.c_m).  Residuals are exact.  A cell without
-    a fit or a lower layer raises :class:`CellMismatch`; a beta or witness
-    based away from its cell's fit raises :class:`BaseMismatch`.
+    constant α_i.c0 - α_j.c0 and linear part N·β₀ - δ, taken as Nᵀβ₀ - δ (the
+    form ι has for any N) on integers (:func:`_pair_linear`).  Triples: ι(r),
+    zero when r is absent and computed only for a supplied witness, must
+    equal the alternating face sum of the betas, slot by slot; ι(r) has no
+    constant term, so slot m of the residual is (-defect_m, ι(r).c_m -
+    Σ±β.c_m).  Residuals are exact.  A cell without a fit or a lower layer
+    raises :class:`CellMismatch`; a beta or witness based away from its
+    cell's fit raises :class:`BaseMismatch`.
     """
     by_names = _cells_by_names(fits)
     pairs = {}
@@ -370,7 +408,7 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         delta = alpha_j.c - alpha_i.c
         beta_constants = _slot_constants(beta)
         residual = LinearizedElement(
-            alpha_i.c0 - alpha_j.c0, fit.nmat.transpose().matvec(beta_constants) - delta
+            alpha_i.c0 - alpha_j.c0, _pair_linear(fit.nmat, beta_constants, delta)
         )
         pairs[cell] = PairCheck(
             delta=delta,

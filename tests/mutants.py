@@ -73,8 +73,8 @@ CATALOG = [
     Mutant(
         "delta_reversed",
         "assembly.py",
-        "also = (bases[(name_j,)] - bases[(name_i,)],)",
-        "also = (bases[(name_i,)] - bases[(name_j,)],)",
+        "deltas = tuple(bases[(j,)] - bases[(i,)] for i, j in pairs)",
+        "deltas = tuple(bases[(i,)] - bases[(j,)] for i, j in pairs)",
         [
             "tests/test_vector_cochain.py::test_pair_beta_from_its_fit_is_the_cramer_solution",
             "tests/test_assembly.py::test_build_zero_cocycle_toy",
@@ -146,8 +146,8 @@ CATALOG = [
     Mutant(
         "pair_delta_and_beta_swapped",
         "assembly.py",
-        "fits.pairs[cell.chart_names] = (also[0], solution.also[0])",
-        "fits.pairs[cell.chart_names] = (solution.also[0], also[0])",
+        "fits.pairs.update(zip(pairs, zip(deltas, solution.also)))",
+        "fits.pairs.update(zip(pairs, zip(solution.also, deltas)))",
         ["tests/test_golden.py::test_cli_matches_golden"],
     ),
     Mutant(
@@ -203,6 +203,33 @@ CATALOG = [
         "    if isfinite(value):\n",
         '    if value != value:\n        return "NaN"\n    if isfinite(value):\n',
         ["tests/test_cli.py::test_json_text_is_json_dumps_indent_2"],
+    ),
+    Mutant(
+        "charts_share_one_fit",
+        "assembly.py",
+        "key = id(system)",
+        "key = id(system) if cell.degree else None",
+        ["tests/test_vector_cochain.py::test_grouped_fits_equal_per_cell_elimination"],
+    ),
+    Mutant(
+        "face_sum_adds_every_face",
+        "assembly.py",
+        "lift = -(den // d) if odd else den // d",
+        "lift = den // d",
+        [
+            "tests/test_vector_cochain.py::test_grouped_fits_equal_per_cell_elimination",
+            "tests/test_golden.py::test_cli_matches_golden",
+        ],
+    ),
+    Mutant(
+        "pair_check_drops_the_delta_denominator",
+        "assembly.py",
+        "sum(map(mul, col, b)) * d_delta - p_j * den",
+        "sum(map(mul, col, b)) - p_j * den",
+        [
+            "tests/test_vector_cochain.py::test_grouped_fits_equal_per_cell_elimination",
+            "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
+        ],
     ),
     Mutant(
         "exact_writes_another_vectors_floats",

@@ -979,7 +979,9 @@ QUAD_ARGV = [
 def test_unreadable_cochain_solves_only_short_rank_cells(files, capsys, tmp_path, monkeypatch):
     # every quad3d cell has full rank modulo the prime, which proves it
     # nonsingular, so a missing report is refused without an elimination; on
-    # ABC_CHARTS the pair A|C has a short modular rank, is solved, and exits 2
+    # ABC_CHARTS the pair A|C and the triple A|B|C hold one point, one normal
+    # system with a short modular rank, which is solved once, at A|C, and
+    # exits 2
     calls = []
     solve = model.solve_square
 
@@ -1075,20 +1077,21 @@ def _zero_a_hats(doc):
 @pytest.mark.parametrize(
     "command, spoil, eliminations, columns",
     [
-        ("fit", None, 14, [1] * 14),
-        ("cocycle", None, 14, [1] * 4 + [2] * 6 + [1] * 4),
+        ("fit", None, 5, [1] * 5),
+        ("cocycle", None, 5, [1] * 4 + [7]),
         ("verify", None, 0, []),
-        ("verify", _zero_a_hats, 14, [1] * 14),
+        ("verify", _zero_a_hats, 5, [1] * 5),
     ],
     ids=["fit", "cocycle", "verify", "verify_a_hat_zeroed"],
 )
 def test_eliminations_per_command(
     capsys, tmp_path, monkeypatch, command, spoil, eliminations, columns
 ):
-    # quad3d has 4 charts, 6 pairs and 4 triples: fit and cocycle solve each
-    # cell once, cocycle a pair's beta in the same elimination as its a_hat
-    # (right-hand sides -nu and delta); verify solves only the cells whose
-    # a_hat is wrong, and none of them for a beta
+    # quad3d has 4 charts, 6 pairs and 4 triples, and the pairs and triples
+    # all hold the common core's points: 5 distinct normal systems, each
+    # solved once by fit and cocycle, cocycle the core against -nu and the
+    # six pairs' deltas together; verify solves only the systems whose
+    # claimed a_hat is wrong, and none of them for a beta
     argv = [command, *QUAD_ARGV]
     if command == "verify":
         doc = json.loads((ROOT / "tests/golden/cocycle_quad3d.json").read_text())

@@ -1,30 +1,39 @@
 """The vector cochain and its vector check against the Koszul reference.
 
-Each pair's beta N⁻¹δ comes from the elimination that fits the pair, and
-must equal Cramer's rule; ``assemble_cochain`` takes it from there, computes
-each triple defect as the alternating sum of beta vectors, and sets r to zero
-or None from that sum alone, deriving its report without a check;
-``verify_cocycle`` checks the cocycle equations on the same vectors, and must
-return that report for the constructed cochain.
-Over random covers, the Koszul check of ``oracles.koszul_verify`` must agree:
-the transported defect has no linear part, its constants are the vector
-defect, r is the zero element exactly when that defect vanishes, and every
-pair residual is zero.  On tampered cochains (alphas, betas and witnesses
-changed, fits given non-symmetric matrices) both checks must return the same
-report, residuals included, and must reject a beta based away from its pair.
+Cells with one point set share one normal system object, and the fit loop
+eliminates each distinct system once, its pairs against -ν and every pair's
+δ together: the grouped fits, each pair's (δ, β) and any :class:`Singular`
+must be those of eliminating every cell on its own (``per_cell_fits``), on
+covers whose point sets repeat and nest (a copy of a chart, a chart equal
+to a pair), and each β must equal Cramer's rule.  ``assemble_cochain`` takes
+the βs from there, adds each triple's face βs as integer rows over one lcm
+(``_face_sum``, equal to the Fraction sum), and sets r to zero or None from
+that sum alone, deriving its report without a check; ``verify_cocycle``
+checks the cocycle equations on the same vectors, a pair's Nᵀβ₀ = δ by
+cross-multiplying integers (``_pair_linear``, equal to the rational
+``transpose().matvec(β₀) - δ``), and must return that report for the
+constructed cochain.  Over random covers, the Koszul check of
+``oracles.koszul_verify`` must agree: the transported defect has no linear
+part, its constants are the vector defect, r is the zero element exactly
+when that defect vanishes, and every pair residual is zero.  On tampered
+cochains (alphas, betas and witnesses changed, fits given non-symmetric
+matrices) both checks must return the same report, residuals included, and
+must reject a beta based away from its pair.
 
 The fits ``verify`` takes from a report's claimed â (the fit loop
 ``fit_cells`` given the report's ``claims_from_json``) must be those of
 ``fit_all_cells``, with the same report, whatever the claims say; on a
 singular cover the loop must raise the same :class:`Singular`, also when
-every claim satisfies its N·â = -ν.  Under the prime 3 in place of 2⁶¹ - 1 the modular rank is often
-short, so a right claim is not taken and its cell is solved; the
-eliminations (``linalg._row_echelon`` calls) show which cells were solved.
+every claim satisfies its N·â = -ν.  Under the prime 3 in place of
+2⁶¹ - 1 the modular rank is often short, so a right claim is not taken and
+its system is solved; the eliminations (``linalg._row_echelon`` calls),
+one per distinct system, show which were solved.
 """
 
 import copy
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +44,8 @@ import lsglue as lg
 from lsglue import linalg
 from lsglue.assembly import (
     _cells_by_names,
+    _face_sum,
+    _pair_linear,
     assemble_cochain,
     cell_normal_systems,
     claims_from_json,
@@ -45,9 +56,10 @@ from lsglue.assembly import (
 )
 from lsglue.data import cover_from_json, dataset_from_json
 from lsglue.koszul import KoszulElement, LinearizedElement, translate
+from lsglue.model import solve_least_squares
 
 import oracles
-from test_atoms import EXAMPLES, build, covers, small
+from test_atoms import EXAMPLES, NAMES, build, covers, small
 
 CORE_X = {1: [["0"], ["1"], ["2"]], 2: [["0", "0"], ["1", "0"], ["0", "1"]]}
 
@@ -79,8 +91,36 @@ TOY_THREE = (
     "affine",
     2,
 )
-FIXED = [SHARED_CORE, TOY_THREE, *EXAMPLES]
-any_cover = st.one_of(covers(), cored_covers(), st.sampled_from(FIXED))
+
+
+@st.composite
+def nested_covers(draw):
+    """A cover from :func:`test_atoms.covers` or :func:`cored_covers` with
+    charts added whose point sets repeat or nest: a copy of a drawn chart,
+    and a chart that is the intersection of two, so that a pair, and the
+    triples over it, hold the points of a chart."""
+    points, charts, features, max_degree = draw(st.one_of(covers(), cored_covers()))
+    spare = iter(name for name in NAMES + ["G", "H"] if name not in dict(charts))
+    picks = st.sampled_from(range(len(charts)))
+    if draw(st.booleans()):
+        charts.append([next(spare), list(charts[draw(picks)][1])])
+    i, j = draw(picks), draw(picks)
+    if i != j:
+        charts.append([next(spare), sorted(set(charts[i][1]) & set(charts[j][1]))])
+    return points, charts, features, max_degree
+
+
+# A chart that is the intersection of two others: pairs A|C, B|C and A|B,
+# and the triple A|B|C, all hold C's points.
+CHART_IS_A_PAIR = (
+    [(["0"], "1", "1"), (["1"], "2", "1"), (["2"], "0", "1"), (["3"], "1", "1"),
+     (["4"], "5", "1")],
+    [["A", [1, 2, 3, 4]], ["B", [1, 2, 3, 5]], ["C", [1, 2, 3]]],
+    "affine",
+    2,
+)
+FIXED = [SHARED_CORE, TOY_THREE, CHART_IS_A_PAIR, *EXAMPLES]
+any_cover = st.one_of(covers(), cored_covers(), nested_covers(), st.sampled_from(FIXED))
 scalars = small.map(lg.rat)
 
 
@@ -148,8 +188,8 @@ def test_vector_cochain_matches_koszul_transport(case):
 @with_examples
 @given(st.one_of(covers(), cored_covers()))
 def test_pair_beta_from_its_fit_is_the_cramer_solution(case):
-    # each pair is eliminated once, against -ν and δ: the β that elimination
-    # gives must be N⁻¹δ, and on a singular cover the loop must stop at the
+    # a system's pairs are eliminated together, against -ν and each δ: every
+    # β that elimination gives must be N⁻¹δ, and on a singular cover the loop must stop at the
     # first singular cell in (degree, names) order with the pivot count of N
     points, charts, features, _ = case
     _, cover, feature_map = build(points, charts, features)
@@ -182,6 +222,103 @@ def test_pair_beta_from_its_fit_is_the_cramer_solution(case):
         assert oracles.as_fractions(fits.pairs[cell.chart_names][1]) == expected, cell.label
         constants = [cochain.beta[cell].coefficient((m,)).c0 for m in range(1, fits[cell].n + 1)]
         assert oracles.as_fractions(constants) == expected, cell.label
+
+
+def per_cell_fits(systems: dict) -> tuple:
+    """The fits and ``fits.pairs`` of eliminating every cell on its own, in
+    (degree, names) order, each pair against -ν and its δ."""
+    fits, pairs, bases = {}, {}, {}
+    for cell, system in systems.items():
+        also = ()
+        if cell.degree == 1:
+            name_i, name_j = cell.chart_names
+            also = (bases[(name_j,)] - bases[(name_i,)],)
+        solution = solve_least_squares(system, chart=cell.label, also=also)
+        bases[cell.chart_names] = solution.a_hat
+        fits[cell] = lg.LinearizedDifferential(base=solution.a_hat, nmat=system.nmat)
+        if also:
+            pairs[cell.chart_names] = (also[0], solution.also[0])
+    return fits, pairs
+
+
+def fraction_face_sum(terms: list, n: int) -> list:
+    """Σ_j (-1)^j terms[j] in Fractions, entry by entry."""
+    total = [Fraction(0)] * n
+    for position, term in enumerate(terms):
+        sign = -1 if position % 2 else 1
+        total = [a + sign * b for a, b in zip(total, oracles.as_fractions(term))]
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(nested_covers(), st.sampled_from(FIXED)), st.data())
+def test_grouped_fits_equal_per_cell_elimination(case, data):
+    # cells with one point set share one normal system object, one â object
+    # and one elimination; the fits, the pairs' (δ, β), the Singular and
+    # the cocycle's integer sums must be those of per-cell elimination
+    points, charts, features, _ = case
+    _, cover, feature_map = build(points, charts, features)
+    systems = cell_normal_systems(cover, feature_map, 2)
+    by_points = {}
+    for cell, system in systems.items():
+        assert by_points.setdefault(cell.indices, system) is system, cell.label
+    assert len({id(system) for system in systems.values()}) == len(by_points)
+    try:
+        expected, expected_pairs = per_cell_fits(systems)
+    except lg.Singular as err:
+        event("singular cover")
+        for betas in (True, False):
+            with pytest.raises(lg.Singular) as raised:
+                fit_cells(systems, betas=betas)
+            assert (str(raised.value), raised.value.cell, raised.value.rank) == (
+                str(err),
+                err.cell,
+                err.rank,
+            )
+        return
+    first = {}
+    for cell, system in systems.items():
+        first.setdefault(id(system), cell)
+    shared_with_a_chart = {
+        id(system)
+        for cell, system in systems.items()
+        if cell.degree == 1 and first[id(system)].degree == 0
+    }
+    event(f"{'a' if shared_with_a_chart else 'no'} pair holds a chart's points")
+    with pytest.MonkeyPatch.context() as patch:
+        eliminations = count_eliminations(patch)
+        fits = fit_cells(systems)
+        assert len(eliminations) == len(first) + len(shared_with_a_chart)
+        eliminations.clear()
+        assert fit_cells(systems, betas=False) == expected
+        assert len(eliminations) == len(first)
+    assert fits == expected
+    assert fits.pairs == expected_pairs
+    for cell, system in systems.items():
+        assert fits[cell].base is fits[first[id(system)]].base, cell.label
+
+    _, report = assemble_cochain(fits)
+    n = next(iter(fits.values())).n
+    for cell, check in report.triples.items():
+        betas = [fits.pairs[face][1] for face in cell.faces()]
+        assert oracles.as_fractions(check.defect_constant) == fraction_face_sum(betas, n)
+    terms = [
+        _vector(data.draw, n) if data.draw(st.booleans()) else lg.Vector.zeros(n)
+        for _ in range(3)
+    ]
+    assert oracles.as_fractions(_face_sum(terms, n)) == fraction_face_sum(terms, n)
+
+    # the integer pair check against the rational Nᵀβ₀ - δ, on the fitted
+    # β and on tampered ones, with fitted and non-symmetric matrices
+    for cell, check in report.pairs.items():
+        nmat = fits[cell].nmat
+        if data.draw(st.booleans()):
+            nmat = lg.Matrix.of([_vector(data.draw, n) for _ in range(n)], n)
+        beta = check.beta_constants
+        if data.draw(st.booleans()):
+            beta = beta + _vector(data.draw, n)
+        linear = _pair_linear(nmat, beta, check.delta)
+        assert linear == nmat.transpose().matvec(beta) - check.delta, cell.label
 
 
 def _vector(draw, n):
@@ -363,9 +500,10 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
 
 def test_small_prime_falls_back_to_elimination():
     # the toy normal matrices have even entries, so their rank mod 2 is 0:
-    # no claim is taken, and the fit loop eliminates every cell once, with
-    # right claims, with wrong claims and with betas; under 2**61 - 1 right
-    # claims are all taken
+    # no claim is taken, and the fit loop eliminates every distinct normal
+    # system once, with right claims, with wrong claims and with betas (the
+    # seven cells hold seven point sets, and no pair a chart's); under
+    # 2**61 - 1 right claims are all taken
     points, charts, features, _ = TOY_THREE
     _, cover, feature_map = build(points, charts, features)
     systems = cell_normal_systems(cover, feature_map, 2)
@@ -376,8 +514,9 @@ def test_small_prime_falls_back_to_elimination():
     for section in ("charts", "pairs", "triples"):
         for record in wrong[section].values():
             record["a_hat"] = CLAIMS["wrong"](record["a_hat"])
-    once = Counter(system.nmat.nums for system in systems.values())
-    assert sum(once.values()) == 7
+    distinct = {id(system): system for system in systems.values()}.values()
+    once = Counter(system.nmat.nums for system in distinct)
+    assert (len(systems), sum(once.values())) == (7, 7)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "RANK_PRIME", 2)
         eliminations = count_eliminations(patch)
