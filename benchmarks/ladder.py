@@ -19,7 +19,11 @@ generator's own terms:
 
 Each command of each rung runs ``REPEATS`` times and is one row of the
 output, whatever its exit code: the median, least and greatest wall time of
-the subprocess, its exit code, its first ``error:`` line, the sizes of its
+the subprocess; the median wall time of the benchmark's reference kernel
+``perfbench/calib.py``, run as a child before each run, and the median wall
+rescaled by REFERENCE_S / that median, as ``perfbench/run.py`` rescales its
+timings, so that walls taken while the host ran at another speed compare;
+its exit code, its first ``error:`` line, the sizes of its
 report and its stderr, and the largest numerator and denominator bits of â
 (every record's ``a_hat``), β (the pairs' slot constants) and the triple
 defects, read from the report.  Runs that disagree on the exit code or the
@@ -77,6 +81,11 @@ SEED = 0
 # Runs of each command of each rung; the row's wall_s is their median.
 REPEATS = 3
 
+# The reference kernel, timed as a child before each run, and the wall time
+# it is rescaled to, both as in perfbench/run.py.
+CALIB = ROOT / "perfbench" / "calib.py"
+REFERENCE_S = 0.25
+
 CHILD_ENV = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
 CHILD_ENV.update(PYTHONPATH=str(ROOT / "src"), LSGLUE_BACKEND="fractions")
 
@@ -117,13 +126,25 @@ def report_bits(doc: dict) -> dict:
     }
 
 
+def calibrate() -> float:
+    """The wall seconds of one run of ``perfbench/calib.py`` as a child."""
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-S", str(CALIB)],
+        stdout=subprocess.DEVNULL, env=CHILD_ENV, check=True,
+    )
+    return time.perf_counter() - start
+
+
 def run_command(command: str, argv: list, directory: Path) -> dict:
-    """Run one CLI command ``REPEATS`` times, with its report and stderr in
-    files; its row, read from the last run's files."""
+    """Run one CLI command ``REPEATS`` times, each after one calibration run,
+    with its report and stderr in files; its row, read from the last run's
+    files."""
     report, stderr = directory / f"{command}.json", directory / f"{command}.err"
     cli = [sys.executable, "-S", "-m", "lsglue.cli", command, *argv, "--output", str(report)]
-    walls, codes, reports = [], [], []
+    calibs, walls, codes, reports = [], [], [], []
     for _ in range(REPEATS):
+        calibs.append(calibrate())
         report.unlink(missing_ok=True)
         start = time.perf_counter()
         with open(stderr, "wb") as err:
@@ -140,13 +161,16 @@ def run_command(command: str, argv: list, directory: Path) -> dict:
     elif len(set(reports)) > 1:
         error = f"the {REPEATS} runs disagree on the report bytes"
     written = reports[-1] is not None
+    wall, calib = statistics.median(walls), statistics.median(calibs)
     return {
         "command": command,
         "ran": True,
         "exit_code": code,
-        "wall_s": round(statistics.median(walls), 3),
+        "wall_s": round(wall, 3),
         "wall_min_s": round(min(walls), 3),
         "wall_max_s": round(max(walls), 3),
+        "calib_s": round(calib, 3),
+        "wall_cal_s": round(wall * REFERENCE_S / calib, 3),
         "error": error,
         "report_bytes": len(reports[-1]) if written else None,
         "stderr_bytes": stderr.stat().st_size,
@@ -162,6 +186,8 @@ def not_run(command: str, why: str) -> dict:
         "wall_s": None,
         "wall_min_s": None,
         "wall_max_s": None,
+        "calib_s": None,
+        "wall_cal_s": None,
         "error": why,
         "report_bytes": None,
         "stderr_bytes": None,
@@ -206,7 +232,8 @@ def main(argv=None) -> int:
             shown = row["error"] or f"report {row['report_bytes']} B"
             print(
                 f"{name:<20} {row['command']:<8} exit {row['exit_code']}"
-                f"  {row['wall_s']} s ({row['wall_min_s']}-{row['wall_max_s']})  {shown}",
+                f"  {row['wall_s']} s ({row['wall_min_s']}-{row['wall_max_s']})"
+                f"  calibrated {row['wall_cal_s']} s  {shown}",
                 flush=True,
             )
     doc = {

@@ -26,13 +26,15 @@ does.  They also fix the report of the cochain built here, so
 :func:`assemble_cochain` derives it and only ``verify`` runs the check
 :func:`verify_cocycle`: β solves N·β = δ and α has constant 0, so every pair
 residual is zero, and a triple's residual is -defect on the slot constants.
-A cell's fit is its differential: the :class:`LinearizedDifferential` at the
-cell's least-squares point â, with the cell's normal matrix N.  Koszul
-elements are built only to serialize the cochain, for the residuals of a
-report, and for ι of a supplied triple witness; each is based at its cell's
-â and holds bare (c0, c) coefficients.  A beta or witness based away from
-its cell's fit is refused (:class:`BaseMismatch`).  All residuals are
-exact; floats appear only in advisory metrics.
+A check holds its residual as plain data: a pair's (c0, c), a triple's
+nonzero slot linear parts.  A cell's fit is its differential: the
+:class:`LinearizedDifferential` at the cell's least-squares point â, with
+the cell's normal matrix N.  Koszul elements are built only to serialize the
+cochain, for ι of a supplied triple witness, and for a failed check's
+residual in ``verify``'s failure dump (``residual_element``); each is based
+at its cell's â and holds bare (c0, c) coefficients.  A beta or witness
+based away from its cell's fit is refused (:class:`BaseMismatch`).  All
+residuals are exact; floats appear only in advisory metrics.
 
 A cell's system depends only on its point set, and one loop fits each
 distinct system once (:func:`fit_cells`), at its first cell in (degree,
@@ -84,7 +86,7 @@ from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
 from .linalg import Matrix, Value, Vector, integer_row, modular_rank
 from .model import FeatureMap, build_normal_system, solve_least_squares, sum_normal_systems
-from .scalars import Rational, rat_float, rat_str, rational_from_string
+from .scalars import ZERO, Rational, rat_float, rat_str, rational_from_string
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -104,12 +106,13 @@ class TotalCochain(Value):
 
 
 class PairCheck(Value):
-    """Exact verification data for one pairwise overlap."""
+    """Exact verification data for one pairwise overlap: δ, β's slot
+    constants β₀, and the (c0, c) of the residual ι(β) - (α_j - α_i)."""
 
     __slots__ = ("delta", "beta_constants", "residual")
     __hash__ = None
 
-    def __init__(self, delta: Vector, beta_constants: Vector, residual: KoszulElement):
+    def __init__(self, delta: Vector, beta_constants: Vector, residual: LinearizedElement):
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "beta_constants", beta_constants)
         object.__setattr__(self, "residual", residual)
@@ -118,31 +121,40 @@ class PairCheck(Value):
     def residual_zero(self) -> bool:
         return self.residual.is_zero()
 
+    def residual_element(self, base: Vector) -> KoszulElement:
+        """The residual as the degree-0 Koszul element at ``base``, the pair's â."""
+        return KoszulElement.build(0, base, {(): self.residual})
+
 
 class TripleCheck(Value):
     """Exact verification data for one triple overlap: its defect constant,
-    its witness (None when obstructed) and its residual.  Without a witness
-    the residual carries -defect on the slot constants, so it is zero only
-    for a false obstruction claim (zero defect, no witness), which only an
-    external cochain can make and which fails verification."""
+    its witness (None when obstructed) and ``linear``, the nonzero
+    ``{m: ι(r).c_m - Σ±β.c_m}``; the residual's slot constants are -defect.
+    Without a witness the residual is zero only for a false obstruction
+    claim (zero defect, no witness), which fails verification."""
 
-    __slots__ = ("defect_constant", "witness", "residual")
+    __slots__ = ("defect_constant", "witness", "linear")
     __hash__ = None
 
-    def __init__(
-        self, defect_constant: Vector, witness: KoszulElement | None, residual: KoszulElement
-    ):
+    def __init__(self, defect_constant: Vector, witness: KoszulElement | None, linear: dict):
         object.__setattr__(self, "defect_constant", defect_constant)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "linear", linear)
 
     @property
     def residual_zero(self) -> bool:
-        return self.residual.is_zero()
+        return not self.linear and self.defect_constant.is_zero()
 
     @property
     def obstructed(self) -> bool:
         return self.witness is None
+
+    def residual_element(self, base: Vector) -> KoszulElement:
+        """The residual as the degree-1 Koszul element at ``base``, the
+        triple's â: slot m holds (-defect_m, ``linear`` at m)."""
+        zero, slots = Vector.zeros(base.dim), enumerate(self.defect_constant, 1)
+        coeffs = {(m,): LinearizedElement(-d, self.linear.get(m, zero)) for m, d in slots}
+        return KoszulElement.build(1, base, coeffs)
 
 
 class ObstructionReport(Value):
@@ -302,11 +314,6 @@ def _cells_by_names(fits: dict) -> dict:
     return {cell.chart_names: cell for cell in fits}
 
 
-def _slot_constants(beta: KoszulElement) -> Vector:
-    """β₀: the constant parts of a degree-1 element on slots 1..n."""
-    return Vector(tuple(beta.coefficient((m,)).c0 for m in range(1, beta.n + 1)))
-
-
 def _face_sum(terms: list, n: int) -> Vector:
     """Σ_j (-1)^j terms[j]: the alternating sum of vectors given for a cell's
     faces in drop-position order.  The nonzero terms are added as integer
@@ -366,13 +373,12 @@ def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:
             delta, constants = fits.pairs[cell.chart_names]
             slots = {(m + 1,): value for m, value in enumerate(constants)}
             beta[cell] = KoszulElement.from_constants(1, fit.base, slots)
-            pairs[cell] = PairCheck(delta, constants, KoszulElement.zero(0, fit.base))
+            zero = LinearizedElement(ZERO, Vector.zeros(fit.n))
+            pairs[cell] = PairCheck(delta, constants, zero)
         elif cell.degree == 2:
             defect = _face_sum([fits.pairs[face][1] for face in cell.faces()], fit.n)
             r[cell] = KoszulElement.zero(2, fit.base) if defect.is_zero() else None
-            slots = {(m + 1,): -value for m, value in enumerate(defect)}
-            residual = KoszulElement.from_constants(1, fit.base, slots)
-            triples[cell] = TripleCheck(defect, r[cell], residual)
+            triples[cell] = TripleCheck(defect, r[cell], {})
     cochain = TotalCochain(alpha=alpha, beta=beta, r=r)
     return cochain, ObstructionReport(pairs=pairs, triples=triples)
 
@@ -387,9 +393,9 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
     zero when r is absent and computed only for a supplied witness, must
     equal the alternating face sum of the betas, slot by slot; ι(r) has no
     constant term, so slot m of the residual is (-defect_m, ι(r).c_m -
-    Σ±β.c_m).  Residuals are exact.  A cell without a fit or a lower layer
-    raises :class:`CellMismatch`; a beta or witness based away from its
-    cell's fit raises :class:`BaseMismatch`.
+    Σ±β.c_m), of which the nonzero linear parts are kept.  A cell without a
+    fit or a lower layer raises :class:`CellMismatch`; a beta or witness
+    based away from its cell's fit raises :class:`BaseMismatch`.
     """
     by_names = _cells_by_names(fits)
     pairs = {}
@@ -406,15 +412,11 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         alpha_i = cochain.alpha[by_names[(name_i,)]].coefficient(())
         alpha_j = cochain.alpha[by_names[(name_j,)]].coefficient(())
         delta = alpha_j.c - alpha_i.c
-        beta_constants = _slot_constants(beta)
+        beta_constants = Vector(tuple(beta.coefficient((m,)).c0 for m in range(1, fit.n + 1)))
         residual = LinearizedElement(
             alpha_i.c0 - alpha_j.c0, _pair_linear(fit.nmat, beta_constants, delta)
         )
-        pairs[cell] = PairCheck(
-            delta=delta,
-            beta_constants=beta_constants,
-            residual=KoszulElement.build(0, fit.base, {(): residual}),
-        )
+        pairs[cell] = PairCheck(delta, beta_constants, residual)
 
     triples = {}
     for cell in cochain.r:
@@ -428,23 +430,15 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
                 )
         fit, witness = fits[cell], cochain.r[cell]
         constants = _face_sum([pairs[face].beta_constants for face in faces], fit.n)
-        if witness is None:
-            image = KoszulElement.zero(1, fit.base)
-        else:
-            image = koszul_diff(witness, fit)
-        residual = {}
+        image = {} if witness is None else koszul_diff(witness, fit).coeffs
+        linear = {}
         for m in range(1, fit.n + 1):
-            linear = _face_sum(
-                [cochain.beta[face].coefficient((m,)).c for face in faces], fit.n
-            )
-            residual[(m,)] = LinearizedElement(
-                -constants[m - 1], image.coefficient((m,)).c - linear
-            )
-        triples[cell] = TripleCheck(
-            defect_constant=constants,
-            witness=witness,
-            residual=KoszulElement.build(1, fit.base, residual),
-        )
+            betas = _face_sum([cochain.beta[face].coefficient((m,)).c for face in faces], fit.n)
+            coeff = image.get((m,))
+            part = -betas if coeff is None else coeff.c - betas
+            if not part.is_zero():
+                linear[m] = part
+        triples[cell] = TripleCheck(constants, witness, linear)
     return ObstructionReport(pairs=pairs, triples=triples)
 
 

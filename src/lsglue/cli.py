@@ -324,20 +324,22 @@ def _render_report_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dump_failures(report: ObstructionReport, strings: ReportStrings) -> None:
-    """Each failed check's residual on stderr, its values converted by the
-    ``strings`` that wrote the report: the bases and defects are not
-    converted again, and a residual constant, -defect, is spelled from the
-    defect's string."""
+def _dump_failures(report: ObstructionReport, fits: dict, strings: ReportStrings) -> None:
+    """Each failed check's residual on stderr, as the Koszul element at its
+    cell's â (``residual_element``), its values converted by the ``strings``
+    that wrote the report: the bases and defects are not converted again,
+    and a residual constant, -defect, is spelled from the defect's string."""
+
+    def residual(cell, check) -> str:
+        return json.dumps(koszul_to_json(check.residual_element(fits[cell].base), strings))
+
     for cell, check in report.pairs.items():
         if not check.residual_zero:
-            residual = json.dumps(koszul_to_json(check.residual, strings))
-            print(f"pair {cell.label}: residual {residual}", file=sys.stderr)
+            print(f"pair {cell.label}: residual {residual(cell, check)}", file=sys.stderr)
     for cell, check in report.triples.items():
         if not check.residual_zero:
-            residual = json.dumps(koszul_to_json(check.residual, strings))
             print(
-                f"triple {cell.label}: residual {residual}"
+                f"triple {cell.label}: residual {residual(cell, check)}"
                 f" (defect constant {strings.vector(check.defect_constant)})",
                 file=sys.stderr,
             )
@@ -402,7 +404,7 @@ def _cmd_verify(args) -> int:
     doc = report_to_json(cochain, fits, report, strings)
     _emit(args, _json_text(doc) if args.format == "json" else _render_report_text(doc))
     if not report.all_verified():
-        _dump_failures(report, strings)
+        _dump_failures(report, fits, strings)
         return _EXIT_VERIFY
     return _EXIT_OK
 

@@ -119,6 +119,8 @@ class Cover(Value):
                     f"chart name {excerpt(repr(name))} must be nonempty and free of '|'"
                     " (reserved for cell labels)"
                 )
+            if any("\ud800" <= c <= "\udfff" for c in name):  # a surrogate: JSON can spell one
+                raise LsglueError(f"chart name {excerpt(repr(name))} is not encodable as UTF-8")
         for name, chart in self.charts:
             for i in sorted(chart):
                 if not 1 <= i <= self.base.size:

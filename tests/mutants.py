@@ -232,6 +232,27 @@ CATALOG = [
         ],
     ),
     Mutant(
+        "pair_residual_constant_dropped",
+        "assembly.py",
+        "alpha_i.c0 - alpha_j.c0",
+        "ZERO",
+        [
+            "tests/test_golden.py::test_cli_matches_golden[verify_tampered_alpha_c0-json]",
+            "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
+        ],
+    ),
+    Mutant(
+        "triple_linear_part_not_kept",
+        "assembly.py",
+        "linear[m] = part",
+        "pass",
+        [
+            "tests/test_golden.py::test_cli_matches_golden[verify_tampered_beta_linear-json]",
+            "tests/test_golden.py::test_cli_matches_golden[verify_tampered_r-json]",
+            "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
+        ],
+    ),
+    Mutant(
         "exact_writes_another_vectors_floats",
         "assembly.py",
         "list(map(rat_float, vec))",

@@ -259,9 +259,11 @@ def koszul_verify(cochain, fits):
     """The exact cocycle check in Koszul arithmetic, with the same report,
     residuals and structural errors as ``assembly.verify_cocycle``.
 
-    Pairs: ι(β) - (translated α_j - translated α_i).  Triples: ι(r) (zero
-    without a witness) minus the alternating sum of the face betas
-    translated to the triple's base.
+    Pairs: ι(β) - (translated α_j - translated α_i), whose one coefficient
+    is the check's residual.  Triples: ι(r) (zero without a witness) minus
+    the alternating sum of the face betas translated to the triple's base;
+    its slot constants must be -defect, and its nonzero slot linear parts
+    are the check's ``linear``.
     """
     by_names = {cell.chart_names: cell for cell in fits}
     pairs = {}
@@ -285,7 +287,7 @@ def koszul_verify(cochain, fits):
         pairs[cell] = PairCheck(
             delta=target.coefficient(()).c,
             beta_constants=_slot_constants(cochain.beta[cell]),
-            residual=image - target,
+            residual=(image - target).coefficient(()),
         )
 
     triples = {}
@@ -308,10 +310,13 @@ def koszul_verify(cochain, fits):
             image = KoszulElement.zero(1, base)
         else:
             image = koszul_diff(witness, fits[cell])
+        residual = image - defect
+        coeffs = [residual.coefficient((m,)) for m in range(1, residual.n + 1)]
+        assert [c.c0 for c in coeffs] == [-v for v in constants]
         triples[cell] = TripleCheck(
             defect_constant=constants,
             witness=witness,
-            residual=image - defect,
+            linear={m: c.c for m, c in enumerate(coeffs, 1) if not c.c.is_zero()},
         )
     return ObstructionReport(pairs=pairs, triples=triples)
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,12 +23,15 @@ from lsglue.assembly import (
     report_to_json,
     verify_cocycle,
 )
+from lsglue.data import cover_from_json, dataset_from_json
 from lsglue.koszul import KoszulElement, LinearizedElement, koszul_diff
+from lsglue.model import model_from_json
 
 import oracles
 from conftest import make_dataset, rand_nonneg_fraction, rand_points
 
 F = Fraction
+SAMPLEDATA = Path(__file__).resolve().parent.parent / "sampledata"
 
 
 def cell_by_label(cells, label):
@@ -141,7 +145,9 @@ def test_three_chart_obstruction_matches_oracle(toy_dataset, affine1):
     ]
     assert not check.residual_zero
     # the residual is -defect on each slot constant, with no linear part
-    residual = [check.residual.coefficient((m,)) for m in (1, 2)]
+    assert check.linear == {}
+    element = check.residual_element(fit_all_cells(cover, affine1, 2)[triple_cell].base)
+    residual = [element.coefficient((m,)) for m in (1, 2)]
     assert [c.c0 for c in residual] == [-v for v in oracles.as_fractions(check.defect_constant)]
     assert all(c.c.is_zero() for c in residual)
     assert not report.all_verified()
@@ -184,11 +190,43 @@ def test_verify_detects_perturbed_beta(toy_cover, affine1):
     )
     tampered = lg.TotalCochain(alpha=cochain.alpha, beta={pair_cell: bumped}, r={})
     report = verify_cocycle(tampered, fits)
-    residual = report.pairs[pair_cell].residual
-    assert not residual.is_zero()
+    check = report.pairs[pair_cell]
+    assert not check.residual_zero and not check.residual.is_zero()
     # the residual is exactly iota of the perturbation: the first row of N
-    assert residual.coefficient(()).c == fits[pair_cell].nmat.row(0)
-    assert residual.coefficient(()).c0 == 0
+    assert check.residual.c == fits[pair_cell].nmat.row(0)
+    assert check.residual.c0 == 0
+    element = check.residual_element(fits[pair_cell].base)
+    assert element.degree == 0 and element.coefficient(()) == check.residual
+
+
+def test_only_the_cochain_and_witness_images_build_koszul_elements(monkeypatch):
+    # a check holds its residual as plain vectors: on sampledata/quad3d (4
+    # charts, 6 pairs, 4 glued triples) assembling builds α, β and r, 14
+    # elements, and the check only ι of each of the 4 witnesses
+    def read(name):
+        return json.loads((SAMPLEDATA / name).read_text(encoding="utf-8"))
+
+    data = dataset_from_json(read("quad3d.json"), allow_negative_weights=True)
+    cover = cover_from_json(read("cover_quad3d.json"), data)
+    features = model_from_json(read("model_quad3d.json"), data.ambient_dim)
+    fits = fit_all_cells(cover, features, 2)
+    assert [sum(c.degree == d for c in fits) for d in (0, 1, 2)] == [4, 6, 4]
+
+    builds = []
+    build = KoszulElement.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args[0] if args else kwargs["degree"])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(KoszulElement, "build", classmethod(counted))
+    cochain, report = assemble_cochain(fits)
+    assert sorted(builds) == [0] * 4 + [1] * 6 + [2] * 4
+    assert all(witness is not None for witness in cochain.r.values())
+    builds.clear()
+    assert verify_cocycle(cochain, fits) == report
+    # ι of a degree-2 witness is of degree 1
+    assert builds == [1] * 4
 
 
 def test_verify_empty_cochain_single_chart(toy_dataset, affine1):

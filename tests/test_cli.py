@@ -538,6 +538,36 @@ def test_csv_the_reader_refuses_exit_1(files, capsys, payload, message):
         assert err == f"error: CSV line {line}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["fit", "cocycle", "verify"])
+def test_lone_surrogate_chart_name_exit_1_without_output(tmp_path, command):
+    # JSON can spell a lone surrogate, which no UTF-8 text can hold: the cover
+    # is refused before any report is written, as the text format would fail
+    cover = tmp_path / "c.json"
+    cover.write_text(
+        '{"charts": [{"name": "A\\ud800", "indices": [1, 2, 3, 4]},'
+        ' {"name": "D2", "indices": [2, 3, 4, 5]}]}',
+        encoding="utf-8",
+    )
+    output = tmp_path / "report.txt"
+    argv = [command, "--dataset", "sampledata/toy5.json", "--cover", str(cover)]
+    if command == "verify":
+        argv += ["--cochain", "tests/golden/cocycle_two_charts.json"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsglue.cli", *argv, "--format", "text", "--output", str(output)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: chart name 'A\\ud800' is not encodable as UTF-8\n"
+    assert "Traceback" not in proc.stderr
+    assert not output.exists()
+
+
 def test_deeply_nested_json_exit_1(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")

@@ -199,6 +199,16 @@ def test_reserved_chart_names(toy_dataset, name):
         lg.Cover(toy_dataset, ((name, frozenset({1, 2, 3, 4, 5})),))
 
 
+@pytest.mark.parametrize("name", ["A\ud800", "\udfff", "D\ud83d1"])
+def test_chart_name_must_be_encodable_as_utf8(toy_dataset, name):
+    # a lone surrogate, which JSON can spell ("\ud800") but UTF-8 cannot
+    with pytest.raises(lg.LsglueError, match="is not encodable as UTF-8"):
+        lg.Cover(toy_dataset, ((name, frozenset({1, 2, 3, 4, 5})),))
+    # a surrogate pair decoded by the JSON reader is one character, and kept
+    cover = lg.Cover(toy_dataset, (("A\U0001f600", frozenset({1, 2, 3, 4, 5})),))
+    assert cover.charts[0][0] == "A\U0001f600"
+
+
 def test_point_dimension_must_match_the_data_set():
     point = lg.WeightedPoint(lg.Vector.of([1, 2]), lg.rat(0), lg.rat(1))
     with pytest.raises(lg.DimensionMismatch, match="point with dim 2"):

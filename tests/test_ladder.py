@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ROW_KEYS = {
     "rung", "m", "k", "n", "ambient_dim", "coordinate_bounds", "command", "ran",
-    "exit_code", "wall_s", "wall_min_s", "wall_max_s", "error", "report_bytes",
-    "stderr_bytes", "bits",
+    "exit_code", "wall_s", "wall_min_s", "wall_max_s", "calib_s", "wall_cal_s", "error",
+    "report_bytes", "stderr_bytes", "bits",
 }
 
 
@@ -35,6 +36,9 @@ def test_smallest_rung_writes_a_row_per_command(tmp_path):
         assert row["ran"] and row["error"] is None and row["report_bytes"] > 0
         # the median of three runs lies between the least and the greatest
         assert 0 < row["wall_min_s"] <= row["wall_s"] <= row["wall_max_s"]
+        # the median wall rescaled as perfbench rescales, by 0.25 s / calib_s
+        assert row["calib_s"] > 0
+        assert row["wall_cal_s"] == pytest.approx(row["wall_s"] * 0.25 / row["calib_s"], rel=0.05)
         assert set(row["bits"]) == {"a_hat", "beta", "defect"}
         for bits in row["bits"].values():
             assert set(bits) == {"numerator", "denominator"}
@@ -69,6 +73,9 @@ def test_runs_that_disagree_make_the_error(tmp_path, monkeypatch, runs, error):
     outcomes = iter(runs)
 
     def fake_run(argv, **kwargs):
+        if argv[-1] == str(ladder.CALIB):
+            time.sleep(0.001)
+            return subprocess.CompletedProcess(argv, 0)
         code, report = next(outcomes)
         if report is not None:
             Path(argv[-1]).write_text(report, encoding="utf-8")
@@ -79,3 +86,4 @@ def test_runs_that_disagree_make_the_error(tmp_path, monkeypatch, runs, error):
     assert row["error"] == error
     assert (row["exit_code"], row["report_bytes"]) == (runs[-1][0], len(runs[-1][1]))
     assert 0 <= row["wall_min_s"] <= row["wall_s"] <= row["wall_max_s"]
+    assert row["calib_s"] >= 0.001 and row["wall_cal_s"] >= 0

@@ -112,8 +112,8 @@ CASES = {
         the_triple,
         lambda: TripleCheck(
             the_triple().defect_constant,
-            KoszulElement.zero(2, the_triple().residual.base),
-            the_triple().residual,
+            KoszulElement.zero(2, vec(0, 1)),
+            the_triple().linear,
         ),
     ),
     "ObstructionReport": (

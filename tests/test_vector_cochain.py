@@ -172,7 +172,8 @@ def test_vector_cochain_matches_koszul_transport(case):
         for sign, face in zip((1, -1, 1), cell.faces()):
             defect = defect + beta[face].scale(sign)
         # r is zero or absent, so the Koszul residual is minus the defect
-        transported = reference.triples[cell].residual.scale(-1)
+        assert reference.triples[cell].linear == {}, cell.label
+        transported = reference.triples[cell].residual_element(base).scale(-1)
         for m in range(1, n + 1):
             assert transported.coefficient((m,)).c.is_zero(), cell.label
         assert [transported.coefficient((m,)).c0 for m in range(1, n + 1)] == list(defect)
@@ -385,7 +386,12 @@ def test_vector_verify_matches_koszul_verify(case, data):
     assert verify_cocycle(cochain, fits) == report
     assert report == oracles.koszul_verify(cochain, fits)
     fits, tampered = tamper(data.draw, fits, cochain)
-    assert verify_cocycle(tampered, fits) == oracles.koszul_verify(tampered, fits)
+    report = verify_cocycle(tampered, fits)
+    assert report == oracles.koszul_verify(tampered, fits)
+    # a check passes exactly when the Koszul element of its residual is zero
+    for checks in (report.pairs, report.triples):
+        for cell, check in checks.items():
+            assert check.residual_zero == check.residual_element(fits[cell].base).is_zero()
 
 
 @settings(max_examples=50, deadline=None)
