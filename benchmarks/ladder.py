@@ -104,8 +104,17 @@ def write_inputs(name: str, directory: Path) -> list:
 
 def max_bits(literals) -> dict | None:
     """The largest numerator and denominator bit-lengths of the literals;
-    None when there are none."""
-    values = [Fraction(text) for text in literals]
+    None when there are none.  A report may hold integers past the
+    interpreter's limit on decimal strings, so they are read with the limit
+    lifted, and the limit is restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        values = [Fraction(text) for text in literals]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if not values:
         return None
     return {

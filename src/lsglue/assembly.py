@@ -78,15 +78,15 @@ its witness and its residual (:meth:`ObstructionReport.all_verified`).
 from __future__ import annotations
 
 import re
-from math import isfinite, lcm, ldexp, sqrt
+from math import isfinite, ldexp, sqrt
 from operator import mul
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
 from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
-from .linalg import Matrix, Value, Vector, integer_row, modular_rank
+from .linalg import Matrix, Value, Vector, add_rows, integer_row, modular_rank
 from .model import FeatureMap, build_normal_system, solve_least_squares, sum_normal_systems
-from .scalars import ZERO, Rational, rat_float, rat_str, rational_from_string
+from .scalars import ZERO, rat_float, rat_str, rational_from_string
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -316,33 +316,29 @@ def _cells_by_names(fits: dict) -> dict:
 
 def _face_sum(terms: list, n: int) -> Vector:
     """Σ_j (-1)^j terms[j]: the alternating sum of vectors given for a cell's
-    faces in drop-position order.  The nonzero terms are added as integer
-    rows (``linalg.integer_row``) over the lcm of their denominators, and one
-    rational is built per entry, at the end."""
-    rows = [(integer_row(t.entries), j % 2) for j, t in enumerate(terms) if not t.is_zero()]
-    if not rows:
-        return Vector.zeros(n)
-    den = lcm(*(d for (_, d), _ in rows))
-    total = [0] * n
-    for (nums, d), odd in rows:
-        lift = -(den // d) if odd else den // d
-        total = [a + lift * b for a, b in zip(total, nums)]
-    return Vector(tuple(Rational(v, den) for v in total))
+    faces in drop-position order.  The nonzero terms are added in one signed
+    sum of their integer rows (``linalg.add_rows``, an odd face over its
+    negated denominator), and one rational is built per entry, at the end."""
+    signed = []
+    for j, term in enumerate(terms):
+        if not term.is_zero():
+            nums, den = integer_row(term.entries)
+            signed.append((nums, -den if j % 2 else den))
+    return Vector.over(*add_rows(signed)) if signed else Vector.zeros(n)
 
 
 def _pair_linear(nmat: Matrix, beta_constants: Vector, delta: Vector) -> Vector:
     """Nᵀβ₀ - δ, the linear part of a pair residual, on integers: column j
     of ``nmat.nums`` against β₀'s numerators b, over d_N·d_β, is compared
     with δ_j = p_j / d_δ by cross-multiplying.  The zero vector when every
-    entry agrees; only otherwise is a rational built per entry."""
+    entry agrees (``Vector.over``); only otherwise is a rational built per
+    entry."""
     b, d_beta = integer_row(beta_constants.entries)
     p, d_delta = integer_row(delta.entries)
     den = nmat.den * d_beta
     columns = zip(*nmat.nums)
     diffs = [sum(map(mul, col, b)) * d_delta - p_j * den for col, p_j in zip(columns, p)]
-    if not any(diffs):
-        return Vector.zeros(len(diffs))
-    return Vector(tuple(Rational(v, den * d_delta) for v in diffs))
+    return Vector.over(diffs, den * d_delta)
 
 
 def build_zero_cocycle(

@@ -182,11 +182,14 @@ def _load_inputs(args):
 
 
 def _emit(args, text: str) -> None:
+    """Write the report as UTF-8, to ``--output`` or to stdout whatever the
+    encoding of stdout: the text format spells chart names as they are."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as file:
             file.write(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 _ENCODE = json.encoder.encode_basestring_ascii

@@ -32,9 +32,13 @@ output cannot differ by a byte from rational elimination.  A wide
 right-hand side does not widen the rows of A, and no gcd is taken per
 arithmetic operation.
 
-:meth:`Matrix.matvec` writes the vector as integers over one common
-denominator (:func:`integer_row`) and sums integer products with the rows of
-``nums``, building one rational per result instead of one per term.
+Common-denominator arithmetic has one implementation, here:
+:func:`integer_row` writes rationals as integers over their lcm,
+:func:`add_rows` adds such rows (a negated denominator subtracts its row),
+:func:`raise_denominator` grows a running denominator, and
+:meth:`Vector.over` turns integers over one denominator back into a vector.
+:meth:`Matrix.matvec` sums integer products with the rows of ``nums``,
+building one rational per result instead of one per term.
 :func:`modular_rank` is the rank of ``nums`` modulo the prime
 :data:`RANK_PRIME`.  It never exceeds the rank over the rationals, so a full
 modular rank proves a square matrix nonsingular; a short one proves nothing.
@@ -49,7 +53,7 @@ sets ``__hash__ = None``), and the repr is ``ClassName(field!r, ...)``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import attrgetter, mul
 
@@ -66,6 +70,33 @@ def integer_row(values) -> tuple:
     common denominator d, so value k is numerators[k] / d."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def add_rows(terms) -> tuple:
+    """(Σ_j nums_j·(d/d_j), d) for the pairs (nums_j, d_j) of ``terms``, d
+    the lcm of the d_j: integer rows, each over its own denominator, added
+    over one.  Row j stands for nums_j / d_j, so a row over a negated
+    denominator is subtracted."""
+    rows, dens = zip(*terms)
+    den = lcm(*dens)
+    lifts = [den // d for d in dens]
+    return [sum(map(mul, column, lifts)) for column in zip(*rows)], den
+
+
+def raise_denominator(den: int, term_den: int, rows: list) -> tuple:
+    """Bring the running denominator ``den`` > 0 to the least positive
+    common multiple of ``den`` and ``term_den``.
+
+    Returns the new denominator and the factor that lifts a numerator over
+    ``term_den`` to it; the integer rows in ``rows``, held over ``den``, are
+    rescaled in place when the denominator grows.
+    """
+    common = lcm(den, term_den)
+    if common != den:
+        scale = common // den
+        for row in rows:
+            row[:] = [v * scale for v in row]
+    return common, common // term_den
 
 
 class Value:
@@ -119,6 +150,14 @@ class Vector(Value):
     @classmethod
     def zeros(cls, dim: int) -> "Vector":
         return cls((ZERO,) * dim)
+
+    @classmethod
+    def over(cls, nums, den: int) -> "Vector":
+        """The vector of the rationals nums[k] / den, one rational built per
+        entry; the zero vector when every numerator is 0."""
+        if not any(nums):
+            return cls.zeros(len(nums))
+        return cls(tuple(Rational(v, den) for v in nums))
 
     @property
     def dim(self) -> int:
@@ -192,12 +231,9 @@ class Matrix(Value):
             if not converted:
                 raise DimensionMismatch("cannot infer ncols of an empty matrix")
             ncols = len(converted[0])
-        den = lcm(*(v.denominator for row in converted for v in row))
-        return cls(
-            tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in converted),
-            den,
-            ncols,
-        )
+        nums, den = integer_row([v for row in converted for v in row])
+        flat = iter(nums)
+        return cls(tuple(tuple(islice(flat, len(row))) for row in converted), den, ncols)
 
     @property
     def nrows(self) -> int:
@@ -212,7 +248,7 @@ class Matrix(Value):
         return tuple(self.row(i).entries for i in range(self.nrows))
 
     def row(self, i: int) -> Vector:
-        return Vector(tuple(Rational(v, self.den) for v in self.nums[i]))
+        return Vector.over(self.nums[i], self.den)
 
     def matvec(self, v: Vector) -> Vector:
         """A·v; entry i is the integer dot product of row i of ``nums`` and
@@ -220,15 +256,7 @@ class Matrix(Value):
         if self.ncols != v.dim:
             raise DimensionMismatch(f"matvec: {self.ncols} columns vs dim-{v.dim} vector")
         v_nums, v_den = integer_row(v.entries)
-        den = self.den * v_den
-        return Vector(tuple(Rational(sum(map(mul, row, v_nums)), den) for row in self.nums))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            tuple(tuple(row[j] for row in self.nums) for j in range(self.ncols)),
-            self.den,
-            self.nrows,
-        )
+        return Vector.over([sum(map(mul, row, v_nums)) for row in self.nums], self.den * v_den)
 
 
 def _row_echelon(rows, columns) -> tuple[int, list]:
@@ -274,14 +302,15 @@ def _primitive(row: list) -> list:
     return [v // content for v in row] if content > 1 else row
 
 
-def _back_substitute(rows: list, n: int, col: int, den: int) -> tuple:
+def _back_substitute(rows: list, n: int, col: int, den: int) -> Vector:
     """Solve the upper-triangular integer system left by :func:`_row_echelon`
     on a full-rank n x n block, against column ``col`` of the work rows, and
     divide by ``den``, the denominator that column was cleared of.
 
     The unknowns found so far are kept as integers over their least common
-    denominator q, so each step is one integer dot product, one gcd and one
-    lcm; one rational per unknown is built at the end.
+    denominator q (:func:`raise_denominator`), so each step is one integer
+    dot product, one gcd and one lcm; one rational per unknown is built at
+    the end.
     """
     x = [0] * n
     q = 1
@@ -290,14 +319,9 @@ def _back_substitute(rows: list, n: int, col: int, den: int) -> tuple:
         num = row[col] * q - sum(map(mul, row[i + 1 : n], x[i + 1 :]))
         d = row[i] * q
         g = gcd(num, d)
-        num, d = num // g, d // g
-        common = lcm(q, d)
-        if common != q:
-            scale = common // q
-            x[i + 1 :] = [v * scale for v in x[i + 1 :]]
-            q = common
-        x[i] = num * (q // d)
-    return tuple(Rational(v, q * den) for v in x)
+        q, lift = raise_denominator(q, d // g, [x])
+        x[i] = num // g * lift
+    return Vector.over(x, q * den)
 
 
 def solve_square(a: Matrix, *columns: Vector) -> tuple:
@@ -315,9 +339,7 @@ def solve_square(a: Matrix, *columns: Vector) -> tuple:
     found, work = _row_echelon(a.nums, [[a.den * v for v in nums] for nums, _ in cleared])
     if found < n:
         raise Singular(f"matrix is singular (rank {found} < {n})", rank=found)
-    return tuple(
-        Vector(_back_substitute(work, n, n + k, den)) for k, (_, den) in enumerate(cleared)
-    )
+    return tuple(_back_substitute(work, n, n + k, den) for k, (_, den) in enumerate(cleared))
 
 
 def modular_rank(a: Matrix) -> int:

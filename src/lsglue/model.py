@@ -23,32 +23,34 @@ the least common denominator of φ and P = D·φ: exactly the integers
 ``linalg.integer_row`` makes of φ, so the accumulation holds the same
 integers that rational features would give it.  The terms are added as
 integer numerators over a running common denominator of N (and another of
-ν), on the upper triangle of N only, and N is the mirrored triangle's
-integer rows over that denominator (``linalg.Matrix``), with no rational per
-entry.  A power longer than the interpreter's limit on decimal integer
-strings is refused before any power of the point is computed: the length of
-p^e grows with e, so testing p_i and q_i at E_i refuses exactly the points
-that testing every monomial would, and :meth:`FeatureMap.evaluate` then
-raises the error naming the first offending monomial.
+ν; ``linalg.raise_denominator``), on the upper triangle of N only, and N is
+the mirrored triangle's integer rows over that denominator
+(``linalg.Matrix``), with no rational per entry.  A power longer than the
+interpreter's limit on decimal integer strings is refused before any power
+of the point is computed: the length of p^e grows with e, so testing p_i and
+q_i at E_i refuses exactly the points that testing every monomial would, and
+:meth:`FeatureMap.evaluate` then raises the error naming the first offending
+monomial.
 
 The systems of a cell's atoms are added the same way
-(:func:`sum_normal_systems`): the integer rows of the atoms' N are added over
-the lcm of their denominators, and so are their ν, each written as integers
-over one denominator.  Only ``.numerator``, ``.denominator`` and the
-backend's ``Rational`` constructor are used, so every scalar backend takes
-the same path.
+(:func:`sum_normal_systems`): their ν, each written as integers over one
+denominator, are added over the lcm of those denominators, and so are the
+integer rows of their N (``linalg.add_rows``).  Only ``.numerator``,
+``.denominator`` and the backend's ``Rational`` constructor are used, so
+every scalar backend takes the same path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cache
-from math import gcd, lcm, prod
-from operator import getitem, mul
+from itertools import chain
+from math import gcd, prod
+from operator import getitem
 
 from .errors import DimensionMismatch, LsglueError, Singular, excerpt
-from .linalg import Matrix, Value, Vector, integer_row, solve_square
-from .scalars import ONE, ZERO, Rational, digit_limit, over_digit_limit
+from .linalg import Matrix, Value, Vector, add_rows, integer_row, raise_denominator, solve_square
+from .scalars import ONE, ZERO, digit_limit, over_digit_limit
 
 
 class FeatureMap(Value):
@@ -173,7 +175,7 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
             features.evaluate(point.x)  # raises, naming the first such monomial
         p, d = _integer_features(coords, levels, exponents)
         w_num, w_den = w.numerator, w.denominator
-        n_den, lift = _grow(n_den, w_den * d * d, upper)
+        n_den, lift = raise_denominator(n_den, w_den * d * d, upper)
         c = 2 * w_num * lift
         for k in range(n):
             ck = c * p[k]
@@ -181,7 +183,7 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
                 upper[k] = [a + ck * b for a, b in zip(upper[k], p[k:])]
         y = point.y
         if y != 0:
-            nu_den, lift = _grow(nu_den, w_den * y.denominator * d, [nu_sum])
+            nu_den, lift = raise_denominator(nu_den, w_den * y.denominator * d, [nu_sum])
             c = -2 * w_num * y.numerator * lift
             nu_sum[:] = [a + c * b for a, b in zip(nu_sum, p)]
     nmat = Matrix(
@@ -189,7 +191,7 @@ def _evaluate(points, features: FeatureMap) -> NormalSystem:
         n_den,
         n,
     )
-    return NormalSystem(_vector(nu_sum, nu_den), nmat)
+    return NormalSystem(Vector.over(nu_sum, nu_den), nmat)
 
 
 def _integer_features(coords: list, levels: list, exponents: list) -> tuple:
@@ -217,21 +219,6 @@ def _integer_features(coords: list, levels: list, exponents: list) -> tuple:
     return p, d
 
 
-def _grow(den: int, term_den: int, rows: list) -> tuple:
-    """Bring the running denominator ``den`` to a multiple of ``term_den``.
-
-    Returns the new denominator and the factor that lifts a numerator over
-    ``term_den`` to it; the integer rows in ``rows`` are rescaled in place
-    when the denominator grows.
-    """
-    common = den // gcd(den, term_den) * term_den
-    if common != den:
-        scale = common // den
-        for row in rows:
-            row[:] = [v * scale for v in row]
-    return common, common // term_den
-
-
 def build_normal_system(data, features: FeatureMap) -> NormalSystem:
     """Evaluate the weighted normal system of ``data`` under ``features``."""
     if data.ambient_dim != features.ambient_dim:
@@ -243,26 +230,14 @@ def build_normal_system(data, features: FeatureMap) -> NormalSystem:
 
 def sum_normal_systems(systems: list) -> NormalSystem:
     """The normal system of the union of disjoint point groups, one
-    :class:`NormalSystem` each: the integer rows of N add over the lcm of the
-    groups' denominators, and so do the numerators of ν."""
-    nu, nu_den = _add(*zip(*(integer_row(s.nu.entries) for s in systems)))
-    nmats = [s.nmat for s in systems]
-    dens = [m.den for m in nmats]
-    rows = [_add(atom_rows, dens)[0] for atom_rows in zip(*(m.nums for m in nmats))]
-    return NormalSystem(_vector(nu, nu_den), Matrix(rows, lcm(*dens), nmats[0].ncols))
-
-
-def _add(rows: tuple, dens: tuple) -> tuple:
-    """(Σ_j rows[j]·(d/dens[j]), d), d = lcm(dens): integer rows, each over
-    its own denominator, added over one."""
-    den = lcm(*dens)
-    lifts = [den // d for d in dens]
-    return [sum(map(mul, column, lifts)) for column in zip(*rows)], den
-
-
-def _vector(nums: list, den: int) -> Vector:
-    """The vector of the rationals nums[k] / den."""
-    return Vector(tuple(Rational(v, den) for v in nums))
+    :class:`NormalSystem` each: the sum of their ν and the sum of their N,
+    each added as integers over the lcm of the groups' denominators
+    (``linalg.add_rows``; N's rows read end to end)."""
+    nu, nu_den = add_rows(integer_row(s.nu.entries) for s in systems)
+    flat, den = add_rows((chain.from_iterable(s.nmat.nums), s.nmat.den) for s in systems)
+    n = len(nu)
+    nmat = Matrix([flat[k * n : k * n + n] for k in range(n)], den, n)
+    return NormalSystem(Vector.over(nu, nu_den), nmat)
 
 
 class LSSolution(Value):

@@ -24,8 +24,9 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
-from .errors import LsglueError, MalformedNumber, ZeroDenominator, excerpt
+from .errors import MalformedNumber, ZeroDenominator, excerpt
 
 _requested = os.environ.get("LSGLUE_BACKEND", "").strip().lower()
 
@@ -107,12 +108,49 @@ def rat(value) -> Rational:
 
 
 def rat_str(value) -> str:
-    """Canonical serialization: ``p/q``, or bare ``p`` when q = 1."""
+    """Canonical serialization: ``p/q``, or bare ``p`` when q = 1, whatever
+    the length of p and q.  Past the interpreter's digit limit, the integers
+    are spelled by :func:`_decimal`."""
     num, den = value.numerator, value.denominator
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        raise LsglueError(over_digit_limit("an exact value to be written")) from None
+        return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
+
+
+# Decimal digits per piece of :func:`_decimal`: below 640, the least digit
+# limit the interpreter accepts, so ``str`` spells each piece under any limit.
+_PIECE = 600
+
+
+@cache
+def _ten_power(j: int) -> int:
+    """10 ** (_PIECE · 2^j)."""
+    return 10 ** (_PIECE << j)
+
+
+def _decimal(value: int) -> str:
+    """``str(value)`` at any length: |value| is split at the largest
+    10^(_PIECE·2^j) not above it, and the two parts are spelled recursively,
+    the lower one padded to its width."""
+    if value < 0:
+        return "-" + _decimal(-value)
+    if value < _ten_power(0):
+        return str(value)
+    j = 0
+    while _ten_power(j + 1) <= value:
+        j += 1
+    high, low = divmod(value, _ten_power(j))
+    return _decimal(high) + _padded(low, j)
+
+
+def _padded(value: int, j: int) -> str:
+    """The _PIECE·2^j decimal digits of 0 <= ``value`` < 10^(_PIECE·2^j),
+    leading zeros included."""
+    if j == 0:
+        return str(value).zfill(_PIECE)
+    high, low = divmod(value, _ten_power(j - 1))
+    return _padded(high, j - 1) + _padded(low, j - 1)
 
 
 def rat_float(value) -> float | None:

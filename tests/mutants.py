@@ -59,15 +59,15 @@ CATALOG = [
     Mutant(
         "no_rescale_when_q_grows",
         "linalg.py",
-        "x[i + 1 :] = [v * scale for v in x[i + 1 :]]",
+        "row[:] = [v * scale for v in row]",
         "pass",
         ["tests/test_kernels.py::test_elimination_matches_adjugate"],
     ),
     Mutant(
         "column_denominator_dropped",
         "linalg.py",
-        "Rational(v, q * den)",
-        "Rational(v, q)",
+        "return Vector.over(x, q * den)",
+        "return Vector.over(x, q)",
         ["tests/test_kernels.py::test_elimination_matches_adjugate"],
     ),
     Mutant(
@@ -214,8 +214,8 @@ CATALOG = [
     Mutant(
         "face_sum_adds_every_face",
         "assembly.py",
-        "lift = -(den // d) if odd else den // d",
-        "lift = den // d",
+        "signed.append((nums, -den if j % 2 else den))",
+        "signed.append((nums, den))",
         [
             "tests/test_vector_cochain.py::test_grouped_fits_equal_per_cell_elimination",
             "tests/test_golden.py::test_cli_matches_golden",
@@ -261,6 +261,20 @@ CATALOG = [
             "tests/test_assembly.py::test_float_fields_are_the_floats_of_their_exact_fields",
             "tests/test_golden.py::test_cli_matches_golden",
         ],
+    ),
+    Mutant(
+        "work_rows_grow_instead_of_shrinking",
+        "linalg.py",
+        "return [v // content for v in row] if content > 1 else row",
+        "return [v * content for v in row] if content > 1 else row",
+        ["tests/test_kernels.py::test_work_rows_stay_primitive"],
+    ),
+    Mutant(
+        "power_bound_refuses_exactly_the_limit_bits",
+        "model.py",
+        "return exp * (bits - 1) + 1 > max_bits",
+        "return exp * (bits - 1) + 2 > max_bits",
+        ["tests/test_model.py::test_power_bound_admits_a_square_of_exactly_the_limit_bits"],
     ),
 ]
 

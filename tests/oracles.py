@@ -26,7 +26,7 @@ from itertools import combinations
 from lsglue.assembly import ObstructionReport, PairCheck, TripleCheck
 from lsglue.errors import CellMismatch, MalformedNumber, ZeroDenominator, excerpt
 from lsglue.koszul import KoszulElement, koszul_diff, translate
-from lsglue.linalg import Vector
+from lsglue.linalg import Matrix, Vector
 from lsglue.scalars import Rational, over_digit_limit
 
 F = Fraction
@@ -143,6 +143,12 @@ def some_solution(m, b):
 
 def matvec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def transpose(a):
+    """The transpose of the package :class:`Matrix` ``a``, from its integer
+    rows over its one denominator."""
+    return Matrix(tuple(zip(*a.nums)), a.den, a.nrows)
 
 
 def restrict_weights(weights, keep):

@@ -568,6 +568,98 @@ def test_lone_surrogate_chart_name_exit_1_without_output(tmp_path, command):
     assert not output.exists()
 
 
+def test_text_on_an_ascii_stdout_is_utf8(tmp_path):
+    # the text format spells a chart name as it is, so stdout gets the UTF-8
+    # bytes --output writes, whatever the encoding of stdout
+    cover = json.loads(json.dumps(THREE_CHARTS))
+    cover["charts"][0]["name"] = "Dé"
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(cover), encoding="utf-8")
+    output = tmp_path / "report.txt"
+    argv = ["cocycle", "--dataset", "sampledata/toy5.json", "--cover", str(cover_path)]
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = []
+    for extra in ([], ["--output", str(output)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsglue.cli", *argv, "--format", "text", *extra],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (3, b"")
+        outputs.append(proc.stdout)
+    assert outputs[1] == b""
+    assert outputs[0] == output.read_bytes()
+    assert "  Dé: indices=[1, 2, 3, 4]" in outputs[0].decode("utf-8")
+
+
+def _past_the_digit_limit(files) -> list:
+    """The smallest input known to write integers past 4300 digits: five
+    1-d points whose x have 121-digit denominators, under three charts whose
+    pairs and triple all differ.  The triple defect's integers have about
+    5,040 digits; â's and β's, which verify reads back, fewer than 2,700."""
+    points = []
+    for k in range(5):
+        x = k + F(1, 10**120 + 2 * k + 1)
+        points.append({"x": [f"{x.numerator}/{x.denominator}"], "y": str(k * k % 7)})
+    cover = {
+        "charts": [
+            {"name": "A", "indices": [1, 2, 3, 4]},
+            {"name": "B", "indices": [1, 2, 3, 5]},
+            {"name": "C", "indices": [1, 2, 4, 5]},
+        ]
+    }
+    dataset = files("wall.json", {"ambient_dim": 1, "points": points})
+    return ["--dataset", dataset, "--cover", files("wall_cover.json", cover)]
+
+
+def _digits(literal: str) -> int:
+    """The most decimal digits of one integer of a `p/q` literal."""
+    return max(len(part.lstrip("-")) for part in literal.split("/"))
+
+
+def test_round_trip_past_the_digit_limit(files, capsys, tmp_path):
+    # the writer spells every value it computed, however long; verify reads
+    # â and β, below the limit, and writes the same report
+    inputs = _past_the_digit_limit(files)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, ["cocycle", *inputs, "--output", str(report)])
+    assert (code, out, err) == (3, "", "")
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    (triple,) = doc["triples"].values()
+    assert min(map(_digits, triple["defect_constant"])) > 5000
+    records = [r for section in ("charts", "pairs", "triples") for r in doc[section].values()]
+    read = [x for r in records for x in r["a_hat"]]
+    read += [c["c0"] for r in doc["pairs"].values() for c in r["beta"].values()]
+    assert max(map(_digits, read)) < 2700
+    checked = tmp_path / "checked.json"
+    argv = ["verify", *inputs, "--cochain", str(report), "--output", str(checked)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("triple A|B|C: residual {")
+    assert checked.read_bytes() == report.read_bytes()
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on decimal integer strings in this interpreter",
+)
+def test_verify_refuses_a_report_value_past_the_digit_limit(files, capsys, tmp_path):
+    # the reader keeps the interpreter's limit: a β literal one digit past
+    # it is malformed
+    inputs = _past_the_digit_limit(files)
+    report = tmp_path / "report.json"
+    run(capsys, ["cocycle", *inputs, "--output", str(report)])
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    doc["pairs"]["A|B"]["beta"]["[1]"]["c0"] = "7" * (sys.get_int_max_str_digits() + 1)
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", *inputs, "--cochain", str(report)])
+    assert_one_error_line(code, out, err)
+    assert err.endswith(f"exceeds the limit of {sys.get_int_max_str_digits()} digits for decimal integers\n")
+
+
 def test_deeply_nested_json_exit_1(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")

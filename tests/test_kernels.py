@@ -7,7 +7,7 @@ give the columns of the inverse and A⁻¹b, including on matrices whose leading
 entries are zero, so that rows are swapped, on rows with mixed denominators,
 on right-hand sides far wider than the matrix, and on singular matrices of
 every rank, where :class:`Singular` must carry the Gauss-Jordan rank whatever
-the number of right-hand sides.  The modular rank must equal that rank, and
+the number of right-hand sides; every work row it keeps must be primitive.  The modular rank must equal that rank, and
 may only fall below it under a small prime.  The
 integer-numerator ``matvec`` must equal plain Fraction sums, and the float
 norms of ``assembly._l2`` the floats of those sums.
@@ -130,6 +130,41 @@ def test_elimination_matches_adjugate(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(square_systems())
+# every row of [A | b] has content 2, and after the first step the second
+# row is 2·[2 1 | 2] - 6·[1 2 | 1] = [-10 | -2], of content 2 again
+@example(([[F(2), F(4)], [F(6), F(2)]], [F(2), F(4)]))
+# a row returned as it is, whose tail elimination overwrites later
+@example(([[F(0), F(-35, 6)], [F(0), F(-35, 6)]], [F(-6), F(-6)]))
+def test_work_rows_stay_primitive(case):
+    # _row_echelon divides each row by its content when it builds it and
+    # after every elimination step, so every row it keeps is primitive, and
+    # the answers are still the adjugate's
+    rows, b = case
+    primitive = linalg._primitive
+    kept = []
+
+    def checked(row):
+        out = primitive(row)
+        kept.append(list(out))  # as returned: elimination writes into its rows later
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_primitive", checked)
+        try:
+            (x,) = lg.solve_square(lg.Matrix.of(rows), lg.Vector.of(b))
+        except lg.Singular:
+            x = None
+    assert len(kept) >= len(rows)
+    for row in kept:
+        assert math.gcd(*row) <= 1, row
+    inverse = oracles.adjugate_inverse(rows)
+    assert (x is None) == (inverse is None)
+    if x is not None:
+        assert oracles.as_fractions(x) == oracles.matvec(inverse, b)
+
+
+@settings(max_examples=100, deadline=None)
 @given(singular_matrices())
 @example(([[F(0)]], 0))
 @example(([[F(0), F(0)], [F(0), F(1)]], 1))
@@ -163,7 +198,7 @@ def test_modular_rank_is_the_rank(rows):
     # denominator 6 they are [3, 2] and [6, 4], of rank 1.
     a = lg.Matrix.of(rows)
     assert linalg.modular_rank(a) == oracles.rank(rows)
-    assert linalg.modular_rank(a.transpose()) == oracles.rank(rows)
+    assert linalg.modular_rank(oracles.transpose(a)) == oracles.rank(rows)
 
 
 @pytest.mark.parametrize("prime", [2**61 - 1, 3])

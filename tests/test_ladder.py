@@ -87,3 +87,20 @@ def test_runs_that_disagree_make_the_error(tmp_path, monkeypatch, runs, error):
     assert (row["exit_code"], row["report_bytes"]) == (runs[-1][0], len(runs[-1][1]))
     assert 0 <= row["wall_min_s"] <= row["wall_s"] <= row["wall_max_s"]
     assert row["calib_s"] >= 0.001 and row["wall_cal_s"] >= 0
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on decimal integer strings in this interpreter",
+)
+def test_report_bits_read_literals_past_the_digit_limit(monkeypatch):
+    # a report may hold integers past the interpreter's limit; the ladder
+    # reads their bits all the same, and leaves the limit as it was
+    ladder = _ladder(monkeypatch)
+    limit = sys.get_int_max_str_digits()
+    digits = "1" + "0" * (limit + 10)
+    assert ladder.max_bits([f"-{digits}/3", "5", f"1/{digits[:-1]}1"]) == {
+        "numerator": (10 ** (limit + 10)).bit_length(),
+        "denominator": (10 ** (limit + 10) + 1).bit_length(),
+    }
+    assert sys.get_int_max_str_digits() == limit

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import lsglue as lg
+from lsglue import model
 from lsglue.model import (
     affine_features,
     build_normal_system,
@@ -101,7 +102,7 @@ def test_n_symmetric_and_psd_random():
         weights = [rand_nonneg_fraction(rng) for _ in points]
         data = make_dataset(points, weights)
         system = build_normal_system(data, affine_features(dim))
-        assert system.nmat.transpose() == system.nmat
+        assert oracles.transpose(system.nmat) == system.nmat
         probe = lg.Vector.of([rand_fraction(rng) for _ in range(system.param_dim)])
         assert probe.dot(system.nmat.matvec(probe)) >= 0
 
@@ -163,6 +164,23 @@ def test_power_bound_at_digit_limit(x):
     above = lg.FeatureMap.of([[at_limit + 1], [0]])
     with pytest.raises(lg.LsglueError, match=rf"monomial \[{at_limit + 1}\] exceeds"):
         above.evaluate(point)
+
+
+@needs_digit_limit
+def test_power_bound_admits_a_square_of_exactly_the_limit_bits():
+    # (2**h)**2 = 2**(2h) has 2h + 1 bits, and the lower estimate
+    # exp·(bits - 1) + 1 of _too_long is exact for it: h = 7142 under the
+    # default limit, a 4300-digit square of 14,285 bits, which is admitted;
+    # (2**(h + 1))**2 has 2h + 3 bits and is refused
+    h = (limit_bits() - 1) // 2
+    assert not model._too_long(2**h, 2, limit_bits())
+    assert model._too_long(2 ** (h + 1), 2, limit_bits())
+    square = lg.FeatureMap.of([[2], [0]])
+    assert square.evaluate(lg.Vector.of([2**h])) == lg.Vector.of([2 ** (2 * h), 1])
+    data = lg.WeightedDataSet.of([(2**h, 1), (0, 1)])
+    assert build_normal_system(data, square).nmat.row(0)[0] == 2 * 2 ** (4 * h)
+    with pytest.raises(lg.LsglueError, match=r"monomial \[2\] exceeds"):
+        square.evaluate(lg.Vector.of([2 ** (h + 1)]))
 
 
 @needs_digit_limit

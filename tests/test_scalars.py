@@ -142,9 +142,35 @@ def test_digit_limit_is_an_lsglue_error():
     for literal in ("7" * (limit + 1), "1/" + "3" * (limit + 1), "0." + "5" * (limit + 1)):
         with pytest.raises(MalformedNumber, match=f"limit of {limit} digits"):
             rational_from_string(literal)
-    with pytest.raises(LsglueError, match=f"limit of {limit} digits"):
-        rat_str(rat(10**limit))
+    # the writer refuses no value: only reading keeps the limit
+    assert rat_str(rat(10**limit)) == "1" + "0" * limit
     assert rat_str(rat(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on decimal integer strings in this interpreter",
+)
+def test_writer_spells_any_length_as_str():
+    # past the limit rat_str splits each integer at a power of ten; the
+    # spelling must be str's, compared with the limit lifted
+    rng = random.Random(26)
+    limit = sys.get_int_max_str_digits()
+    edges = [10**600 - 1, 10**600, 10**1200 - 1, 10**1200, 10**limit, 10**2400 + 1]
+    values = [rat(v) for v in edges] + [rat(-(10**4800) // 7), rat(Fraction(1, 10**limit))]
+    for bits in (1, 1993, 14286, 14287, 20000, 40000, 90000):
+        num, den = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1
+        values += [rat(num), rat(-num), rat(Fraction(num, den)), rat(Fraction(-num, den))]
+    written = [rat_str(value) for value in values]
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [
+            str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+            for v in values
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert written == expected
 
 
 def test_interpreter_without_a_digit_limit(monkeypatch):

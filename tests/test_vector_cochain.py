@@ -11,7 +11,7 @@ the βs from there, adds each triple's face βs as integer rows over one lcm
 that sum alone, deriving its report without a check; ``verify_cocycle``
 checks the cocycle equations on the same vectors, a pair's Nᵀβ₀ = δ by
 cross-multiplying integers (``_pair_linear``, equal to the rational
-``transpose().matvec(β₀) - δ``), and must return that report for the
+``oracles.transpose(N).matvec(β₀) - δ``), and must return that report for the
 constructed cochain.  Over random covers, the Koszul check of
 ``oracles.koszul_verify`` must agree: the transported defect has no linear
 part, its constants are the vector defect, r is the zero element exactly
@@ -319,7 +319,7 @@ def test_grouped_fits_equal_per_cell_elimination(case, data):
         if data.draw(st.booleans()):
             beta = beta + _vector(data.draw, n)
         linear = _pair_linear(nmat, beta, check.delta)
-        assert linear == nmat.transpose().matvec(beta) - check.delta, cell.label
+        assert linear == oracles.transpose(nmat).matvec(beta) - check.delta, cell.label
 
 
 def _vector(draw, n):
