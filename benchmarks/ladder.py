@@ -30,9 +30,21 @@ defects, read from the report.  Runs that disagree on the exit code or the
 report bytes make the row's ``error``.  A rung whose ``cocycle`` writes no
 report keeps a ``verify`` row that says it did not run.
 
+With ``--baseline DIR``, where DIR holds another tree's ``src/`` (say, from
+``git archive HEAD~1 | tar -x -C DIR``), each command runs alternately from
+DIR's ``src/`` and from this checkout's, ``REPEATS`` times each, the
+baseline first in every pair, after one untimed run of each and with no
+calibration run.  Each row then holds both medians, the change/baseline
+ratio of each pair, their median and the number of pairs the change was
+faster in; the two trees must write the same report bytes, stderr bytes and
+exit code, or the row's ``error`` says where they differ.  Both trees'
+``verify`` read the change's ``cocycle`` report.  The output's ``baseline``
+is the name of DIR.
+
 Usage:
 
     python benchmarks/ladder.py --output BENCH.json [--rung NAME ...]
+    python benchmarks/ladder.py --output AB.json --baseline DIR [--rung NAME ...]
 
 The inputs are those of seed 0, the seed the benchmark's changes are written
 against.  The commands run one at a time on the ``fractions`` backend, from
@@ -86,8 +98,15 @@ REPEATS = 3
 CALIB = ROOT / "perfbench" / "calib.py"
 REFERENCE_S = 0.25
 
-CHILD_ENV = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
-CHILD_ENV.update(PYTHONPATH=str(ROOT / "src"), LSGLUE_BACKEND="fractions")
+
+def child_env(src: Path) -> dict:
+    """The environment of a CLI child that imports lsglue from ``src``."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(src), LSGLUE_BACKEND="fractions")
+    return env
+
+
+CHILD_ENV = child_env(ROOT / "src")
 
 
 def write_inputs(name: str, directory: Path) -> list:
@@ -145,26 +164,38 @@ def calibrate() -> float:
     return time.perf_counter() - start
 
 
+def run_once(command: str, argv: list, report: Path, stderr: Path, env: dict) -> tuple:
+    """One run of a CLI command, its report written to ``report`` and its
+    stderr to ``stderr``: (wall seconds, exit code, report bytes or None)."""
+    cli = [sys.executable, "-S", "-m", "lsglue.cli", command, *argv, "--output", str(report)]
+    report.unlink(missing_ok=True)
+    start = time.perf_counter()
+    with open(stderr, "wb") as err:
+        code = subprocess.run(
+            cli, stdout=subprocess.DEVNULL, stderr=err, env=env, check=False
+        ).returncode
+    wall = time.perf_counter() - start
+    return wall, code, report.read_bytes() if report.exists() else None
+
+
+def first_error(stderr: Path) -> str | None:
+    text = stderr.read_text(encoding="utf-8", errors="replace")
+    return next((line for line in text.splitlines() if line.startswith("error:")), None)
+
+
 def run_command(command: str, argv: list, directory: Path) -> dict:
     """Run one CLI command ``REPEATS`` times, each after one calibration run,
     with its report and stderr in files; its row, read from the last run's
     files."""
     report, stderr = directory / f"{command}.json", directory / f"{command}.err"
-    cli = [sys.executable, "-S", "-m", "lsglue.cli", command, *argv, "--output", str(report)]
     calibs, walls, codes, reports = [], [], [], []
     for _ in range(REPEATS):
         calibs.append(calibrate())
-        report.unlink(missing_ok=True)
-        start = time.perf_counter()
-        with open(stderr, "wb") as err:
-            code = subprocess.run(
-                cli, stdout=subprocess.DEVNULL, stderr=err, env=CHILD_ENV, check=False
-            ).returncode
-        walls.append(time.perf_counter() - start)
+        wall, code, written = run_once(command, argv, report, stderr, CHILD_ENV)
+        walls.append(wall)
         codes.append(code)
-        reports.append(report.read_bytes() if report.exists() else None)
-    text = stderr.read_text(encoding="utf-8", errors="replace")
-    error = next((line for line in text.splitlines() if line.startswith("error:")), None)
+        reports.append(written)
+    error = first_error(stderr)
     if len(set(codes)) > 1:
         error = f"the {REPEATS} runs disagree on the exit code: {codes}"
     elif len(set(reports)) > 1:
@@ -187,6 +218,60 @@ def run_command(command: str, argv: list, directory: Path) -> dict:
     }
 
 
+def run_ab(command: str, argv: list, directory: Path, baseline: Path) -> dict:
+    """Run one CLI command ``REPEATS`` times from each tree, alternating, the
+    baseline (``baseline``/src) first in each pair; the A/B row.  The
+    change's report is ``<command>.json``, as in :func:`run_command`."""
+    sides = {
+        "baseline": (child_env(baseline / "src"), directory / f"baseline-{command}.json"),
+        "change": (CHILD_ENV, directory / f"{command}.json"),
+    }
+    walls = {side: [] for side in sides}
+    outcomes = {side: [] for side in sides}
+    # one untimed run of each tree first, so that neither pays for compiling
+    # its sources or for a cold file cache in a timed run
+    for side, (env, report) in sides.items():
+        run_once(command, argv, report, directory / f"{side}-{command}.err", env)
+    for _ in range(REPEATS):
+        for side, (env, report) in sides.items():
+            stderr = directory / f"{side}-{command}.err"
+            wall, code, written = run_once(command, argv, report, stderr, env)
+            walls[side].append(wall)
+            outcomes[side].append((code, written, stderr.read_bytes()))
+    ratios = [change / base for base, change in zip(walls["baseline"], walls["change"])]
+    error = first_error(directory / f"change-{command}.err")
+    for side, seen in outcomes.items():
+        if len(set(seen)) > 1:
+            error = f"the {REPEATS} {side} runs disagree on the exit code, report or stderr"
+    differ = [
+        what
+        for what, base, change in zip(
+            ("exit code", "report bytes", "stderr bytes"),
+            outcomes["baseline"][-1],
+            outcomes["change"][-1],
+        )
+        if base != change
+    ]
+    if differ:
+        error = f"the baseline and the change differ in {', '.join(differ)}"
+    code, written, err = outcomes["change"][-1]
+    return {
+        "command": command,
+        "ran": True,
+        "exit_code": code,
+        "baseline_wall_s": round(statistics.median(walls["baseline"]), 4),
+        "wall_s": round(statistics.median(walls["change"]), 4),
+        "ratios": [round(r, 4) for r in ratios],
+        "ratio_median": round(statistics.median(ratios), 4),
+        "wins": sum(r < 1 for r in ratios),
+        "pairs": REPEATS,
+        "error": error,
+        "report_bytes": len(written) if written is not None else None,
+        "stderr_bytes": len(err),
+        "bits": report_bits(json.loads(written)) if written is not None else None,
+    }
+
+
 def not_run(command: str, why: str) -> dict:
     return {
         "command": command,
@@ -204,8 +289,27 @@ def not_run(command: str, why: str) -> dict:
     }
 
 
-def run_rung(name: str) -> list:
-    """The rows of one rung: ``cocycle``, then ``verify`` of its report."""
+def not_run_ab(command: str, why: str) -> dict:
+    return {
+        "command": command,
+        "ran": False,
+        "exit_code": None,
+        "baseline_wall_s": None,
+        "wall_s": None,
+        "ratios": [],
+        "ratio_median": None,
+        "wins": 0,
+        "pairs": REPEATS,
+        "error": why,
+        "report_bytes": None,
+        "stderr_bytes": None,
+        "bits": None,
+    }
+
+
+def run_rung(name: str, baseline: Path | None = None) -> list:
+    """The rows of one rung: ``cocycle``, then ``verify`` of its report; A/B
+    rows against the tree at ``baseline`` when it is given."""
     m, dim, exponents, k, _, bounds = RUNGS[name]
     rung = {
         "rung": name,
@@ -215,17 +319,24 @@ def run_rung(name: str) -> list:
         "ambient_dim": dim,
         "coordinate_bounds": bounds,
     }
+    if baseline is None:
+        run, skip = run_command, not_run
+    else:
+        def run(command, argv, directory):
+            return run_ab(command, argv, directory, baseline)
+
+        skip = not_run_ab
     rows = []
     with tempfile.TemporaryDirectory(prefix="lsglue-ladder-") as tmp:
         directory = Path(tmp)
         argv = write_inputs(name, directory)
-        cocycle = run_command("cocycle", argv, directory)
+        cocycle = run("cocycle", argv, directory)
         rows.append({**rung, **cocycle})
         if cocycle["report_bytes"] is None:
-            rows.append({**rung, **not_run("verify", "cocycle wrote no report")})
+            rows.append({**rung, **skip("verify", "cocycle wrote no report")})
         else:
             verify_argv = argv + ["--cochain", str(directory / "cocycle.json")]
-            rows.append({**rung, **run_command("verify", verify_argv, directory)})
+            rows.append({**rung, **run("verify", verify_argv, directory)})
     return rows
 
 
@@ -233,16 +344,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", required=True, metavar="PATH", help="JSON file to write")
     parser.add_argument("--rung", action="append", choices=list(RUNGS), help="default: all")
+    parser.add_argument(
+        "--baseline", type=Path, metavar="DIR",
+        help="compare with the tree whose src/ is under DIR, alternating runs",
+    )
     args = parser.parse_args(argv)
+    if args.baseline is not None and not (args.baseline / "src" / "lsglue" / "cli.py").is_file():
+        parser.error(f"no lsglue sources under {args.baseline / 'src'}")
     runs = []
     for name in args.rung or RUNGS:
-        for row in run_rung(name):
+        for row in run_rung(name, args.baseline):
             runs.append(row)
             shown = row["error"] or f"report {row['report_bytes']} B"
+            if args.baseline is None:
+                timing = (
+                    f"{row['wall_s']} s ({row['wall_min_s']}-{row['wall_max_s']})"
+                    f"  calibrated {row['wall_cal_s']} s"
+                )
+            else:
+                timing = (
+                    f"{row['baseline_wall_s']} -> {row['wall_s']} s"
+                    f"  ratio {row['ratio_median']}, won {row['wins']}/{row['pairs']}"
+                )
             print(
-                f"{name:<20} {row['command']:<8} exit {row['exit_code']}"
-                f"  {row['wall_s']} s ({row['wall_min_s']}-{row['wall_max_s']})"
-                f"  calibrated {row['wall_cal_s']} s  {shown}",
+                f"{name:<20} {row['command']:<8} exit {row['exit_code']}  {timing}  {shown}",
                 flush=True,
             )
     doc = {
@@ -255,6 +380,8 @@ def main(argv=None) -> int:
         "seed": SEED,
         "runs": runs,
     }
+    if args.baseline is not None:
+        doc["baseline"] = args.baseline.resolve().name
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -39,7 +39,8 @@ residuals are exact; floats appear only in advisory metrics.
 A cell's system depends only on its point set, and one loop fits each
 distinct system once (:func:`fit_cells`), at its first cell in (degree,
 names) order.  It takes the â claimed for it only when N·â = -ν holds
-exactly and N has full rank modulo a prime (:func:`_full_modular_rank`),
+exactly, checked by cross-multiplying integers (:func:`_solves`), and N has
+full rank modulo a prime (:func:`_full_modular_rank`),
 which proves the claim the one solution; otherwise it is solved, so a
 degenerate cell raises :class:`Singular` whatever is claimed, and the report
 never depends on the claims.  ``cocycle`` claims nothing; ``verify`` claims
@@ -199,17 +200,17 @@ def cell_normal_systems(cover: Cover, features: FeatureMap, max_degree: int) -> 
     validate_cover(cover)
     cells = enumerate_nerve(cover, max_degree)
     base = cover.base
+    row = (None, *base.rows).__getitem__  # by 1-based index
     shared = {}
     atom_of = {}
     for signature, indices in cover.atoms.items():
-        points = tuple(base.points[i - 1] for i in indices)
         shared[frozenset((signature,))] = build_normal_system(
-            WeightedDataSet(points, base.ambient_dim), features
+            WeightedDataSet(tuple(map(row, indices)), base.ambient_dim), features
         )
         atom_of.update(dict.fromkeys(indices, signature))
     systems = {}
     for cell in cells:
-        signatures = frozenset(atom_of[i] for i in cell.indices)
+        signatures = frozenset(map(atom_of.__getitem__, cell.indices))
         system = shared.get(signatures)
         if system is None:
             # the sums are exact, so the order of the atoms does not matter
@@ -264,12 +265,24 @@ def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
                 a_hat = solution.a_hat
         elif a_hat is None:
             a_hat = claims.get(cell)
-            claimed = a_hat is not None and system.nmat.matvec(a_hat) == -system.nu
+            claimed = a_hat is not None and _solves(system, a_hat)
             if not (claimed and _full_modular_rank(system)):
                 a_hat = solve_least_squares(system, chart=cell.label).a_hat
         a_hats[key] = bases[cell.chart_names] = a_hat
         fits[cell] = LinearizedDifferential(base=a_hat, nmat=system.nmat)
     return fits
+
+
+def _solves(system, a_hat: Vector) -> bool:
+    """Whether N·â = -ν holds exactly, on integers: row k of ``nmat.nums``
+    against â's numerators a, over d_N·d_a, is compared with
+    -ν_k = -v_k / d_ν by cross-multiplying; no rational is built."""
+    a, d_a = integer_row(a_hat.entries)
+    den, nu_den = system.nmat.den * d_a, system.nu_den
+    return all(
+        sum(map(mul, row, a)) * nu_den == -v * den
+        for row, v in zip(system.nmat.nums, system.nu_nums)
+    )
 
 
 def _full_modular_rank(system) -> bool:

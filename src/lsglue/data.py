@@ -1,7 +1,13 @@
 """Weighted finite data sets, chart restrictions, covers, and nerve cells.
 
-Points are addressed by stable 1-based indices.  Restricting to a chart never
-deletes points: it zeroes the weights outside the chart, so repeated
+A data set is integer rows: each point is its coordinates, response and
+weight as (numerator, denominator) pairs in lowest terms, read straight from
+the literals (``scalars.literal_pair``) by the JSON and CSV readers, so no
+rational is built per literal.  ``points`` and :class:`WeightedPoint` are a
+view for the library, built when read.
+
+Points are addressed by stable 1-based indices.  Restricting to a chart
+never deletes points: it zeroes the weights outside the chart, so repeated
 restrictions compose literally (restrict through A then B equals restricting
 through A ∩ B) and all index bookkeeping stays trivial.
 
@@ -21,13 +27,16 @@ from math import comb
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover, excerpt
 from .linalg import Value, Vector
-from .scalars import ZERO, rat, rational_from_string
+from .scalars import Rational, literal_pair, rat
 
 # The most chart subsets enumerate_nerve may visit; the wide_nerve benchmark visits 1392.
 MAX_NERVE_VISITS = 10**6
 
 
 class WeightedPoint(Value):
+    """One point as rationals: coordinates ``x``, response ``y`` and
+    ``weight``; the view :attr:`WeightedDataSet.points` builds."""
+
     __slots__ = ("x", "y", "weight")
 
     def __init__(self, x: Vector, y, weight):
@@ -38,40 +47,52 @@ class WeightedPoint(Value):
 
 
 class WeightedDataSet(Value):
-    __slots__ = ("points", "ambient_dim")
+    """Points as integers: ``rows`` holds one ``(x, y, weight)`` per point,
+    x a tuple of one (numerator, denominator) pair per coordinate and y and
+    weight one pair each, every pair in lowest terms with a positive
+    denominator, so equal data sets have equal fields.  :meth:`of` builds one
+    from rationals, and :attr:`points` and :meth:`point` are the rational
+    views."""
 
-    def __init__(self, points: tuple, ambient_dim: int):
-        object.__setattr__(self, "points", points)
+    __slots__ = ("rows", "ambient_dim")
+
+    def __init__(self, rows: tuple, ambient_dim: int):
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        for p in self.points:
-            if p.x.dim != self.ambient_dim:
+        for x, _, _ in rows:
+            if len(x) != ambient_dim:
                 raise DimensionMismatch(
-                    f"point with dim {p.x.dim} in data set of ambient dim {self.ambient_dim}"
+                    f"point with dim {len(x)} in data set of ambient dim {ambient_dim}"
                 )
 
     @classmethod
     def of(cls, rows: Iterable, ambient_dim: int | None = None) -> "WeightedDataSet":
         """Build from ``(x, y)`` or ``(x, y, weight)`` tuples; x may be a scalar."""
-        points = []
+        converted = []
         for row in rows:
             x, y = row[0], row[1]
             w = row[2] if len(row) > 2 else 1
             xs = x if isinstance(x, (tuple, list)) else (x,)
-            points.append(WeightedPoint(x=Vector.of(xs), y=rat(y), weight=rat(w)))
+            converted.append((tuple(map(_rat_pair, xs)), _rat_pair(y), _rat_pair(w)))
         if ambient_dim is None:
-            if not points:
+            if not converted:
                 raise DimensionMismatch("cannot infer ambient_dim of an empty data set")
-            ambient_dim = points[0].x.dim
-        return cls(tuple(points), ambient_dim)
+            ambient_dim = len(converted[0][0])
+        return cls(tuple(converted), ambient_dim)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.rows)
+
+    @property
+    def points(self) -> tuple:
+        """One :class:`WeightedPoint` per row, built when read."""
+        return tuple(map(_point, self.rows))
 
     def point(self, index: int) -> WeightedPoint:
         """1-based access."""
         self._check_index(index)
-        return self.points[index - 1]
+        return _point(self.rows[index - 1])
 
     def indices(self) -> frozenset:
         return frozenset(range(1, self.size + 1))
@@ -79,6 +100,22 @@ class WeightedDataSet(Value):
     def _check_index(self, index: int) -> None:
         if not 1 <= index <= self.size:
             raise IndexOutOfRange(f"index {index} outside 1..{self.size}")
+
+
+def _rat_pair(value) -> tuple:
+    """(numerator, denominator) of ``value`` as :func:`scalars.rat` reads it."""
+    value = rat(value)
+    return value.numerator, value.denominator
+
+
+def _point(row: tuple) -> WeightedPoint:
+    x, y, w = row
+    return WeightedPoint(
+        Vector(tuple(Rational(*pair) for pair in x)), Rational(*y), Rational(*w)
+    )
+
+
+_ZERO_WEIGHT = (0, 1)
 
 
 def restrict(data: WeightedDataSet, keep: Iterable[int]) -> WeightedDataSet:
@@ -90,11 +127,11 @@ def restrict(data: WeightedDataSet, keep: Iterable[int]) -> WeightedDataSet:
     keep_set = frozenset(keep)
     for i in keep_set:
         data._check_index(i)
-    points = tuple(
-        p if (i + 1) in keep_set else WeightedPoint(p.x, p.y, ZERO)
-        for i, p in enumerate(data.points)
+    rows = tuple(
+        row if i in keep_set else (row[0], row[1], _ZERO_WEIGHT)
+        for i, row in enumerate(data.rows, 1)
     )
-    return WeightedDataSet(points, data.ambient_dim)
+    return WeightedDataSet(rows, data.ambient_dim)
 
 
 class Cover(Value):
@@ -121,19 +158,20 @@ class Cover(Value):
                 )
             if any("\ud800" <= c <= "\udfff" for c in name):  # a surrogate: JSON can spell one
                 raise LsglueError(f"chart name {excerpt(repr(name))} is not encodable as UTF-8")
+        size = self.base.size
         for name, chart in self.charts:
-            for i in sorted(chart):
-                if not 1 <= i <= self.base.size:
-                    raise IndexOutOfRange(
-                        f"chart {excerpt(repr(name))} references index {excerpt(repr(i))}"
-                        f" outside 1..{self.base.size}"
-                    )
-        signatures = [[] for _ in range(self.base.size + 1)]
+            if chart and not 1 <= min(chart) <= max(chart) <= size:
+                i = next(i for i in sorted(chart) if not 1 <= i <= size)
+                raise IndexOutOfRange(
+                    f"chart {excerpt(repr(name))} references index {excerpt(repr(i))}"
+                    f" outside 1..{size}"
+                )
+        signatures = [[] for _ in range(size + 1)]
         for name, chart in sorted(self.charts, key=lambda item: item[0]):
             for i in chart:
                 signatures[i].append(name)
         atoms = {}
-        for i in range(1, self.base.size + 1):
+        for i in range(1, size + 1):
             if signatures[i]:
                 atoms.setdefault(tuple(signatures[i]), []).append(i)
         object.__setattr__(self, "atoms", {key: tuple(ix) for key, ix in atoms.items()})
@@ -209,7 +247,7 @@ def enumerate_nerve(cover: Cover, max_degree: int) -> list[NerveCell]:
 
 def ensure_nonnegative_weights(data: WeightedDataSet) -> None:
     """Default ingestion policy; loaders skip this when negatives are allowed."""
-    bad = [i + 1 for i, p in enumerate(data.points) if p.weight < 0]
+    bad = [i for i, (_, _, (w, _)) in enumerate(data.rows, 1) if w < 0]
     if bad:
         raise LsglueError(
             f"negative weights at indices {excerpt(str(bad))};"
@@ -226,24 +264,21 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise LsglueError("dataset JSON must be an object with a 'points' array")
     ambient = doc.get("ambient_dim")
-    points = []
+    rows = []
     for record in doc["points"]:
         if not isinstance(record, dict) or "x" not in record or "y" not in record:
             raise LsglueError("each point needs an 'x' array and a 'y' value")
         xs = record["x"]
         if not isinstance(xs, list):
             raise LsglueError("point 'x' must be an array of rational literals")
-        x = Vector(tuple(_lit(v) for v in xs))
-        y = _lit(record["y"])
-        w = _lit(record.get("weight", 1))
-        points.append(WeightedPoint(x=x, y=y, weight=w))
+        rows.append((tuple(map(_pair, xs)), _pair(record["y"]), _pair(record.get("weight", 1))))
     if ambient is None:
-        if not points:
+        if not rows:
             raise LsglueError("empty dataset needs an explicit ambient_dim")
-        ambient = points[0].x.dim
+        ambient = len(rows[0][0])
     if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 1:
         raise LsglueError(f"ambient_dim must be a positive integer, got {excerpt(repr(ambient))}")
-    data = WeightedDataSet(tuple(points), ambient)
+    data = WeightedDataSet(tuple(rows), ambient)
     if not allow_negative_weights:
         ensure_nonnegative_weights(data)
     return data
@@ -251,27 +286,27 @@ def dataset_from_json(doc: dict, allow_negative_weights: bool = False) -> Weight
 
 def dataset_from_csv(text: str, allow_negative_weights: bool = False) -> WeightedDataSet:
     """Parse CSV with header ``x1,...,xN,y,weight``."""
-    rows = _csv_rows(text)
-    _, header = next(rows, (0, None))
+    records = _csv_rows(text)
+    _, header = next(records, (0, None))
     if header is None:
         raise LsglueError("empty CSV dataset")
     header = [h.strip() for h in header]
     if len(header) < 3 or header[-1] != "weight" or header[-2] != "y":
         raise LsglueError("CSV header must be x1,...,xN,y,weight")
     ambient = len(header) - 2
-    points = []
-    for line, row in rows:
+    rows = []
+    for line, row in records:
         if not row:
             continue
         try:
             if len(row) != len(header):
                 raise LsglueError(f"CSV row has {len(row)} fields, expected {len(header)}")
-            values = tuple(rational_from_string(v) for v in row)
+            values = tuple(map(literal_pair, row))
         except LsglueError as err:
             err.args = (f"CSV line {line}: {err}",)
             raise
-        points.append(WeightedPoint(Vector(values[:ambient]), *values[ambient:]))
-    data = WeightedDataSet(tuple(points), ambient)
+        rows.append((values[:ambient], *values[ambient:]))
+    data = WeightedDataSet(tuple(rows), ambient)
     if not allow_negative_weights:
         ensure_nonnegative_weights(data)
     return data
@@ -310,11 +345,13 @@ def cover_from_json(doc: dict, base: WeightedDataSet) -> Cover:
     return cover
 
 
-def _lit(value):
+def _pair(value) -> tuple:
+    """(numerator, denominator) of a JSON literal: a string as
+    :func:`scalars.literal_pair` reads it, or an int."""
     if isinstance(value, str):
-        return rational_from_string(value)
+        return literal_pair(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise LsglueError(
             f"rational literals must be strings or ints, got {excerpt(repr(value))}"
         )
-    return rat(value)
+    return value, 1

@@ -35,7 +35,9 @@ arithmetic operation.
 Common-denominator arithmetic has one implementation, here:
 :func:`integer_row` writes rationals as integers over their lcm,
 :func:`add_rows` adds such rows (a negated denominator subtracts its row),
-:func:`raise_denominator` grows a running denominator, and
+:func:`over_lcm` lifts terms, each over its own denominator, over their lcm,
+:func:`lowest_terms_divisor` brings integers over one denominator to lowest
+terms, :func:`raise_denominator` grows a running denominator, and
 :meth:`Vector.over` turns integers over one denominator back into a vector.
 :meth:`Matrix.matvec` sums integer products with the rows of ``nums``,
 building one rational per result instead of one per term.
@@ -81,6 +83,25 @@ def add_rows(terms) -> tuple:
     den = lcm(*dens)
     lifts = [den // d for d in dens]
     return [sum(map(mul, column, lifts)) for column in zip(*rows)], den
+
+
+def over_lcm(nums: list, dens: list) -> tuple:
+    """(L, lifted): the terms nums[j] / dens[j] as integers over L, the lcm
+    of the denominators of the nonzero terms; lifted[j] = nums[j]·(L //
+    dens[j]), 0 for a zero term."""
+    den = lcm(*(t for v, t in zip(nums, dens) if v))
+    return den, [v * (den // t) if v else 0 for v, t in zip(nums, dens)]
+
+
+def lowest_terms_divisor(den: int, nums: Iterable, what: str) -> int:
+    """The divisor that brings integers ``nums`` over ``den`` to lowest
+    terms with a positive denominator: their gcd with ``den``, negated when
+    ``den`` < 0.  Raises :class:`ZeroDenominator` for ``den`` = 0, naming
+    ``what``."""
+    if not den:
+        raise ZeroDenominator(f"{what} denominator is zero")
+    g = gcd(den, *nums)
+    return -g if den < 0 else g
 
 
 def raise_denominator(den: int, term_den: int, rows: list) -> tuple:
@@ -212,12 +233,10 @@ class Matrix(Value):
     __slots__ = ("nums", "den", "ncols")
 
     def __init__(self, nums, den: int, ncols: int):
-        if not den:
-            raise ZeroDenominator("matrix denominator is zero")
-        g = gcd(den, *chain.from_iterable(nums))
-        if den < 0:
-            g = -g
-        object.__setattr__(self, "nums", tuple(tuple(v // g for v in row) for row in nums))
+        g = lowest_terms_divisor(den, chain.from_iterable(nums), "matrix")
+        if g != 1:
+            nums = [[v // g for v in row] for row in nums]
+        object.__setattr__(self, "nums", tuple(map(tuple, nums)))
         object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "ncols", ncols)
         for row in self.nums:

@@ -14,30 +14,39 @@ evaluates each membership atom of the cover once and sums the atoms of every
 cell.  N is symmetric, and positive semidefinite whenever all weights are
 nonnegative; the minimizer solves N·â = -ν.
 
-The sums are accumulated on integers, and no rational is built per
-monomial.  For a point with coordinates x_i = p_i/q_i, E_i the largest
-exponent of coordinate i over the monomials, the features are φ_k = P_k/D
-with P_k = Π_i p_i^e_ki·q_i^(E_i - e_ki) and D = Π_i q_i^E_i, read from a
-table of the powers the monomials use.  Divided by gcd(D, P_1, ..., P_n), D is
-the least common denominator of φ and P = D·φ: exactly the integers
-``linalg.integer_row`` makes of φ, so the accumulation holds the same
-integers that rational features would give it.  The terms are added as
-integer numerators over a running common denominator of N (and another of
-ν; ``linalg.raise_denominator``), on the upper triangle of N only, and N is
-the mirrored triangle's integer rows over that denominator
-(``linalg.Matrix``), with no rational per entry.  A power longer than the
-interpreter's limit on decimal integer strings is refused before any power
-of the point is computed: the length of p^e grows with e, so testing p_i and
-q_i at E_i refuses exactly the points that testing every monomial would, and
-:meth:`FeatureMap.evaluate` then raises the error naming the first offending
-monomial.
+The sums are accumulated on integers, read from the integer rows of the
+data set (``data.WeightedDataSet.rows``); no rational is built per point or
+per monomial.  The points of weight 0 are dropped, and each remaining
+coordinate is a (numerator, denominator) pair.  For a point with
+coordinates x_i = p_i/q_i, E_i the largest exponent of coordinate i over the
+monomials, the features are φ_k = P_k/D with P_k = Π_i p_i^e_ki·q_i^(E_i - e_ki)
+and D = Π_i q_i^E_i.  Divided by gcd(D, P_1, ..., P_n), D is the least common
+denominator of φ and P = D·φ: exactly the integers ``linalg.integer_row``
+makes of φ.  They are computed column by column over an atom's points, one
+power table per coordinate and exponent (:func:`_integer_features`).  The
+term 2wφ_kφ_l of a point is 2w_num·P_kP_l over w_den·D², and -2wyφ_k is
+-2w_num·y_num·P_k over w_den·y_den·D.  One lcm of those denominators is taken
+per atom, for N and for ν, and each term is lifted over it (``linalg.over_lcm``);
+every entry of the upper triangle of N and of ν is then one integer dot
+product over the points.  N is the mirrored triangle's integer rows over its
+lcm (``linalg.Matrix``), and ν integers over its lcm, both brought to lowest
+terms by their constructors, so the result does not depend on the order of
+the points.  A power longer than the interpreter's limit on decimal integer
+strings is refused before any power of the point is computed: the length of
+p^e grows with e and with |p|, so the widest numerator and denominator of
+each coordinate at E_i clear every point at once, and only when they do not
+are the points tested one by one, p_i and q_i at E_i, which refuses exactly
+the points that testing every monomial would; :meth:`FeatureMap.evaluate`
+then raises the error naming the first offending monomial of the first such
+point.
 
+A :class:`NormalSystem` holds ν as integers over one positive denominator in
+lowest terms, as ``linalg.Matrix`` holds N; its ``nu`` is the rational view.
 The systems of a cell's atoms are added the same way
-(:func:`sum_normal_systems`): their ν, each written as integers over one
-denominator, are added over the lcm of those denominators, and so are the
-integer rows of their N (``linalg.add_rows``).  Only ``.numerator``,
-``.denominator`` and the backend's ``Rational`` constructor are used, so
-every scalar backend takes the same path.
+(:func:`sum_normal_systems`): their ν are added over the lcm of their
+denominators, and so are the integer rows of their N (``linalg.add_rows``).
+Only ``.numerator``, ``.denominator`` and the backend's ``Rational``
+constructor are used, so every scalar backend takes the same path.
 """
 
 from __future__ import annotations
@@ -45,12 +54,21 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import cache
 from itertools import chain
-from math import gcd, prod
-from operator import getitem
+from math import gcd
+from operator import floordiv, getitem, mul
 
 from .errors import DimensionMismatch, LsglueError, Singular, excerpt
-from .linalg import Matrix, Value, Vector, add_rows, integer_row, raise_denominator, solve_square
-from .scalars import ONE, ZERO, digit_limit, over_digit_limit
+from .linalg import (
+    Matrix,
+    Value,
+    Vector,
+    add_rows,
+    integer_row,
+    lowest_terms_divisor,
+    over_lcm,
+    solve_square,
+)
+from .scalars import ONE, ZERO, Rational, digit_limit, over_digit_limit, rat
 
 
 class FeatureMap(Value):
@@ -135,88 +153,137 @@ def affine_features(ambient_dim: int) -> FeatureMap:
 
 
 class NormalSystem(Value):
-    """The pair (ν, N) of one weighted data set."""
+    """The pair (ν, N) of one weighted data set, each in one exact form: ν as
+    the integers ``nu_nums`` over one positive denominator ``nu_den``, in
+    lowest terms (the constructor brings them there), and N as a
+    :class:`~lsglue.linalg.Matrix`, so equal systems have equal fields.
+    :meth:`of` builds one from a rational ν, and :attr:`nu` is ν's rational
+    view."""
 
-    __slots__ = ("nu", "nmat")
+    __slots__ = ("nu_nums", "nu_den", "nmat")
 
-    def __init__(self, nu: Vector, nmat: Matrix):
-        object.__setattr__(self, "nu", nu)
+    def __init__(self, nu_nums, nu_den: int, nmat: Matrix):
+        g = lowest_terms_divisor(nu_den, nu_nums, "nu")
+        if g != 1:
+            nu_nums, nu_den = [v // g for v in nu_nums], nu_den // g
+        object.__setattr__(self, "nu_nums", tuple(nu_nums))
+        object.__setattr__(self, "nu_den", nu_den)
         object.__setattr__(self, "nmat", nmat)
+
+    @classmethod
+    def of(cls, nu: Iterable, nmat: Matrix) -> "NormalSystem":
+        return cls(*integer_row([rat(v) for v in nu]), nmat)
+
+    @property
+    def nu(self) -> Vector:
+        return Vector.over(self.nu_nums, self.nu_den)
 
     @property
     def param_dim(self) -> int:
-        return self.nu.dim
+        return len(self.nu_nums)
 
 
-def _evaluate(points, features: FeatureMap) -> NormalSystem:
-    # Per point, with P = D·φ integer and D the lcm of the denominators of φ:
-    # 2wφ_kφ_l = 2w·P_kP_l / D² and -2wyφ_k = -2wy·P_k / D.
+def _evaluate(rows, features: FeatureMap) -> NormalSystem:
+    # Per point j, with P = D·φ integer and D the lcm of the denominators of
+    # φ: 2wφ_kφ_l = 2w·P_kP_l / D² and -2wyφ_k = -2wy·P_k / D.  Every term
+    # of N is lifted over L, the lcm of their denominators w_den·D², and
+    # every term of ν likewise (linalg.over_lcm); each entry is then one
+    # integer dot product over the points.
     n = features.param_dim
-    # the exponents each coordinate takes over the monomials, the top one last
-    levels = [sorted(set(column)) for column in zip(*features.monomials)]
-    used = [i for i, exps in enumerate(levels) if exps[-1]]
-    levels = [levels[i] for i in used]
-    exponents = [[mono[i] for i in used] for mono in features.monomials]
+    live = [row for row in rows if row[2][0]]
+    if not live:
+        return NormalSystem((0,) * n, 1, Matrix(((0,) * n,) * n, 1, n))
+    used, levels, exponents = _plan(features.monomials)
+    xs, ys, ws = zip(*live)
+    (y_nums, y_dens), (w_nums, w_dens) = zip(*ys), zip(*ws)
+    coords = [tuple(zip(*(x[i] for x in xs))) for i in used]
     max_bits = _max_bits(digit_limit())
-    upper = [[0] * (n - k) for k in range(n)]
-    nu_sum = [0] * n
-    n_den = nu_den = 1
-    for point in points:
-        w = point.weight
-        if w == 0:
-            continue
-        x = point.x.entries
-        coords = [(x[i].numerator, x[i].denominator) for i in used]
-        # _too_long grows with the exponent, so the top exponents decide
-        if max_bits and any(
-            _too_long(num, exps[-1], max_bits) or _too_long(den, exps[-1], max_bits)
-            for (num, den), exps in zip(coords, levels)
-        ):
-            features.evaluate(point.x)  # raises, naming the first such monomial
-        p, d = _integer_features(coords, levels, exponents)
-        w_num, w_den = w.numerator, w.denominator
-        n_den, lift = raise_denominator(n_den, w_den * d * d, upper)
-        c = 2 * w_num * lift
-        for k in range(n):
-            ck = c * p[k]
-            if ck:
-                upper[k] = [a + ck * b for a, b in zip(upper[k], p[k:])]
-        y = point.y
-        if y != 0:
-            nu_den, lift = raise_denominator(nu_den, w_den * y.denominator * d, [nu_sum])
-            c = -2 * w_num * y.numerator * lift
-            nu_sum[:] = [a + c * b for a, b in zip(nu_sum, p)]
+    # _too_long grows with the exponent and with |value|, so the top
+    # exponents and the widest values decide; only then is each point tested
+    if max_bits and any(
+        exps[-1] * max(max(nums), -min(nums), max(dens)).bit_length() > max_bits
+        for (nums, dens), exps in zip(coords, levels)
+    ):
+        for x in xs:
+            if any(
+                _too_long(x[i][0], exps[-1], max_bits) or _too_long(x[i][1], exps[-1], max_bits)
+                for i, exps in zip(used, levels)
+            ):
+                # raises, naming the first such monomial
+                features.evaluate(Vector(tuple(Rational(*pair) for pair in x)))
+    p, d = _integer_features(coords, levels, exponents, len(xs))
+    n_den, c = over_lcm([2 * w for w in w_nums], list(map(mul, w_dens, map(mul, d, d))))
+    upper = []
+    for k in range(n):
+        ck = list(map(mul, c, p[k]))
+        upper.append([sum(map(mul, ck, p[l])) for l in range(k, n)])
     nmat = Matrix(
         tuple(tuple(upper[l][k - l] for l in range(k)) + tuple(upper[k]) for k in range(n)),
         n_den,
         n,
     )
-    return NormalSystem(Vector.over(nu_sum, nu_den), nmat)
+    nu_den, c = over_lcm(
+        [-2 * w * y for w, y in zip(w_nums, y_nums)],
+        list(map(mul, map(mul, w_dens, y_dens), d)),
+    )
+    return NormalSystem([sum(map(mul, c, column)) for column in p], nu_den, nmat)
 
 
-def _integer_features(coords: list, levels: list, exponents: list) -> tuple:
-    """(P, D): φ of one point as ``integer_row`` writes it, from the
-    (numerator, denominator) of each coordinate a monomial uses, the sorted
-    exponents the monomials give it (its top exponent E_i last) and each
-    monomial's exponents of those coordinates.
+@cache
+def _plan(monomials: tuple) -> tuple:
+    """(used, levels, exponents) of a feature map's monomials: the indices
+    of the coordinates some monomial raises to a positive power, the sorted
+    exponents each of them takes over the monomials (the top one last), and
+    each monomial's exponents of those coordinates."""
+    levels = [sorted(set(column)) for column in zip(*monomials)]
+    used = [i for i, exps in enumerate(levels) if exps[-1]]
+    return used, [levels[i] for i in used], [[mono[i] for i in used] for mono in monomials]
+
+
+def _integer_features(coords: list, levels: list, exponents: list, m: int) -> tuple:
+    """(P, D): φ of m points as ``integer_row`` writes each, column by
+    column, from each coordinate a monomial uses, given as the tuples of the
+    m points' numerators and denominators, the sorted exponents the
+    monomials give it (its top exponent E_i last) and each monomial's
+    exponents of those coordinates.  P holds one list of m integers per
+    monomial, D one of m denominators.
 
     With x_i = p_i/q_i, φ_k = P_k/D for P_k = Π p_i^e_ki·q_i^(E_i - e_ki) and
     D = Π q_i^E_i; divided by g = gcd(D, *P), D is the least integer that
     clears every φ_k, the lcm of their denominators, and P = D·φ.  Only the
-    powers at the exponents in ``levels`` are taken.
+    powers at the exponents in ``levels``, and at 0, are taken.
     """
     tables = []
-    d = 1
-    for (num, den), exps in zip(coords, levels):
+    for (nums, dens), exps in zip(coords, levels):
         top = exps[-1]
-        tables.append({e: num**e * den ** (top - e) for e in exps})
-        d *= den**top
-    p = [prod(map(getitem, tables, mono)) for mono in exponents]
-    g = gcd(d, *p)
-    if g != 1:
-        d //= g
-        p = [v // g for v in p]
+        tables.append({e: _powers(nums, dens, e, top) for e in {0, *exps}})
+    d = _product([table[0] for table in tables], m)
+    p = [_product(list(map(getitem, tables, mono)), m) for mono in exponents]
+    g = list(map(gcd, d, *p))
+    if max(g) > 1:
+        d = list(map(floordiv, d, g))
+        p = [list(map(floordiv, column, g)) for column in p]
     return p, d
+
+
+def _powers(nums: tuple, dens: tuple, e: int, top: int):
+    """p^e·q^(top - e) for each numerator p and denominator q."""
+    if e == top:
+        return nums if e == 1 else [v**e for v in nums]
+    if e == 0:
+        return dens if top == 1 else [v**top for v in dens]
+    return [a**e * b ** (top - e) for a, b in zip(nums, dens)]
+
+
+def _product(columns: list, m: int):
+    """The entrywise product of ``columns``, lists of m integers; m ones for
+    none."""
+    if not columns:
+        return [1] * m
+    out = columns[0]
+    for column in columns[1:]:
+        out = list(map(mul, out, column))
+    return out
 
 
 def build_normal_system(data, features: FeatureMap) -> NormalSystem:
@@ -225,7 +292,7 @@ def build_normal_system(data, features: FeatureMap) -> NormalSystem:
         raise DimensionMismatch(
             f"features over {features.ambient_dim} coordinates vs ambient dim {data.ambient_dim}"
         )
-    return _evaluate(data.points, features)
+    return _evaluate(data.rows, features)
 
 
 def sum_normal_systems(systems: list) -> NormalSystem:
@@ -233,11 +300,11 @@ def sum_normal_systems(systems: list) -> NormalSystem:
     :class:`NormalSystem` each: the sum of their ν and the sum of their N,
     each added as integers over the lcm of the groups' denominators
     (``linalg.add_rows``; N's rows read end to end)."""
-    nu, nu_den = add_rows(integer_row(s.nu.entries) for s in systems)
+    nu, nu_den = add_rows((s.nu_nums, s.nu_den) for s in systems)
     flat, den = add_rows((chain.from_iterable(s.nmat.nums), s.nmat.den) for s in systems)
     n = len(nu)
     nmat = Matrix([flat[k * n : k * n + n] for k in range(n)], den, n)
-    return NormalSystem(Vector.over(nu, nu_den), nmat)
+    return NormalSystem(nu, nu_den, nmat)
 
 
 class LSSolution(Value):
@@ -259,7 +326,8 @@ def solve_least_squares(
     elimination of N; raises :class:`Singular` carrying rank(N) when the
     chart has too few effective points for the parameter dimension."""
     try:
-        a_hat, *rest = solve_square(system.nmat, -system.nu, *also)
+        minus_nu = Vector.over([-v for v in system.nu_nums], system.nu_den)
+        a_hat, *rest = solve_square(system.nmat, minus_nu, *also)
     except Singular as err:
         raise Singular(
             f"normal matrix is singular on {excerpt(chart or 'chart')}"

@@ -25,6 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from .errors import MalformedNumber, ZeroDenominator, excerpt
 
@@ -57,6 +58,16 @@ ONE = Rational(1)
 _LITERAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?\Z")
 
 
+def literal_pair(text: str) -> tuple:
+    """The (numerator, denominator) of a rational literal in lowest terms,
+    the denominator positive: the pair :class:`fractions.Fraction` of
+    ``text`` holds, with no rational built.  Errors as
+    :func:`rational_from_string`."""
+    num, den = _literal(text)
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
 def rational_from_string(text: str) -> Rational:
     """Parse ``p``, ``p/q`` or a terminating decimal into an exact rational.
 
@@ -65,6 +76,15 @@ def rational_from_string(text: str) -> Rational:
     float round trip.  Raises :class:`MalformedNumber` for anything outside
     the grammar or the digit limit, :class:`ZeroDenominator` for ``p/0``.
     """
+    num, den = _literal(text)
+    return Rational(num, den)
+
+
+def _literal(text: str) -> tuple:
+    """(numerator, denominator > 0) of a literal, not yet reduced: the one
+    reader of :func:`literal_pair` and :func:`rational_from_string`.  A
+    decimal's integer and fractional digits are converted apart, as
+    ``Fraction`` converts them, so each meets the digit limit on its own."""
     if not isinstance(text, str):
         raise MalformedNumber(f"expected string, got {type(text).__name__}")
     body = text.strip()
@@ -76,11 +96,13 @@ def rational_from_string(text: str) -> Rational:
             den = int(den_s)
             if den == 0:
                 raise ZeroDenominator(f"zero denominator in {excerpt(repr(text))}")
-            return Rational(int(num_s), den)
+            return int(num_s), den
         if "." in body:
-            # Fraction parses terminating decimals exactly; convert to the backend.
-            return Rational(Fraction(body))
-        return Rational(int(body))
+            whole, digits = body.split(".")
+            scale = 10 ** len(digits)
+            num = int(whole.lstrip("-")) * scale + int(digits)
+            return (-num if whole[0] == "-" else num), scale
+        return int(body), 1
     except ValueError:
         # The grammar admits only digits, so int() fails only on Python's
         # limit on the length of decimal integer strings.

@@ -52,9 +52,12 @@ CATALOG = [
     Mutant(
         "matrix_not_in_lowest_terms",
         "linalg.py",
-        "g = gcd(den, *chain.from_iterable(nums))",
+        "g = gcd(den, *nums)",
         "g = 1",
-        ["tests/test_linalg.py::test_matrix_fields_are_its_entries_in_lowest_terms"],
+        [
+            "tests/test_linalg.py::test_matrix_fields_are_its_entries_in_lowest_terms",
+            "tests/test_integer_rows.py::test_normal_system_fields_are_nu_in_lowest_terms",
+        ],
     ),
     Mutant(
         "no_rescale_when_q_grows",
@@ -275,6 +278,37 @@ CATALOG = [
         "return exp * (bits - 1) + 1 > max_bits",
         "return exp * (bits - 1) + 2 > max_bits",
         ["tests/test_model.py::test_power_bound_admits_a_square_of_exactly_the_limit_bits"],
+    ),
+    Mutant(
+        "pair_reader_skips_the_gcd",
+        "scalars.py",
+        "g = gcd(num, den)",
+        "g = 1",
+        [
+            "tests/test_scalars.py::test_literal_pair_is_the_fraction_pair",
+            "tests/test_integer_rows.py::test_three_readers_give_one_data_set_and_one_system",
+        ],
+    ),
+    Mutant(
+        "evaluate_drops_the_lift_over_the_lcm",
+        "linalg.py",
+        "[v * (den // t) if v else 0 for v, t in zip(nums, dens)]",
+        "[v if v else 0 for v, t in zip(nums, dens)]",
+        [
+            "tests/test_kernels.py::test_normal_system_matches_direct_sums",
+            "tests/test_integer_rows.py::"
+            "test_pairwise_coprime_denominators_grow_the_lcm_at_every_point",
+        ],
+    ),
+    Mutant(
+        "claim_check_against_plus_nu",
+        "assembly.py",
+        "sum(map(mul, row, a)) * nu_den == -v * den",
+        "sum(map(mul, row, a)) * nu_den == v * den",
+        [
+            "tests/test_integer_rows.py::test_claim_check_cross_multiplies_n_a_against_minus_nu",
+            "tests/test_layering.py::test_fit_cells_takes_claims_not_a_report",
+        ],
     ),
 ]
 

@@ -210,7 +210,9 @@ def test_chart_name_must_be_encodable_as_utf8(toy_dataset, name):
 
 
 def test_point_dimension_must_match_the_data_set():
-    point = lg.WeightedPoint(lg.Vector.of([1, 2]), lg.rat(0), lg.rat(1))
+    row = (((1, 1), (2, 1)), (0, 1), (1, 1))
     with pytest.raises(lg.DimensionMismatch, match="point with dim 2"):
-        lg.WeightedDataSet((point,), 1)
+        lg.WeightedDataSet((row,), 1)
+    with pytest.raises(lg.DimensionMismatch, match="point with dim 2"):
+        lg.WeightedDataSet.of([((1, 2), 0)], 1)
 

@@ -317,9 +317,13 @@ def test_normal_system_matches_direct_sums(case, data):
     # each point's integer features, reduced by their gcd with D, are the
     # integers that integer_row makes of its rational features
     levels = [sorted(set(column)) for column in zip(*exponents)]
-    for point in dataset.points:
-        coords = [(v.numerator, v.denominator) for v in point.x]
-        assert model._integer_features(coords, levels, exponents) == linalg.integer_row(
+    coords = [
+        tuple(zip(*((v.numerator, v.denominator) for v in column)))
+        for column in zip(*(point.x for point in dataset.points))
+    ]
+    p, d = model._integer_features(coords, levels, exponents, dataset.size)
+    for j, point in enumerate(dataset.points):
+        assert ([column[j] for column in p], d[j]) == linalg.integer_row(
             features.evaluate(point.x).entries
         )
 

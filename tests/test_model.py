@@ -109,8 +109,8 @@ def test_n_symmetric_and_psd_random():
 
 def test_weight_scaling_leaves_solution_fixed(toy_dataset, affine1):
     system = build_normal_system(toy_dataset, affine1)
-    heavier = lg.WeightedDataSet(
-        tuple(lg.WeightedPoint(p.x, p.y, 2 * p.weight) for p in toy_dataset.points),
+    heavier = lg.WeightedDataSet.of(
+        [(p.x.entries, p.y, 2 * p.weight) for p in toy_dataset.points],
         toy_dataset.ambient_dim,
     )
     doubled = build_normal_system(heavier, affine1)

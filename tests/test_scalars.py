@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from lsglue import LsglueError, MalformedNumber, ZeroDenominator
 from lsglue.scalars import (
     BACKEND,
     digit_limit,
+    literal_pair,
     over_digit_limit,
     rat,
     rat_float,
@@ -84,6 +86,46 @@ LITERALS = st.one_of(
 @given(LITERALS)
 def test_literal_grammar_matches_the_two_pattern_reader(text):
     assert _reading(rational_from_string, text) == _reading(oracles.two_pattern_rational, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["26/28", "-0/5", "2.50", "007", "  3/9 ", "-0.50", "0.125", "-68/105", "-0", "10/5"]
+)
+def test_literal_pair_cases(text):
+    value = Fraction(text)
+    assert literal_pair(text) == (value.numerator, value.denominator)
+
+
+# literals of the grammar, with leading zeros and padding
+GRAMMAR = st.from_regex(r"[ \t]*-?[0-9]{1,25}(/[0-9]{1,25}|\.[0-9]{1,25})?[ \t]*", fullmatch=True)
+
+
+@settings(max_examples=500, deadline=None)
+@example("26/28")
+@example("-0/5")
+@example(" 2.50\t")
+@example("007")
+@example("-000.000")
+@example("3/0")
+@example("7" * 5000)
+@example("7" * 5000 + "/0")
+@example("1/" + "3" * 5000)
+@example("0." + "5" * 5000)
+@example("5" * 3000 + "." + "5" * 3000)
+@given(st.one_of(GRAMMAR, LITERALS))
+def test_literal_pair_is_the_fraction_pair(text):
+    # the one reader: the reduced pair Fraction holds, with a positive
+    # denominator, or the error class and message of rational_from_string
+    expected = _reading(rational_from_string, text)
+    try:
+        pair = literal_pair(text)
+    except LsglueError as err:
+        assert (type(err), str(err)) == expected
+        return
+    value = Fraction(text)
+    assert pair == (value.numerator, value.denominator)
+    assert all(type(v) is int for v in pair) and pair[1] > 0 and gcd(*pair) == 1
+    assert expected == (type(rat(0)), rat(value))
 
 
 def test_parse_zero_denominator():

@@ -55,6 +55,9 @@ def point(weight):
 
 MATRIX_ROWS = [[1, "2/3"], [0, 1]]
 
+# the integer row of point(1): x = (1, 2/3), y = 1/3, weight 1
+ROW = (((1, 1), (2, 3)), (1, 3), (1, 1))
+
 # class name -> (build, build again from equal fields, build with a field changed)
 CASES = {
     "Vector": (
@@ -74,8 +77,8 @@ CASES = {
     ),
     "WeightedDataSet": (
         lambda: lg.WeightedDataSet.of([((1, "2/3"), "1/3"), ((1, "2/3"), "1/3", 0)]),
-        lambda: lg.WeightedDataSet((point(1), point(0)), 2),
-        lambda: lg.restrict(lg.WeightedDataSet((point(1), point(0)), 2), [2]),
+        lambda: lg.WeightedDataSet((ROW, ROW[:2] + ((0, 1),)), 2),
+        lambda: lg.restrict(lg.WeightedDataSet((ROW, ROW), 2), [2]),
     ),
     "NerveCell": (
         lambda: lg.enumerate_nerve(toy_cover(), 1)[2],
@@ -130,12 +133,12 @@ CASES = {
     ),
     "NormalSystem": (
         lambda: lg.build_normal_system(toy_cover().base, lg.affine_features(1)),
-        lambda: lg.NormalSystem(vec(-62, -30), lg.Matrix.of([[94, 6], [6, 10]])),
-        lambda: lg.NormalSystem(vec(-62, -30), lg.Matrix.of([[94, 6], [6, 11]])),
+        lambda: lg.NormalSystem.of(vec(-62, -30), lg.Matrix.of([[94, 6], [6, 10]])),
+        lambda: lg.NormalSystem((-124, -60), 2, lg.Matrix.of([[94, 6], [6, 11]])),
     ),
     "LSSolution": (
         lambda: lg.solve_least_squares(
-            lg.NormalSystem(vec(-2, -4), lg.Matrix.of([[2, 0], [0, 4]]))
+            lg.NormalSystem.of(vec(-2, -4), lg.Matrix.of([[2, 0], [0, 4]]))
         ),
         lambda: lg.LSSolution(vec(1, 1), ()),
         lambda: lg.LSSolution(vec(1, 1), (vec(0, 0),)),
