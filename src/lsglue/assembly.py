@@ -30,9 +30,12 @@ A check holds its residual as plain data: a pair's (c0, c), a triple's
 nonzero slot linear parts.  A cell's fit is its differential: the
 :class:`LinearizedDifferential` at the cell's least-squares point â, with
 the cell's normal matrix N.  Koszul elements are built only to serialize the
-cochain, for ι of a supplied triple witness, and for a failed check's
+cochain, for ι of a supplied triple witness, and for a failed pair's
 residual in ``verify``'s failure dump (``residual_element``); each is based
-at its cell's â and holds bare (c0, c) coefficients.  A beta or witness
+at its cell's â and holds bare (c0, c) coefficients.  A failed triple's
+residual is dumped in the same JSON form, spelled from the report's
+strings of its defect (``TripleCheck.residual_to_json``), so the defect's
+entries are not reduced a second time.  A beta or witness
 based away from its cell's fit is refused (:class:`BaseMismatch`).  All
 residuals are exact; floats appear only in advisory metrics.
 
@@ -49,10 +52,13 @@ systems the rank cannot prove when that report cannot be read
 (:func:`raise_if_singular`).  The pairs of one system are eliminated
 together, against -ν and each δ = â_j - â_i, and the loop keeps each
 (δ, β = N⁻¹δ) under the pair's chart names, where :func:`assemble_cochain`
-reads them.  The cocycle sums are taken on integer rows: a triple's face
-sum over one lcm (:func:`_face_sum`), and a pair's Nᵀβ₀ = δ by
-cross-multiplying (:func:`_pair_linear`), a rational residual being built
-only for a pair that fails.
+reads them.  Every exact object is integers over one denominator (a
+``linalg.Vector``, N's ``linalg.Matrix``, ν), so δ, the cocycle sums and
+the claim check are integer arithmetic on the fields: a triple's face sum
+over one lcm (:func:`_face_sum`), a pair's Nᵀβ₀ = δ by cross-multiplying
+(:func:`_pair_linear`), and N·â = -ν likewise (:func:`_solves`).  An entry
+is reduced on its own only where it is written or becomes a Koszul ``c0``
+(a β slot constant).
 
 The report's JSON form is this module's, Koszul elements included
 (:func:`koszul_to_json`, :func:`koszul_from_json`): the exact `p/q` strings
@@ -62,11 +68,14 @@ converted once each way.  The writer converts through one
 :class:`ReportStrings` per report: a vector's strings are kept by the vector
 object, so â's one list serves ``a_hat``, α's ``c`` and ``base`` and every
 β slot's ``base``, and a scalar's by its value; ``verify`` hands the same
-strings to its failure dump.  The reader parses through one ``seen`` dict
-per document (:func:`_vector_from_strings`), shared by
+strings to its failure dump.  It reduces each entry once, by its gcd with
+the vector's denominator, and writes each float as numerator over
+denominator unreduced (``scalars.pair_float``).  The reader parses through
+one ``seen`` dict per document (:func:`_vector_from_strings`), shared by
 :func:`claims_from_json` and :func:`cochain_from_json`: each distinct list
-of literals is parsed once, and a list read before is the same Vector, so a
-slot's ``base`` spelled as its cell's claimed â is that â.
+of literals is lifted over one denominator once (``scalars.literal_row``),
+with no rational built per entry, and a list read before is the same
+Vector, so a slot's ``base`` spelled as its cell's claimed â is that â.
 Every ``base`` is still compared with its cell's fit by value, any spelling
 the grammar admits (``26/28``, ``000``) is read, and what is written is
 canonical.
@@ -79,7 +88,7 @@ its witness and its residual (:meth:`ObstructionReport.all_verified`).
 from __future__ import annotations
 
 import re
-from math import isfinite, ldexp, sqrt
+from math import gcd, isfinite, ldexp, sqrt
 from operator import mul
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
@@ -87,7 +96,7 @@ from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
 from .linalg import Matrix, Value, Vector, add_rows, integer_row, modular_rank
 from .model import FeatureMap, build_normal_system, solve_least_squares, sum_normal_systems
-from .scalars import ZERO, rat_float, rat_str, rational_from_string
+from .scalars import ZERO, literal_row, pair_float, pair_str, rat_str, rational_from_string
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -156,6 +165,20 @@ class TripleCheck(Value):
         zero, slots = Vector.zeros(base.dim), enumerate(self.defect_constant, 1)
         coeffs = {(m,): LinearizedElement(-d, self.linear.get(m, zero)) for m, d in slots}
         return KoszulElement.build(1, base, coeffs)
+
+    def residual_to_json(self, base: Vector, strings: "ReportStrings") -> dict:
+        """``koszul_to_json(self.residual_element(base), strings)``, without
+        building the element: slot m's constant is spelled from the
+        defect's string, so no entry of the defect is reduced a second
+        time, and a slot whose constant and linear part are both zero is
+        left out, as ``KoszulElement.build`` leaves it out."""
+        zero = Vector.zeros(base.dim)
+        slots = [
+            ((m,), _negated(text), self.linear.get(m, zero))
+            for m, text in enumerate(strings.vector(self.defect_constant), 1)
+            if text != "0" or m in self.linear
+        ]
+        return _slots_to_json(slots, base, strings)
 
 
 class ObstructionReport(Value):
@@ -277,7 +300,7 @@ def _solves(system, a_hat: Vector) -> bool:
     """Whether N·â = -ν holds exactly, on integers: row k of ``nmat.nums``
     against â's numerators a, over d_N·d_a, is compared with
     -ν_k = -v_k / d_ν by cross-multiplying; no rational is built."""
-    a, d_a = integer_row(a_hat.entries)
+    a, d_a = a_hat.nums, a_hat.den
     den, nu_den = system.nmat.den * d_a, system.nu_den
     return all(
         sum(map(mul, row, a)) * nu_den == -v * den
@@ -331,27 +354,25 @@ def _face_sum(terms: list, n: int) -> Vector:
     """Σ_j (-1)^j terms[j]: the alternating sum of vectors given for a cell's
     faces in drop-position order.  The nonzero terms are added in one signed
     sum of their integer rows (``linalg.add_rows``, an odd face over its
-    negated denominator), and one rational is built per entry, at the end."""
-    signed = []
-    for j, term in enumerate(terms):
-        if not term.is_zero():
-            nums, den = integer_row(term.entries)
-            signed.append((nums, -den if j % 2 else den))
-    return Vector.over(*add_rows(signed)) if signed else Vector.zeros(n)
+    negated denominator); no rational is built."""
+    signed = [
+        (term.nums, -term.den if j % 2 else term.den)
+        for j, term in enumerate(terms)
+        if not term.is_zero()
+    ]
+    return Vector(*add_rows(signed)) if signed else Vector.zeros(n)
 
 
 def _pair_linear(nmat: Matrix, beta_constants: Vector, delta: Vector) -> Vector:
     """Nᵀβ₀ - δ, the linear part of a pair residual, on integers: column j
     of ``nmat.nums`` against β₀'s numerators b, over d_N·d_β, is compared
-    with δ_j = p_j / d_δ by cross-multiplying.  The zero vector when every
-    entry agrees (``Vector.over``); only otherwise is a rational built per
-    entry."""
-    b, d_beta = integer_row(beta_constants.entries)
-    p, d_delta = integer_row(delta.entries)
+    with δ_j = p_j / d_δ by cross-multiplying; no rational is built."""
+    b, d_beta = beta_constants.nums, beta_constants.den
+    p, d_delta = delta.nums, delta.den
     den = nmat.den * d_beta
     columns = zip(*nmat.nums)
     diffs = [sum(map(mul, col, b)) * d_delta - p_j * den for col, p_j in zip(columns, p)]
-    return Vector.over(diffs, den * d_delta)
+    return Vector(diffs, den * d_delta)
 
 
 def build_zero_cocycle(
@@ -421,7 +442,8 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         alpha_i = cochain.alpha[by_names[(name_i,)]].coefficient(())
         alpha_j = cochain.alpha[by_names[(name_j,)]].coefficient(())
         delta = alpha_j.c - alpha_i.c
-        beta_constants = Vector(tuple(beta.coefficient((m,)).c0 for m in range(1, fit.n + 1)))
+        c0s = [beta.coefficient((m,)).c0 for m in range(1, fit.n + 1)]
+        beta_constants = Vector(*integer_row(c0s))
         residual = LinearizedElement(
             alpha_i.c0 - alpha_j.c0, _pair_linear(fit.nmat, beta_constants, delta)
         )
@@ -493,10 +515,10 @@ def _max_mean(norms: list) -> tuple:
 def _l2(vec: Vector) -> float | None:
     """Float Euclidean norm; None when it lies beyond the float range.
 
-    The square is Σ pᵢ² / d² over the common denominator d, and int true
+    The square is Σ pᵢ² / d² over the vector's denominator d, and int true
     division rounds that ratio correctly, as ``float`` of the reduced
     rational would, so no gcd is taken."""
-    nums, den = integer_row(vec.entries)
+    nums, den = vec.nums, vec.den
     # ints, as Fraction.__float__ takes them: int true division on either backend
     square, den_sq = int(sum(map(mul, nums, nums))), int(den * den)
     try:
@@ -520,14 +542,16 @@ def _index_key(idx) -> str:
 
 
 class ReportStrings:
-    """The `p/q` strings (``scalars.rat_str``) of one report's exact values,
+    """The `p/q` strings (``scalars.pair_str``) of one report's exact values,
     each value converted once.
 
     A vector's list is kept by the vector object, so every field that writes
     that vector holds the one list; the vector is kept with it, so that its
-    ``id`` cannot be reused while the strings are.  A scalar's string is kept
-    by its value, and the negative of a value already converted is spelled
-    from its string: a triple's residual constants are its negated defect.
+    ``id`` cannot be reused while the strings are.  Its entries are reduced
+    here, each by one gcd with the vector's denominator.  A scalar's string
+    is kept by its reduced (numerator, denominator), and the negative of a
+    value already converted is spelled from its string: a triple's residual
+    constants are its negated defect.
     """
 
     __slots__ = ("_vectors", "_scalars")
@@ -540,20 +564,32 @@ class ReportStrings:
         key = id(vec)
         held = self._vectors.get(key)
         if held is None:
-            held = self._vectors[key] = (vec, [self.scalar(x) for x in vec.entries])
+            den, pair = vec.den, self._pair
+            texts = []
+            for num in vec.nums:
+                common = gcd(num, den)
+                texts.append(pair(num // common, den // common) if common > 1 else pair(num, den))
+            held = self._vectors[key] = (vec, texts)
         return held[1]
 
     def scalar(self, value) -> str:
-        num, den = value.numerator, value.denominator
+        return self._pair(value.numerator, value.denominator)
+
+    def _pair(self, num: int, den: int) -> str:
+        """The string of num/den, in lowest terms with den > 0."""
         text = self._scalars.get((num, den))
         if text is None:
             negative = self._scalars.get((-num, den))
-            if negative is None:
-                text = rat_str(value)
-            else:
-                text = negative[1:] if negative.startswith("-") else "-" + negative
+            text = pair_str(num, den) if negative is None else _negated(negative)
             self._scalars[(num, den)] = text
         return text
+
+
+def _negated(text: str) -> str:
+    """The spelling of the negative of the value spelled ``text``."""
+    if text.startswith("-"):
+        return text[1:]
+    return text if text == "0" else "-" + text
 
 
 def koszul_to_json(element: KoszulElement, strings: ReportStrings | None = None) -> dict:
@@ -562,14 +598,19 @@ def koszul_to_json(element: KoszulElement, strings: ReportStrings | None = None)
     ``strings``, a fresh :class:`ReportStrings` when None."""
     if strings is None:
         strings = ReportStrings()
-    base = strings.vector(element.base)
+    slots = [
+        (idx, strings.scalar(coeff.c0), coeff.c) for idx, coeff in sorted(element.coeffs.items())
+    ]
+    return _slots_to_json(slots, element.base, strings)
+
+
+def _slots_to_json(slots: list, base: Vector, strings: ReportStrings) -> dict:
+    """The JSON form of Koszul coefficients given as (index tuple, spelled
+    c0, linear part c), in order, each written with ``base``."""
+    base_text = strings.vector(base)
     return {
-        _index_key(idx): {
-            "c0": strings.scalar(coeff.c0),
-            "c": strings.vector(coeff.c),
-            "base": base,
-        }
-        for idx, coeff in sorted(element.coeffs.items())
+        _index_key(idx): {"c0": c0, "c": strings.vector(c), "base": base_text}
+        for idx, c0, c in slots
     }
 
 
@@ -620,26 +661,32 @@ def koszul_from_json(
 
 
 def _vector_from_strings(strings: list, seen: dict) -> Vector:
-    """A report vector, each entry read by ``rational_from_string``.
+    """A report vector: its literals lifted over one denominator
+    (``scalars.literal_row``), brought to lowest terms by the ``Vector``.
 
     ``seen`` is one document's ``{tuple of literals: Vector}``, filled as the
     document is read.  So each distinct list is parsed once, and a list of
     strings equal to one read before, â's in a slot's ``base`` say, is that
     same Vector without a parse."""
     if not all(isinstance(s, str) for s in strings):
-        # the list is refused: read entry by entry, for the reader's message
-        return Vector(tuple(map(rational_from_string, strings)))
+        # the list is refused: the reader names its first bad entry
+        return Vector(*literal_row(strings))
     key = tuple(strings)
     vector = seen.get(key)
     if vector is None:
-        vector = seen[key] = Vector(tuple(map(rational_from_string, strings)))
+        vector = seen[key] = Vector(*literal_row(strings))
     return vector
 
 
 def _exact(name: str, vec: Vector, strings: ReportStrings) -> dict:
     """A vector's report fields: exact `p/q` strings under ``name``, advisory
-    floats (``scalars.rat_float``) under ``name_float``."""
-    return {name: strings.vector(vec), f"{name}_float": list(map(rat_float, vec))}
+    floats under ``name_float``, each entry's numerator divided by the
+    vector's denominator unreduced (``scalars.pair_float``)."""
+    den = vec.den
+    return {
+        name: strings.vector(vec),
+        f"{name}_float": [pair_float(num, den) for num in vec.nums],
+    }
 
 
 def _cell_record(cell: NerveCell, fit: LinearizedDifferential, strings: ReportStrings) -> dict:

@@ -17,6 +17,7 @@ every fault of the cochain (1), an unreadable report included.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -223,57 +224,59 @@ def _json_text(doc) -> str:
     A list of leaves is rendered once per depth: the report holds one list
     object per vector (``assembly.ReportStrings``), â's in ``a_hat``, in α
     and in every slot's ``base``.  Such a list is held by ``doc`` while this
-    runs, so its ``id`` names it.
+    runs, so its ``id`` names it.  The cache of rendered lists is dropped
+    on return: :func:`_write` is not a closure, so no reference cycle keeps
+    it alive.
     """
     out = []
-    append = out.append
-    lists = {}
-
-    def write(node, depth: int) -> None:
-        leaf = _LEAF.get(type(node))
-        if leaf is not None:
-            append(leaf(node))
-        elif type(node) is dict:
-            if not node:
-                append("{}")
-                return
-            newline = "\n" + "  " * (depth + 1)
-            separator = "{" + newline
-            for key in sorted(node):
-                append(f"{separator}{_ENCODE(key)}: ")
-                write(node[key], depth + 1)
-                separator = "," + newline
-            append("\n" + "  " * depth + "}")
-        elif type(node) is list:
-            if not node:
-                append("[]")
-                return
-            key = (id(node), depth)
-            text = lists.get(key)
-            if text is None:
-                newline = "\n" + "  " * (depth + 1)
-                try:
-                    if type(node[0]) is str:
-                        items = map(_ENCODE, node)
-                    else:
-                        items = [_LEAF[type(item)](item) for item in node]
-                    text = f"[{newline}{(',' + newline).join(items)}\n{'  ' * depth}]"
-                except (KeyError, TypeError):  # not a list of leaves
-                    separator = "[" + newline
-                    for item in node:
-                        append(separator)
-                        write(item, depth + 1)
-                        separator = "," + newline
-                    append("\n" + "  " * depth + "]")
-                    return
-                lists[key] = text
-            append(text)
-        else:
-            raise TypeError(f"Object of type {node.__class__.__name__} is not JSON serializable")
-
-    write(doc, 0)
-    append("\n")
+    _write(doc, 0, out.append, {})
+    out.append("\n")
     return "".join(out)
+
+
+def _write(node, depth: int, append, lists: dict) -> None:
+    """Append the text of ``node`` at ``depth`` for :func:`_json_text`;
+    ``lists`` maps (id, depth) of each list of leaves to its text."""
+    leaf = _LEAF.get(type(node))
+    if leaf is not None:
+        append(leaf(node))
+    elif type(node) is dict:
+        if not node:
+            append("{}")
+            return
+        newline = "\n" + "  " * (depth + 1)
+        separator = "{" + newline
+        for key in sorted(node):
+            append(f"{separator}{_ENCODE(key)}: ")
+            _write(node[key], depth + 1, append, lists)
+            separator = "," + newline
+        append("\n" + "  " * depth + "}")
+    elif type(node) is list:
+        if not node:
+            append("[]")
+            return
+        key = (id(node), depth)
+        text = lists.get(key)
+        if text is None:
+            newline = "\n" + "  " * (depth + 1)
+            try:
+                if type(node[0]) is str:
+                    items = map(_ENCODE, node)
+                else:
+                    items = [_LEAF[type(item)](item) for item in node]
+                text = f"[{newline}{(',' + newline).join(items)}\n{'  ' * depth}]"
+            except (KeyError, TypeError):  # not a list of leaves
+                separator = "[" + newline
+                for item in node:
+                    append(separator)
+                    _write(item, depth + 1, append, lists)
+                    separator = "," + newline
+                append("\n" + "  " * depth + "]")
+                return
+            lists[key] = text
+        append(text)
+    else:
+        raise TypeError(f"Object of type {node.__class__.__name__} is not JSON serializable")
 
 
 def _fmt_float(value: float | None) -> str:
@@ -329,20 +332,20 @@ def _render_report_text(doc: dict) -> str:
 
 def _dump_failures(report: ObstructionReport, fits: dict, strings: ReportStrings) -> None:
     """Each failed check's residual on stderr, as the Koszul element at its
-    cell's â (``residual_element``), its values converted by the ``strings``
-    that wrote the report: the bases and defects are not converted again,
-    and a residual constant, -defect, is spelled from the defect's string."""
-
-    def residual(cell, check) -> str:
-        return json.dumps(koszul_to_json(check.residual_element(fits[cell].base), strings))
-
+    cell's â, its values converted by the ``strings`` that wrote the report:
+    a pair's from its ``residual_element``; a triple's by its
+    ``residual_to_json``, whose constants, -defect, are spelled from the
+    defect's strings, so the bases and defects are not converted again."""
     for cell, check in report.pairs.items():
         if not check.residual_zero:
-            print(f"pair {cell.label}: residual {residual(cell, check)}", file=sys.stderr)
+            element = check.residual_element(fits[cell].base)
+            residual = json.dumps(koszul_to_json(element, strings))
+            print(f"pair {cell.label}: residual {residual}", file=sys.stderr)
     for cell, check in report.triples.items():
         if not check.residual_zero:
+            residual = json.dumps(check.residual_to_json(fits[cell].base, strings))
             print(
-                f"triple {cell.label}: residual {residual(cell, check)}"
+                f"triple {cell.label}: residual {residual}"
                 f" (defect constant {strings.vector(check.defect_constant)})",
                 file=sys.stderr,
             )
@@ -413,7 +416,13 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is paused meanwhile, and left as it was found: the pipeline's
+    values hold no reference cycles, so a collection would only rescan
+    live data."""
     handlers = {"fit": _cmd_fit, "cocycle": _cmd_cocycle, "verify": _cmd_verify}
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
@@ -426,6 +435,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {_bounded(str(err))}", file=sys.stderr)
         return _EXIT_PARSE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

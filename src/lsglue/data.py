@@ -26,7 +26,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover, excerpt
-from .linalg import Value, Vector
+from .linalg import Value, Vector, over_lcm
 from .scalars import Rational, literal_pair, rat
 
 # The most chart subsets enumerate_nerve may visit; the wide_nerve benchmark visits 1392.
@@ -110,9 +110,8 @@ def _rat_pair(value) -> tuple:
 
 def _point(row: tuple) -> WeightedPoint:
     x, y, w = row
-    return WeightedPoint(
-        Vector(tuple(Rational(*pair) for pair in x)), Rational(*y), Rational(*w)
-    )
+    den, nums = over_lcm(*zip(*x))
+    return WeightedPoint(Vector(nums, den), Rational(*y), Rational(*w))
 
 
 _ZERO_WEIGHT = (0, 1)
@@ -182,11 +181,14 @@ class Cover(Value):
 
 
 def validate_cover(cover: Cover) -> None:
-    """Check that the chart index sets jointly exhaust the base data set."""
-    union = frozenset().union(*(chart for _, chart in cover.charts))
-    missing = cover.base.indices() - union
-    if missing:
-        raise NotACover(missing)
+    """Check that the chart index sets jointly exhaust the base data set.
+
+    The membership atoms are disjoint and hold every point of some chart, so
+    they cover the set exactly when their sizes sum to its size; only
+    otherwise are the missing indices found."""
+    if sum(map(len, cover.atoms.values())) != cover.base.size:
+        covered = frozenset(chain.from_iterable(cover.atoms.values()))
+        raise NotACover(cover.base.indices() - covered)
 
 
 class NerveCell(Value):

@@ -14,12 +14,17 @@ makes the solver deterministic; the solution of an invertible system is
 unique and rationals are canonical, so it does not depend on the elimination
 order anyway.
 
-A :class:`Matrix` is stored as integer rows ``nums`` over one positive
-denominator ``den`` in lowest terms (gcd(den, every numerator) = 1), so
-equal matrices have equal fields; its rational rows are a derived view.  The
-elimination runs on those integer rows; no rational is built until the
-solutions are.  Each right-hand side b is written as integers D·b over its
-own common denominator D, so A·x' = D·b is solved, and x = x'/D; with
+Every exact object is integers over one denominator.  A :class:`Vector` is
+integer numerators ``nums`` over one positive denominator ``den``, and a
+:class:`Matrix` integer rows ``nums`` over one ``den``, each in lowest terms
+(gcd(den, every numerator) = 1), so equal objects have equal fields; their
+rational entries are a derived view, built only where they are read.  A
+vector is brought to lowest terms by one gcd chain over its whole row, not
+entry by entry: an entry is reduced on its own only where it is written to a
+report or becomes a Koszul ``c0``.  Vector sums, negation and equality are
+integer and tuple operations.  The elimination runs on integer rows; no
+rational is built at all.  Each right-hand side b is its integers D·b over
+its denominator D, so A·x' = D·b is solved, and x = x'/D; with
 A = nums/den that is nums·x' = den·D·b.  Row i of
 [nums | den·D₁b₁ ... den·D_kb_k] is divided by the gcd of its entries.  A row
 below a pivot p, with f in the pivot column, becomes (p/g)·row - (f/g)·pivot
@@ -37,10 +42,7 @@ Common-denominator arithmetic has one implementation, here:
 :func:`add_rows` adds such rows (a negated denominator subtracts its row),
 :func:`over_lcm` lifts terms, each over its own denominator, over their lcm,
 :func:`lowest_terms_divisor` brings integers over one denominator to lowest
-terms, :func:`raise_denominator` grows a running denominator, and
-:meth:`Vector.over` turns integers over one denominator back into a vector.
-:meth:`Matrix.matvec` sums integer products with the rows of ``nums``,
-building one rational per result instead of one per term.
+terms, and :func:`raise_denominator` grows a running denominator.
 :func:`modular_rank` is the rank of ``nums`` modulo the prime
 :data:`RANK_PRIME`.  It never exceeds the rank over the rationals, so a full
 modular rank proves a square matrix nonsingular; a short one proves nothing.
@@ -157,68 +159,84 @@ class Value:
 
 
 class Vector(Value):
-    """Immutable exact vector; entries are backend rationals."""
+    """Immutable exact vector: integer numerators ``nums`` over one positive
+    denominator ``den``, so entry k is nums[k] / den.  The constructor brings
+    (nums, den) to lowest terms with one gcd chain, so equal vectors have
+    equal fields and the zero vector is 0/1.  :meth:`of` builds one from
+    rationals, and :attr:`entries`, indexing and iteration are the rational
+    views, one rational built per entry read."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, entries: tuple):
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, nums, den: int):
+        g = lowest_terms_divisor(den, nums, "vector")
+        if g != 1:
+            nums, den = [v // g for v in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def of(cls, values: Iterable) -> "Vector":
-        return cls(tuple(rat(v) for v in values))
+        return cls(*integer_row([rat(v) for v in values]))
 
     @classmethod
     def zeros(cls, dim: int) -> "Vector":
-        return cls((ZERO,) * dim)
+        return cls((0,) * dim, 1)
 
-    @classmethod
-    def over(cls, nums, den: int) -> "Vector":
-        """The vector of the rationals nums[k] / den, one rational built per
-        entry; the zero vector when every numerator is 0."""
-        if not any(nums):
-            return cls.zeros(len(nums))
-        return cls(tuple(Rational(v, den) for v in nums))
+    @property
+    def entries(self) -> tuple:
+        den = self.den
+        return tuple(Rational(v, den) for v in self.nums)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def __iter__(self) -> Iterator:
         return iter(self.entries)
 
     def __getitem__(self, i: int):
-        return self.entries[i]
+        return Rational(self.nums[i], self.den)
 
     def __add__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
-        return Vector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
-        return Vector(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.entries))
+        return Vector([-v for v in self.nums], self.den)
 
     def scale(self, s) -> "Vector":
         s = rat(s)
-        return Vector(tuple(s * a for a in self.entries))
+        return Vector([s.numerator * v for v in self.nums], s.denominator * self.den)
 
     def dot(self, other: "Vector"):
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), ZERO)
+        return Rational(sum(map(mul, self.nums, other.nums)), self.den * other.den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.nums)
+
+    def _combine(self, other: "Vector", sign: int) -> "Vector":
+        """self + sign·other, over the lcm of the two denominators."""
+        self._check_dim(other)
+        den, a, b = self.den, self.nums, other.nums
+        if other.den != den:
+            common = lcm(den, other.den)
+            lift_a, lift_b = common // den, common // other.den
+            a, b, den = [v * lift_a for v in a], [v * lift_b for v in b], common
+        if sign < 0:
+            return Vector([x - y for x, y in zip(a, b)], den)
+        return Vector([x + y for x, y in zip(a, b)], den)
 
     def _check_dim(self, other: "Vector") -> None:
-        if len(self.entries) != len(other.entries):
+        if len(self.nums) != len(other.nums):
             raise DimensionMismatch(
-                f"vector dims {len(self.entries)} and {len(other.entries)} differ"
+                f"vector dims {len(self.nums)} and {len(other.nums)} differ"
             )
 
 
@@ -264,18 +282,11 @@ class Matrix(Value):
 
     @property
     def rows(self) -> tuple:
-        return tuple(self.row(i).entries for i in range(self.nrows))
+        den = self.den
+        return tuple(tuple(Rational(v, den) for v in row) for row in self.nums)
 
     def row(self, i: int) -> Vector:
-        return Vector.over(self.nums[i], self.den)
-
-    def matvec(self, v: Vector) -> Vector:
-        """A·v; entry i is the integer dot product of row i of ``nums`` and
-        v's numerators over ``den`` times v's common denominator."""
-        if self.ncols != v.dim:
-            raise DimensionMismatch(f"matvec: {self.ncols} columns vs dim-{v.dim} vector")
-        v_nums, v_den = integer_row(v.entries)
-        return Vector.over([sum(map(mul, row, v_nums)) for row in self.nums], self.den * v_den)
+        return Vector(self.nums[i], self.den)
 
 
 def _row_echelon(rows, columns) -> tuple[int, list]:
@@ -340,7 +351,7 @@ def _back_substitute(rows: list, n: int, col: int, den: int) -> Vector:
         g = gcd(num, d)
         q, lift = raise_denominator(q, d // g, [x])
         x[i] = num // g * lift
-    return Vector.over(x, q * den)
+    return Vector(x, q * den)
 
 
 def solve_square(a: Matrix, *columns: Vector) -> tuple:
@@ -354,11 +365,10 @@ def solve_square(a: Matrix, *columns: Vector) -> tuple:
     for b in columns:
         if b.dim != n:
             raise DimensionMismatch(f"rhs dim {b.dim} does not match {n} rows")
-    cleared = [integer_row(b.entries) for b in columns]
-    found, work = _row_echelon(a.nums, [[a.den * v for v in nums] for nums, _ in cleared])
+    found, work = _row_echelon(a.nums, [[a.den * v for v in b.nums] for b in columns])
     if found < n:
         raise Singular(f"matrix is singular (rank {found} < {n})", rank=found)
-    return tuple(_back_substitute(work, n, n + k, den) for k, (_, den) in enumerate(cleared))
+    return tuple(_back_substitute(work, n, n + k, b.den) for k, b in enumerate(columns))
 
 
 def modular_rank(a: Matrix) -> int:
@@ -367,21 +377,29 @@ def modular_rank(a: Matrix) -> int:
     They are A times its denominator, which keeps the rank, and a nonzero
     minor modulo a prime is a nonzero minor over the integers, so the result
     is at most rank(A); when it equals the size of a square A, A is
-    nonsingular.  Elimination as in :func:`_row_echelon`, on residues.
+    nonsingular.  Elimination as in :func:`_row_echelon`, on residues and
+    fraction-free: a row below a pivot p, with f in the pivot column,
+    becomes p·row - f·pivot row; p is a unit modulo the prime, so no
+    inverse is taken.
     """
     p = RANK_PRIME
     rows = [[x % p for x in row] for row in a.nums]
+    nrows = len(rows)
     rank = 0
     for col in range(a.ncols):
-        hit = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if hit is None:
+        for hit in range(rank, nrows):
+            if rows[hit][col]:
+                break
+        else:
             continue
-        rows[rank], rows[hit] = rows[hit], rows[rank]
-        tail = rows[rank][col + 1 :]
-        inverse = pow(rows[rank][col], -1, p)
-        for row in rows[rank + 1 :]:
-            factor = row[col] * inverse % p
-            if factor:
-                row[col + 1 :] = [(x - factor * y) % p for x, y in zip(row[col + 1 :], tail)]
+        top = rows[hit]
+        rows[hit] = rows[rank]
+        rows[rank] = top
+        pivot, tail = top[col], top[col + 1 :]
+        for r in range(rank + 1, nrows):
+            row = rows[r]
+            f = row[col]
+            if f:
+                row[col + 1 :] = [(pivot * x - f * y) % p for x, y in zip(row[col + 1 :], tail)]
         rank += 1
     return rank

@@ -123,7 +123,7 @@ class FeatureMap(Value):
                         )
                     term = term * coord**exp
             values.append(term)
-        return Vector(tuple(values))
+        return Vector.of(values)
 
 
 @cache
@@ -176,7 +176,7 @@ class NormalSystem(Value):
 
     @property
     def nu(self) -> Vector:
-        return Vector.over(self.nu_nums, self.nu_den)
+        return Vector(self.nu_nums, self.nu_den)
 
     @property
     def param_dim(self) -> int:
@@ -210,7 +210,7 @@ def _evaluate(rows, features: FeatureMap) -> NormalSystem:
                 for i, exps in zip(used, levels)
             ):
                 # raises, naming the first such monomial
-                features.evaluate(Vector(tuple(Rational(*pair) for pair in x)))
+                features.evaluate(Vector.of(Rational(*pair) for pair in x))
     p, d = _integer_features(coords, levels, exponents, len(xs))
     n_den, c = over_lcm([2 * w for w in w_nums], list(map(mul, w_dens, map(mul, d, d))))
     upper = []
@@ -326,7 +326,7 @@ def solve_least_squares(
     elimination of N; raises :class:`Singular` carrying rank(N) when the
     chart has too few effective points for the parameter dimension."""
     try:
-        minus_nu = Vector.over([-v for v in system.nu_nums], system.nu_den)
+        minus_nu = Vector([-v for v in system.nu_nums], system.nu_den)
         a_hat, *rest = solve_square(system.nmat, minus_nu, *also)
     except Singular as err:
         raise Singular(

@@ -25,7 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import MalformedNumber, ZeroDenominator, excerpt
 
@@ -80,9 +80,20 @@ def rational_from_string(text: str) -> Rational:
     return Rational(num, den)
 
 
+def literal_row(texts) -> tuple:
+    """(nums, den): the rational literals ``texts`` as integers over the lcm
+    of their denominators as written, unreduced, with no rational built;
+    ``linalg.Vector`` brings them to lowest terms in one gcd chain.  Errors
+    as :func:`rational_from_string`, at the first literal that has one."""
+    pairs = [_literal(text) for text in texts]
+    den = lcm(*(d for _, d in pairs))
+    return [n if d == den else n * (den // d) for n, d in pairs], den
+
+
 def _literal(text: str) -> tuple:
     """(numerator, denominator > 0) of a literal, not yet reduced: the one
-    reader of :func:`literal_pair` and :func:`rational_from_string`.  A
+    reader of :func:`literal_pair`, :func:`literal_row` and
+    :func:`rational_from_string`.  A
     decimal's integer and fractional digits are converted apart, as
     ``Fraction`` converts them, so each meets the digit limit on its own."""
     if not isinstance(text, str):
@@ -131,9 +142,14 @@ def rat(value) -> Rational:
 
 def rat_str(value) -> str:
     """Canonical serialization: ``p/q``, or bare ``p`` when q = 1, whatever
-    the length of p and q.  Past the interpreter's digit limit, the integers
-    are spelled by :func:`_decimal`."""
-    num, den = value.numerator, value.denominator
+    the length of p and q (:func:`pair_str`)."""
+    return pair_str(value.numerator, value.denominator)
+
+
+def pair_str(num: int, den: int) -> str:
+    """``num/den``, in lowest terms with ``den`` > 0, as :func:`rat_str`
+    writes it; past the interpreter's digit limit, the integers are spelled
+    by :func:`_decimal`."""
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
@@ -177,8 +193,16 @@ def _padded(value: int, j: int) -> str:
 
 def rat_float(value) -> float | None:
     """Advisory float approximation, never fed back into exact computation;
-    None when the value lies beyond the float range."""
+    None when the value lies beyond the float range (:func:`pair_float`)."""
+    return pair_float(value.numerator, value.denominator)
+
+
+def pair_float(num: int, den: int) -> float | None:
+    """The float of ``num / den``, ``den`` > 0, in lowest terms or not: int
+    true division, which rounds the exact ratio correctly, as ``float`` of a
+    ``Fraction`` does; the gmp backend's integers are converted to ``int``
+    first.  None when the ratio lies beyond the float range."""
     try:
-        return float(value)
+        return int(num) / int(den)
     except OverflowError:
         return None

@@ -45,8 +45,8 @@ CATALOG = [
     Mutant(
         "rhs_not_scaled_with_its_row",
         "linalg.py",
-        "[[a.den * v for v in nums] for nums, _ in cleared]",
-        "[nums for nums, _ in cleared]",
+        "[[a.den * v for v in b.nums] for b in columns]",
+        "[list(b.nums) for b in columns]",
         ["tests/test_kernels.py::test_elimination_matches_adjugate"],
     ),
     Mutant(
@@ -69,8 +69,8 @@ CATALOG = [
     Mutant(
         "column_denominator_dropped",
         "linalg.py",
-        "return Vector.over(x, q * den)",
-        "return Vector.over(x, q)",
+        "return Vector(x, q * den)",
+        "return Vector(x, q)",
         ["tests/test_kernels.py::test_elimination_matches_adjugate"],
     ),
     Mutant(
@@ -176,8 +176,8 @@ CATALOG = [
     Mutant(
         "writer_negative_spelled_as_its_value",
         "assembly.py",
-        'text = negative[1:] if negative.startswith("-") else "-" + negative',
-        "text = negative",
+        "text = pair_str(num, den) if negative is None else _negated(negative)",
+        "text = pair_str(num, den) if negative is None else negative",
         ["tests/test_golden.py::test_cli_matches_golden"],
     ),
     Mutant(
@@ -217,8 +217,8 @@ CATALOG = [
     Mutant(
         "face_sum_adds_every_face",
         "assembly.py",
-        "signed.append((nums, -den if j % 2 else den))",
-        "signed.append((nums, den))",
+        "(term.nums, -term.den if j % 2 else term.den)",
+        "(term.nums, term.den)",
         [
             "tests/test_vector_cochain.py::test_grouped_fits_equal_per_cell_elimination",
             "tests/test_golden.py::test_cli_matches_golden",
@@ -258,8 +258,8 @@ CATALOG = [
     Mutant(
         "exact_writes_another_vectors_floats",
         "assembly.py",
-        "list(map(rat_float, vec))",
-        "list(map(rat_float, -vec))",
+        "[pair_float(num, den) for num in vec.nums]",
+        "[pair_float(-num, den) for num in vec.nums]",
         [
             "tests/test_assembly.py::test_float_fields_are_the_floats_of_their_exact_fields",
             "tests/test_golden.py::test_cli_matches_golden",
@@ -308,6 +308,46 @@ CATALOG = [
         [
             "tests/test_integer_rows.py::test_claim_check_cross_multiplies_n_a_against_minus_nu",
             "tests/test_layering.py::test_fit_cells_takes_claims_not_a_report",
+        ],
+    ),
+    Mutant(
+        "vector_not_in_lowest_terms",
+        "linalg.py",
+        'g = lowest_terms_divisor(den, nums, "vector")',
+        "g = 1",
+        [
+            "tests/test_linalg.py::test_vector_is_its_integers_over_one_denominator",
+            "tests/test_values.py::test_value_semantics",
+        ],
+    ),
+    Mutant(
+        "writer_entries_not_reduced",
+        "assembly.py",
+        "pair(num // common, den // common) if common > 1 else pair(num, den)",
+        "pair(num, den)",
+        [
+            "tests/test_linalg.py::test_vector_is_its_integers_over_one_denominator",
+            "tests/test_golden.py::test_cli_matches_golden",
+        ],
+    ),
+    Mutant(
+        "triple_dump_keeps_zero_slots",
+        "assembly.py",
+        'if text != "0" or m in self.linear',
+        "if True",
+        [
+            "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
+            "tests/test_golden.py::test_cli_matches_golden",
+        ],
+    ),
+    Mutant(
+        "negated_zero_spelled_minus_zero",
+        "assembly.py",
+        'return text if text == "0" else "-" + text',
+        'return "-" + text',
+        [
+            "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
+            "tests/test_golden.py::test_cli_matches_golden",
         ],
     ),
 ]

@@ -16,15 +16,29 @@ the same equations on plain vectors.  :func:`slot_key_accepted` decides a
 wedge-slot key by a JSON round trip instead of the package's grammar, and
 :func:`two_pattern_rational` reads a rational literal with two patterns, one
 for ``p`` and ``p/q`` and one for decimals, where the package has one.
+:func:`vector_fields` is a vector's canonical integers-over-one-denominator
+form, computed entry by entry on Fractions.  :func:`matvec` and
+:func:`transpose` work on the package's ``Matrix`` and ``Vector``, from
+their integer fields: the package itself never multiplies a matrix by a
+vector, and ``test_kernels`` checks :func:`matvec` against
+:func:`fraction_matvec`.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from lsglue.assembly import ObstructionReport, PairCheck, TripleCheck
-from lsglue.errors import CellMismatch, MalformedNumber, ZeroDenominator, excerpt
+from lsglue.errors import (
+    CellMismatch,
+    DimensionMismatch,
+    MalformedNumber,
+    ZeroDenominator,
+    excerpt,
+)
 from lsglue.koszul import KoszulElement, koszul_diff, translate
 from lsglue.linalg import Matrix, Vector
 from lsglue.scalars import Rational, over_digit_limit
@@ -141,8 +155,30 @@ def some_solution(m, b):
     return solution
 
 
-def matvec(m, v):
+def vector_fields(values):
+    """(nums, den) of the Fraction list ``values`` in lowest terms: den the
+    lcm of the reduced denominators, 1 for none, and nums the values times
+    den.  An lcm of reduced denominators leaves no factor common to den and
+    every numerator, so this is the one canonical form, computed entry by
+    entry on Fractions."""
+    den = 1
+    for value in values:
+        den = den * value.denominator // math.gcd(den, value.denominator)
+    return tuple(int(value * den) for value in values), den
+
+
+def fraction_matvec(m, v):
+    """m·v for a matrix and a vector given as Fraction lists."""
     return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def matvec(a, v):
+    """A·v for the package :class:`Matrix` ``a`` and :class:`Vector` ``v``:
+    entry i is the integer dot product of row i of ``a.nums`` and v's
+    numerators, over ``a.den`` times v's denominator."""
+    if a.ncols != v.dim:
+        raise DimensionMismatch(f"matvec: {a.ncols} columns vs dim-{v.dim} vector")
+    return Vector([sum(map(mul, row, v.nums)) for row in a.nums], a.den * v.den)
 
 
 def transpose(a):
@@ -188,7 +224,7 @@ def cover_data(points, weights, charts, exponents):
             return {"singular": (ni, nj)}
         _, nmat = normal_sums(points, restrict_weights(weights, common), exponents)
         delta = [fj - fi for fi, fj in zip(fits[ni], fits[nj])]
-        beta = matvec(adjugate_inverse(nmat), delta)
+        beta = fraction_matvec(adjugate_inverse(nmat), delta)
         pairs[(ni, nj)] = {"a": a, "delta": delta, "nmat": nmat, "beta": beta}
 
     triples = {}
@@ -256,9 +292,7 @@ def _ordered(cells):
 
 
 def _slot_constants(element):
-    return Vector(
-        tuple(element.coefficient((m,)).c0 for m in range(1, element.n + 1))
-    )
+    return Vector.of(element.coefficient((m,)).c0 for m in range(1, element.n + 1))
 
 
 def koszul_verify(cochain, fits):

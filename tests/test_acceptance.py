@@ -186,7 +186,7 @@ def test_criterion_5_ls_optimality():
         features = lg.affine_features(dim)
         system = lg.build_normal_system(data, features)
         fit = lg.solve_least_squares(system)
-        assert (system.nu + system.nmat.matvec(fit.a_hat)).is_zero()
+        assert (system.nu + oracles.matvec(system.nmat, fit.a_hat)).is_zero()
         best = lg.loss_eval(data, features, fit.a_hat)
         for _ in range(10):
             probe = lg.Vector.of(

@@ -419,7 +419,7 @@ def test_l2_equals_the_float_of_the_reduced_square(values):
     # int true division of the unreduced Σp²/d² rounds as float() of the
     # reduced rational does, so the norms, and None past the float range,
     # are those of the rational formula
-    assert _l2(lg.Vector(tuple(values))) == _l2_through_the_rational(values)
+    assert _l2(lg.Vector.of(values)) == _l2_through_the_rational(values)
 
 
 def test_fits_to_json(toy_cover, affine1):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -1237,6 +1238,36 @@ def test_eliminations_per_command(
     assert calls == columns
 
 
+def test_a_run_leaves_no_cycle_behind(tmp_path):
+    # main pauses the cyclic collector and leaves it as it found it; with
+    # the collector off throughout, a run leaves no more unreachable objects
+    # than parsing its arguments alone (argparse's own cycles), so nothing
+    # the pipeline builds waits for a collection to be freed
+    report = str(tmp_path / "report.json")
+    commands = [
+        (["cocycle", *QUAD_ARGV, "--output", report], 0),
+        (["verify", *QUAD_ARGV, "--cochain", report, "--output", str(tmp_path / "v.json")], 0),
+    ]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for argv, expected in commands:
+            gc.collect()
+            cli.build_parser().parse_args(argv)
+            parsing = gc.collect()
+            assert cli.main(argv) == expected
+            assert not gc.isenabled()
+            assert gc.collect() <= parsing, argv[0]
+        gc.enable()
+        assert cli.main(commands[1][0]) == 0
+        assert gc.isenabled()
+    finally:
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+
+
 def test_verify_parses_each_distinct_list_once(capsys, monkeypatch):
     # the reader keeps whole lists only: a literal is parsed once for each
     # distinct list of strings that holds it (a_hat, base, c), and each c0
@@ -1251,13 +1282,18 @@ def test_verify_parses_each_distinct_list_once(capsys, monkeypatch):
                 lists.update((tuple(coeff["base"]), tuple(coeff["c"])))
                 scalars += 1
     parsed = []
-    original = assembly.rational_from_string
+    read_scalar, read_list = assembly.rational_from_string, assembly.literal_row
 
-    def counting(text):
+    def counting_scalar(text):
         parsed.append(text)
-        return original(text)
+        return read_scalar(text)
 
-    monkeypatch.setattr(assembly, "rational_from_string", counting)
+    def counting_list(texts):
+        parsed.extend(texts)
+        return read_list(texts)
+
+    monkeypatch.setattr(assembly, "rational_from_string", counting_scalar)
+    monkeypatch.setattr(assembly, "literal_row", counting_list)
     code, out, err = run(capsys, ["verify", *QUAD_ARGV, "--cochain", str(golden)])
     assert (code, err) == (0, "")
     assert out == (ROOT / "tests/golden/verify_quad3d.json").read_text()

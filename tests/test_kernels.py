@@ -9,8 +9,9 @@ on right-hand sides far wider than the matrix, and on singular matrices of
 every rank, where :class:`Singular` must carry the Gauss-Jordan rank whatever
 the number of right-hand sides; every work row it keeps must be primitive.  The modular rank must equal that rank, and
 may only fall below it under a small prime.  The
-integer-numerator ``matvec`` must equal plain Fraction sums, and the float
-norms of ``assembly._l2`` the floats of those sums.
+integer-numerator ``oracles.matvec``, the product of a package matrix and
+vector that other tests check against, must equal plain Fraction sums, and
+the float norms of ``assembly._l2`` the floats of those sums.
 The normal-system accumulation behind ``build_normal_system`` must equal the
 direct sums of ``oracles.normal_sums``, on the data, on its restriction to a
 chart and under fresh weights, whatever the top exponent of each coordinate,
@@ -126,7 +127,7 @@ def test_elimination_matches_adjugate(case):
     *inverse_columns, x = lg.solve_square(a, *columns)
     for k, column in enumerate(inverse_columns):
         assert oracles.as_fractions(column) == [row[k] for row in inverse]
-    assert oracles.as_fractions(x) == oracles.matvec(inverse, b)
+    assert oracles.as_fractions(x) == oracles.fraction_matvec(inverse, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,7 +162,7 @@ def test_work_rows_stay_primitive(case):
     inverse = oracles.adjugate_inverse(rows)
     assert (x is None) == (inverse is None)
     if x is not None:
-        assert oracles.as_fractions(x) == oracles.matvec(inverse, b)
+        assert oracles.as_fractions(x) == oracles.fraction_matvec(inverse, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,7 +246,7 @@ def test_integer_matvec_and_norm_match_fraction_sums(case):
     rows, v = case
     a = lg.Matrix.of(rows, ncols=len(v))
     vector = lg.Vector.of(v)
-    assert oracles.as_fractions(a.matvec(vector)) == oracles.matvec(rows, v)
+    assert oracles.as_fractions(oracles.matvec(a, vector)) == oracles.fraction_matvec(rows, v)
     assert _l2(vector) == math.sqrt(float(sum((x * x for x in v), F(0))))
     for row in rows:
         assert _l2(lg.Vector.of(row)) == math.sqrt(float(sum((x * x for x in row), F(0))))

@@ -62,7 +62,7 @@ ROW = (((1, 1), (2, 3)), (1, 3), (1, 1))
 CASES = {
     "Vector": (
         lambda: lg.Vector.of(["1/2", 3]),
-        lambda: lg.Vector((rat("1/2"), rat(3))),
+        lambda: lg.Vector((3, 18), 6),
         lambda: lg.Vector.of(["1/2", 4]),
     ),
     "Matrix": (

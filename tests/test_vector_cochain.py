@@ -11,7 +11,7 @@ the βs from there, adds each triple's face βs as integer rows over one lcm
 that sum alone, deriving its report without a check; ``verify_cocycle``
 checks the cocycle equations on the same vectors, a pair's Nᵀβ₀ = δ by
 cross-multiplying integers (``_pair_linear``, equal to the rational
-``oracles.transpose(N).matvec(β₀) - δ``), and must return that report for the
+``oracles.matvec(oracles.transpose(N), β₀) - δ``), and must return that report for the
 constructed cochain.  Over random covers, the Koszul check of
 ``oracles.koszul_verify`` must agree: the transported defect has no linear
 part, its constants are the vector defect, r is the zero element exactly
@@ -43,6 +43,7 @@ from hypothesis import strategies as st
 import lsglue as lg
 from lsglue import linalg
 from lsglue.assembly import (
+    ReportStrings,
     _cells_by_names,
     _face_sum,
     _pair_linear,
@@ -51,6 +52,7 @@ from lsglue.assembly import (
     claims_from_json,
     cochain_from_json,
     fit_cells,
+    koszul_to_json,
     report_to_json,
     verify_cocycle,
 )
@@ -319,11 +321,11 @@ def test_grouped_fits_equal_per_cell_elimination(case, data):
         if data.draw(st.booleans()):
             beta = beta + _vector(data.draw, n)
         linear = _pair_linear(nmat, beta, check.delta)
-        assert linear == oracles.transpose(nmat).matvec(beta) - check.delta, cell.label
+        assert linear == oracles.matvec(oracles.transpose(nmat), beta) - check.delta, cell.label
 
 
 def _vector(draw, n):
-    return lg.Vector(tuple(draw(scalars) for _ in range(n)))
+    return lg.Vector.of(draw(scalars) for _ in range(n))
 
 
 def _element(draw, degree, base, slots):
@@ -388,10 +390,15 @@ def test_vector_verify_matches_koszul_verify(case, data):
     fits, tampered = tamper(data.draw, fits, cochain)
     report = verify_cocycle(tampered, fits)
     assert report == oracles.koszul_verify(tampered, fits)
-    # a check passes exactly when the Koszul element of its residual is zero
+    # a check passes exactly when the Koszul element of its residual is zero,
+    # and a triple's dump spells that element from the defect's strings
     for checks in (report.pairs, report.triples):
         for cell, check in checks.items():
-            assert check.residual_zero == check.residual_element(fits[cell].base).is_zero()
+            element = check.residual_element(fits[cell].base)
+            assert check.residual_zero == element.is_zero()
+            if checks is report.triples:
+                spelled = check.residual_to_json(fits[cell].base, ReportStrings())
+                assert spelled == koszul_to_json(element)
 
 
 @settings(max_examples=50, deadline=None)
@@ -546,7 +553,7 @@ def test_claims_that_solve_a_singular_cell_are_not_taken():
     a_hats = {"A": ["2", "0"], "A|B": ["0", "2"]}
     for cell, system in systems.items():
         if cell.label in a_hats:
-            assert system.nmat.matvec(lg.Vector.of(a_hats[cell.label])) == -system.nu
+            assert oracles.matvec(system.nmat, lg.Vector.of(a_hats[cell.label])) == -system.nu
     claims = {
         "charts": {"A": {"a_hat": a_hats["A"]}},
         "pairs": {"A|B": {"a_hat": a_hats["A|B"]}},
