@@ -67,10 +67,11 @@ neither.  A report is mostly â's list of literals, repeated, so each list is
 converted once each way.  The writer converts through one
 :class:`ReportStrings` per report: a vector's strings are kept by the vector
 object, so â's one list serves ``a_hat``, α's ``c`` and ``base`` and every
-β slot's ``base``, and a scalar's by its value; ``verify`` hands the same
-strings to its failure dump.  It reduces each entry once, by its gcd with
-the vector's denominator, and writes each float as numerator over
-denominator unreduced (``scalars.pair_float``).  The reader parses through
+β slot's ``base``; ``verify`` hands the same strings to its failure dump.
+It reduces each entry once, by its gcd with the vector's denominator, and
+writes each float as numerator over denominator unreduced
+(``scalars.pair_float``).  A Koszul ``c0`` is a reduced rational, spelled on
+its own (``scalars.rat_str``).  The reader parses through
 one ``seen`` dict per document (:func:`_vector_from_strings`), shared by
 :func:`claims_from_json` and :func:`cochain_from_json`: each distinct list
 of literals is lifted over one denominator once (``scalars.literal_row``),
@@ -301,10 +302,10 @@ def _solves(system, a_hat: Vector) -> bool:
     against â's numerators a, over d_N·d_a, is compared with
     -ν_k = -v_k / d_ν by cross-multiplying; no rational is built."""
     a, d_a = a_hat.nums, a_hat.den
-    den, nu_den = system.nmat.den * d_a, system.nu_den
+    den, nu_den = system.nmat.den * d_a, system.nu.den
     return all(
         sum(map(mul, row, a)) * nu_den == -v * den
-        for row, v in zip(system.nmat.nums, system.nu_nums)
+        for row, v in zip(system.nmat.nums, system.nu.nums)
     )
 
 
@@ -542,47 +543,31 @@ def _index_key(idx) -> str:
 
 
 class ReportStrings:
-    """The `p/q` strings (``scalars.pair_str``) of one report's exact values,
-    each value converted once.
+    """The `p/q` strings (``scalars.pair_str``) of one report's vectors, each
+    vector converted once.
 
     A vector's list is kept by the vector object, so every field that writes
     that vector holds the one list; the vector is kept with it, so that its
     ``id`` cannot be reused while the strings are.  Its entries are reduced
-    here, each by one gcd with the vector's denominator.  A scalar's string
-    is kept by its reduced (numerator, denominator), and the negative of a
-    value already converted is spelled from its string: a triple's residual
-    constants are its negated defect.
+    here, each by one gcd with the vector's denominator.
     """
 
-    __slots__ = ("_vectors", "_scalars")
+    __slots__ = ("_vectors",)
 
     def __init__(self):
         self._vectors = {}
-        self._scalars = {}
 
     def vector(self, vec: Vector) -> list:
         key = id(vec)
         held = self._vectors.get(key)
         if held is None:
-            den, pair = vec.den, self._pair
+            den = vec.den
             texts = []
             for num in vec.nums:
                 common = gcd(num, den)
-                texts.append(pair(num // common, den // common) if common > 1 else pair(num, den))
+                texts.append(pair_str(num // common, den // common))
             held = self._vectors[key] = (vec, texts)
         return held[1]
-
-    def scalar(self, value) -> str:
-        return self._pair(value.numerator, value.denominator)
-
-    def _pair(self, num: int, den: int) -> str:
-        """The string of num/den, in lowest terms with den > 0."""
-        text = self._scalars.get((num, den))
-        if text is None:
-            negative = self._scalars.get((-num, den))
-            text = pair_str(num, den) if negative is None else _negated(negative)
-            self._scalars[(num, den)] = text
-        return text
 
 
 def _negated(text: str) -> str:
@@ -594,13 +579,12 @@ def _negated(text: str) -> str:
 
 def koszul_to_json(element: KoszulElement, strings: ReportStrings | None = None) -> dict:
     """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients,
-    each written with the element's base; the values are converted by
-    ``strings``, a fresh :class:`ReportStrings` when None."""
+    each written with the element's base; the vectors are converted by
+    ``strings``, a fresh :class:`ReportStrings` when None, and each ``c0`` by
+    ``scalars.rat_str``."""
     if strings is None:
         strings = ReportStrings()
-    slots = [
-        (idx, strings.scalar(coeff.c0), coeff.c) for idx, coeff in sorted(element.coeffs.items())
-    ]
+    slots = [(idx, rat_str(coeff.c0), coeff.c) for idx, coeff in sorted(element.coeffs.items())]
     return _slots_to_json(slots, element.base, strings)
 
 

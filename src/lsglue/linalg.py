@@ -41,9 +41,8 @@ Common-denominator arithmetic has one implementation, here:
 :func:`integer_row` writes rationals as integers over their lcm,
 :func:`add_rows` adds such rows (a negated denominator subtracts its row),
 :func:`over_lcm` lifts terms, each over its own denominator, over their lcm,
-:func:`lowest_terms_divisor` brings integers over one denominator to lowest
-terms, and :func:`raise_denominator` grows a running denominator.
-:func:`modular_rank` is the rank of ``nums`` modulo the prime
+and :func:`lowest_terms_divisor` brings integers over one denominator to
+lowest terms.  :func:`modular_rank` is the rank of ``nums`` modulo the prime
 :data:`RANK_PRIME`.  It never exceeds the rank over the rationals, so a full
 modular rank proves a square matrix nonsingular; a short one proves nothing.
 
@@ -62,7 +61,7 @@ from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, Singular, ZeroDenominator
-from .scalars import ZERO, Rational, rat
+from .scalars import Rational, rat
 
 # The prime of :func:`modular_rank`.  Residues stay below 2**61, so every
 # product in its elimination is small, however wide the matrix entries are.
@@ -104,22 +103,6 @@ def lowest_terms_divisor(den: int, nums: Iterable, what: str) -> int:
         raise ZeroDenominator(f"{what} denominator is zero")
     g = gcd(den, *nums)
     return -g if den < 0 else g
-
-
-def raise_denominator(den: int, term_den: int, rows: list) -> tuple:
-    """Bring the running denominator ``den`` > 0 to the least positive
-    common multiple of ``den`` and ``term_den``.
-
-    Returns the new denominator and the factor that lifts a numerator over
-    ``term_den`` to it; the integer rows in ``rows``, held over ``den``, are
-    rescaled in place when the denominator grows.
-    """
-    common = lcm(den, term_den)
-    if common != den:
-        scale = common // den
-        for row in rows:
-            row[:] = [v * scale for v in row]
-    return common, common // term_den
 
 
 class Value:
@@ -338,9 +321,9 @@ def _back_substitute(rows: list, n: int, col: int, den: int) -> Vector:
     divide by ``den``, the denominator that column was cleared of.
 
     The unknowns found so far are kept as integers over their least common
-    denominator q (:func:`raise_denominator`), so each step is one integer
-    dot product, one gcd and one lcm; one rational per unknown is built at
-    the end.
+    denominator q, so each step is one integer dot product, one gcd and one
+    lcm; when the new unknown's denominator grows q, the others are rescaled
+    to the new q.  The vector is built once, at the end.
     """
     x = [0] * n
     q = 1
@@ -349,8 +332,13 @@ def _back_substitute(rows: list, n: int, col: int, den: int) -> Vector:
         num = row[col] * q - sum(map(mul, row[i + 1 : n], x[i + 1 :]))
         d = row[i] * q
         g = gcd(num, d)
-        q, lift = raise_denominator(q, d // g, [x])
-        x[i] = num // g * lift
+        num, d = num // g, d // g
+        common = lcm(q, d)
+        if common != q:
+            scale = common // q
+            x = [v * scale for v in x]
+            q = common
+        x[i] = num * (q // d)
     return Vector(x, q * den)
 
 

@@ -29,20 +29,20 @@ term 2wφ_kφ_l of a point is 2w_num·P_kP_l over w_den·D², and -2wyφ_k is
 per atom, for N and for ν, and each term is lifted over it (``linalg.over_lcm``);
 every entry of the upper triangle of N and of ν is then one integer dot
 product over the points.  N is the mirrored triangle's integer rows over its
-lcm (``linalg.Matrix``), and ν integers over its lcm, both brought to lowest
-terms by their constructors, so the result does not depend on the order of
-the points.  A power longer than the interpreter's limit on decimal integer
-strings is refused before any power of the point is computed: the length of
-p^e grows with e and with |p|, so the widest numerator and denominator of
-each coordinate at E_i clear every point at once, and only when they do not
-are the points tested one by one, p_i and q_i at E_i, which refuses exactly
-the points that testing every monomial would; :meth:`FeatureMap.evaluate`
-then raises the error naming the first offending monomial of the first such
-point.
+lcm (``linalg.Matrix``), and ν integers over its lcm (``linalg.Vector``),
+both brought to lowest terms by their constructors, so the result does not
+depend on the order of the points.  A power longer than the interpreter's
+limit on decimal integer strings is refused before any power of the point is
+computed: the length of p^e grows with e and with |p|, so the widest
+numerator and denominator of each coordinate at E_i clear every point at
+once, and only when they do not are the points tested one by one, p_i and
+q_i at E_i, which refuses exactly the points that testing every monomial
+would; :meth:`FeatureMap.evaluate` then raises the error naming the first
+offending monomial of the first such point.
 
-A :class:`NormalSystem` holds ν as integers over one positive denominator in
-lowest terms, as ``linalg.Matrix`` holds N; its ``nu`` is the rational view.
-The systems of a cell's atoms are added the same way
+A :class:`NormalSystem` holds ν as a ``linalg.Vector`` and N as a
+``linalg.Matrix``: integers over one positive denominator in lowest terms.
+The systems of a cell's atoms are added on those integers
 (:func:`sum_normal_systems`): their ν are added over the lcm of their
 denominators, and so are the integer rows of their N (``linalg.add_rows``).
 Only ``.numerator``, ``.denominator`` and the backend's ``Rational``
@@ -63,12 +63,10 @@ from .linalg import (
     Value,
     Vector,
     add_rows,
-    integer_row,
-    lowest_terms_divisor,
     over_lcm,
     solve_square,
 )
-from .scalars import ONE, ZERO, Rational, digit_limit, over_digit_limit, rat
+from .scalars import ONE, ZERO, Rational, digit_limit, over_digit_limit
 
 
 class FeatureMap(Value):
@@ -153,34 +151,20 @@ def affine_features(ambient_dim: int) -> FeatureMap:
 
 
 class NormalSystem(Value):
-    """The pair (ν, N) of one weighted data set, each in one exact form: ν as
-    the integers ``nu_nums`` over one positive denominator ``nu_den``, in
-    lowest terms (the constructor brings them there), and N as a
-    :class:`~lsglue.linalg.Matrix`, so equal systems have equal fields.
-    :meth:`of` builds one from a rational ν, and :attr:`nu` is ν's rational
-    view."""
+    """The pair (ν, N) of one weighted data set, each in one exact form: ν a
+    :class:`~lsglue.linalg.Vector` and N a :class:`~lsglue.linalg.Matrix`,
+    both integers over one positive denominator in lowest terms, so equal
+    systems have equal fields."""
 
-    __slots__ = ("nu_nums", "nu_den", "nmat")
+    __slots__ = ("nu", "nmat")
 
-    def __init__(self, nu_nums, nu_den: int, nmat: Matrix):
-        g = lowest_terms_divisor(nu_den, nu_nums, "nu")
-        if g != 1:
-            nu_nums, nu_den = [v // g for v in nu_nums], nu_den // g
-        object.__setattr__(self, "nu_nums", tuple(nu_nums))
-        object.__setattr__(self, "nu_den", nu_den)
+    def __init__(self, nu: Vector, nmat: Matrix):
+        object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "nmat", nmat)
-
-    @classmethod
-    def of(cls, nu: Iterable, nmat: Matrix) -> "NormalSystem":
-        return cls(*integer_row([rat(v) for v in nu]), nmat)
-
-    @property
-    def nu(self) -> Vector:
-        return Vector(self.nu_nums, self.nu_den)
 
     @property
     def param_dim(self) -> int:
-        return len(self.nu_nums)
+        return self.nu.dim
 
 
 def _evaluate(rows, features: FeatureMap) -> NormalSystem:
@@ -192,7 +176,7 @@ def _evaluate(rows, features: FeatureMap) -> NormalSystem:
     n = features.param_dim
     live = [row for row in rows if row[2][0]]
     if not live:
-        return NormalSystem((0,) * n, 1, Matrix(((0,) * n,) * n, 1, n))
+        return NormalSystem(Vector.zeros(n), Matrix(((0,) * n,) * n, 1, n))
     used, levels, exponents = _plan(features.monomials)
     xs, ys, ws = zip(*live)
     (y_nums, y_dens), (w_nums, w_dens) = zip(*ys), zip(*ws)
@@ -226,7 +210,7 @@ def _evaluate(rows, features: FeatureMap) -> NormalSystem:
         [-2 * w * y for w, y in zip(w_nums, y_nums)],
         list(map(mul, map(mul, w_dens, y_dens), d)),
     )
-    return NormalSystem([sum(map(mul, c, column)) for column in p], nu_den, nmat)
+    return NormalSystem(Vector([sum(map(mul, c, column)) for column in p], nu_den), nmat)
 
 
 @cache
@@ -300,11 +284,11 @@ def sum_normal_systems(systems: list) -> NormalSystem:
     :class:`NormalSystem` each: the sum of their ν and the sum of their N,
     each added as integers over the lcm of the groups' denominators
     (``linalg.add_rows``; N's rows read end to end)."""
-    nu, nu_den = add_rows((s.nu_nums, s.nu_den) for s in systems)
+    nu = Vector(*add_rows((s.nu.nums, s.nu.den) for s in systems))
     flat, den = add_rows((chain.from_iterable(s.nmat.nums), s.nmat.den) for s in systems)
     n = len(nu)
     nmat = Matrix([flat[k * n : k * n + n] for k in range(n)], den, n)
-    return NormalSystem(nu, nu_den, nmat)
+    return NormalSystem(nu, nmat)
 
 
 class LSSolution(Value):
@@ -326,8 +310,7 @@ def solve_least_squares(
     elimination of N; raises :class:`Singular` carrying rank(N) when the
     chart has too few effective points for the parameter dimension."""
     try:
-        minus_nu = Vector([-v for v in system.nu_nums], system.nu_den)
-        a_hat, *rest = solve_square(system.nmat, minus_nu, *also)
+        a_hat, *rest = solve_square(system.nmat, -system.nu, *also)
     except Singular as err:
         raise Singular(
             f"normal matrix is singular on {excerpt(chart or 'chart')}"

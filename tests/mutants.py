@@ -62,7 +62,7 @@ CATALOG = [
     Mutant(
         "no_rescale_when_q_grows",
         "linalg.py",
-        "row[:] = [v * scale for v in row]",
+        "x = [v * scale for v in x]",
         "pass",
         ["tests/test_kernels.py::test_elimination_matches_adjugate"],
     ),
@@ -176,9 +176,16 @@ CATALOG = [
     Mutant(
         "writer_negative_spelled_as_its_value",
         "assembly.py",
-        "text = pair_str(num, den) if negative is None else _negated(negative)",
-        "text = pair_str(num, den) if negative is None else negative",
+        "((m,), _negated(text), self.linear.get(m, zero))",
+        "((m,), text, self.linear.get(m, zero))",
         ["tests/test_golden.py::test_cli_matches_golden"],
+    ),
+    Mutant(
+        "report_strings_not_kept",
+        "assembly.py",
+        "held = self._vectors[key] = (vec, texts)",
+        "held = (vec, texts)",
+        ["tests/test_cli.py::test_report_holds_one_list_object_per_vector"],
     ),
     Mutant(
         "json_text_list_shared_across_depths",
@@ -323,8 +330,8 @@ CATALOG = [
     Mutant(
         "writer_entries_not_reduced",
         "assembly.py",
-        "pair(num // common, den // common) if common > 1 else pair(num, den)",
-        "pair(num, den)",
+        "texts.append(pair_str(num // common, den // common))",
+        "texts.append(pair_str(num, den))",
         [
             "tests/test_linalg.py::test_vector_is_its_integers_over_one_denominator",
             "tests/test_golden.py::test_cli_matches_golden",

@@ -1520,3 +1520,38 @@ def test_json_text_is_json_dumps_indent_2(doc, shared):
         assert str(raised.value) == str(err)
     else:
         assert cli._json_text(doc) == expected
+
+
+def test_report_holds_one_list_object_per_vector(capsys, monkeypatch):
+    # the writer keeps each vector's strings, so â's one list is a chart's
+    # a_hat, its α's c and base, and a pair's a_hat and every β slot's base,
+    # in the report of cocycle and in that of verify
+    assert assembly.ReportStrings.__slots__ == ("_vectors",)
+    docs = []
+    render = cli._json_text
+
+    def keep(doc):
+        docs.append(doc)
+        return render(doc)
+
+    monkeypatch.setattr(cli, "_json_text", keep)
+    # toy5 over three charts: every β is nonzero, and the triple is obstructed
+    toy = [
+        "--dataset",
+        str(ROOT / "sampledata/toy5.json"),
+        "--cover",
+        str(ROOT / "sampledata/cover_three_charts.json"),
+    ]
+    golden = str(ROOT / "tests/golden/cocycle_three_charts.json")
+    assert run(capsys, ["cocycle", *toy])[0] == 3
+    assert run(capsys, ["verify", *toy, "--cochain", golden])[0] == 4
+    assert len(docs) == 2
+    for doc in docs:
+        assert doc["charts"] and doc["pairs"]
+        for record in doc["charts"].values():
+            (alpha,) = record["alpha"].values()
+            assert alpha["c"] is record["a_hat"] and alpha["base"] is record["a_hat"]
+        for record in doc["pairs"].values():
+            assert record["beta"]
+            for slot in record["beta"].values():
+                assert slot["base"] is record["a_hat"]

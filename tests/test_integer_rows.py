@@ -19,6 +19,7 @@ import pytest
 import lsglue as lg
 from lsglue import assembly
 from lsglue.data import dataset_from_csv, dataset_from_json
+from lsglue.model import sum_normal_systems
 
 import oracles
 
@@ -43,7 +44,7 @@ def test_atom_of_zero_weights_is_a_zero_system_of_full_size():
     system = _system(points, [F(0), F(0)], QUADRATIC_2D)
     _assert_matches(system, points, [F(0), F(0)], QUADRATIC_2D)
     n = len(QUADRATIC_2D)
-    assert (system.nu_nums, system.nu_den) == ((0,) * n, 1)
+    assert (system.nu.nums, system.nu.den) == ((0,) * n, 1)
     assert system.nmat == lg.Matrix(((0,) * n,) * n, 1, n)
     # the same atom inside a cover: points 3 and 4 weigh nothing and lie in
     # B and C only, so chart C (and B|C) is that atom's zero system, and
@@ -59,7 +60,8 @@ def test_atom_of_zero_weights_is_a_zero_system_of_full_size():
         kept = oracles.restrict_weights(weights, cell.indices)
         _assert_matches(system, raw, kept, [[1], [0]])
     by_names = {cell.chart_names: system for cell, system in systems.items()}
-    assert by_names[("C",)] == lg.NormalSystem((0, 0), 1, lg.Matrix(((0, 0), (0, 0)), 1, 2))
+    zero = lg.NormalSystem(lg.Vector((0, 0), 1), lg.Matrix(((0, 0), (0, 0)), 1, 2))
+    assert by_names[("C",)] == zero
     assert by_names[("B",)] == by_names[("A", "B")] != by_names[("C",)]
 
 
@@ -68,7 +70,7 @@ def test_responses_all_zero_give_nu_zero():
     weights = [F(2, 3), F(5), F(1, 4)]
     system = _system(points, weights, QUADRATIC_2D)
     _assert_matches(system, points, weights, QUADRATIC_2D)
-    assert (system.nu_nums, system.nu_den) == ((0,) * len(QUADRATIC_2D), 1)
+    assert (system.nu.nums, system.nu.den) == ((0,) * len(QUADRATIC_2D), 1)
     assert any(map(any, system.nmat.nums))
 
 
@@ -130,19 +132,28 @@ def test_points_are_the_rationals_of_the_rows():
 
 
 def test_normal_system_fields_are_nu_in_lowest_terms():
+    # a system is the pair (ν, N), ν a Vector: its lowest terms and positive
+    # denominator are the Vector's, as N's are the Matrix's
+    assert lg.NormalSystem.__slots__ == ("nu", "nmat")
+    for name in ("of", "nu_nums", "nu_den"):
+        assert not hasattr(lg.NormalSystem, name), name
     nmat = lg.Matrix.of([[2, 1], [1, 3]])
-    system = lg.NormalSystem((-124, 60), 4, nmat)
-    assert (system.nu_nums, system.nu_den) == ((-31, 15), 1)
-    assert system == lg.NormalSystem.of(lg.Vector.of([-31, 15]), nmat)
-    assert lg.NormalSystem((3, -6), -9, nmat).nu_nums == (-1, 2)
-    assert lg.NormalSystem((3, -6), -9, nmat).nu_den == 3
-    assert lg.NormalSystem((0, 0), 7, nmat).nu_den == 1
+    system = lg.NormalSystem(lg.Vector((-124, 60), 4), nmat)
+    assert (system.nu.nums, system.nu.den) == ((-31, 15), 1)
+    assert system == lg.NormalSystem(lg.Vector.of([-31, 15]), nmat)
+    assert lg.NormalSystem(lg.Vector((3, -6), -9), nmat).nu.nums == (-1, 2)
+    assert lg.NormalSystem(lg.Vector((3, -6), -9), nmat).nu.den == 3
+    assert lg.NormalSystem(lg.Vector((0, 0), 7), nmat).nu.den == 1
     assert system.nu == lg.Vector.of([-31, 15]) and system.param_dim == 2
     with pytest.raises(lg.ZeroDenominator):
-        lg.NormalSystem((1, 2), 0, nmat)
+        lg.NormalSystem(lg.Vector((1, 2), 0), nmat)
     data = lg.WeightedDataSet.of([("1/3", "5/7", "2/9"), ("-4/5", "1/2", "3/11"), (2, 3)])
     built = lg.build_normal_system(data, lg.affine_features(1))
-    assert built.nu_den > 0 and gcd(built.nu_den, *built.nu_nums) == 1
+    summed = sum_normal_systems([built, built])
+    for nu in (built.nu, summed.nu):
+        assert type(nu) is lg.Vector
+        assert nu.den > 0 and gcd(nu.den, *nu.nums) == 1
+    assert summed.nu == built.nu.scale(2)
 
 
 def test_claim_check_cross_multiplies_n_a_against_minus_nu():
@@ -152,7 +163,7 @@ def test_claim_check_cross_multiplies_n_a_against_minus_nu():
     assert assembly._solves(system, a_hat)
     # -ν ≠ 0 here, so â solves N·x = -ν and not N·x = ν
     assert not system.nu.is_zero()
-    flipped = lg.NormalSystem([-v for v in system.nu_nums], system.nu_den, system.nmat)
+    flipped = lg.NormalSystem(-system.nu, system.nmat)
     assert not assembly._solves(flipped, a_hat)
     assert assembly._solves(flipped, -a_hat)
     for shift in ("1/1000", "-1", "0"):

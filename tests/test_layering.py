@@ -1,7 +1,8 @@
 """One job per module: ``koszul`` holds the algebra, ``assembly`` the report
 format and the rule that certifies a fit, ``cli`` the files and exit codes.
 Each fact is stated once: a pair's (δ, β) in the fit loop, a triple's verdict
-in its witness and residual, the literal grammar in one pattern."""
+in its witness and residual, the literal grammar in one pattern.  No module
+imports a name it does not use."""
 
 import ast
 import inspect
@@ -88,3 +89,23 @@ def test_vector_holds_no_report_form():
         assert not hasattr(linalg, name), name
     for name in ("to_strings", "to_floats"):
         assert not hasattr(linalg.Vector, name), name
+
+
+def test_every_imported_name_is_used():
+    # a name is used when the module reads it (an ast.Name); __init__.py
+    # imports to re-export, and a __future__ import binds nothing
+    unused = {}
+    for path in sorted((ROOT / "src" / "lsglue").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -133,12 +133,12 @@ CASES = {
     ),
     "NormalSystem": (
         lambda: lg.build_normal_system(toy_cover().base, lg.affine_features(1)),
-        lambda: lg.NormalSystem.of(vec(-62, -30), lg.Matrix.of([[94, 6], [6, 10]])),
-        lambda: lg.NormalSystem((-124, -60), 2, lg.Matrix.of([[94, 6], [6, 11]])),
+        lambda: lg.NormalSystem(vec(-62, -30), lg.Matrix.of([[94, 6], [6, 10]])),
+        lambda: lg.NormalSystem(lg.Vector((-124, -60), 2), lg.Matrix.of([[94, 6], [6, 11]])),
     ),
     "LSSolution": (
         lambda: lg.solve_least_squares(
-            lg.NormalSystem.of(vec(-2, -4), lg.Matrix.of([[2, 0], [0, 4]]))
+            lg.NormalSystem(vec(-2, -4), lg.Matrix.of([[2, 0], [0, 4]]))
         ),
         lambda: lg.LSSolution(vec(1, 1), ()),
         lambda: lg.LSSolution(vec(1, 1), (vec(0, 0),)),
