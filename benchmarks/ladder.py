@@ -17,29 +17,28 @@ generator's own terms:
     m4000_k200_n2       4000   200  2   affine in 1-d
     m40000_k200_n2      40000  200  2   affine in 1-d
 
-Each command of each rung runs ``REPEATS`` times and is one row of the
-output, whatever its exit code: the median, least and greatest wall time of
-the subprocess; the median wall time of the benchmark's reference kernel
-``perfbench/calib.py``, run as a child before each run, and the median wall
-rescaled by REFERENCE_S / that median, as ``perfbench/run.py`` rescales its
-timings, so that walls taken while the host ran at another speed compare;
-its exit code, its first ``error:`` line, the sizes of its
-report and its stderr, and the largest numerator and denominator bits of â
-(every record's ``a_hat``), β (the pairs' slot constants) and the triple
-defects, read from the report.  Runs that disagree on the exit code or the
-report bytes make the row's ``error``.  A rung whose ``cocycle`` writes no
-report keeps a ``verify`` row that says it did not run.
+Each command of each rung is one row of the output, whatever its exit code.
+The command runs once untimed, then ``REPEATS`` timed rounds; the row holds
+the median, least and greatest wall time of the subprocess, its exit code,
+its first ``error:`` line, the sizes of its report and its stderr, and the
+largest numerator and denominator bits of â (every record's ``a_hat``), β
+(the pairs' slot constants) and the triple defects, read from the report.
+When the runs differ in exit code, report bytes or stderr bytes, the row's
+``error`` names the fields, as in ``the 3 change runs differ in exit code``.
+A rung whose ``cocycle`` writes no report keeps a ``verify`` row that says
+it did not run.
 
 With ``--baseline DIR``, where DIR holds another tree's ``src/`` (say, from
-``git archive HEAD~1 | tar -x -C DIR``), each command runs alternately from
-DIR's ``src/`` and from this checkout's, ``REPEATS`` times each, the
-baseline first in every pair, after one untimed run of each and with no
-calibration run.  Each row then holds both medians, the change/baseline
-ratio of each pair, their median and the number of pairs the change was
-faster in; the two trees must write the same report bytes, stderr bytes and
-exit code, or the row's ``error`` says where they differ.  Both trees'
-``verify`` read the change's ``cocycle`` report.  The output's ``baseline``
-is the name of DIR.
+``git archive HEAD~1 | tar -x -C DIR``), each round runs the command from
+DIR's ``src/`` and then from this checkout's, after one untimed run of each.
+The row then also holds the baseline's median, the change/baseline ratio of
+each round, their median and the number of rounds the change was faster
+in; the two trees' last runs must agree in the same three fields, or the
+row's ``error`` says ``the baseline and the change differ in ...``.  Both
+trees' ``verify`` read the change's ``cocycle`` report.  The output's
+``baseline`` is the name of DIR.  Without it, ``baseline_wall_s`` and
+``ratio_median`` are null, ``ratios`` is empty and ``wins`` is 0, so rows
+of both modes have the same keys.
 
 Usage:
 
@@ -90,13 +89,9 @@ RUNGS = {
 
 SEED = 0
 
-# Runs of each command of each rung; the row's wall_s is their median.
+# Timed rounds of each command of each rung; the row's wall_s is the median
+# of the change's walls.
 REPEATS = 3
-
-# The reference kernel, timed as a child before each run, and the wall time
-# it is rescaled to, both as in perfbench/run.py.
-CALIB = ROOT / "perfbench" / "calib.py"
-REFERENCE_S = 0.25
 
 
 def child_env(src: Path) -> dict:
@@ -154,16 +149,6 @@ def report_bits(doc: dict) -> dict:
     }
 
 
-def calibrate() -> float:
-    """The wall seconds of one run of ``perfbench/calib.py`` as a child."""
-    start = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-S", str(CALIB)],
-        stdout=subprocess.DEVNULL, env=CHILD_ENV, check=True,
-    )
-    return time.perf_counter() - start
-
-
 def run_once(command: str, argv: list, report: Path, stderr: Path, env: dict) -> tuple:
     """One run of a CLI command, its report written to ``report`` and its
     stderr to ``stderr``: (wall seconds, exit code, report bytes or None)."""
@@ -183,49 +168,26 @@ def first_error(stderr: Path) -> str | None:
     return next((line for line in text.splitlines() if line.startswith("error:")), None)
 
 
-def run_command(command: str, argv: list, directory: Path) -> dict:
-    """Run one CLI command ``REPEATS`` times, each after one calibration run,
-    with its report and stderr in files; its row, read from the last run's
-    files."""
-    report, stderr = directory / f"{command}.json", directory / f"{command}.err"
-    calibs, walls, codes, reports = [], [], [], []
-    for _ in range(REPEATS):
-        calibs.append(calibrate())
-        wall, code, written = run_once(command, argv, report, stderr, CHILD_ENV)
-        walls.append(wall)
-        codes.append(code)
-        reports.append(written)
-    error = first_error(stderr)
-    if len(set(codes)) > 1:
-        error = f"the {REPEATS} runs disagree on the exit code: {codes}"
-    elif len(set(reports)) > 1:
-        error = f"the {REPEATS} runs disagree on the report bytes"
-    written = reports[-1] is not None
-    wall, calib = statistics.median(walls), statistics.median(calibs)
-    return {
-        "command": command,
-        "ran": True,
-        "exit_code": code,
-        "wall_s": round(wall, 3),
-        "wall_min_s": round(min(walls), 3),
-        "wall_max_s": round(max(walls), 3),
-        "calib_s": round(calib, 3),
-        "wall_cal_s": round(wall * REFERENCE_S / calib, 3),
-        "error": error,
-        "report_bytes": len(reports[-1]) if written else None,
-        "stderr_bytes": stderr.stat().st_size,
-        "bits": report_bits(json.loads(reports[-1])) if written else None,
-    }
+def differing(outcomes: list) -> str:
+    """The fields in which the (exit code, report bytes, stderr bytes)
+    outcomes are not all equal, in that order, joined by commas."""
+    fields = ("exit code", "report bytes", "stderr bytes")
+    return ", ".join(
+        field for field, values in zip(fields, zip(*outcomes)) if len(set(values)) > 1
+    )
 
 
-def run_ab(command: str, argv: list, directory: Path, baseline: Path) -> dict:
-    """Run one CLI command ``REPEATS`` times from each tree, alternating, the
-    baseline (``baseline``/src) first in each pair; the A/B row.  The
-    change's report is ``<command>.json``, as in :func:`run_command`."""
-    sides = {
-        "baseline": (child_env(baseline / "src"), directory / f"baseline-{command}.json"),
-        "change": (CHILD_ENV, directory / f"{command}.json"),
-    }
+def measure(command: str, argv: list, directory: Path, baseline: Path | None = None) -> dict:
+    """One untimed run of a CLI command from each tree, then ``REPEATS``
+    rounds: a run from this checkout's ``src/``, after one from
+    ``baseline``/src when that is given; the row.  The change's report is
+    ``<command>.json``, where :func:`run_rung`'s ``verify`` reads it."""
+    sides = {"change": (CHILD_ENV, directory / f"{command}.json")}
+    if baseline is not None:
+        sides = {
+            "baseline": (child_env(baseline / "src"), directory / f"baseline-{command}.json"),
+            **sides,
+        }
     walls = {side: [] for side in sides}
     outcomes = {side: [] for side in sides}
     # one untimed run of each tree first, so that neither pays for compiling
@@ -238,31 +200,25 @@ def run_ab(command: str, argv: list, directory: Path, baseline: Path) -> dict:
             wall, code, written = run_once(command, argv, report, stderr, env)
             walls[side].append(wall)
             outcomes[side].append((code, written, stderr.read_bytes()))
-    ratios = [change / base for base, change in zip(walls["baseline"], walls["change"])]
     error = first_error(directory / f"change-{command}.err")
     for side, seen in outcomes.items():
-        if len(set(seen)) > 1:
-            error = f"the {REPEATS} {side} runs disagree on the exit code, report or stderr"
-    differ = [
-        what
-        for what, base, change in zip(
-            ("exit code", "report bytes", "stderr bytes"),
-            outcomes["baseline"][-1],
-            outcomes["change"][-1],
-        )
-        if base != change
-    ]
-    if differ:
-        error = f"the baseline and the change differ in {', '.join(differ)}"
+        if differ := differing(seen):
+            error = f"the {REPEATS} {side} runs differ in {differ}"
+    if differ := differing([seen[-1] for seen in outcomes.values()]):
+        error = f"the baseline and the change differ in {differ}"
+    base = walls.get("baseline")
+    ratios = [change / before for before, change in zip(base or [], walls["change"])]
     code, written, err = outcomes["change"][-1]
     return {
         "command": command,
         "ran": True,
         "exit_code": code,
-        "baseline_wall_s": round(statistics.median(walls["baseline"]), 4),
+        "baseline_wall_s": round(statistics.median(base), 4) if base else None,
         "wall_s": round(statistics.median(walls["change"]), 4),
+        "wall_min_s": round(min(walls["change"]), 4),
+        "wall_max_s": round(max(walls["change"]), 4),
         "ratios": [round(r, 4) for r in ratios],
-        "ratio_median": round(statistics.median(ratios), 4),
+        "ratio_median": round(statistics.median(ratios), 4) if ratios else None,
         "wins": sum(r < 1 for r in ratios),
         "pairs": REPEATS,
         "error": error,
@@ -277,25 +233,10 @@ def not_run(command: str, why: str) -> dict:
         "command": command,
         "ran": False,
         "exit_code": None,
+        "baseline_wall_s": None,
         "wall_s": None,
         "wall_min_s": None,
         "wall_max_s": None,
-        "calib_s": None,
-        "wall_cal_s": None,
-        "error": why,
-        "report_bytes": None,
-        "stderr_bytes": None,
-        "bits": None,
-    }
-
-
-def not_run_ab(command: str, why: str) -> dict:
-    return {
-        "command": command,
-        "ran": False,
-        "exit_code": None,
-        "baseline_wall_s": None,
-        "wall_s": None,
         "ratios": [],
         "ratio_median": None,
         "wins": 0,
@@ -319,24 +260,17 @@ def run_rung(name: str, baseline: Path | None = None) -> list:
         "ambient_dim": dim,
         "coordinate_bounds": bounds,
     }
-    if baseline is None:
-        run, skip = run_command, not_run
-    else:
-        def run(command, argv, directory):
-            return run_ab(command, argv, directory, baseline)
-
-        skip = not_run_ab
     rows = []
     with tempfile.TemporaryDirectory(prefix="lsglue-ladder-") as tmp:
         directory = Path(tmp)
         argv = write_inputs(name, directory)
-        cocycle = run("cocycle", argv, directory)
+        cocycle = measure("cocycle", argv, directory, baseline)
         rows.append({**rung, **cocycle})
         if cocycle["report_bytes"] is None:
-            rows.append({**rung, **skip("verify", "cocycle wrote no report")})
+            rows.append({**rung, **not_run("verify", "cocycle wrote no report")})
         else:
             verify_argv = argv + ["--cochain", str(directory / "cocycle.json")]
-            rows.append({**rung, **run("verify", verify_argv, directory)})
+            rows.append({**rung, **measure("verify", verify_argv, directory, baseline)})
     return rows
 
 
@@ -356,18 +290,11 @@ def main(argv=None) -> int:
         for row in run_rung(name, args.baseline):
             runs.append(row)
             shown = row["error"] or f"report {row['report_bytes']} B"
-            if args.baseline is None:
-                timing = (
-                    f"{row['wall_s']} s ({row['wall_min_s']}-{row['wall_max_s']})"
-                    f"  calibrated {row['wall_cal_s']} s"
-                )
-            else:
-                timing = (
-                    f"{row['baseline_wall_s']} -> {row['wall_s']} s"
-                    f"  ratio {row['ratio_median']}, won {row['wins']}/{row['pairs']}"
-                )
             print(
-                f"{name:<20} {row['command']:<8} exit {row['exit_code']}  {timing}  {shown}",
+                f"{name:<20} {row['command']:<8} exit {row['exit_code']}"
+                f"  {row['wall_s']} s ({row['wall_min_s']}-{row['wall_max_s']})"
+                f"  baseline {row['baseline_wall_s']} s, ratio {row['ratio_median']},"
+                f" won {row['wins']}/{row['pairs']}  {shown}",
                 flush=True,
             )
     doc = {

@@ -3,11 +3,16 @@
 Two interchangeable scalar types are supported:
 
 * ``gmp`` -- :class:`gmpy2.mpq`, GMP-backed compiled rationals (the default
-  whenever ``gmpy2`` is importable).  All the hot inner loops of this package
-  are exact big-integer rational arithmetic, so this backend is the compiled
-  kernel.
+  whenever ``gmpy2`` is importable).
 * ``fractions`` -- :class:`fractions.Fraction` from the standard library, a
   pure-Python fallback with identical semantics.
+
+The hot loops do not use this type: elimination, the normal sums, the claim
+checks, the face sums and the report writer run on Python integers over a
+common denominator, whichever backend is chosen.  A ``Rational`` is built
+only for the rational views (a vector's or a matrix's entries, a data set's
+points), ``Vector.dot``, the Koszul ``c0`` constants, :func:`rat` and one
+error path, so the backend decides little of a run's time.
 
 The backend is chosen once at import time.  Set ``LSGLUE_BACKEND=gmp`` or
 ``LSGLUE_BACKEND=fractions`` to force a choice; forcing ``gmp`` without

@@ -24,7 +24,7 @@ from lsglue.assembly import (
     verify_cocycle,
 )
 from lsglue.data import cover_from_json, dataset_from_json
-from lsglue.koszul import KoszulElement, LinearizedElement, koszul_diff
+from lsglue.koszul import KoszulElement
 from lsglue.model import model_from_json
 
 import oracles

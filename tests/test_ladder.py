@@ -1,28 +1,24 @@
 """Smoke test of the scaling ladder (``benchmarks/ladder.py``) on its
-smallest rung, of how it reads runs that disagree, and of its A/B mode
-(``--baseline``): the order its runs alternate in, the byte comparison of the
-two trees and the ratio arithmetic."""
+smallest rung, in both modes, and of its one measuring loop: the order of
+its runs, one tree alone or two alternating (``--baseline``), how it reads
+runs that differ, the byte comparison of the two trees and the ratio
+arithmetic."""
 
 import importlib.util
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the keys of every row, in either mode and whether the command ran or not
 ROW_KEYS = {
     "rung", "m", "k", "n", "ambient_dim", "coordinate_bounds", "command", "ran",
-    "exit_code", "wall_s", "wall_min_s", "wall_max_s", "calib_s", "wall_cal_s", "error",
-    "report_bytes", "stderr_bytes", "bits",
-}
-AB_ROW_KEYS = {
-    "rung", "m", "k", "n", "ambient_dim", "coordinate_bounds", "command", "ran",
-    "exit_code", "baseline_wall_s", "wall_s", "ratios", "ratio_median", "wins", "pairs",
-    "error", "report_bytes", "stderr_bytes", "bits",
+    "exit_code", "baseline_wall_s", "wall_s", "wall_min_s", "wall_max_s", "ratios",
+    "ratio_median", "wins", "pairs", "error", "report_bytes", "stderr_bytes", "bits",
 }
 
 
@@ -43,9 +39,9 @@ def test_smallest_rung_writes_a_row_per_command(tmp_path):
         assert row["ran"] and row["error"] is None and row["report_bytes"] > 0
         # the median of three runs lies between the least and the greatest
         assert 0 < row["wall_min_s"] <= row["wall_s"] <= row["wall_max_s"]
-        # the median wall rescaled as perfbench rescales, by 0.25 s / calib_s
-        assert row["calib_s"] > 0
-        assert row["wall_cal_s"] == pytest.approx(row["wall_s"] * 0.25 / row["calib_s"], rel=0.05)
+        # one tree: no baseline, no ratios, and three rounds
+        assert row["baseline_wall_s"] is None and row["ratio_median"] is None
+        assert (row["ratios"], row["wins"], row["pairs"]) == ([], 0, 3)
         assert set(row["bits"]) == {"a_hat", "beta", "defect"}
         for bits in row["bits"].values():
             assert set(bits) == {"numerator", "denominator"}
@@ -66,34 +62,60 @@ def _ladder(monkeypatch):
 REPORT = '{"charts": {}, "pairs": {}, "triples": {}}'
 
 
+class _Clock:
+    """A stand-in for ``time`` in the ladder: perf_counter reads a clock
+    that only the fake runs advance."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
 @pytest.mark.parametrize(
     "runs, error",
     [
-        ([(3, REPORT)] * 3, None),
-        ([(3, REPORT), (1, None), (3, REPORT)], "the 3 runs disagree on the exit code: [3, 1, 3]"),
-        ([(3, REPORT), (3, REPORT + " "), (3, REPORT)], "the 3 runs disagree on the report bytes"),
+        ([(3, REPORT, b"")] * 3, None),
+        ([(3, REPORT, b""), (1, None, b""), (3, REPORT, b"")],
+         "the 3 change runs differ in exit code, report bytes"),
+        ([(3, REPORT, b""), (3, REPORT + " ", b""), (3, REPORT, b"")],
+         "the 3 change runs differ in report bytes"),
+        ([(3, REPORT, b""), (3, REPORT, b"note\n"), (3, REPORT, b"")],
+         "the 3 change runs differ in stderr bytes"),
     ],
-    ids=["agree", "exit_code", "report_bytes"],
+    ids=["agree", "exit_code", "report_bytes", "stderr_bytes"],
 )
 def test_runs_that_disagree_make_the_error(tmp_path, monkeypatch, runs, error):
+    # one tree: an untimed run, then three timed ones, whose walls the fake
+    # clock gives
     ladder = _ladder(monkeypatch)
-    outcomes = iter(runs)
+    clock = _Clock()
+    monkeypatch.setattr(ladder, "time", clock)
+    outcomes = iter([runs[0], *runs])
+    seconds = iter([100.0, 2.0, 1.0, 4.0])
+    calls = []
 
     def fake_run(argv, **kwargs):
-        if argv[-1] == str(ladder.CALIB):
-            time.sleep(0.001)
-            return subprocess.CompletedProcess(argv, 0)
-        code, report = next(outcomes)
+        assert kwargs["env"]["PYTHONPATH"] == str(ROOT / "src")
+        calls.append(argv[argv.index("-m") + 1 :][:2])
+        code, report, err = next(outcomes)
         if report is not None:
             Path(argv[-1]).write_text(report, encoding="utf-8")
+        kwargs["stderr"].write(err)
+        clock.now += next(seconds)
         return subprocess.CompletedProcess(argv, code)
 
     monkeypatch.setattr(ladder.subprocess, "run", fake_run)
-    row = ladder.run_command("cocycle", [], tmp_path)
+    row = ladder.measure("cocycle", [], tmp_path)
+    assert calls == [["lsglue.cli", "cocycle"]] * 4
     assert row["error"] == error
     assert (row["exit_code"], row["report_bytes"]) == (runs[-1][0], len(runs[-1][1]))
-    assert 0 <= row["wall_min_s"] <= row["wall_s"] <= row["wall_max_s"]
-    assert row["calib_s"] >= 0.001 and row["wall_cal_s"] >= 0
+    assert (row["wall_s"], row["wall_min_s"], row["wall_max_s"]) == (2.0, 1.0, 4.0)
+    assert row["baseline_wall_s"] is None and row["ratio_median"] is None
+    assert (row["ratios"], row["wins"], row["pairs"]) == ([], 0, 3)
+    # the report is where run_rung's verify reads it
+    assert (tmp_path / "cocycle.json").read_text(encoding="utf-8") == REPORT
 
 
 @pytest.mark.skipif(
@@ -111,17 +133,6 @@ def test_report_bits_read_literals_past_the_digit_limit(monkeypatch):
         "denominator": (10 ** (limit + 10) + 1).bit_length(),
     }
     assert sys.get_int_max_str_digits() == limit
-
-
-class _Clock:
-    """A stand-in for ``time`` in the ladder: perf_counter reads a clock
-    that only the fake runs advance."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def perf_counter(self):
-        return self.now
 
 
 @pytest.mark.parametrize(
@@ -161,12 +172,13 @@ def test_ab_mode_alternates_compares_bytes_and_takes_ratios(tmp_path, monkeypatc
     monkeypatch.setattr(ladder.subprocess, "run", fake_run)
     work = tmp_path / "work"
     work.mkdir()
-    row = ladder.run_ab("cocycle", [], work, base_src.parent)
+    row = ladder.measure("cocycle", [], work, base_src.parent)
     assert calls == ["baseline", "change"] * 4
     assert row["error"] == error
     assert row["ratios"] == [0.5, 1.25, 0.5]
     assert row["ratio_median"] == 0.5 and row["wins"] == 2 and row["pairs"] == 3
     assert (row["baseline_wall_s"], row["wall_s"]) == (3.0, 1.5)
+    assert (row["wall_min_s"], row["wall_max_s"]) == (1.0, 5.0)
     assert (row["exit_code"], row["report_bytes"]) == (3, len(REPORT))
     # the change's report is where run_rung's verify reads it
     assert (work / "cocycle.json").read_text(encoding="utf-8") == REPORT
@@ -183,11 +195,11 @@ def test_ab_mode_flags_a_tree_whose_runs_disagree(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(argv, next(codes))
 
     monkeypatch.setattr(ladder.subprocess, "run", fake_run)
-    row = ladder.run_ab("verify", [], tmp_path, tmp_path / "base")
-    assert row["error"] == "the 3 baseline runs disagree on the exit code, report or stderr"
+    row = ladder.measure("verify", [], tmp_path, tmp_path / "base")
+    assert row["error"] == "the 3 baseline runs differ in exit code"
     # a difference between the trees in the last pair is named before it
     codes = iter([3, 3, 3, 3, 3, 3, 3, 1])
-    row = ladder.run_ab("verify", [], tmp_path, tmp_path / "base")
+    row = ladder.measure("verify", [], tmp_path, tmp_path / "base")
     assert row["error"] == "the baseline and the change differ in exit code"
 
 
@@ -202,7 +214,8 @@ def test_ab_mode_rows_of_a_rung_against_the_same_tree(tmp_path):
     assert doc["baseline"] == ROOT.name
     assert [row["command"] for row in doc["runs"]] == ["cocycle", "verify"]
     for row in doc["runs"]:
-        assert set(row) == AB_ROW_KEYS
+        assert set(row) == ROW_KEYS
         assert row["error"] is None and row["pairs"] == 3 and len(row["ratios"]) == 3
         assert row["ratio_median"] == sorted(row["ratios"])[1] and 0 <= row["wins"] <= 3
+        assert 0 < row["wall_min_s"] <= row["wall_s"] <= row["wall_max_s"]
     assert [row["exit_code"] for row in doc["runs"]] == [3, 4]
