@@ -463,6 +463,143 @@ def test_usage_error_exit_1(files, capsys, argv, message):
     assert message in err
 
 
+_PARSED = {
+    "command": "fit",
+    "dataset": "d.json",
+    "cover": None,
+    "model": None,
+    "max_degree": 2,
+    "format": "json",
+    "allow_negative_weights": False,
+    "output": None,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        pytest.param(["fit", "--dataset", "d.json"], {}, id="defaults"),
+        pytest.param(
+            ["fit", "--dataset=d.json", "--format=text", "--cover=", "--output=-x"],
+            {"format": "text", "cover": "", "output": "-x"},
+            id="opt=value",
+        ),
+        pytest.param(
+            ["fit", "--data", "d.json", "--cov", "c", "--mo", "m", "--ma", "3", "--fo", "text"]
+            + ["--al", "--out", "o"],
+            {"cover": "c", "model": "m", "max_degree": 3, "format": "text"}
+            | {"allow_negative_weights": True, "output": "o"},
+            id="unique_prefixes",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "a", "--format", "text", "--dataset", "d.json", "--format", "json"]
+            + ["--allow-negative-weights", "--allow-negative-weights"],
+            {"allow_negative_weights": True},
+            id="last_value_wins",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--max-degree=-1"], {"max_degree": -1}, id="degree=-1"
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--max-degree", "-1", "--output", "-2"],
+            {"max_degree": -1, "output": "-2"},
+            id="negative_number_values",
+        ),
+        pytest.param(
+            ["cocycle", "--dataset", "d.json", "--cover", "c.json"],
+            {"command": "cocycle", "cover": "c.json"},
+            id="cocycle",
+        ),
+        pytest.param(
+            ["verify", "--dataset", "d.json", "--cov", "c.json", "--coc", "r.json"],
+            {"command": "verify", "cover": "c.json", "cochain": "r.json"},
+            id="verify",
+        ),
+    ],
+)
+def test_parser_parity_accepted(monkeypatch, argv, parsed):
+    # the values each command receives, as argparse parsed them; only verify
+    # takes --cochain
+    seen = []
+    for command in ("fit", "cocycle", "verify"):
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: seen.append(vars(args)) or 0)
+    assert cli.main(argv) == 0
+    assert seen == [_PARSED | parsed]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["verify", "--dataset", "d.json", "--c", "c.json"],
+            "ambiguous option: --c could match --cover, --cochain",
+            id="ambiguous_prefix",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--output", "-x"],
+            "argument --output: expected one argument",
+            id="dash_value",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--output"],
+            "argument --output: expected one argument",
+            id="no_value",
+        ),
+        pytest.param([], "the following arguments are required: command", id="no_command"),
+        pytest.param(["fit"], "the following arguments are required: --dataset", id="no_dataset"),
+        pytest.param(
+            ["verify", "--dataset", "d.json"],
+            "the following arguments are required: --cover, --cochain",
+            id="verify_needs_cover_and_cochain",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--cochain", "r"],
+            "unrecognized arguments: --cochain r",
+            id="cochain_outside_verify",
+        ),
+        pytest.param(
+            ["cocycle", "--dataset", "d.json", "--cover", "c.json", "--bogus", "x", "-y"],
+            "unrecognized arguments: --bogus x -y",
+            id="unknown_option",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--", "--format", "text"],
+            "unrecognized arguments: -- --format text",
+            id="double_dash",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--allow-negative-weights=1"],
+            "argument --allow-negative-weights: ignored explicit argument '1'",
+            id="flag_with_value",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--max-degree", "1.5"],
+            "argument --max-degree: invalid int value: '1.5'",
+            id="non_integer_degree",
+        ),
+        pytest.param(
+            ["refit", "--dataset", "d.json"],
+            "argument command: invalid choice: 'refit' (choose from 'fit', 'cocycle', 'verify')",
+            id="unknown_command",
+        ),
+        pytest.param(
+            ["fit", "--dataset", "d.json", "--format", "xml"],
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'text')",
+            id="unknown_format",
+        ),
+    ],
+)
+def test_parser_parity_refused(capsys, argv, message):
+    # a usage error is one error: line and exit 1, whatever the file names
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    if "(choose from" in message:
+        # argparse words the choices per Python version
+        assert err.startswith(f"error: {message.partition('(')[0]}")
+    else:
+        assert err == f"error: {message}\n"
+
+
 def test_usage_and_path_errors_cut_long_values(files, capsys, tmp_path):
     # argparse quotes a value whole and lists every unrecognized argument,
     # and an OSError quotes its path whole
