@@ -12,17 +12,24 @@ renders and writes the report, and maps each error to its code.  The report
 format and the rule that certifies a fit are ``assembly``'s, which solves a
 singular cell before the cochain is parsed, so a singular cell (2) wins over
 every fault of the cochain (1), an unreadable report included.
+
+The command line is read by :func:`parse_args` from one table of options,
+``_OPTIONS``, in the grammar argparse reads (``--opt value`` or
+``--opt=value``, an option by a unique prefix, the last value of a repeated
+option), without argparse: building its parsers would import ``shutil``,
+``gettext`` and ``locale`` on every run, so a command loads no module that
+``import lsglue.cli`` did not.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import re
 import sys
 from collections import Counter
 from math import isfinite
+from types import SimpleNamespace
 
 from .assembly import (
     ObstructionReport,
@@ -51,23 +58,6 @@ _EXIT_OBSTRUCTED = 3
 _EXIT_VERIFY = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a malformed input (exit 1, one ``error:``
-    line) instead of argparse's usage block and exit 2, with every
-    command-line value it echoes cut by ``errors.excerpt``; subcommand
-    parsers are built from the same class."""
-
-    def error(self, message: str):
-        raise LsglueError(_bounded(message))
-
-    def parse_args(self, args=None, namespace=None):
-        # argparse would list every unrecognized argument, however many
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            raise LsglueError(f"unrecognized arguments: {excerpt(' '.join(extras))}")
-        return args
-
-
 # A quoted value in a message, or a run of characters without a space;
 # compiled on first use, so that a run without an error does not pay for it.
 _VALUE = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+"""
@@ -75,55 +65,191 @@ _VALUE = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+"""
 
 def _bounded(message: str) -> str:
     """``message`` with each quoted value, and each unquoted word, cut by
-    ``errors.excerpt``: a usage or file-system error echoes command-line
-    values, which may be of any length."""
+    ``errors.excerpt``: a file-system error echoes a path, which may be of
+    any length."""
     return re.sub(_VALUE, lambda match: excerpt(match.group()), message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lsglue",
-        description=(
-            "Exact weighted least-squares fits on overlapping charts of a data"
-            " set, assembled into a cochain of fits, pairwise homotopy"
-            " witnesses, and triple-overlap obstructions, with every gluing"
-            " equation checked in exact rational arithmetic."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = """\
+Exact weighted least-squares fits on overlapping charts of a data set,
+assembled into a cochain of fits, pairwise homotopy witnesses, and
+triple-overlap obstructions, with every gluing equation checked in exact
+rational arithmetic."""
 
-    def add_common(cmd: argparse.ArgumentParser, cover_required: bool) -> None:
-        cmd.add_argument("--dataset", required=True, help="dataset JSON or CSV file")
-        cmd.add_argument(
-            "--cover",
-            required=cover_required,
-            help="cover JSON file (omitted: one chart over the whole set)",
+_COMMANDS = {
+    "fit": "least-squares solution on every cell of the cover",
+    "cocycle": "assemble fits, pair witnesses, and triple obstructions",
+    "verify": "recheck a previously emitted cocycle report",
+}
+_EVERY = tuple(_COMMANDS)
+_HELP = ("-h", "--help")
+
+# Each option: its attribute, its kind (str for a path, int, a tuple of the
+# words it takes, or bool for a flag), its default, its help line, the
+# commands that take it and the commands that require it.
+_OPTIONS = {
+    "--dataset": ("dataset", str, None, "dataset JSON or CSV file", _EVERY, _EVERY),
+    "--cover": (
+        "cover",
+        str,
+        None,
+        "cover JSON file (omitted: one chart over the whole set)",
+        _EVERY,
+        ("cocycle", "verify"),
+    ),
+    "--model": ("model", str, None, "model JSON file (default: affine features)", _EVERY, ()),
+    "--max-degree": (
+        "max_degree",
+        int,
+        2,
+        "deepest overlap to enumerate (default 2; cocycle and verify accept only 2)",
+        _EVERY,
+        (),
+    ),
+    "--format": ("format", ("json", "text"), "json", "report format (default json)", _EVERY, ()),
+    "--allow-negative-weights": (
+        "allow_negative_weights",
+        bool,
+        False,
+        "accept points of negative weight",
+        _EVERY,
+        (),
+    ),
+    "--output": ("output", str, None, "write report here instead of stdout", _EVERY, ()),
+    "--cochain": ("cochain", str, None, "cocycle report JSON to recheck", ("verify",), ("verify",)),
+}
+
+
+def _choices(words) -> str:
+    return ", ".join(map(repr, words))
+
+
+def _option(arg: str, names: list) -> tuple | None:
+    """How argparse reads ``arg`` among the options ``names``: None for a
+    value; otherwise the option it names, exactly or by a unique prefix
+    (None for an unknown option), and the value written after its ``=``
+    (None if there is none)."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    name, equals, value = arg.partition("=")
+    explicit = value if equals else None
+    if name in names:
+        return name, explicit
+    if arg.startswith("--"):
+        matches = [option for option in names if option.startswith(name)]
+        if len(matches) > 1:
+            raise LsglueError(f"ambiguous option: {excerpt(arg)} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    # a negative number, or an argument with a space, is a value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _spelling(name: str, kind) -> str:
+    """``name`` and its value as the help writes them."""
+    if kind is bool:
+        return name
+    if type(kind) is tuple:
+        return f"{name} {'|'.join(kind)}"
+    return f"{name} {'K' if kind is int else 'PATH'}"
+
+
+def _help(command: str | None) -> str:
+    """The help of ``command``, or of the program when None: a usage line,
+    then each command or option with its help line."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        usage, heading, description = "{fit,cocycle,verify} ...", "commands", _DESCRIPTION
+        rows += _COMMANDS.items()
+    else:
+        heading, description = "options", _COMMANDS[command]
+        words = [command]
+        for name, (_, kind, _, text, takes, requires) in _OPTIONS.items():
+            if command in takes:
+                spelling = _spelling(name, kind)
+                words.append(spelling if command in requires else f"[{spelling}]")
+                rows.append((spelling, text))
+        usage = " ".join(words)
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"usage: lsglue {usage}", "", description, "", f"{heading}:"]
+    lines += [f"  {left:<{width}}{text}" for left, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The command that ``argv`` names, and the value of each option it
+    takes, read as argparse reads them: ``--opt value`` or ``--opt=value``,
+    an option by a unique prefix of its name, the last value of a repeated
+    option, and what follows ``--`` left unread.  ``-h`` or ``--help``
+    writes the help to stdout and raises ``SystemExit(0)``; a usage error
+    raises ``LsglueError``, with each value it echoes cut by ``excerpt``."""
+    if not argv:
+        raise LsglueError("the following arguments are required: command")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        if command in ("-h", "--h", "--he", "--hel", "--help"):
+            sys.stdout.write(_help(None))
+            raise SystemExit(0)
+        raise LsglueError(
+            f"argument command: invalid choice: {excerpt(repr(command))}"
+            f" (choose from {_choices(_COMMANDS)})"
         )
-        cmd.add_argument("--model", help="model JSON file (default: affine features)")
-        cmd.add_argument(
-            "--max-degree",
-            type=int,
-            default=2,
-            metavar="K",
-            help="deepest overlap to enumerate (default 2; cocycle and verify accept only 2)",
-        )
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
-        cmd.add_argument("--allow-negative-weights", action="store_true")
-        cmd.add_argument("--output", metavar="PATH", help="write report here instead of stdout")
-
-    fit = sub.add_parser("fit", help="least-squares solution on every cell of the cover")
-    add_common(fit, cover_required=False)
-
-    cocycle = sub.add_parser(
-        "cocycle", help="assemble fits, pair witnesses, and triple obstructions"
-    )
-    add_common(cocycle, cover_required=True)
-
-    verify = sub.add_parser("verify", help="recheck a previously emitted cocycle report")
-    add_common(verify, cover_required=True)
-    verify.add_argument("--cochain", required=True, help="cocycle report JSON to recheck")
-
-    return parser
+    taken = {name: row for name, row in _OPTIONS.items() if command in row[4]}
+    values = {attr: default for attr, _, default, *_ in taken.values()}
+    cut = rest.index("--") if "--" in rest else len(rest)
+    args = rest[:cut]
+    options = [_option(arg, [*_HELP, *taken]) for arg in args]
+    extras = []
+    i = 0
+    while i < len(args):
+        arg, option = args[i], options[i]
+        i += 1
+        if option is None or option[0] is None:
+            extras.append(arg)
+            continue
+        name, value = option
+        attr, kind = (None, bool) if name in _HELP else taken[name][:2]
+        if kind is bool:
+            if value is not None:
+                shown = "/".join(_HELP) if attr is None else name
+                raise LsglueError(
+                    f"argument {shown}: ignored explicit argument {excerpt(repr(value))}"
+                )
+            if attr is None:
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            value = True
+        elif value is None:
+            if i == len(args) or options[i] is not None:
+                raise LsglueError(f"argument {name}: expected one argument")
+            value = args[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise LsglueError(
+                    f"argument {name}: invalid int value: {excerpt(repr(value))}"
+                ) from None
+        elif type(kind) is tuple and value not in kind:
+            raise LsglueError(
+                f"argument {name}: invalid choice: {excerpt(repr(value))}"
+                f" (choose from {_choices(kind)})"
+            )
+        values[attr] = value
+    missing = [
+        name
+        for name, (attr, *_, requires) in taken.items()
+        if command in requires and values[attr] is None
+    ]
+    if missing:
+        raise LsglueError(f"the following arguments are required: {', '.join(missing)}")
+    extras += rest[cut:]
+    if extras:
+        raise LsglueError(f"unrecognized arguments: {excerpt(' '.join(extras))}")
+    return SimpleNamespace(command=command, **values)
 
 
 def _read_text(path: str) -> str:
@@ -424,7 +550,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return handlers[args.command](args)
     except Singular as err:
         print(f"error: singular cell: {err}", file=sys.stderr)

@@ -112,6 +112,13 @@ CATALOG = [
         ],
     ),
     Mutant(
+        "cocycle_takes_no_cover",
+        "cli.py",
+        '        ("cocycle", "verify"),\n    ),',
+        '        ("verify",),\n    ),',
+        ["tests/test_cli.py::test_parser_parity_refused"],
+    ),
+    Mutant(
         "slot_key_admits_minus_zero",
         "assembly.py",
         _KEY,
