@@ -161,7 +161,8 @@ def _help(command: str | None) -> str:
     then each command or option with its help line."""
     rows = [("-h, --help", "show this help and exit")]
     if command is None:
-        usage, heading, description = "{fit,cocycle,verify} ...", "commands", _DESCRIPTION
+        usage = f"{{{','.join(_COMMANDS)}}} ..."
+        heading, description = "commands", _DESCRIPTION
         rows += _COMMANDS.items()
     else:
         heading, description = "options", _COMMANDS[command]

@@ -455,8 +455,7 @@ def test_cochain_commands_need_max_degree_2(files, capsys, command, max_degree, 
     ids=["missing_flag", "non_integer_degree", "unknown_subcommand"],
 )
 def test_usage_error_exit_1(files, capsys, argv, message):
-    # argparse alone would print its usage block and exit 2, the code of a
-    # singular cell
+    # a usage error exits 1, not 2, the code of a singular cell
     dataset = files("d.json", TOY_DATASET)
     code, out, err = run(capsys, [dataset if arg == "d.json" else arg for arg in argv])
     assert_one_error_line(code, out, err)
@@ -518,8 +517,8 @@ _PARSED = {
     ],
 )
 def test_parser_parity_accepted(monkeypatch, argv, parsed):
-    # the values each command receives, as argparse parsed them; only verify
-    # takes --cochain
+    # the values each command receives, in argparse's grammar and with its
+    # defaults; only verify takes --cochain
     seen = []
     for command in ("fit", "cocycle", "verify"):
         monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: seen.append(vars(args)) or 0)
