@@ -59,6 +59,16 @@ from .model import (
     loss_eval,
     solve_least_squares,
 )
-from .scalars import BACKEND, Rational, rat, rat_float, rat_str, rational_from_string
+from .scalars import BACKEND, rat, rat_float, rat_str, rational_from_string
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``Rational``, the backend's type, read from ``scalars`` at first use,
+    so that ``import lsglue`` does not import ``fractions``."""
+    if name == "Rational":
+        from .scalars import Rational
+
+        return Rational
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -56,9 +56,12 @@ reads them.  Every exact object is integers over one denominator (a
 ``linalg.Vector``, N's ``linalg.Matrix``, ν), so δ, the cocycle sums and
 the claim check are integer arithmetic on the fields: a triple's face sum
 over one lcm (:func:`_face_sum`), a pair's Nᵀβ₀ = δ by cross-multiplying
-(:func:`_pair_linear`), and N·â = -ν likewise (:func:`_solves`).  An entry
-is reduced on its own only where it is written or becomes a Koszul ``c0``
-(a β slot constant).
+(:func:`_pair_linear`), and N·â = -ν likewise (:func:`_solves`).  A Koszul
+coefficient is integers too (``koszul.LinearizedElement``): c0 its
+numerator and denominator, c a Vector; a β slot is built from its
+constant's integers, and the pair check reads them, so no rational is
+built.  An entry is reduced on its own only where it is written or becomes
+a Koszul c0 (a β slot constant).
 
 The report's JSON form is this module's, Koszul elements included
 (:func:`koszul_to_json`, :func:`koszul_from_json`): the exact `p/q` strings
@@ -70,8 +73,8 @@ object, so â's one list serves ``a_hat``, α's ``c`` and ``base`` and every
 β slot's ``base``; ``verify`` hands the same strings to its failure dump.
 It reduces each entry once, by its gcd with the vector's denominator, and
 writes each float as numerator over denominator unreduced
-(``scalars.pair_float``).  A Koszul ``c0`` is a reduced rational, spelled on
-its own (``scalars.rat_str``).  The reader parses through
+(``scalars.pair_float``).  A Koszul ``c0`` is held in lowest terms, and
+spelled from its integers (``scalars.pair_str``).  The reader parses through
 one ``seen`` dict per document (:func:`_vector_from_strings`), shared by
 :func:`claims_from_json` and :func:`cochain_from_json`: each distinct list
 of literals is lifted over one denominator once (``scalars.literal_row``),
@@ -88,16 +91,15 @@ its witness and its residual (:meth:`ObstructionReport.all_verified`).
 
 from __future__ import annotations
 
-import re
 from math import gcd, isfinite, ldexp, sqrt
 from operator import mul
 
 from .data import Cover, NerveCell, WeightedDataSet, enumerate_nerve, validate_cover
 from .errors import BaseMismatch, CellMismatch, LsglueError, excerpt
 from .koszul import KoszulElement, LinearizedDifferential, LinearizedElement, koszul_diff
-from .linalg import Matrix, Value, Vector, add_rows, integer_row, modular_rank
+from .linalg import Matrix, Value, Vector, add_rows, modular_rank, over_lcm
 from .model import FeatureMap, build_normal_system, solve_least_squares, sum_normal_systems
-from .scalars import ZERO, literal_row, pair_float, pair_str, rat_str, rational_from_string
+from .scalars import literal_row, pair_float, pair_str
 
 # The report section of each cell degree.
 _SECTIONS = ("charts", "pairs", "triples")
@@ -163,8 +165,11 @@ class TripleCheck(Value):
     def residual_element(self, base: Vector) -> KoszulElement:
         """The residual as the degree-1 Koszul element at ``base``, the
         triple's â: slot m holds (-defect_m, ``linear`` at m)."""
-        zero, slots = Vector.zeros(base.dim), enumerate(self.defect_constant, 1)
-        coeffs = {(m,): LinearizedElement(-d, self.linear.get(m, zero)) for m, d in slots}
+        zero, defect = Vector.zeros(base.dim), self.defect_constant
+        coeffs = {
+            (m,): LinearizedElement.of_parts(-num, defect.den, self.linear.get(m, zero))
+            for m, num in enumerate(defect.nums, 1)
+        }
         return KoszulElement.build(1, base, coeffs)
 
     def residual_to_json(self, base: Vector, strings: "ReportStrings") -> dict:
@@ -402,10 +407,13 @@ def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:
             alpha[cell] = canonical_alpha(fit)
         elif cell.degree == 1:
             delta, constants = fits.pairs[cell.chart_names]
-            slots = {(m + 1,): value for m, value in enumerate(constants)}
-            beta[cell] = KoszulElement.from_constants(1, fit.base, slots)
-            zero = LinearizedElement(ZERO, Vector.zeros(fit.n))
-            pairs[cell] = PairCheck(delta, constants, zero)
+            zero, den = Vector.zeros(fit.n), constants.den
+            slots = {
+                (m,): LinearizedElement.of_parts(num, den, zero)
+                for m, num in enumerate(constants.nums, 1)
+            }
+            beta[cell] = KoszulElement.build(1, fit.base, slots)
+            pairs[cell] = PairCheck(delta, constants, LinearizedElement(0, zero))
         elif cell.degree == 2:
             defect = _face_sum([fits.pairs[face][1] for face in cell.faces()], fit.n)
             r[cell] = KoszulElement.zero(2, fit.base) if defect.is_zero() else None
@@ -443,10 +451,13 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
         alpha_i = cochain.alpha[by_names[(name_i,)]].coefficient(())
         alpha_j = cochain.alpha[by_names[(name_j,)]].coefficient(())
         delta = alpha_j.c - alpha_i.c
-        c0s = [beta.coefficient((m,)).c0 for m in range(1, fit.n + 1)]
-        beta_constants = Vector(*integer_row(c0s))
-        residual = LinearizedElement(
-            alpha_i.c0 - alpha_j.c0, _pair_linear(fit.nmat, beta_constants, delta)
+        slots = [beta.coefficient((m,)) for m in range(1, fit.n + 1)]
+        den, nums = over_lcm([slot.num for slot in slots], [slot.den for slot in slots])
+        beta_constants = Vector(nums, den)
+        residual = LinearizedElement.of_parts(
+            alpha_i.num * alpha_j.den - alpha_j.num * alpha_i.den,
+            alpha_i.den * alpha_j.den,
+            _pair_linear(fit.nmat, beta_constants, delta),
         )
         pairs[cell] = PairCheck(delta, beta_constants, residual)
 
@@ -534,11 +545,8 @@ def _l2(vec: Vector) -> float | None:
         return None
 
 
-# A slot key as _index_key writes it: canonical JSON integers, no spaces.
-_KEY = re.compile(r"\[(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?\]")
-
-
 def _index_key(idx) -> str:
+    """A slot key: the entries of ``idx`` as canonical JSON integers, no spaces."""
     return "[" + ",".join(map(str, idx)) + "]"
 
 
@@ -580,11 +588,14 @@ def _negated(text: str) -> str:
 def koszul_to_json(element: KoszulElement, strings: ReportStrings | None = None) -> dict:
     """Serialize as a map from index tuples (e.g. ``"[1,2]"``) to coefficients,
     each written with the element's base; the vectors are converted by
-    ``strings``, a fresh :class:`ReportStrings` when None, and each ``c0`` by
-    ``scalars.rat_str``."""
+    ``strings``, a fresh :class:`ReportStrings` when None, and each ``c0``
+    from its integers by ``scalars.pair_str``."""
     if strings is None:
         strings = ReportStrings()
-    slots = [(idx, rat_str(coeff.c0), coeff.c) for idx, coeff in sorted(element.coeffs.items())]
+    slots = [
+        (idx, pair_str(coeff.num, coeff.den), coeff.c)
+        for idx, coeff in sorted(element.coeffs.items())
+    ]
     return _slots_to_json(slots, element.base, strings)
 
 
@@ -603,12 +614,14 @@ def koszul_from_json(
 ) -> KoszulElement:
     """Parse the :func:`koszul_to_json` format, enforcing the expected shape.
 
-    A key is read only when written as the writer writes it, which ``_KEY``
-    and ``int`` decide (``"[1,2]"``: no spaces, no leading zero, no ``-0``, no
-    entry past the digit limit), so two keys can never name the same wedge
-    slot.  Every coefficient's ``"base"`` must equal ``base``.  The ``"base"``
-    and ``"c"`` lists are read through ``seen`` (:func:`_vector_from_strings`),
-    and each ``"c0"`` by ``rational_from_string``."""
+    A key is read only when written as the writer writes it: its entries
+    are read by ``int`` and must spell the key again by :func:`_index_key`
+    (``"[1,2]"``: no spaces, no sign but ``-``, no leading zero, no ``-0``,
+    ASCII digits only, no entry past the digit limit), so two keys can
+    never name the same wedge slot.  Every coefficient's ``"base"`` must
+    equal ``base``.  The ``"base"`` and ``"c"`` lists are read through
+    ``seen`` (:func:`_vector_from_strings`), and each ``"c0"`` as a list of
+    one literal (``scalars.literal_row``), so no rational is built."""
     if not isinstance(doc, dict):
         raise LsglueError("Koszul element JSON must be an object")
     if seen is None:
@@ -616,9 +629,9 @@ def koszul_from_json(
     coeffs = {}
     for key, record in doc.items():
         try:
-            if not _KEY.fullmatch(key):
-                raise ValueError
             idx = tuple(map(int, key[1:-1].split(","))) if key != "[]" else ()
+            if _index_key(idx) != key:
+                raise ValueError
         except ValueError:
             raise LsglueError(f"bad index tuple key {excerpt(repr(key))}") from None
         if (
@@ -634,13 +647,12 @@ def koszul_from_json(
         if parsed_base != base:
             raise LsglueError(
                 f"coefficient at {excerpt(key)} is based at"
-                f" {excerpt(str([rat_str(x) for x in parsed_base]))},"
-                f" expected {excerpt(str([rat_str(x) for x in base]))}"
+                f" {excerpt(str(ReportStrings().vector(parsed_base)))},"
+                f" expected {excerpt(str(ReportStrings().vector(base)))}"
             )
-        coeffs[idx] = LinearizedElement(
-            rational_from_string(record["c0"]),
-            _vector_from_strings(record["c"], seen),
-        )
+        # a row of one literal, unreduced: of_parts reduces it
+        [num], den = literal_row([record["c0"]])
+        coeffs[idx] = LinearizedElement.of_parts(num, den, _vector_from_strings(record["c"], seen))
     return KoszulElement.build(degree, base, coeffs)
 
 

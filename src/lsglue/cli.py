@@ -19,15 +19,20 @@ The command line is read by :func:`parse_args` from one table of options,
 option), without argparse: building its parsers would import ``shutil``,
 ``gettext`` and ``locale`` on every run, so a command loads no module that
 ``import lsglue.cli`` did not.
+
+Nor does the module import ``json``, whose decoder, scanner and encoder
+compile regular expressions at import, and so load ``re``, ``enum``,
+``functools`` and ``collections``.  A document is read by the C scanner that
+``json.loads`` runs (:func:`_read_json`), and ``json.loads`` reads it again
+only when that gives no document, to raise json's own error; strings are
+escaped by json's C function, the report is written by :func:`_json_text`,
+and the failure dump by :func:`_compact_text`.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import re
 import sys
-from collections import Counter
 from math import isfinite
 from types import SimpleNamespace
 
@@ -51,6 +56,15 @@ from .errors import LsglueError, Singular, excerpt
 from .model import affine_features, model_from_json
 from .scalars import over_digit_limit
 
+try:
+    # the C functions that json itself runs on CPython
+    from _json import encode_basestring_ascii as _ENCODE
+    from _json import make_scanner as _make_scanner
+except ImportError:  # an interpreter without json's accelerator
+    from json.encoder import encode_basestring_ascii as _ENCODE
+
+    _make_scanner = None
+
 _EXIT_OK = 0
 _EXIT_PARSE = 1
 _EXIT_SINGULAR = 2
@@ -59,7 +73,8 @@ _EXIT_VERIFY = 4
 
 
 # A quoted value in a message, or a run of characters without a space;
-# compiled on first use, so that a run without an error does not pay for it.
+# ``re`` is imported and the pattern compiled on first use, so that a run
+# without an error does not pay for them.
 _VALUE = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+"""
 
 
@@ -67,6 +82,8 @@ def _bounded(message: str) -> str:
     """``message`` with each quoted value, and each unquoted word, cut by
     ``errors.excerpt``: a file-system error echoes a path, which may be of
     any length."""
+    import re
+
     return re.sub(_VALUE, lambda match: excerpt(match.group()), message)
 
 
@@ -141,7 +158,10 @@ def _option(arg: str, names: list) -> tuple | None:
             raise LsglueError(f"ambiguous option: {excerpt(arg)} could match {', '.join(matches)}")
         if matches:
             return matches[0], explicit
-    # a negative number, or an argument with a space, is a value
+    # a negative number, or an argument with a space, is a value; re is
+    # imported here, as only an unknown argument that starts with - gets here
+    import re
+
     if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
         return None
     return None, None
@@ -261,7 +281,19 @@ def _read_text(path: str) -> str:
         raise LsglueError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
+# What json.decoder skips around a document.
+_BLANK = " \t\n\r"
+
+# json.decoder's spelling of the constants strict JSON lacks.
+_CONSTANTS = {"-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")}
+
+
 def _read_json(path: str) -> dict:
+    """The document in the file ``path``, as ``json.loads`` reads it, with a
+    key repeated in one object refused.  The document is scanned by the C
+    scanner ``json.loads`` runs on CPython, with json's defaults, without
+    importing ``json``; if that gives no document, or ``_json`` is missing,
+    ``json.loads`` reads the text again, so each error is json's own."""
     text = _read_text(path)
 
     def unique_keys(pairs: list) -> dict:
@@ -269,10 +301,29 @@ def _read_json(path: str) -> dict:
         # value for one key (a wedge slot, say) would go unseen
         doc = dict(pairs)
         if len(doc) < len(pairs):
-            counts = Counter(key for key, _ in pairs)
+            counts = dict.fromkeys(doc, 0)
+            for key, _ in pairs:
+                counts[key] += 1
             key = next(key for key, count in counts.items() if count > 1)
             raise LsglueError(f"{path}: key {excerpt(repr(key))} repeated in a JSON object")
         return doc
+
+    if _make_scanner is not None:
+        context = SimpleNamespace(
+            strict=True,
+            object_hook=None,
+            object_pairs_hook=unique_keys,
+            parse_float=float,
+            parse_int=int,
+            parse_constant=_CONSTANTS.__getitem__,
+        )
+        try:
+            doc, end = _make_scanner(context)(text, len(text) - len(text.lstrip(_BLANK)))
+            if not text[end:].strip(_BLANK):
+                return doc
+        except Exception:  # json.loads below raises it again, or its own error
+            pass
+    import json
 
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
@@ -318,9 +369,6 @@ def _emit(args, text: str) -> None:
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
-
-
-_ENCODE = json.encoder.encode_basestring_ascii
 
 
 def _float_text(value: float) -> str:
@@ -406,6 +454,21 @@ def _write(node, depth: int, append, lists: dict) -> None:
         raise TypeError(f"Object of type {node.__class__.__name__} is not JSON serializable")
 
 
+def _compact_text(doc) -> str:
+    """``json.dumps(doc, allow_nan=False)``, byte for byte, for the documents
+    :func:`_json_text` takes: ``", "`` and ``": "`` between items, keys in
+    the order of the dict, on one line."""
+    leaf = _LEAF.get(type(doc))
+    if leaf is not None:
+        return leaf(doc)
+    if type(doc) is dict:
+        items = [f"{_ENCODE(key)}: {_compact_text(value)}" for key, value in doc.items()]
+        return "{" + ", ".join(items) + "}"
+    if type(doc) is list:
+        return "[" + ", ".join(map(_compact_text, doc)) + "]"
+    raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
+
+
 def _fmt_float(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6g}"
 
@@ -466,11 +529,11 @@ def _dump_failures(report: ObstructionReport, fits: dict, strings: ReportStrings
     for cell, check in report.pairs.items():
         if not check.residual_zero:
             element = check.residual_element(fits[cell].base)
-            residual = json.dumps(koszul_to_json(element, strings))
+            residual = _compact_text(koszul_to_json(element, strings))
             print(f"pair {cell.label}: residual {residual}", file=sys.stderr)
     for cell, check in report.triples.items():
         if not check.residual_zero:
-            residual = json.dumps(check.residual_to_json(fits[cell].base, strings))
+            residual = _compact_text(check.residual_to_json(fits[cell].base, strings))
             print(
                 f"triple {cell.label}: residual {residual}"
                 f" (defect constant {strings.vector(check.defect_constant)})",

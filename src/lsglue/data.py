@@ -21,13 +21,12 @@ to its size rather than by testing every chart tuple.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from itertools import chain, combinations
 from math import comb
 
 from .errors import DimensionMismatch, IndexOutOfRange, LsglueError, NotACover, excerpt
 from .linalg import Value, Vector, over_lcm
-from .scalars import Rational, literal_pair, rat
+from .scalars import literal_pair, rat
 
 # The most chart subsets enumerate_nerve may visit; the wide_nerve benchmark visits 1392.
 MAX_NERVE_VISITS = 10**6
@@ -66,7 +65,7 @@ class WeightedDataSet(Value):
                 )
 
     @classmethod
-    def of(cls, rows: Iterable, ambient_dim: int | None = None) -> "WeightedDataSet":
+    def of(cls, rows, ambient_dim: int | None = None) -> "WeightedDataSet":
         """Build from ``(x, y)`` or ``(x, y, weight)`` tuples; x may be a scalar."""
         converted = []
         for row in rows:
@@ -111,13 +110,13 @@ def _rat_pair(value) -> tuple:
 def _point(row: tuple) -> WeightedPoint:
     x, y, w = row
     den, nums = over_lcm(*zip(*x))
-    return WeightedPoint(Vector(nums, den), Rational(*y), Rational(*w))
+    return WeightedPoint(Vector(nums, den), rat(*y), rat(*w))
 
 
 _ZERO_WEIGHT = (0, 1)
 
 
-def restrict(data: WeightedDataSet, keep: Iterable[int]) -> WeightedDataSet:
+def restrict(data: WeightedDataSet, keep) -> WeightedDataSet:
     """Zero the weights of every point outside ``keep`` (1-based indices).
 
     Indexing is preserved, so this realizes the pullback of weights along the
@@ -176,7 +175,7 @@ class Cover(Value):
         object.__setattr__(self, "atoms", {key: tuple(ix) for key, ix in atoms.items()})
 
     @classmethod
-    def of(cls, base: WeightedDataSet, charts: Iterable) -> "Cover":
+    def of(cls, base: WeightedDataSet, charts) -> "Cover":
         return cls(base, tuple((name, frozenset(int(i) for i in idx)) for name, idx in charts))
 
 

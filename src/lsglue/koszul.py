@@ -8,6 +8,13 @@ with such a coefficient on each strictly increasing p-tuple of wedge slots
 e^{i_1} ∧ ... ∧ e^{i_p}; â belongs to the element, so a coefficient is the
 bare pair (c0, c) and the rank n of the element is the dimension of â.
 
+A coefficient is held as integers (:class:`LinearizedElement`): c0 as its
+numerator and positive denominator in lowest terms, ``num`` and ``den``, and
+c as a ``linalg.Vector``, integers over one denominator.  Sums, negation,
+scaling and the ring product are integer operations; ``c0`` is a rational
+only where it is read, and the cochain's assembly, verification and JSON
+form read ``num`` and ``den``, so they build no rational.
+
 The differential is interior multiplication against the components
 η^i = N_i·(a - â), the rows of a cell's normal matrix N taken at the cell's
 least-squares point â; a :class:`LinearizedDifferential` (â, N) is all a
@@ -24,23 +31,42 @@ algebra: the report's JSON form of an element is ``assembly``'s.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from math import gcd
 
 from .errors import BaseMismatch, DegreeZero, DimensionMismatch, LsglueError, excerpt
 from .linalg import Matrix, Value, Vector
-from .scalars import ZERO, rat
+from .scalars import rat
 
 
 class LinearizedElement(Value):
     """c0 + c·(a - â), taken modulo quadratic terms in (a - â), for the base
-    point â of the element it belongs to."""
+    point â of the element it belongs to.
 
-    __slots__ = ("c0", "c")
+    The constant is held as its integers, c0 = ``num / den`` in lowest terms
+    with ``den`` > 0, and ``c0`` is its rational view, built where it is
+    read; the linear part ``c`` is a :class:`Vector`.  The arithmetic runs on
+    the integers and builds no rational."""
+
+    __slots__ = ("num", "den", "c")
 
     def __init__(self, c0, c: Vector):
-        # c0 is a rational
-        object.__setattr__(self, "c0", c0)
+        # c0 is an int or a rational: its numerator and denominator are in
+        # lowest terms, the denominator positive
+        self._hold(c0.numerator, c0.denominator, c)
+
+    def _hold(self, num: int, den: int, c: Vector) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def of_parts(cls, num: int, den: int, c: Vector) -> "LinearizedElement":
+        """The element with c0 = ``num / den``, ``den`` > 0, brought to lowest
+        terms here, and linear part ``c``."""
+        common = gcd(num, den)
+        element = cls.__new__(cls)
+        element._hold(num // common, den // common, c)
+        return element
 
     @classmethod
     def constant(cls, n: int, value) -> "LinearizedElement":
@@ -48,28 +74,42 @@ class LinearizedElement(Value):
 
     @classmethod
     def linear(cls, c: Vector) -> "LinearizedElement":
-        return cls(ZERO, c)
+        return cls(0, c)
+
+    @property
+    def c0(self):
+        return rat(self.num, self.den)
 
     def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c.is_zero()
+        return not self.num and self.c.is_zero()
 
     def __add__(self, other: "LinearizedElement") -> "LinearizedElement":
-        return LinearizedElement(self.c0 + other.c0, self.c + other.c)
+        num = self.num * other.den + other.num * self.den
+        return LinearizedElement.of_parts(num, self.den * other.den, self.c + other.c)
 
     def __sub__(self, other: "LinearizedElement") -> "LinearizedElement":
-        return LinearizedElement(self.c0 - other.c0, self.c - other.c)
+        num = self.num * other.den - other.num * self.den
+        return LinearizedElement.of_parts(num, self.den * other.den, self.c - other.c)
 
     def __neg__(self) -> "LinearizedElement":
-        return LinearizedElement(-self.c0, -self.c)
+        return LinearizedElement.of_parts(-self.num, self.den, -self.c)
 
     def scale(self, s) -> "LinearizedElement":
         s = rat(s)
-        return LinearizedElement(s * self.c0, self.c.scale(s))
+        num, den = s.numerator * self.num, s.denominator * self.den
+        return LinearizedElement.of_parts(num, den, self.c.scale(s))
 
 
 def ring_mul(u: LinearizedElement, v: LinearizedElement) -> LinearizedElement:
-    """Product in the truncated ring: the linear×linear cross term vanishes."""
-    return LinearizedElement(u.c0 * v.c0, v.c.scale(u.c0) + u.c.scale(v.c0))
+    """Product in the truncated ring: the linear×linear cross term vanishes,
+    so (u0 + u·t)(v0 + v·t) = u0·v0 + (u0·v + v0·u)·t, on the integers."""
+    linear = _times(v.c, u) + _times(u.c, v)
+    return LinearizedElement.of_parts(u.num * v.num, u.den * v.den, linear)
+
+
+def _times(vec: Vector, factor: LinearizedElement) -> Vector:
+    """``vec`` times the constant of ``factor``."""
+    return Vector([factor.num * x for x in vec.nums], factor.den * vec.den)
 
 
 class KoszulElement(Value):
@@ -78,7 +118,7 @@ class KoszulElement(Value):
 
     __slots__ = ("degree", "base", "coeffs")
 
-    def __init__(self, degree: int, base: Vector, coeffs: Mapping):
+    def __init__(self, degree: int, base: Vector, coeffs: dict):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "coeffs", coeffs)
@@ -88,7 +128,7 @@ class KoszulElement(Value):
         return self.base.dim
 
     @classmethod
-    def build(cls, degree: int, base: Vector, coeffs: Mapping) -> "KoszulElement":
+    def build(cls, degree: int, base: Vector, coeffs: dict) -> "KoszulElement":
         """Validate and normalize (exact zero coefficients are dropped).
 
         Degrees above n are allowed only for the zero element (the exterior
@@ -119,7 +159,7 @@ class KoszulElement(Value):
         return cls.build(degree, base, {})
 
     @classmethod
-    def from_constants(cls, degree: int, base: Vector, values: Mapping) -> "KoszulElement":
+    def from_constants(cls, degree: int, base: Vector, values: dict) -> "KoszulElement":
         """Element with constant coefficients: ``values`` maps index tuples to scalars."""
         return cls.build(
             degree,
@@ -129,7 +169,7 @@ class KoszulElement(Value):
 
     def coefficient(self, idx) -> LinearizedElement:
         coeff = self.coeffs.get(tuple(idx))
-        return LinearizedElement.constant(self.n, 0) if coeff is None else coeff
+        return LinearizedElement(0, Vector.zeros(self.n)) if coeff is None else coeff
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -55,13 +55,12 @@ sets ``__hash__ = None``), and the repr is ``ClassName(field!r, ...)``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, Singular, ZeroDenominator
-from .scalars import Rational, rat
+from .scalars import rat
 
 # The prime of :func:`modular_rank`.  Residues stay below 2**61, so every
 # product in its elimination is small, however wide the matrix entries are.
@@ -94,7 +93,7 @@ def over_lcm(nums: list, dens: list) -> tuple:
     return den, [v * (den // t) if v else 0 for v, t in zip(nums, dens)]
 
 
-def lowest_terms_divisor(den: int, nums: Iterable, what: str) -> int:
+def lowest_terms_divisor(den: int, nums, what: str) -> int:
     """The divisor that brings integers ``nums`` over ``den`` to lowest
     terms with a positive denominator: their gcd with ``den``, negated when
     ``den`` < 0.  Raises :class:`ZeroDenominator` for ``den`` = 0, naming
@@ -159,7 +158,7 @@ class Vector(Value):
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def of(cls, values: Iterable) -> "Vector":
+    def of(cls, values) -> "Vector":
         return cls(*integer_row([rat(v) for v in values]))
 
     @classmethod
@@ -169,7 +168,7 @@ class Vector(Value):
     @property
     def entries(self) -> tuple:
         den = self.den
-        return tuple(Rational(v, den) for v in self.nums)
+        return tuple(rat(v, den) for v in self.nums)
 
     @property
     def dim(self) -> int:
@@ -178,11 +177,11 @@ class Vector(Value):
     def __len__(self) -> int:
         return len(self.nums)
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i: int):
-        return Rational(self.nums[i], self.den)
+        return rat(self.nums[i], self.den)
 
     def __add__(self, other: "Vector") -> "Vector":
         return self._combine(other, 1)
@@ -199,7 +198,7 @@ class Vector(Value):
 
     def dot(self, other: "Vector"):
         self._check_dim(other)
-        return Rational(sum(map(mul, self.nums, other.nums)), self.den * other.den)
+        return rat(sum(map(mul, self.nums, other.nums)), self.den * other.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -245,7 +244,7 @@ class Matrix(Value):
                 raise DimensionMismatch("ragged matrix rows")
 
     @classmethod
-    def of(cls, rows: Iterable[Iterable], ncols: int | None = None) -> "Matrix":
+    def of(cls, rows, ncols: int | None = None) -> "Matrix":
         converted = tuple(tuple(rat(v) for v in row) for row in rows)
         if ncols is None:
             if not converted:
@@ -266,7 +265,7 @@ class Matrix(Value):
     @property
     def rows(self) -> tuple:
         den = self.den
-        return tuple(tuple(Rational(v, den) for v in row) for row in self.nums)
+        return tuple(tuple(rat(v, den) for v in row) for row in self.nums)
 
     def row(self, i: int) -> Vector:
         return Vector(self.nums[i], self.den)

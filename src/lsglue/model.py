@@ -45,14 +45,12 @@ A :class:`NormalSystem` holds ν as a ``linalg.Vector`` and N as a
 The systems of a cell's atoms are added on those integers
 (:func:`sum_normal_systems`): their ν are added over the lcm of their
 denominators, and so are the integer rows of their N (``linalg.add_rows``).
-Only ``.numerator``, ``.denominator`` and the backend's ``Rational``
-constructor are used, so every scalar backend takes the same path.
+Only ``.numerator``, ``.denominator`` and ``scalars.rat`` are used, so every
+scalar backend takes the same path.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from functools import cache
 from itertools import chain
 from math import gcd
 from operator import floordiv, getitem, mul
@@ -66,7 +64,7 @@ from .linalg import (
     over_lcm,
     solve_square,
 )
-from .scalars import ONE, ZERO, Rational, digit_limit, over_digit_limit
+from .scalars import digit_limit, over_digit_limit, rat
 
 
 class FeatureMap(Value):
@@ -87,7 +85,7 @@ class FeatureMap(Value):
                 raise LsglueError("monomial exponents must be nonnegative integers")
 
     @classmethod
-    def of(cls, exponents: Iterable[Iterable[int]]) -> "FeatureMap":
+    def of(cls, exponents) -> "FeatureMap":
         return cls(tuple(tuple(int(e) for e in mono) for mono in exponents))
 
     @property
@@ -109,7 +107,7 @@ class FeatureMap(Value):
         max_bits = _max_bits(digit_limit())
         values = []
         for mono in self.monomials:
-            term = ONE
+            term = rat(1)
             for coord, exp in zip(x, mono):
                 if exp:
                     if max_bits and (
@@ -124,10 +122,16 @@ class FeatureMap(Value):
         return Vector.of(values)
 
 
-@cache
+# _max_bits by digit limit, computed once each.
+_MAX_BITS = {}
+
+
 def _max_bits(digits: int) -> int:
     """The bit length of the largest ``digits``-digit integer; 0 for no limit."""
-    return (10**digits - 1).bit_length() if digits else 0
+    bits = _MAX_BITS.get(digits)
+    if bits is None:
+        bits = _MAX_BITS[digits] = (10**digits - 1).bit_length() if digits else 0
+    return bits
 
 
 def _too_long(value: int, exp: int, max_bits: int) -> bool:
@@ -194,7 +198,7 @@ def _evaluate(rows, features: FeatureMap) -> NormalSystem:
                 for i, exps in zip(used, levels)
             ):
                 # raises, naming the first such monomial
-                features.evaluate(Vector.of(Rational(*pair) for pair in x))
+                features.evaluate(Vector.of(rat(*pair) for pair in x))
     p, d = _integer_features(coords, levels, exponents, len(xs))
     n_den, c = over_lcm([2 * w for w in w_nums], list(map(mul, w_dens, map(mul, d, d))))
     upper = []
@@ -213,15 +217,25 @@ def _evaluate(rows, features: FeatureMap) -> NormalSystem:
     return NormalSystem(Vector([sum(map(mul, c, column)) for column in p], nu_den), nmat)
 
 
-@cache
+# _plan by monomials, computed once each.
+_PLANS = {}
+
+
 def _plan(monomials: tuple) -> tuple:
     """(used, levels, exponents) of a feature map's monomials: the indices
     of the coordinates some monomial raises to a positive power, the sorted
     exponents each of them takes over the monomials (the top one last), and
     each monomial's exponents of those coordinates."""
-    levels = [sorted(set(column)) for column in zip(*monomials)]
-    used = [i for i, exps in enumerate(levels) if exps[-1]]
-    return used, [levels[i] for i in used], [[mono[i] for i in used] for mono in monomials]
+    plan = _PLANS.get(monomials)
+    if plan is None:
+        levels = [sorted(set(column)) for column in zip(*monomials)]
+        used = [i for i, exps in enumerate(levels) if exps[-1]]
+        plan = _PLANS[monomials] = (
+            used,
+            [levels[i] for i in used],
+            [[mono[i] for i in used] for mono in monomials],
+        )
+    return plan
 
 
 def _integer_features(coords: list, levels: list, exponents: list, m: int) -> tuple:
@@ -327,7 +341,7 @@ def loss_eval(data, features: FeatureMap, a: Vector):
         raise DimensionMismatch(
             f"parameter dim {a.dim} vs feature count {features.param_dim}"
         )
-    total = ZERO
+    total = rat(0)
     for p in data.points:
         if p.weight == 0:
             continue

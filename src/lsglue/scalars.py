@@ -7,16 +7,21 @@ Two interchangeable scalar types are supported:
 * ``fractions`` -- :class:`fractions.Fraction` from the standard library, a
   pure-Python fallback with identical semantics.
 
-The hot loops do not use this type: elimination, the normal sums, the claim
-checks, the face sums and the report writer run on Python integers over a
-common denominator, whichever backend is chosen.  A ``Rational`` is built
-only for the rational views (a vector's or a matrix's entries, a data set's
-points), ``Vector.dot``, the Koszul ``c0`` constants, :func:`rat` and one
-error path, so the backend decides little of a run's time.
+The pipeline does not use this type: elimination, the normal sums, the claim
+checks, the face sums, the Koszul coefficients and the report reader and
+writer run on Python integers over a common denominator, whichever backend
+is chosen.  A ``Rational`` is built only by :func:`rat`, for the rational
+views (a vector's or a matrix's entries, a data set's points, a Koszul
+coefficient's ``c0``), ``Vector.dot`` and a few error paths, so a
+``cocycle`` or ``verify`` run builds none.
 
 The backend is chosen once at import time.  Set ``LSGLUE_BACKEND=gmp`` or
 ``LSGLUE_BACKEND=fractions`` to force a choice; forcing ``gmp`` without
-``gmpy2`` installed is an import error.  Both types keep values in canonical
+``gmpy2`` installed is an import error, and so is any other value.  Under
+``fractions`` the module :mod:`fractions` (with ``decimal``, ``numbers`` and
+``re``, which it imports) is loaded at the first rational built, not at
+import; ``Rational``, ``ZERO`` and ``ONE`` are bound when first read (a
+module ``__getattr__``).  Both types keep values in canonical
 form automatically: positive denominator, gcd(|num|, den) = 1, zero as 0/1.
 
 ``benchmarks/bench_backends.py`` compares the two backends on representative
@@ -26,10 +31,7 @@ workloads.
 from __future__ import annotations
 
 import os
-import re
 import sys
-from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
 from .errors import MalformedNumber, ZeroDenominator, excerpt
@@ -41,9 +43,12 @@ if _requested not in ("", "gmp", "fractions"):
         f"unknown LSGLUE_BACKEND={_requested!r}; expected 'gmp' or 'fractions'"
     )
 
+# The backend's rational type; under ``fractions`` it is imported by _load.
+_Rational = None
+
 if _requested in ("", "gmp"):
     try:
-        from gmpy2 import mpq as Rational
+        from gmpy2 import mpq as _Rational
 
         BACKEND = "gmp"
     except ImportError:
@@ -51,16 +56,27 @@ if _requested in ("", "gmp"):
             raise ImportError(
                 "LSGLUE_BACKEND=gmp requested but gmpy2 is not installed"
             ) from None
-        Rational = Fraction
         BACKEND = "fractions"
 else:
-    Rational = Fraction
     BACKEND = "fractions"
 
-ZERO = Rational(0)
-ONE = Rational(1)
 
-_LITERAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?\Z")
+def _load():
+    """The backend's rational type, imported on the first call under
+    ``fractions``; binds ``Rational``, ``ZERO`` and ``ONE``."""
+    global _Rational, Rational, ZERO, ONE
+    if _Rational is None:
+        from fractions import Fraction as _Rational
+    Rational, ZERO, ONE = _Rational, _Rational(0), _Rational(1)
+    return _Rational
+
+
+def __getattr__(name: str):
+    """``Rational``, ``ZERO`` and ``ONE``, bound at their first read."""
+    if name in ("Rational", "ZERO", "ONE"):
+        _load()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def literal_pair(text: str) -> tuple:
@@ -76,13 +92,12 @@ def literal_pair(text: str) -> tuple:
 def rational_from_string(text: str) -> Rational:
     """Parse ``p``, ``p/q`` or a terminating decimal into an exact rational.
 
-    One pattern, ``_LITERAL_RE``, is the grammar; ``/`` or ``.`` tells the
-    form.  Decimal strings expand exactly (``"2.5"`` -> 5/2); there is no
-    float round trip.  Raises :class:`MalformedNumber` for anything outside
-    the grammar or the digit limit, :class:`ZeroDenominator` for ``p/0``.
+    :func:`_literal` is the grammar; ``/`` or ``.`` tells the form.  Decimal
+    strings expand exactly (``"2.5"`` -> 5/2); there is no float round trip.
+    Raises :class:`MalformedNumber` for anything outside the grammar or the
+    digit limit, :class:`ZeroDenominator` for ``p/0``.
     """
-    num, den = _literal(text)
-    return Rational(num, den)
+    return rat(*_literal(text))
 
 
 def literal_row(texts) -> tuple:
@@ -98,32 +113,44 @@ def literal_row(texts) -> tuple:
 def _literal(text: str) -> tuple:
     """(numerator, denominator > 0) of a literal, not yet reduced: the one
     reader of :func:`literal_pair`, :func:`literal_row` and
-    :func:`rational_from_string`.  A
+    :func:`rational_from_string`, and the grammar: after ``str.strip``, an
+    optional ``-``, then ASCII digits, then optionally ``/`` or ``.`` and
+    ASCII digits.  The first ``/``, or else the first ``.``, splits the
+    unsigned body, and each side must be digits.  A
     decimal's integer and fractional digits are converted apart, as
     ``Fraction`` converts them, so each meets the digit limit on its own."""
     if not isinstance(text, str):
         raise MalformedNumber(f"expected string, got {type(text).__name__}")
     body = text.strip()
-    if not _LITERAL_RE.match(body):
+    negative = body.startswith("-")
+    unsigned = body[1:] if negative else body
+    whole, sep, part = unsigned.partition("/" if "/" in unsigned else ".")
+    if not (_is_digits(whole) and (not sep or _is_digits(part))):
         raise MalformedNumber(f"cannot parse rational literal {excerpt(repr(text))}")
     try:
-        if "/" in body:
-            num_s, den_s = body.split("/")
-            den = int(den_s)
+        if sep == "/":
+            den = int(part)
             if den == 0:
                 raise ZeroDenominator(f"zero denominator in {excerpt(repr(text))}")
-            return int(num_s), den
-        if "." in body:
-            whole, digits = body.split(".")
-            scale = 10 ** len(digits)
-            num = int(whole.lstrip("-")) * scale + int(digits)
-            return (-num if whole[0] == "-" else num), scale
-        return int(body), 1
+            num = int(whole)
+        elif sep:
+            den = 10 ** len(part)
+            num = int(whole) * den + int(part)
+        else:
+            num, den = int(whole), 1
     except ValueError:
         # The grammar admits only digits, so int() fails only on Python's
         # limit on the length of decimal integer strings.
         what = f"rational literal {excerpt(repr(body))}"
         raise MalformedNumber(over_digit_limit(what)) from None
+    return (-num if negative else num), den
+
+
+def _is_digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits: ``bytes.isdigit`` reads
+    only those, where ``str.isdigit`` also admits other scripts' digits and
+    the superscripts; it is also some ten times as fast on a long literal."""
+    return text.isascii() and text.encode().isdigit()
 
 
 def digit_limit() -> int:
@@ -138,11 +165,15 @@ def over_digit_limit(what: str) -> str:
     return f"{what} exceeds the limit of {digit_limit()} digits for decimal integers"
 
 
-def rat(value) -> Rational:
-    """Coerce an int, rational scalar, or literal string to the backend type."""
+def rat(value, den: int = 1) -> Rational:
+    """Coerce an int, rational scalar, or literal string to the backend
+    type; with ``den``, the rational ``value / den`` of two ints.  Every
+    rational of the package is built here, so under ``fractions`` the
+    module is imported with the first one (:func:`_load`)."""
     if isinstance(value, str):
         return rational_from_string(value)
-    return Rational(value)
+    kind = _Rational or _load()
+    return kind(value) if den == 1 else kind(value, den)
 
 
 def rat_str(value) -> str:
@@ -166,10 +197,16 @@ def pair_str(num: int, den: int) -> str:
 _PIECE = 600
 
 
-@cache
+# 10 ** (_PIECE · 2^j) by j, computed once each.
+_TEN_POWERS = {}
+
+
 def _ten_power(j: int) -> int:
     """10 ** (_PIECE · 2^j)."""
-    return 10 ** (_PIECE << j)
+    power = _TEN_POWERS.get(j)
+    if power is None:
+        power = _TEN_POWERS[j] = 10 ** (_PIECE << j)
+    return power
 
 
 def _decimal(value: int) -> str:

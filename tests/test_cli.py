@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsglue import assembly, cli, linalg, model
-from lsglue.errors import excerpt
+from lsglue.errors import LsglueError, excerpt
 
 import oracles
 
@@ -1441,17 +1441,13 @@ def test_verify_parses_each_distinct_list_once(capsys, monkeypatch):
                 lists.update((tuple(coeff["base"]), tuple(coeff["c"])))
                 scalars += 1
     parsed = []
-    read_scalar, read_list = assembly.rational_from_string, assembly.literal_row
-
-    def counting_scalar(text):
-        parsed.append(text)
-        return read_scalar(text)
+    read_list = assembly.literal_row
 
     def counting_list(texts):
         parsed.extend(texts)
         return read_list(texts)
 
-    monkeypatch.setattr(assembly, "rational_from_string", counting_scalar)
+    # a c0 is read as a list of one literal
     monkeypatch.setattr(assembly, "literal_row", counting_list)
     code, out, err = run(capsys, ["verify", *QUAD_ARGV, "--cochain", str(golden)])
     assert (code, err) == (0, "")
@@ -1618,14 +1614,32 @@ def test_os_errors_exit_1_with_their_message(files, capsys, tmp_path):
     assert err == f"error: [Errno 21] Is a directory: {excerpt(repr(str(tmp_path)))}\n"
 
 
-def test_import_loads_no_module_the_cli_does_not_use():
-    # started as the benchmark starts it: without site, from src, and with no
-    # PYTHON* variable of the calling environment
+# Packages no command uses: fractions imports decimal, numbers and re; json's
+# decoder, scanner and encoder compile patterns at import, so load re; re
+# imports enum, which imports functools, which imports collections
+START_UP_UNUSED = {
+    "re", "enum", "functools", "collections", "decimal", "numbers", "fractions", "json"
+}
+
+
+def _unused(loaded) -> list:
+    """The modules of ``loaded`` that no command uses: those packages and
+    their submodules."""
+    return sorted(name for name in loaded if name.partition(".")[0] in START_UP_UNUSED)
+
+
+def _child_env() -> dict:
+    # started as the benchmark starts it: without site, from src, with no
+    # PYTHON* variable of the calling environment, on the fractions backend
     env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(SRC)
+    env.update(PYTHONPATH=str(SRC), LSGLUE_BACKEND="fractions")
+    return env
+
+
+def test_import_loads_no_module_the_cli_does_not_use():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, lsglue.cli; print(*sys.modules)"],
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -1634,17 +1648,21 @@ def test_import_loads_no_module_the_cli_does_not_use():
     loaded = set(proc.stdout.split())
     assert "lsglue.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "pathlib", "typing", "csv"} == set()
+    assert _unused(loaded) == []
 
 
 def test_a_run_loads_no_module_the_import_did_not(tmp_path):
-    # started as the import test above; a cocycle and a verify run on a JSON
-    # data set need nothing that import lsglue.cli did not load
-    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(SRC)
-    data = ["--dataset", str(ROOT / "sampledata/toy5.json")]
-    data += ["--cover", str(ROOT / "sampledata/cover_three_charts.json")]
-    report, checked = str(tmp_path / "report.json"), str(tmp_path / "verify.json")
-    script = f"""
+    # a cocycle and a verify run on a JSON data set need nothing that import
+    # lsglue.cli did not load: on line6's three charts the triple glues, and
+    # on toy5's it is obstructed, so verify dumps its residuals too
+    for dataset, cover, codes in (
+        ("line6.json", "cover_line_three_charts.json", "0 0"),
+        ("toy5.json", "cover_three_charts.json", "3 4"),
+    ):
+        data = ["--dataset", str(ROOT / "sampledata" / dataset)]
+        data += ["--cover", str(ROOT / "sampledata" / cover)]
+        report, checked = str(tmp_path / "report.json"), str(tmp_path / "verify.json")
+        script = f"""
 import sys
 from lsglue import cli
 before = set(sys.modules)
@@ -1655,18 +1673,18 @@ codes = (
 print(*codes, *sorted(set(sys.modules) - before))
 print(*sorted(sys.modules))
 """
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    codes_and_added, loaded = proc.stdout.splitlines()
-    # the three-chart cover is obstructed, so verify dumps its residuals too
-    assert codes_and_added == "3 4"
-    assert set(loaded.split()) & {"argparse", "gettext", "locale", "shutil"} == set()
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        codes_and_added, loaded = proc.stdout.splitlines()
+        assert codes_and_added == codes
+        assert set(loaded.split()) & {"argparse", "gettext", "locale", "shutil"} == set()
+        assert _unused(loaded.split()) == []
 
 
 # JSON leaves and keys that json.dumps treats specially: quotes, backslashes,
@@ -1710,8 +1728,81 @@ def test_json_text_is_json_dumps_indent_2(doc, shared):
         with pytest.raises(ValueError) as raised:
             cli._json_text(doc)
         assert str(raised.value) == str(err)
+        # the failure dump's compact writer refuses it too; json's C encoder,
+        # which writes without indent, words the message apart
+        with pytest.raises(ValueError):
+            cli._compact_text(doc)
     else:
         assert cli._json_text(doc) == expected
+        # the failure dump's compact writer is json.dumps with its defaults
+        assert cli._compact_text(doc) == json.dumps(doc)
+
+
+# JSON texts: documents written compact and indented, cut short, after a
+# byte order mark or blanks, before trailing data or blanks
+_JSON_INPUTS = st.one_of(
+    _JSON_DOCS.map(json.dumps),
+    _JSON_DOCS.map(lambda doc: json.dumps(doc, indent=2, ensure_ascii=False)),
+    st.tuples(_JSON_DOCS.map(json.dumps), st.integers(0, 60)).map(lambda t: t[0][: t[1]]),
+    st.tuples(
+        st.sampled_from(["", " \t\n\r", "\ufeff", "\x0b", "\xa0"]),
+        _JSON_DOCS.map(json.dumps),
+        st.sampled_from(["", " \n\t\r", "x", " 1", "{}", "\x0c", "\u2028", "]"]),
+    ).map("".join),
+)
+
+
+@pytest.fixture(scope="module")
+def json_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "doc.json"
+
+
+def _reading(path, scanner) -> tuple:
+    """``cli._read_json`` of ``path`` with ``cli._make_scanner`` set to
+    ``scanner`` (None: json.loads reads it): the document as json.dumps
+    writes it, or the error line, and the number of json.loads calls."""
+    saved, loads = cli._make_scanner, json.loads
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    cli._make_scanner, json.loads = scanner, counting
+    try:
+        outcome = ("doc", json.dumps(cli._read_json(str(path))))
+    except LsglueError as err:
+        outcome = ("error", f"error: {err}")
+    finally:
+        cli._make_scanner, json.loads = saved, loads
+    return outcome, len(calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_JSON_INPUTS)
+@example(text="")
+@example(text="   ")
+@example(text="\ufeff{}")
+@example(text='{"a": 1} x')
+@example(text='{"a": [1, 2')
+@example(text="NaN")
+@example(text="[-Infinity, Infinity, NaN, 1e400, -0.0]")
+@example(text='{"a": 1, "b": 2, "b": 3, "a": 4}')
+@example(text='[{"k": 1, "k": 1}, {"k": 2, "k": 2}]')
+@example(text="[" * 100_000)
+@example(text="[" * 100_000 + "]" * 100_000)
+@example(text="1" * 5000)
+@example(text='"\\ud800"')
+@example(text='"\x01"')
+def test_reader_gives_what_json_loads_gives(json_file, text):
+    # the fast path gives json.loads' document, without calling it, or the
+    # same error line, which json.loads gives
+    json_file.write_text(text, encoding="utf-8")
+    slow, slow_calls = _reading(json_file, None)
+    fast, fast_calls = _reading(json_file, cli._make_scanner)
+    assert fast == slow
+    assert slow_calls == 1
+    assert fast_calls == (fast[0] == "error")
 
 
 def test_report_holds_one_list_object_per_vector(capsys, monkeypatch):

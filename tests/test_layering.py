@@ -1,7 +1,7 @@
 """One job per module: ``koszul`` holds the algebra, ``assembly`` the report
 format and the rule that certifies a fit, ``cli`` the files and exit codes.
 Each fact is stated once: a pair's (δ, β) in the fit loop, a triple's verdict
-in its witness and residual, the literal grammar in one pattern.  No module
+in its witness and residual, the literal grammar in one function.  No module
 imports a name it does not use."""
 
 import ast
@@ -43,7 +43,7 @@ def _toy_systems(cover_file):
 def test_each_fact_is_stated_once():
     # a triple's verdict is its witness and residual; the fit loop keeps each
     # pair's (δ, β) under its chart names, where assemble_cochain reads them
-    # without an index of its own; and one pattern is the literal grammar
+    # without an index of its own; and one function is the literal grammar
     assert not hasattr(assembly.TripleCheck, "outcome")
     fits = assembly.fit_cells(_toy_systems("cover_three_charts.json"), betas=True)
     assert not hasattr(fits, "betas")
@@ -52,8 +52,11 @@ def test_each_fact_is_stated_once():
     for (name_i, name_j), (delta, _) in fits.pairs.items():
         assert delta == bases[(name_j,)] - bases[(name_i,)]
     assert "_cells_by_names" not in assembly.assemble_cochain.__code__.co_names
-    patterns = [name for name, value in vars(scalars).items() if isinstance(value, re.Pattern)]
-    assert patterns == ["_LITERAL_RE"]
+    # scalars holds no pattern: _literal, which every literal reader calls,
+    # is the one grammar
+    assert [value for value in vars(scalars).values() if isinstance(value, re.Pattern)] == []
+    for reader in (scalars.rational_from_string, scalars.literal_pair, scalars.literal_row):
+        assert "_literal(" in inspect.getsource(reader)
 
 
 def test_fit_cells_takes_claims_not_a_report(monkeypatch):

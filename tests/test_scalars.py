@@ -1,7 +1,10 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +24,8 @@ from lsglue.scalars import (
 )
 
 import oracles
+
+SRC = Path(lg.__file__).resolve().parent.parent
 
 
 def test_backend_selected():
@@ -225,3 +230,53 @@ def test_interpreter_without_a_digit_limit(monkeypatch):
     assert over_digit_limit("a literal").startswith("a literal exceeds the limit of 0 digits")
     assert lg.build_normal_system(data, features) == expected
     assert features.evaluate(lg.Vector.of(["1/3"])) == lg.Vector.of(["1/9", "1/3", 1])
+
+
+def _fresh_process(script: str, backend: str) -> subprocess.CompletedProcess:
+    """``script`` run in a new interpreter without site, from src, on
+    ``backend``."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(SRC), LSGLUE_BACKEND=backend)
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+LAZY_RATIONALS = """
+import sys
+import lsglue
+from lsglue import scalars
+from lsglue.koszul import LinearizedElement
+assert "fractions" not in sys.modules, "import lsglue loaded fractions"
+element = LinearizedElement(0, lsglue.Vector((1, 2), 3))
+assert "fractions" not in sys.modules, "a coefficient built a rational"
+import fractions
+assert lsglue.Rational is scalars.Rational is fractions.Fraction
+values = [
+    scalars.ZERO,
+    scalars.ONE,
+    scalars.rat("1/2"),
+    *lsglue.Vector((1, 2), 3).entries,
+    element.c0,
+    LinearizedElement.of_parts(6, 4, element.c).c0,
+]
+assert [type(value) for value in values] == [fractions.Fraction] * len(values)
+assert values == [0, 1, fractions.Fraction(1, 2), fractions.Fraction(1, 3),
+                  fractions.Fraction(2, 3), 0, fractions.Fraction(3, 2)]
+print("ok")
+"""
+
+
+def test_rationals_are_fractions_imported_at_first_use():
+    # the fractions backend imports fractions at the first rational built;
+    # the names that hold the type and its constants are bound at first read
+    proc = _fresh_process(LAZY_RATIONALS, "fractions")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_unknown_backend_is_an_import_error():
+    proc = _fresh_process("import lsglue", "bogus")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "ImportError: unknown LSGLUE_BACKEND='bogus'; expected 'gmp' or 'fractions'"
+    )
