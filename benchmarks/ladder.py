@@ -8,14 +8,19 @@ The inputs come from the benchmark's seeded generator
 changes; the rungs other than ``quad_3d`` are defined here in the
 generator's own terms:
 
-    rung                m      k    n   model, coordinates x2..
-    m60_k3_n2           60     3    2   affine in 1-d
-    m1200_k60_n2        1200   60   2   affine in 1-d
-    quad_3d             400    10   10  quadratic in 3-d, ±999/≤32
-    cubic_3d_m800_n20   800    10   20  cubic in 3-d, ±999/≤32
-    wide_3d_m400_n10    400    10   10  quadratic in 3-d, ±99999/≤1024
-    m4000_k200_n2       4000   200  2   affine in 1-d
-    m40000_k200_n2      40000  200  2   affine in 1-d
+    rung                    m      k    n   model, coordinates x2..
+    m60_k3_n2               60     3    2   affine in 1-d
+    m1200_k60_n2            1200   60   2   affine in 1-d
+    quad_3d                 400    10   10  quadratic in 3-d, ±999/≤32
+    cubic_3d_m800_n20       800    10   20  cubic in 3-d, ±999/≤32
+    wide_3d_m400_n10        400    10   10  quadratic in 3-d, ±99999/≤1024
+    glue_3d_m1200_k30_n10   1200   30   10  quadratic in 3-d, ±99/≤16, y exact
+    m4000_k200_n2           4000   200  2   affine in 1-d
+    m40000_k200_n2          40000  200  2   affine in 1-d
+
+Every rung's y is drawn at random, so its triples are obstructed, except on
+``glue_3d_m1200_k30_n10``, whose y lies on the generator's fixed quadratic:
+there every cell has the same fit and the cover glues.
 
 Each command of each rung is one row of the output, whatever its exit code.
 The command runs once untimed, then ``REPEATS`` timed rounds; the row holds
@@ -83,6 +88,7 @@ RUNGS = {
     "quad_3d": workloads.WORKLOADS["quad_3d"],
     "cubic_3d_m800_n20": (800, 3, CUBIC_3D, 10, False, (999, 32)),
     "wide_3d_m400_n10": (400, 3, workloads.QUADRATIC_3D, 10, False, (99999, 1024)),
+    "glue_3d_m1200_k30_n10": (1200, 3, workloads.QUADRATIC_3D, 30, True, (99, 16)),
     "m4000_k200_n2": (4000, 1, None, 200, False, None),
     "m40000_k200_n2": (40000, 1, None, 200, False, None),
 }

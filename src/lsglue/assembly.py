@@ -41,18 +41,23 @@ residuals are exact; floats appear only in advisory metrics.
 
 A cell's system depends only on its point set, and one loop fits each
 distinct system once (:func:`fit_cells`), at its first cell in (degree,
-names) order.  It takes the â claimed for it only when N·â = -ν holds
-exactly, checked by cross-multiplying integers (:func:`_solves`), and N has
-full rank modulo a prime (:func:`_full_modular_rank`),
-which proves the claim the one solution; otherwise it is solved, so a
-degenerate cell raises :class:`Singular` whatever is claimed, and the report
-never depends on the claims.  ``cocycle`` claims nothing; ``verify`` claims
-what its report holds (:func:`claims_from_json`), and solves only the
-systems the rank cannot prove when that report cannot be read
-(:func:`raise_if_singular`).  The pairs of one system are eliminated
-together, against -ν and each δ = â_j - â_i, and the loop keeps each
-(δ, β = N⁻¹δ) under the pair's chart names, where :func:`assemble_cochain`
-reads them.  Every exact object is integers over one denominator (a
+names) order, by one rule for every command.  It takes a candidate â only
+when N·â = -ν holds exactly, checked by cross-multiplying integers
+(:func:`_solves`), and N has full rank modulo a prime
+(:func:`_full_modular_rank`), which proves the candidate the one solution;
+otherwise it is solved, so a degenerate cell raises :class:`Singular`
+whatever the candidate, and the report never depends on it.  ``verify``'s
+candidate is the â its report claims for the cell
+(:func:`claims_from_json`); ``cocycle``'s, and ``verify``'s where the
+report claims none, is the â of the cell just before, so on a cover that
+glues, where every cell has the same fit, one elimination fits them all.
+``verify`` solves only the systems the rank cannot prove when its report
+cannot be read (:func:`raise_if_singular`).  The pairs of one system are
+settled together from their δ = â_j - â_i: when every δ is zero, so is
+every β = N⁻¹δ, and nothing is eliminated for them; otherwise the system is
+eliminated against -ν and each δ.  The loop keeps each (δ, β) under the
+pair's chart names, where :func:`assemble_cochain` reads them.  Every exact
+object is integers over one denominator (a
 ``linalg.Vector``, N's ``linalg.Matrix``, ν), so δ, the cocycle sums and
 the claim check are integer arithmetic on the fields: a triple's face sum
 over one lcm (:func:`_face_sum`), a pair's Nᵀβ₀ = δ by cross-multiplying
@@ -206,8 +211,9 @@ class ObstructionReport(Value):
 class CellFits(dict):
     """``{cell: differential}`` from :func:`fit_cells`, in (degree, names)
     order, with ``pairs``: ``{chart names: (δ, β)}`` for each pair cell when
-    the loop was asked for betas, δ = â_j - â_i and β = N⁻¹δ from the one
-    elimination of the pair's system against its pairs' δs."""
+    the loop was asked for betas, δ = â_j - â_i and β = N⁻¹δ: zero when
+    every δ of the pair's system is, else from the one elimination of that
+    system against its pairs' δs."""
 
     def __init__(self):
         super().__init__()
@@ -265,14 +271,18 @@ def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
 
     The work is keyed by the system object: each is fitted at its first cell
     in (degree, names) order, and later cells take that â, the same vector.
-    The fit is the â in ``claims``, ``{cell: Vector}``, when N·â = -ν holds
-    exactly (checked first, so a wrong claim costs no rank) and
-    :func:`_full_modular_rank`, else the solution, which raises
+    One rule fits a system, for every command: its candidate â is the one in
+    ``claims``, ``{cell: Vector}``, when there is one, else the â of the
+    cell just before it in that order; the candidate is the fit when
+    N·â = -ν holds exactly (checked first, so a wrong candidate costs no
+    rank) and :func:`_full_modular_rank`, else the solution, which raises
     :class:`lsglue.errors.Singular` naming the first degenerate cell in that
-    order, whatever is claimed.  With ``betas``, the pairs of a system are
-    eliminated once, at its first pair, against -ν and each pair's
-    δ = â_j - â_i (every chart is fitted by then), and (δ, β = N⁻¹δ) is kept
-    in ``fits.pairs`` under the pair's chart names.
+    order, whatever the candidates are.  With ``betas``, the pairs of a
+    system are settled once, at its first pair, from their δ = â_j - â_i
+    (every chart is fitted by then), and (δ, β = N⁻¹δ) is kept in
+    ``fits.pairs`` under the pair's chart names: when every δ is zero, every
+    β is zero once the system is fitted, and no elimination is run for them;
+    otherwise the system is eliminated against -ν and each δ.
     """
     claims = claims or {}
     fits = CellFits()
@@ -280,24 +290,27 @@ def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
     for cell, system in systems.items():
         if betas and cell.degree == 1:
             pending.setdefault(id(system), []).append(cell.chart_names)
-    bases, a_hats = {}, {}
+    bases, a_hats, last = {}, {}, None
     for cell, system in systems.items():
         key = id(system)
         a_hat = a_hats.get(key)
         pairs = pending.pop(key, ()) if cell.degree == 1 else ()
-        if pairs:
-            # a group solved for its βs takes no claim, which would save nothing
-            deltas = tuple(bases[(j,)] - bases[(i,)] for i, j in pairs)
+        deltas = tuple(bases[(j,)] - bases[(i,)] for i, j in pairs)
+        glued = all(delta.is_zero() for delta in deltas)
+        if a_hat is None and glued:
+            # a group with a nonzero δ is eliminated for its βs, which gives â too
+            candidate = claims.get(cell, last)
+            if candidate is not None and _solves(system, candidate) and _full_modular_rank(system):
+                a_hat = candidate
+        if a_hat is not None and glued:
+            # N is nonsingular, so every β = N⁻¹δ is zero, as every δ is
+            fits.pairs.update(zip(pairs, zip(deltas, deltas)))
+        else:
             solution = solve_least_squares(system, chart=cell.label, also=deltas)
             fits.pairs.update(zip(pairs, zip(deltas, solution.also)))
             if a_hat is None:
                 a_hat = solution.a_hat
-        elif a_hat is None:
-            a_hat = claims.get(cell)
-            claimed = a_hat is not None and _solves(system, a_hat)
-            if not (claimed and _full_modular_rank(system)):
-                a_hat = solve_least_squares(system, chart=cell.label).a_hat
-        a_hats[key] = bases[cell.chart_names] = a_hat
+        a_hats[key] = bases[cell.chart_names] = last = a_hat
         fits[cell] = LinearizedDifferential(base=a_hat, nmat=system.nmat)
     return fits
 

@@ -40,6 +40,8 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 _KEY = "if _index_key(idx) != key:"
 _SLOT_KEY_TEST = "tests/test_koszul.py::test_slot_key_grammar_matches_json_round_trip"
 _SINGULAR_FIRST = "tests/test_cli.py::test_verify_singular_cell_exit_2_before_the_cochain"
+_ONE_POINT_OVERLAP = "tests/test_cli.py::test_exact_data_one_point_overlap_exit_2"
+_GROUPED_FITS = "tests/test_vector_cochain.py::test_grouped_fits_equal_per_cell_elimination"
 
 CATALOG = [
     Mutant(
@@ -93,11 +95,31 @@ CATALOG = [
     Mutant(
         "rank_condition_dropped_from_fit_cells",
         "assembly.py",
-        "if not (claimed and _full_modular_rank(system)):",
-        "if not claimed:",
+        "_solves(system, candidate) and _full_modular_rank(system):",
+        "_solves(system, candidate):",
         [
             "tests/test_vector_cochain.py::test_claims_that_solve_a_singular_cell_are_not_taken",
             f"{_SINGULAR_FIRST}[a_hat_solves]",
+            _ONE_POINT_OVERLAP,
+        ],
+    ),
+    Mutant(
+        # a neighbour's â was certified, but for the neighbour's system
+        "neighbour_candidate_taken_without_rank",
+        "assembly.py",
+        "and _full_modular_rank(system):",
+        "and (cell not in claims or _full_modular_rank(system)):",
+        [_ONE_POINT_OVERLAP, _GROUPED_FITS],
+    ),
+    Mutant(
+        "zero_delta_pairs_take_the_candidate_uncertified",
+        "assembly.py",
+        "candidate is not None and _solves(system, candidate) and _full_modular_rank(system)",
+        "candidate is not None and (pairs or _solves(system, candidate)"
+        " and _full_modular_rank(system))",
+        [
+            "tests/test_vector_cochain.py::test_charts_that_agree_leave_their_pair_its_own_fit",
+            _ONE_POINT_OVERLAP,
         ],
     ),
     Mutant(

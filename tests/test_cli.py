@@ -312,6 +312,23 @@ def test_fit_singular_cell_exit_2(files, capsys):
     assert set(json.loads(out)["cells"]) == {"A", "B", "C"}
 
 
+# y = x at x = 0..3, so every cell's fit is (0, 1); A|B holds point 3 alone
+ON_A_LINE = {"ambient_dim": 1, "points": [{"x": [str(x)], "y": str(x)} for x in range(4)]}
+ONE_POINT_OVERLAP = {
+    "charts": [{"name": "A", "indices": [1, 2, 3]}, {"name": "B", "indices": [3, 4]}]
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "cocycle"])
+def test_exact_data_one_point_overlap_exit_2(files, capsys, command):
+    # B's a_hat solves the singular N·a_hat = -nu of A|B, and A|B's delta is
+    # zero, yet the pair is not certified: it is solved, and names itself
+    dataset, cover = files("d.json", ON_A_LINE), files("c.json", ONE_POINT_OVERLAP)
+    code, out, err = run(capsys, [command, "--dataset", dataset, "--cover", cover])
+    assert (code, out) == (2, "")
+    assert err == "error: singular cell: normal matrix is singular on A|B (rank 1 < 2)\n"
+
+
 # the fits of the two-chart toy cover: pair D1|D2 and chart D2
 PAIR, D2 = ["13/14", "12/7"], ["13/15", "26/15"]
 
@@ -1356,25 +1373,36 @@ def _zero_a_hats(doc):
             record["a_hat"] = ["0"] * len(record["a_hat"])
 
 
+LINE_ARGV = [
+    "--dataset", str(ROOT / "sampledata/line6.json"),
+    "--cover", str(ROOT / "sampledata/cover_line_three_charts.json"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, spoil, eliminations, columns",
+    "command, inputs, spoil, eliminations, columns",
     [
-        ("fit", None, 5, [1] * 5),
-        ("cocycle", None, 5, [1] * 4 + [7]),
-        ("verify", None, 0, []),
-        ("verify", _zero_a_hats, 5, [1] * 5),
+        ("fit", "quad3d", None, 5, [1] * 5),
+        ("cocycle", "quad3d", None, 5, [1] * 4 + [7]),
+        ("verify", "quad3d", None, 0, []),
+        ("verify", "quad3d", _zero_a_hats, 5, [1] * 5),
+        ("fit", "line_three_charts", None, 1, [1]),
+        ("cocycle", "line_three_charts", None, 1, [1]),
     ],
-    ids=["fit", "cocycle", "verify", "verify_a_hat_zeroed"],
+    ids=["fit", "cocycle", "verify", "verify_a_hat_zeroed", "fit_glues", "cocycle_glues"],
 )
 def test_eliminations_per_command(
-    capsys, tmp_path, monkeypatch, command, spoil, eliminations, columns
+    capsys, tmp_path, monkeypatch, command, inputs, spoil, eliminations, columns
 ):
     # quad3d has 4 charts, 6 pairs and 4 triples, and the pairs and triples
     # all hold the common core's points: 5 distinct normal systems, each
     # solved once by fit and cocycle, cocycle the core against -nu and the
     # six pairs' deltas together; verify solves only the systems whose
-    # claimed a_hat is wrong, and none of them for a beta
-    argv = [command, *QUAD_ARGV]
+    # claimed a_hat is wrong, and none of them for a beta.  line6's three
+    # charts glue: its 6 distinct systems all have the fit of L1, so fit and
+    # cocycle solve L1 and certify that a_hat for the rest, and every delta
+    # is zero, so no pair is eliminated for its beta
+    argv = [command, *{"quad3d": QUAD_ARGV, "line_three_charts": LINE_ARGV}[inputs]]
     if command == "verify":
         doc = json.loads((ROOT / "tests/golden/cocycle_quad3d.json").read_text())
         if spoil is not None:
@@ -1392,7 +1420,7 @@ def test_eliminations_per_command(
     monkeypatch.setattr(linalg, "_row_echelon", counting)
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
-    assert out == (ROOT / f"tests/golden/{command}_quad3d.json").read_text()
+    assert out == (ROOT / f"tests/golden/{command}_{inputs}.json").read_text()
     assert len(calls) == eliminations
     assert calls == columns
 

@@ -8,7 +8,9 @@ a negative weight, a row swap on chart Q3) were written before elimination
 became forward elimination with back-substitution and before the normal
 systems were accumulated on integers; the failing ``verify`` cases (exit 4)
 were written before ``verify_cocycle`` checked the cocycle equations on
-vectors.  A refactor must reproduce them exactly, with the same exit code and
+vectors; ``fit_line_three_charts`` (a cover whose cells all have one fit) was
+written before the fit loop took the â of the cell before as a candidate.
+A refactor must reproduce them exactly, with the same exit code and
 the same stderr: the bytes of ``tests/golden/<name>.stderr`` where that file
 exists (the failure dump, the same for both formats), else nothing.
 
@@ -56,6 +58,7 @@ CASES = [
     ("fit_toy5", ["fit", *TOY], 0),
     ("cocycle_two_charts", ["cocycle", *TWO], 0),
     ("cocycle_three_charts", ["cocycle", *TOY, "--cover", "sampledata/cover_three_charts.json"], 3),
+    ("fit_line_three_charts", ["fit", *LINE], 0),
     ("cocycle_line_three_charts", ["cocycle", *LINE], 0),
     (
         "verify_two_charts",

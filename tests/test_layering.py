@@ -61,7 +61,8 @@ def test_each_fact_is_stated_once():
 
 def test_fit_cells_takes_claims_not_a_report(monkeypatch):
     # a whole report passed as the claims has no cell among its keys, so it
-    # claims nothing and every cell is solved; its claims_from_json is taken
+    # claims nothing, and every cell is solved, since none has the fit of
+    # the cell before it; its claims_from_json is taken
     assert list(inspect.signature(assembly.fit_cells).parameters) == [
         "systems",
         "claims",

@@ -1,11 +1,14 @@
 """The vector cochain and its vector check against the Koszul reference.
 
 Cells with one point set share one normal system object, and the fit loop
-eliminates each distinct system once, its pairs against -ν and every pair's
-δ together: the grouped fits, each pair's (δ, β) and any :class:`Singular`
-must be those of eliminating every cell on its own (``per_cell_fits``), on
-covers whose point sets repeat and nest (a copy of a chart, a chart equal
-to a pair), and each β must equal Cramer's rule.  ``assemble_cochain`` takes
+fits each distinct system once, taking the â of the cell before when that
+â is certified and eliminating otherwise, its pairs against -ν and every
+pair's δ together unless every such δ is zero: the grouped fits, each
+pair's (δ, β) and any :class:`Singular` must be those of eliminating every
+cell on its own (``per_cell_fits``), on covers whose point sets repeat and
+nest (a copy of a chart, a chart equal to a pair), also with every response
+on the model, and the eliminations those the oracles count
+(``expected_eliminations``); each β must equal Cramer's rule.  ``assemble_cochain`` takes
 the βs from there, adds each triple's face βs as integer rows over one lcm
 (``_face_sum``, equal to the Fraction sum), and sets r to zero or None from
 that sum alone, deriving its report without a check; ``verify_cocycle``
@@ -34,6 +37,7 @@ import copy
 import json
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -61,7 +65,7 @@ from lsglue.koszul import KoszulElement, LinearizedElement, translate
 from lsglue.model import solve_least_squares
 
 import oracles
-from test_atoms import EXAMPLES, NAMES, build, covers, small
+from test_atoms import EXAMPLES, FEATURES, NAMES, build, covers, small
 
 CORE_X = {1: [["0"], ["1"], ["2"]], 2: [["0", "0"], ["1", "0"], ["0", "1"]]}
 
@@ -96,11 +100,13 @@ TOY_THREE = (
 
 
 @st.composite
-def nested_covers(draw):
+def nested_covers(draw, on_model=False):
     """A cover from :func:`test_atoms.covers` or :func:`cored_covers` with
     charts added whose point sets repeat or nest: a copy of a drawn chart,
     and a chart that is the intersection of two, so that a pair, and the
-    triples over it, hold the points of a chart."""
+    triples over it, hold the points of a chart.  With ``on_model``, every
+    response lies on the model, y = φ(x)·c for one drawn c, so every
+    nonsingular cell has the fit c and every δ is zero."""
     points, charts, features, max_degree = draw(st.one_of(covers(), cored_covers()))
     spare = iter(name for name in NAMES + ["G", "H"] if name not in dict(charts))
     picks = st.sampled_from(range(len(charts)))
@@ -109,6 +115,17 @@ def nested_covers(draw):
     i, j = draw(picks), draw(picks)
     if i != j:
         charts.append([next(spare), sorted(set(charts[i][1]) & set(charts[j][1]))])
+    if on_model:
+        dim = len(points[0][0])
+        # affine: the constant, then each coordinate
+        exponents = FEATURES[features] or [
+            [int(axis == d) for d in range(dim)] for axis in range(-1, dim)
+        ]
+        c = [Fraction(draw(small)) for _ in exponents]
+        points = [
+            (x, str(sum(map(mul, c, oracles.phi_eval([Fraction(v) for v in x], exponents)))), w)
+            for x, _, w in points
+        ]
     return points, charts, features, max_degree
 
 
@@ -121,7 +138,17 @@ CHART_IS_A_PAIR = (
     "affine",
     2,
 )
-FIXED = [SHARED_CORE, TOY_THREE, CHART_IS_A_PAIR, *EXAMPLES]
+# A and B, both symmetric about x = 3/2, fit the line y = 1/2, so δ is zero
+# on A|B, whose two points fit y = 0: a zero δ does not make the pair's fit
+# the charts'.
+CHARTS_AGREE = (
+    [(["0"], "1", "1"), (["1"], "0", "1"), (["2"], "0", "1"), (["3"], "1", "1"),
+     (["-1"], "1", "1"), (["4"], "1", "1")],
+    [["A", [1, 2, 3, 4]], ["B", [2, 3, 5, 6]]],
+    "affine",
+    2,
+)
+FIXED = [SHARED_CORE, TOY_THREE, CHART_IS_A_PAIR, CHARTS_AGREE, *EXAMPLES]
 any_cover = st.one_of(covers(), cored_covers(), nested_covers(), st.sampled_from(FIXED))
 scalars = small.map(lg.rat)
 
@@ -253,12 +280,53 @@ def fraction_face_sum(terms: list, n: int) -> list:
     return total
 
 
+def expected_eliminations(systems: dict, fits: dict, betas: bool) -> int:
+    """The eliminations of the fit rule on a cover whose ``fits`` (one per
+    cell, from :func:`per_cell_fits`) exist, counted on Fractions.  A system
+    is eliminated at its first cell unless its candidate, the â of the cell
+    before, gives ν + N·â = 0 and N has full Gauss-Jordan rank
+    (``oracles.rank``); with ``betas``, its pairs are eliminated, with the
+    system's first cell when that is their first pair and once more
+    otherwise, unless every δ among them is zero."""
+    groups = {}
+    if betas:
+        for cell, system in systems.items():
+            if cell.degree == 1:
+                groups.setdefault(id(system), []).append(cell)
+    by_names = _cells_by_names(fits)
+
+    def chart_fit(name):
+        return oracles.as_fractions(fits[by_names[(name,)]].base)
+
+    def certifies(system, a_hat):
+        rows, nu = _rows(system.nmat), oracles.as_fractions(system.nu)
+        residual = [v + w for v, w in zip(nu, oracles.fraction_matvec(rows, a_hat))]
+        return not any(residual) and oracles.rank(rows) == len(rows)
+
+    count, fitted, previous = 0, set(), None
+    for cell, system in systems.items():
+        key = id(system)
+        group = groups.pop(key, []) if cell.degree == 1 else []
+        eliminated = any(
+            chart_fit(pair.chart_names[0]) != chart_fit(pair.chart_names[1]) for pair in group
+        )
+        if key not in fitted and not eliminated:
+            eliminated = previous is None or not certifies(system, previous)
+        count += eliminated
+        fitted.add(key)
+        previous = oracles.as_fractions(fits[cell].base)
+    return count
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(nested_covers(), st.sampled_from(FIXED)), st.data())
+@given(
+    st.one_of(nested_covers(), nested_covers(on_model=True), st.sampled_from(FIXED)),
+    st.data(),
+)
 def test_grouped_fits_equal_per_cell_elimination(case, data):
     # cells with one point set share one normal system object, one â object
-    # and one elimination; the fits, the pairs' (δ, β), the Singular and
-    # the cocycle's integer sums must be those of per-cell elimination
+    # and at most one elimination; the fits, the pairs' (δ, β), the Singular
+    # and the cocycle's integer sums must be those of per-cell elimination
     points, charts, features, _ = case
     _, cover, feature_map = build(points, charts, features)
     systems = cell_normal_systems(cover, feature_map, 2)
@@ -282,19 +350,19 @@ def test_grouped_fits_equal_per_cell_elimination(case, data):
     first = {}
     for cell, system in systems.items():
         first.setdefault(id(system), cell)
-    shared_with_a_chart = {
-        id(system)
-        for cell, system in systems.items()
-        if cell.degree == 1 and first[id(system)].degree == 0
-    }
+    shared_with_a_chart = any(
+        cell.degree == 1 and first[id(system)].degree == 0 for cell, system in systems.items()
+    )
     event(f"{'a' if shared_with_a_chart else 'no'} pair holds a chart's points")
     with pytest.MonkeyPatch.context() as patch:
         eliminations = count_eliminations(patch)
         fits = fit_cells(systems)
-        assert len(eliminations) == len(first) + len(shared_with_a_chart)
+        assert len(eliminations) == expected_eliminations(systems, expected, True)
+        fewer = len(eliminations) < len(first)
+        event(f"{'fewer' if fewer else 'no fewer'} eliminations than systems")
         eliminations.clear()
         assert fit_cells(systems, betas=False) == expected
-        assert len(eliminations) == len(first)
+        assert len(eliminations) == expected_eliminations(systems, expected, False)
     assert fits == expected
     assert fits.pairs == expected_pairs
     for cell, system in systems.items():
@@ -511,6 +579,23 @@ def test_certified_fits_equal_fit_all_cells(prime, case, data):
     assert json.dumps(report_to_json(cochain, certified, rechecked)) == json.dumps(doc)
 
 
+def test_charts_that_agree_leave_their_pair_its_own_fit():
+    # δ is zero on A|B, but B's â, its candidate, does not solve its system:
+    # it is eliminated for its own â, and its β is zero; B takes A's â
+    points, charts, features, _ = CHARTS_AGREE
+    _, cover, feature_map = build(points, charts, features)
+    systems = cell_normal_systems(cover, feature_map, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        eliminations = count_eliminations(patch)
+        fits = fit_cells(systems)
+    by_label = {cell.label: fit.base for cell, fit in fits.items()}
+    zero = lg.Vector.zeros(2)
+    assert by_label == {"A": lg.Vector.of(["0", "1/2"]), "B": by_label["A"], "A|B": zero}
+    assert fits.pairs == {("A", "B"): (zero, zero)}
+    assert (fits, fits.pairs) == per_cell_fits(systems)
+    assert len(eliminations) == 2
+
+
 def test_small_prime_falls_back_to_elimination():
     # the toy normal matrices have even entries, so their rank mod 2 is 0:
     # no claim is taken, and the fit loop eliminates every distinct normal
@@ -572,8 +657,8 @@ def test_claims_that_solve_a_singular_cell_are_not_taken():
 
 
 def test_claims_with_betas_give_the_cocycle():
-    # a pair solved for its β takes no claim, so every pair keeps its β even
-    # when the report claims every â correctly
+    # a pair with a nonzero δ is solved for its β and takes no claim, so
+    # every pair keeps its β even when the report claims every â correctly
     root = Path(__file__).resolve().parent.parent
     data = dataset_from_json(json.loads((root / "sampledata/toy5.json").read_text()))
     cover_doc = json.loads((root / "sampledata/cover_three_charts.json").read_text())
