@@ -60,8 +60,9 @@ pair's chart names, where :func:`assemble_cochain` reads them.  Every exact
 object is integers over one denominator (a
 ``linalg.Vector``, N's ``linalg.Matrix``, ν), so δ, the cocycle sums and
 the claim check are integer arithmetic on the fields: a triple's face sum
-over one lcm (:func:`_face_sum`), a pair's Nᵀβ₀ = δ by cross-multiplying
-(:func:`_pair_linear`), and N·â = -ν likewise (:func:`_solves`).  A Koszul
+over one lcm (:func:`_face_sum`), and a pair's Nᵀβ₀ = δ
+(:func:`_pair_linear`) and N·â = -ν (:func:`_solves`) by one cross-multiplied
+residual (:func:`_residual`).  A Koszul
 coefficient is integers too (``koszul.LinearizedElement``): c0 its
 numerator and denominator, c a Vector; a β slot is built from its
 constant's integers, and the pair check reads them, so no rational is
@@ -315,16 +316,21 @@ def fit_cells(systems: dict, claims=None, betas: bool = True) -> CellFits:
     return fits
 
 
+def _residual(rows, den: int, x: Vector, b: tuple):
+    """The numerators of M·x - b over den·x.den·d, row by row: M the integer
+    ``rows`` over ``den``, b = nums / d for (nums, d) = ``b`` (a negated d
+    stands for -b), cross-multiplied on integers."""
+    a, (nums, d) = x.nums, b
+    scale = den * x.den
+    for row, v in zip(rows, nums):
+        yield sum(map(mul, row, a)) * d - v * scale
+
+
 def _solves(system, a_hat: Vector) -> bool:
-    """Whether N·â = -ν holds exactly, on integers: row k of ``nmat.nums``
-    against â's numerators a, over d_N·d_a, is compared with
-    -ν_k = -v_k / d_ν by cross-multiplying; no rational is built."""
-    a, d_a = a_hat.nums, a_hat.den
-    den, nu_den = system.nmat.den * d_a, system.nu.den
-    return all(
-        sum(map(mul, row, a)) * nu_den == -v * den
-        for row, v in zip(system.nmat.nums, system.nu.nums)
-    )
+    """Whether N·â = -ν holds exactly, row by row (:func:`_residual`), up
+    to the first row that fails."""
+    nmat, nu = system.nmat, system.nu
+    return not any(_residual(nmat.nums, nmat.den, a_hat, (nu.nums, -nu.den)))
 
 
 def _full_modular_rank(system) -> bool:
@@ -383,15 +389,10 @@ def _face_sum(terms: list, n: int) -> Vector:
 
 
 def _pair_linear(nmat: Matrix, beta_constants: Vector, delta: Vector) -> Vector:
-    """Nᵀβ₀ - δ, the linear part of a pair residual, on integers: column j
-    of ``nmat.nums`` against β₀'s numerators b, over d_N·d_β, is compared
-    with δ_j = p_j / d_δ by cross-multiplying; no rational is built."""
-    b, d_beta = beta_constants.nums, beta_constants.den
-    p, d_delta = delta.nums, delta.den
-    den = nmat.den * d_beta
-    columns = zip(*nmat.nums)
-    diffs = [sum(map(mul, col, b)) * d_delta - p_j * den for col, p_j in zip(columns, p)]
-    return Vector(diffs, den * d_delta)
+    """Nᵀβ₀ - δ, the linear part of a pair residual: the residual of N's
+    columns against β₀ and δ (:func:`_residual`)."""
+    diffs = list(_residual(zip(*nmat.nums), nmat.den, beta_constants, (delta.nums, delta.den)))
+    return Vector(diffs, nmat.den * beta_constants.den * delta.den)
 
 
 def build_zero_cocycle(
@@ -762,12 +763,11 @@ def cochain_from_json(doc: dict, fits: dict, seen: dict | None = None) -> TotalC
     if seen is None:
         seen = {}
     by_label = {cell.label: cell for cell in fits}
-
-    def elements(degree: int, field: str):
-        """(cell, element) for each record of the degree's section; an
-        optional field (``"r"``) that is absent or null gives None.  A parse
-        error is prefixed with the section and the cell label."""
-        section, required = _SECTIONS[degree], field != "r"
+    # each record's element, or None for an optional field (``"r"``) that is
+    # absent or null; a parse error is prefixed with the section and label
+    parsed = {}
+    for degree, (section, field) in enumerate(zip(_SECTIONS, ("alpha", "beta", "r"))):
+        required = field != "r"
         entries = doc.get(section, {})
         if not isinstance(entries, dict):
             raise LsglueError(f"cochain {section!r} must be an object keyed by cell label")
@@ -789,18 +789,16 @@ def cochain_from_json(doc: dict, fits: dict, seen: dict | None = None) -> TotalC
                 except LsglueError as err:
                     err.args = (f"{entry}: {err}",)
                     raise
-            yield cell, element
-
-    parsed = [dict(elements(d, field)) for d, field in enumerate(("alpha", "beta", "r"))]
+            parsed[cell] = element
     layers = ({}, {}, {})
     for cell in fits:
         if cell.degree < len(_SECTIONS):
-            if cell not in parsed[cell.degree]:
+            if cell not in parsed:
                 raise LsglueError(
                     f"cochain {_SECTIONS[cell.degree]!r} lacks a record for cell"
                     f" {excerpt(repr(cell.label))}"
                 )
-            layers[cell.degree][cell] = parsed[cell.degree][cell]
+            layers[cell.degree][cell] = parsed[cell]
     return TotalCochain(*layers)
 
 

@@ -38,13 +38,15 @@ right-hand side does not widen the rows of A, and no gcd is taken per
 arithmetic operation.
 
 Common-denominator arithmetic has one implementation, here:
-:func:`integer_row` writes rationals as integers over their lcm,
-:func:`add_rows` adds such rows (a negated denominator subtracts its row),
-:func:`over_lcm` lifts terms, each over its own denominator, over their lcm,
-and :func:`lowest_terms_divisor` brings integers over one denominator to
-lowest terms.  :func:`modular_rank` is the rank of ``nums`` modulo the prime
-:data:`RANK_PRIME`.  It never exceeds the rank over the rationals, so a full
-modular rank proves a square matrix nonsingular; a short one proves nothing.
+:func:`add_rows` adds integer rows, each over its own denominator, over
+their lcm (a negated denominator subtracts its row), which is also how
+vectors add; :func:`over_lcm` lifts terms, each over its own denominator,
+over their lcm, which is also how :meth:`Vector.of` and :meth:`Matrix.of`
+write rationals; and :func:`lowest_terms_divisor` brings integers over one
+denominator to lowest terms.  :func:`modular_rank` is the rank of ``nums``
+modulo the prime :data:`RANK_PRIME`.  It never exceeds the rank over the
+rationals, so a full modular rank proves a square matrix nonsingular; a
+short one proves nothing.
 
 Every immutable record of the package is a :class:`Value`: a subclass names
 its fields in ``__slots__``, sets them once in ``__init__``, and two objects
@@ -65,13 +67,6 @@ from .scalars import rat
 # The prime of :func:`modular_rank`.  Residues stay below 2**61, so every
 # product in its elimination is small, however wide the matrix entries are.
 RANK_PRIME = 2**61 - 1
-
-
-def integer_row(values) -> tuple:
-    """(numerators, d): ``values`` written as integers over their least
-    common denominator d, so value k is numerators[k] / d."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def add_rows(terms) -> tuple:
@@ -159,7 +154,9 @@ class Vector(Value):
 
     @classmethod
     def of(cls, values) -> "Vector":
-        return cls(*integer_row([rat(v) for v in values]))
+        values = [rat(v) for v in values]
+        den, nums = over_lcm([v.numerator for v in values], [v.denominator for v in values])
+        return cls(nums, den)
 
     @classmethod
     def zeros(cls, dim: int) -> "Vector":
@@ -184,10 +181,12 @@ class Vector(Value):
         return rat(self.nums[i], self.den)
 
     def __add__(self, other: "Vector") -> "Vector":
-        return self._combine(other, 1)
+        self._check_dim(other)
+        return Vector(*add_rows([(self.nums, self.den), (other.nums, other.den)]))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return self._combine(other, -1)
+        self._check_dim(other)
+        return Vector(*add_rows([(self.nums, self.den), (other.nums, -other.den)]))
 
     def __neg__(self) -> "Vector":
         return Vector([-v for v in self.nums], self.den)
@@ -202,18 +201,6 @@ class Vector(Value):
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def _combine(self, other: "Vector", sign: int) -> "Vector":
-        """self + sign·other, over the lcm of the two denominators."""
-        self._check_dim(other)
-        den, a, b = self.den, self.nums, other.nums
-        if other.den != den:
-            common = lcm(den, other.den)
-            lift_a, lift_b = common // den, common // other.den
-            a, b, den = [v * lift_a for v in a], [v * lift_b for v in b], common
-        if sign < 0:
-            return Vector([x - y for x, y in zip(a, b)], den)
-        return Vector([x + y for x, y in zip(a, b)], den)
 
     def _check_dim(self, other: "Vector") -> None:
         if len(self.nums) != len(other.nums):
@@ -250,7 +237,8 @@ class Matrix(Value):
             if not converted:
                 raise DimensionMismatch("cannot infer ncols of an empty matrix")
             ncols = len(converted[0])
-        nums, den = integer_row([v for row in converted for v in row])
+        entries = [v for row in converted for v in row]
+        den, nums = over_lcm([v.numerator for v in entries], [v.denominator for v in entries])
         flat = iter(nums)
         return cls(tuple(tuple(islice(flat, len(row))) for row in converted), den, ncols)
 

@@ -21,8 +21,8 @@ coordinate is a (numerator, denominator) pair.  For a point with
 coordinates x_i = p_i/q_i, E_i the largest exponent of coordinate i over the
 monomials, the features are φ_k = P_k/D with P_k = Π_i p_i^e_ki·q_i^(E_i - e_ki)
 and D = Π_i q_i^E_i.  Divided by gcd(D, P_1, ..., P_n), D is the least common
-denominator of φ and P = D·φ: exactly the integers ``linalg.integer_row``
-makes of φ.  They are computed column by column over an atom's points, one
+denominator of φ and P = D·φ: exactly the integers ``linalg.over_lcm``
+lifts φ to.  They are computed column by column over an atom's points, one
 power table per coordinate and exponent (:func:`_integer_features`).  The
 term 2wφ_kφ_l of a point is 2w_num·P_kP_l over w_den·D², and -2wyφ_k is
 -2w_num·y_num·P_k over w_den·y_den·D.  One lcm of those denominators is taken
@@ -35,10 +35,10 @@ depend on the order of the points.  A power longer than the interpreter's
 limit on decimal integer strings is refused before any power of the point is
 computed: the length of p^e grows with e and with |p|, so the widest
 numerator and denominator of each coordinate at E_i clear every point at
-once, and only when they do not are the points tested one by one, p_i and
-q_i at E_i, which refuses exactly the points that testing every monomial
-would; :meth:`FeatureMap.evaluate` then raises the error naming the first
-offending monomial of the first such point.
+once, and only when they do not are the points tested one by one, every
+monomial of each on its (p_i, q_i) pairs (:func:`_refuse_long_powers`, the
+guard :meth:`FeatureMap.evaluate` runs too), which raises the error naming
+the first offending monomial of the first such point.
 
 A :class:`NormalSystem` holds ν as a ``linalg.Vector`` and N as a
 ``linalg.Matrix``: integers over one positive denominator in lowest terms.
@@ -104,22 +104,33 @@ class FeatureMap(Value):
             raise DimensionMismatch(
                 f"feature map over {self.ambient_dim} coordinates applied to dim-{x.dim} point"
             )
-        max_bits = _max_bits(digit_limit())
+        _refuse_long_powers([[(v.numerator, v.denominator) for v in x]], self.monomials)
         values = []
         for mono in self.monomials:
             term = rat(1)
             for coord, exp in zip(x, mono):
                 if exp:
-                    if max_bits and (
-                        _too_long(coord.numerator, exp, max_bits)
-                        or _too_long(coord.denominator, exp, max_bits)
-                    ):
-                        raise LsglueError(
-                            over_digit_limit(f"a power in monomial {excerpt(str(list(mono)))}")
-                        )
                     term = term * coord**exp
             values.append(term)
         return Vector.of(values)
+
+
+def _refuse_long_powers(points, monomials) -> None:
+    """Raise the error naming the first monomial of the first point, each
+    point its coordinates' (numerator, denominator) pairs in lowest terms,
+    that holds a power longer than the digit limit (:func:`_too_long`)."""
+    max_bits = _max_bits(digit_limit())
+    if not max_bits:
+        return
+    for x in points:
+        for mono in monomials:
+            if any(
+                _too_long(num, exp, max_bits) or _too_long(den, exp, max_bits)
+                for (num, den), exp in zip(x, mono)
+            ):
+                raise LsglueError(
+                    over_digit_limit(f"a power in monomial {excerpt(str(list(mono)))}")
+                )
 
 
 # _max_bits by digit limit, computed once each.
@@ -192,13 +203,7 @@ def _evaluate(rows, features: FeatureMap) -> NormalSystem:
         exps[-1] * max(max(nums), -min(nums), max(dens)).bit_length() > max_bits
         for (nums, dens), exps in zip(coords, levels)
     ):
-        for x in xs:
-            if any(
-                _too_long(x[i][0], exps[-1], max_bits) or _too_long(x[i][1], exps[-1], max_bits)
-                for i, exps in zip(used, levels)
-            ):
-                # raises, naming the first such monomial
-                features.evaluate(Vector.of(rat(*pair) for pair in x))
+        _refuse_long_powers(xs, features.monomials)
     p, d = _integer_features(coords, levels, exponents, len(xs))
     n_den, c = over_lcm([2 * w for w in w_nums], list(map(mul, w_dens, map(mul, d, d))))
     upper = []
@@ -239,7 +244,7 @@ def _plan(monomials: tuple) -> tuple:
 
 
 def _integer_features(coords: list, levels: list, exponents: list, m: int) -> tuple:
-    """(P, D): φ of m points as ``integer_row`` writes each, column by
+    """(P, D): φ of m points as ``over_lcm`` lifts each, column by
     column, from each coordinate a monomial uses, given as the tuples of the
     m points' numerators and denominators, the sorted exponents the
     monomials give it (its top exponent E_i last) and each monomial's

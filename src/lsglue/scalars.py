@@ -12,8 +12,11 @@ checks, the face sums, the Koszul coefficients and the report reader and
 writer run on Python integers over a common denominator, whichever backend
 is chosen.  A ``Rational`` is built only by :func:`rat`, for the rational
 views (a vector's or a matrix's entries, a data set's points, a Koszul
-coefficient's ``c0``), ``Vector.dot`` and a few error paths, so a
-``cocycle`` or ``verify`` run builds none.
+coefficient's ``c0``), the builders from rationals (``Vector.of``,
+``Matrix.of``, ``WeightedDataSet.of``), scaling by a rational,
+``Vector.dot``, and the rational ``FeatureMap.evaluate`` and
+``loss_eval``; a ``cocycle`` or ``verify`` run calls none of them, errors
+included, so it builds none.
 
 The backend is chosen once at import time.  Set ``LSGLUE_BACKEND=gmp`` or
 ``LSGLUE_BACKEND=fractions`` to force a choice; forcing ``gmp`` without

@@ -118,6 +118,7 @@ CATALOG = [
         "candidate is not None and (pairs or _solves(system, candidate)"
         " and _full_modular_rank(system))",
         [
+            f"{_GROUPED_FITS}_on_fixed_covers[charts_agree]",
             "tests/test_vector_cochain.py::test_charts_that_agree_leave_their_pair_its_own_fit",
             _ONE_POINT_OVERLAP,
         ],
@@ -270,8 +271,8 @@ CATALOG = [
     Mutant(
         "pair_check_drops_the_delta_denominator",
         "assembly.py",
-        "sum(map(mul, col, b)) * d_delta - p_j * den",
-        "sum(map(mul, col, b)) - p_j * den",
+        "yield sum(map(mul, row, a)) * d - v * scale",
+        "yield sum(map(mul, row, a)) - v * scale",
         [
             "tests/test_vector_cochain.py::test_grouped_fits_equal_per_cell_elimination",
             "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
@@ -316,6 +317,17 @@ CATALOG = [
         ["tests/test_kernels.py::test_work_rows_stay_primitive"],
     ),
     Mutant(
+        # the one guard of FeatureMap.evaluate and of the normal sums
+        "power_guard_tests_only_numerators",
+        "model.py",
+        "_too_long(num, exp, max_bits) or _too_long(den, exp, max_bits)",
+        "_too_long(num, exp, max_bits)",
+        [
+            "tests/test_kernels.py::test_over_long_power_names_the_first_monomial_holding_one",
+            "tests/test_model.py::test_power_bound_at_digit_limit",
+        ],
+    ),
+    Mutant(
         "power_bound_refuses_exactly_the_limit_bits",
         "model.py",
         "return exp * (bits - 1) + 1 > max_bits",
@@ -346,8 +358,8 @@ CATALOG = [
     Mutant(
         "claim_check_against_plus_nu",
         "assembly.py",
-        "sum(map(mul, row, a)) * nu_den == -v * den",
-        "sum(map(mul, row, a)) * nu_den == v * den",
+        "(nu.nums, -nu.den)",
+        "(nu.nums, nu.den)",
         [
             "tests/test_integer_rows.py::test_claim_check_cross_multiplies_n_a_against_minus_nu",
             "tests/test_layering.py::test_fit_cells_takes_claims_not_a_report",

@@ -1001,6 +1001,46 @@ def test_power_over_digit_limit_exit_1(files, capsys):
     assert f"monomial [{exponent}] exceeds the limit" in err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on decimal integer strings in this interpreter",
+)
+def test_power_over_digit_limit_builds_no_rational(files):
+    # the normal sums refuse the power on the points' integer pairs, with the
+    # error line FeatureMap.evaluate gives, and build no rational: under the
+    # fractions backend, the module fractions is never imported
+    limit = sys.get_int_max_str_digits()
+    exponent = (10**limit - 1).bit_length()
+    argv = [
+        "cocycle",
+        "--dataset",
+        files("d.json", TOY_DATASET),
+        "--cover",
+        files("c.json", TWO_CHARTS),
+        "--model",
+        files("m.json", {"features": "monomials", "exponents": [[exponent], [0]]}),
+    ]
+    script = f"""
+import sys
+from lsglue import cli
+code = cli.main({argv!r})
+print(code, "fractions" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.split() == ["1", "False"]
+    assert proc.stderr == (
+        f"error: a power in monomial [{exponent}] exceeds the limit of {limit} digits"
+        " for decimal integers\n"
+    )
+
+
 def _verify_golden(capsys, tmp_path, doc, line=False):
     """Run ``verify`` on a changed copy of a golden cocycle report (a
     document, or its text)."""

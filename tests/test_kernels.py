@@ -316,7 +316,7 @@ def test_normal_system_matches_direct_sums(case, data):
         lg.build_normal_system(dataset, features), points, point_weights, exponents
     )
     # each point's integer features, reduced by their gcd with D, are the
-    # integers that integer_row makes of its rational features
+    # integers that over_lcm lifts its rational features to
     levels = [sorted(set(column)) for column in zip(*exponents)]
     coords = [
         tuple(zip(*((v.numerator, v.denominator) for v in column)))
@@ -324,8 +324,9 @@ def test_normal_system_matches_direct_sums(case, data):
     ]
     p, d = model._integer_features(coords, levels, exponents, dataset.size)
     for j, point in enumerate(dataset.points):
-        assert ([column[j] for column in p], d[j]) == linalg.integer_row(
-            features.evaluate(point.x).entries
+        phi = features.evaluate(point.x).entries
+        assert (d[j], [column[j] for column in p]) == linalg.over_lcm(
+            [v.numerator for v in phi], [v.denominator for v in phi]
         )
 
     m = len(points)
@@ -373,13 +374,16 @@ def test_zero_weight_point_is_not_evaluated():
 @needs_digit_limit
 def test_over_long_power_names_the_first_monomial_holding_one():
     # the first coordinate's top exponent is over the limit, but the first
-    # monomial holding an over-long power is [0, OVER_LIMIT]
+    # monomial holding an over-long power is [0, OVER_LIMIT]: a power of 2,
+    # or of 1/2, whose long part is its denominator
     exponents = [[1, 0], [0, OVER_LIMIT], [OVER_LIMIT, 0], [0, 0]]
-    points = [((F(3), F(2)), F(1))]
-    dataset = _dataset(exponents, points, [F(1)])
-    with pytest.raises(lg.LsglueError) as err:
-        lg.build_normal_system(dataset, lg.FeatureMap.of(exponents))
-    assert str(err.value).startswith(f"a power in monomial [0, {OVER_LIMIT}] exceeds the limit")
+    for second in (F(2), F(1, 2)):
+        dataset = _dataset(exponents, [((F(3), second), F(1))], [F(1)])
+        with pytest.raises(lg.LsglueError) as err:
+            lg.build_normal_system(dataset, lg.FeatureMap.of(exponents))
+        assert str(err.value).startswith(
+            f"a power in monomial [0, {OVER_LIMIT}] exceeds the limit"
+        ), second
 
 
 @needs_digit_limit

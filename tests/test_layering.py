@@ -1,8 +1,10 @@
 """One job per module: ``koszul`` holds the algebra, ``assembly`` the report
 format and the rule that certifies a fit, ``cli`` the files and exit codes.
 Each fact is stated once: a pair's (δ, β) in the fit loop, a triple's verdict
-in its witness and residual, the literal grammar in one function.  No module
-imports a name it does not use."""
+in its witness and residual, the literal grammar in one function, and each
+exact operation in one function: sums of integer rows, lifts over an lcm, the
+residual M·x - b and the long-power guard.  No module imports a name it does
+not use."""
 
 import ast
 import inspect
@@ -10,7 +12,7 @@ import json
 import re
 from pathlib import Path
 
-from lsglue import assembly, cli, koszul, linalg, scalars
+from lsglue import assembly, cli, koszul, linalg, model, scalars
 from lsglue.data import cover_from_json, dataset_from_json
 from lsglue.model import affine_features
 
@@ -57,6 +59,20 @@ def test_each_fact_is_stated_once():
     assert [value for value in vars(scalars).values() if isinstance(value, re.Pattern)] == []
     for reader in (scalars.rational_from_string, scalars.literal_pair, scalars.literal_row):
         assert "_literal(" in inspect.getsource(reader)
+    # vector sums are add_rows, lifts over an lcm are over_lcm, the claim
+    # and pair checks read one residual, and one guard refuses long powers:
+    # the normal sums call it on integer pairs, never through the rational
+    # FeatureMap.evaluate
+    assert not hasattr(linalg.Vector, "_combine")
+    assert not hasattr(linalg, "integer_row")
+    for check in (assembly._solves, assembly._pair_linear):
+        assert "_residual" in check.__code__.co_names, check.__name__
+    for caller in (model.FeatureMap.evaluate, model._evaluate):
+        assert "_refuse_long_powers" in caller.__code__.co_names, caller.__name__
+    tree = ast.parse(inspect.getsource(model._evaluate))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"evaluate", "rat"} & named
 
 
 def test_fit_cells_takes_claims_not_a_report(monkeypatch):

@@ -7,7 +7,7 @@ pair's δ together unless every such δ is zero: the grouped fits, each
 pair's (δ, β) and any :class:`Singular` must be those of eliminating every
 cell on its own (``per_cell_fits``), on covers whose point sets repeat and
 nest (a copy of a chart, a chart equal to a pair), also with every response
-on the model, and the eliminations those the oracles count
+on the model, and on every fixed case, and the eliminations those the oracles count
 (``expected_eliminations``); each β must equal Cramer's rule.  ``assemble_cochain`` takes
 the βs from there, adds each triple's face βs as integer rows over one lcm
 (``_face_sum``, equal to the Fraction sum), and sets r to zero or None from
@@ -149,6 +149,16 @@ CHARTS_AGREE = (
     2,
 )
 FIXED = [SHARED_CORE, TOY_THREE, CHART_IS_A_PAIR, CHARTS_AGREE, *EXAMPLES]
+FIXED_IDS = [
+    "shared_core",
+    "toy_three",
+    "chart_is_a_pair",
+    "charts_agree",
+    "one_point_chart",
+    "twin_charts",
+    "point_in_every_chart",
+    "zero_and_negative_weights",
+]
 any_cover = st.one_of(covers(), cored_covers(), nested_covers(), st.sampled_from(FIXED))
 scalars = small.map(lg.rat)
 
@@ -324,6 +334,19 @@ def expected_eliminations(systems: dict, fits: dict, betas: bool) -> int:
     st.data(),
 )
 def test_grouped_fits_equal_per_cell_elimination(case, data):
+    check_grouped_fits(case, data)
+
+
+@pytest.mark.parametrize("case", FIXED, ids=FIXED_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_grouped_fits_equal_per_cell_elimination_on_fixed_covers(case, data):
+    # every fixed case, whatever the seed; the tampered matrices and βs are
+    # still drawn
+    check_grouped_fits(case, data)
+
+
+def check_grouped_fits(case, data):
     # cells with one point set share one normal system object, one â object
     # and at most one elimination; the fits, the pairs' (δ, β), the Singular
     # and the cocycle's integer sums must be those of per-cell elimination
