@@ -99,6 +99,13 @@ SEED = 0
 # of the change's walls.
 REPEATS = 3
 
+# The fields of a command's row, in the order :func:`measure` writes them;
+# :func:`not_run` gives a command that did not run the same fields.
+ROW_FIELDS = (
+    "command", "ran", "exit_code", "baseline_wall_s", "wall_s", "wall_min_s", "wall_max_s",
+    "ratios", "ratio_median", "wins", "pairs", "error", "report_bytes", "stderr_bytes", "bits",
+)
+
 
 def child_env(src: Path) -> dict:
     """The environment of a CLI child that imports lsglue from ``src``."""
@@ -235,23 +242,11 @@ def measure(command: str, argv: list, directory: Path, baseline: Path | None = N
 
 
 def not_run(command: str, why: str) -> dict:
-    return {
-        "command": command,
-        "ran": False,
-        "exit_code": None,
-        "baseline_wall_s": None,
-        "wall_s": None,
-        "wall_min_s": None,
-        "wall_max_s": None,
-        "ratios": [],
-        "ratio_median": None,
-        "wins": 0,
-        "pairs": REPEATS,
-        "error": why,
-        "report_bytes": None,
-        "stderr_bytes": None,
-        "bits": None,
-    }
+    """The row of a command that did not run: each of the ``ROW_FIELDS``
+    of :func:`measure`'s row, None where nothing was measured."""
+    row = dict.fromkeys(ROW_FIELDS)
+    row.update(command=command, ran=False, ratios=[], wins=0, pairs=REPEATS, error=why)
+    return row
 
 
 def run_rung(name: str, baseline: Path | None = None) -> list:

@@ -64,9 +64,9 @@ over one lcm (:func:`_face_sum`), and a pair's Nᵀβ₀ = δ
 (:func:`_pair_linear`) and N·â = -ν (:func:`_solves`) by one cross-multiplied
 residual (:func:`_residual`).  A Koszul
 coefficient is integers too (``koszul.LinearizedElement``): c0 its
-numerator and denominator, c a Vector; a β slot is built from its
-constant's integers, and the pair check reads them, so no rational is
-built.  An entry is reduced on its own only where it is written or becomes
+numerator and denominator, c a Vector; a β and a triple's residual are
+built slot by slot from their constants' integers (:func:`_slot_element`),
+and the pair check reads them, so no rational is built.  An entry is reduced on its own only where it is written or becomes
 a Koszul c0 (a β slot constant).
 
 The report's JSON form is this module's, Koszul elements included
@@ -171,12 +171,7 @@ class TripleCheck(Value):
     def residual_element(self, base: Vector) -> KoszulElement:
         """The residual as the degree-1 Koszul element at ``base``, the
         triple's â: slot m holds (-defect_m, ``linear`` at m)."""
-        zero, defect = Vector.zeros(base.dim), self.defect_constant
-        coeffs = {
-            (m,): LinearizedElement.of_parts(-num, defect.den, self.linear.get(m, zero))
-            for m, num in enumerate(defect.nums, 1)
-        }
-        return KoszulElement.build(1, base, coeffs)
+        return _slot_element(base, -self.defect_constant, self.linear)
 
     def residual_to_json(self, base: Vector, strings: "ReportStrings") -> dict:
         """``koszul_to_json(self.residual_element(base), strings)``, without
@@ -371,6 +366,17 @@ def canonical_alpha(fit: LinearizedDifferential) -> KoszulElement:
     return KoszulElement.build(0, fit.base, {(): LinearizedElement.linear(fit.base)})
 
 
+def _slot_element(base: Vector, constants: Vector, linear: dict) -> KoszulElement:
+    """The degree-1 element at ``base`` whose slot m holds the constant
+    ``constants``_m and the linear part ``linear[m]``, or zero if none."""
+    zero, den = Vector.zeros(base.dim), constants.den
+    coeffs = {
+        (m,): LinearizedElement.of_parts(num, den, linear.get(m, zero))
+        for m, num in enumerate(constants.nums, 1)
+    }
+    return KoszulElement.build(1, base, coeffs)
+
+
 def _cells_by_names(fits: dict) -> dict:
     return {cell.chart_names: cell for cell in fits}
 
@@ -421,13 +427,8 @@ def assemble_cochain(fits: CellFits) -> tuple[TotalCochain, ObstructionReport]:
             alpha[cell] = canonical_alpha(fit)
         elif cell.degree == 1:
             delta, constants = fits.pairs[cell.chart_names]
-            zero, den = Vector.zeros(fit.n), constants.den
-            slots = {
-                (m,): LinearizedElement.of_parts(num, den, zero)
-                for m, num in enumerate(constants.nums, 1)
-            }
-            beta[cell] = KoszulElement.build(1, fit.base, slots)
-            pairs[cell] = PairCheck(delta, constants, LinearizedElement(0, zero))
+            beta[cell] = _slot_element(fit.base, constants, {})
+            pairs[cell] = PairCheck(delta, constants, LinearizedElement(0, Vector.zeros(fit.n)))
         elif cell.degree == 2:
             defect = _face_sum([fits.pairs[face][1] for face in cell.faces()], fit.n)
             r[cell] = KoszulElement.zero(2, fit.base) if defect.is_zero() else None
@@ -440,11 +441,11 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
     """Recheck every supplied cocycle equation exactly, on vectors.
 
     Pairs: ι(β) = (N·β₀)·(a - â) must equal the alphas' discrepancy
-    (α_j.c0 - α_i.c0) + δ·(a - â), δ = α_j.c - α_i.c, so the residual has
-    constant α_i.c0 - α_j.c0 and linear part N·β₀ - δ, taken as Nᵀβ₀ - δ (the
-    form ι has for any N) on integers (:func:`_pair_linear`).  Triples: ι(r),
-    zero when r is absent and computed only for a supplied witness, must
-    equal the alternating face sum of the betas, slot by slot; ι(r) has no
+    α_j - α_i = (α_j.c0 - α_i.c0) + δ·(a - â), so the residual has constant
+    -(α_j - α_i).c0 and linear part N·β₀ - δ, taken as Nᵀβ₀ - δ (the form ι
+    has for any N) on integers (:func:`_pair_linear`).  Triples: ι(r), zero
+    when r is absent and computed only for a supplied witness, must equal
+    the alternating face sum of the betas, slot by slot; ι(r) has no
     constant term, so slot m of the residual is (-defect_m, ι(r).c_m -
     Σ±β.c_m), of which the nonzero linear parts are kept.  A cell without a
     fit or a lower layer raises :class:`CellMismatch`; a beta or witness
@@ -464,16 +465,13 @@ def verify_cocycle(cochain: TotalCochain, fits: dict) -> ObstructionReport:
             raise BaseMismatch("element and differential have different base points")
         alpha_i = cochain.alpha[by_names[(name_i,)]].coefficient(())
         alpha_j = cochain.alpha[by_names[(name_j,)]].coefficient(())
-        delta = alpha_j.c - alpha_i.c
+        discrepancy = alpha_j - alpha_i
         slots = [beta.coefficient((m,)) for m in range(1, fit.n + 1)]
         den, nums = over_lcm([slot.num for slot in slots], [slot.den for slot in slots])
         beta_constants = Vector(nums, den)
-        residual = LinearizedElement.of_parts(
-            alpha_i.num * alpha_j.den - alpha_j.num * alpha_i.den,
-            alpha_i.den * alpha_j.den,
-            _pair_linear(fit.nmat, beta_constants, delta),
-        )
-        pairs[cell] = PairCheck(delta, beta_constants, residual)
+        linear = _pair_linear(fit.nmat, beta_constants, discrepancy.c)
+        residual = LinearizedElement.of_parts(-discrepancy.num, discrepancy.den, linear)
+        pairs[cell] = PairCheck(discrepancy.c, beta_constants, residual)
 
     triples = {}
     for cell in cochain.r:

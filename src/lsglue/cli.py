@@ -26,7 +26,7 @@ compile regular expressions at import, and so load ``re``, ``enum``,
 ``json.loads`` runs (:func:`_read_json`), and ``json.loads`` reads it again
 only when that gives no document, to raise json's own error; strings are
 escaped by json's C function, the report is written by :func:`_json_text`,
-and the failure dump by :func:`_compact_text`.
+and the failure dump by json's C encoder (:func:`_compact_text`).
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ from .scalars import over_digit_limit
 try:
     # the C functions that json itself runs on CPython
     from _json import encode_basestring_ascii as _ENCODE
+    from _json import make_encoder as _make_encoder
     from _json import make_scanner as _make_scanner
 except ImportError:  # an interpreter without json's accelerator
     from json.encoder import encode_basestring_ascii as _ENCODE
 
-    _make_scanner = None
+    _make_encoder = _make_scanner = None
 
 _EXIT_OK = 0
 _EXIT_PARSE = 1
@@ -360,9 +361,11 @@ def _load_inputs(args):
     return data, cover, features
 
 
-def _emit(args, text: str) -> None:
-    """Write the report as UTF-8, to ``--output`` or to stdout whatever the
-    encoding of stdout: the text format spells chart names as they are."""
+def _emit(args, doc: dict, render_text) -> None:
+    """Write ``doc`` by :func:`_json_text`, or by ``render_text`` for the text
+    format, which spells chart names as they are: as UTF-8, to ``--output``
+    or to stdout whatever the encoding of stdout."""
+    text = _json_text(doc) if args.format == "json" else render_text(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as file:
             file.write(text)
@@ -412,10 +415,7 @@ def _json_text(doc) -> str:
 def _write(node, depth: int, append, lists: dict) -> None:
     """Append the text of ``node`` at ``depth`` for :func:`_json_text`;
     ``lists`` maps (id, depth) of each list of leaves to its text."""
-    leaf = _LEAF.get(type(node))
-    if leaf is not None:
-        append(leaf(node))
-    elif type(node) is dict:
+    if type(node) is dict:
         if not node:
             append("{}")
             return
@@ -451,22 +451,24 @@ def _write(node, depth: int, append, lists: dict) -> None:
             lists[key] = text
         append(text)
     else:
-        raise TypeError(f"Object of type {node.__class__.__name__} is not JSON serializable")
+        append(_LEAF.get(type(node), _unserializable)(node))
+
+
+def _unserializable(node):
+    """Refuse ``node``, of no JSON type, with json's ``TypeError``."""
+    raise TypeError(f"Object of type {node.__class__.__name__} is not JSON serializable")
 
 
 def _compact_text(doc) -> str:
-    """``json.dumps(doc, allow_nan=False)``, byte for byte, for the documents
-    :func:`_json_text` takes: ``", "`` and ``": "`` between items, keys in
-    the order of the dict, on one line."""
-    leaf = _LEAF.get(type(doc))
-    if leaf is not None:
-        return leaf(doc)
-    if type(doc) is dict:
-        items = [f"{_ENCODE(key)}: {_compact_text(value)}" for key, value in doc.items()]
-        return "{" + ", ".join(items) + "}"
-    if type(doc) is list:
-        return "[" + ", ".join(map(_compact_text, doc)) + "]"
-    raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
+    """``json.dumps(doc, allow_nan=False)``: json's C encoder, built per call
+    as ``json.dumps`` builds it (an error leaves its dict of open containers
+    filled), or ``json.dumps`` itself where ``_json`` is missing."""
+    if _make_encoder is None:
+        import json
+
+        return json.dumps(doc, allow_nan=False)
+    encoder = _make_encoder({}, _unserializable, _ENCODE, None, ": ", ", ", False, False, False)
+    return "".join(encoder(doc, 0))
 
 
 def _fmt_float(value: float | None) -> str:
@@ -550,7 +552,7 @@ def _cmd_fit(args) -> int:
     _, cover, features = _load_inputs(args)
     fits = fit_cells(cell_normal_systems(cover, features, args.max_degree), betas=False)
     doc = fits_to_json(fits)
-    _emit(args, _json_text(doc) if args.format == "json" else _render_fit_text(doc))
+    _emit(args, doc, _render_fit_text)
     return _EXIT_OK
 
 
@@ -567,7 +569,7 @@ def _cmd_cocycle(args) -> int:
     fits = fit_all_cells(cover, features, args.max_degree)
     cochain, report = assemble_cochain(fits)
     doc = report_to_json(cochain, fits, report)
-    _emit(args, _json_text(doc) if args.format == "json" else _render_report_text(doc))
+    _emit(args, doc, _render_report_text)
     if not report.all_verified():
         return _EXIT_OBSTRUCTED
     return _EXIT_OK
@@ -598,7 +600,7 @@ def _cmd_verify(args) -> int:
     report = verify_cocycle(cochain, fits)
     strings = ReportStrings()
     doc = report_to_json(cochain, fits, report, strings)
-    _emit(args, _json_text(doc) if args.format == "json" else _render_report_text(doc))
+    _emit(args, doc, _render_report_text)
     if not report.all_verified():
         _dump_failures(report, fits, strings)
         return _EXIT_VERIFY

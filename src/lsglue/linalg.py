@@ -41,12 +41,12 @@ Common-denominator arithmetic has one implementation, here:
 :func:`add_rows` adds integer rows, each over its own denominator, over
 their lcm (a negated denominator subtracts its row), which is also how
 vectors add; :func:`over_lcm` lifts terms, each over its own denominator,
-over their lcm, which is also how :meth:`Vector.of` and :meth:`Matrix.of`
-write rationals; and :func:`lowest_terms_divisor` brings integers over one
-denominator to lowest terms.  :func:`modular_rank` is the rank of ``nums``
-modulo the prime :data:`RANK_PRIME`.  It never exceeds the rank over the
-rationals, so a full modular rank proves a square matrix nonsingular; a
-short one proves nothing.
+over their lcm, which is also how :meth:`Vector.of` writes rationals, and
+:meth:`Matrix.of` through it; and :func:`lowest_terms_divisor` brings
+integers over one denominator to lowest terms.  :func:`modular_rank` is the
+rank of ``nums`` modulo the prime :data:`RANK_PRIME`.  It never exceeds the
+rank over the rationals, so a full modular rank proves a square matrix
+nonsingular; a short one proves nothing.
 
 Every immutable record of the package is a :class:`Value`: a subclass names
 its fields in ``__slots__``, sets them once in ``__init__``, and two objects
@@ -232,15 +232,14 @@ class Matrix(Value):
 
     @classmethod
     def of(cls, rows, ncols: int | None = None) -> "Matrix":
-        converted = tuple(tuple(rat(v) for v in row) for row in rows)
+        rows = [tuple(row) for row in rows]
         if ncols is None:
-            if not converted:
+            if not rows:
                 raise DimensionMismatch("cannot infer ncols of an empty matrix")
-            ncols = len(converted[0])
-        entries = [v for row in converted for v in row]
-        den, nums = over_lcm([v.numerator for v in entries], [v.denominator for v in entries])
-        flat = iter(nums)
-        return cls(tuple(tuple(islice(flat, len(row))) for row in converted), den, ncols)
+            ncols = len(rows[0])
+        flat = Vector.of(chain.from_iterable(rows))
+        nums = iter(flat.nums)
+        return cls([tuple(islice(nums, len(row))) for row in rows], flat.den, ncols)
 
     @property
     def nrows(self) -> int:

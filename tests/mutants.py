@@ -281,11 +281,39 @@ CATALOG = [
     Mutant(
         "pair_residual_constant_dropped",
         "assembly.py",
-        "alpha_i.num * alpha_j.den - alpha_j.num * alpha_i.den",
-        "0",
+        "-discrepancy.num,",
+        "0,",
         [
             "tests/test_golden.py::test_cli_matches_golden[verify_tampered_alpha_c0-json]",
             "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
+        ],
+    ),
+    Mutant(
+        "pair_discrepancy_reversed",
+        "assembly.py",
+        "discrepancy = alpha_j - alpha_i",
+        "discrepancy = alpha_i - alpha_j",
+        [
+            "tests/test_golden.py::test_cli_matches_golden[verify_tampered_alpha_c-json]",
+            "tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify",
+        ],
+    ),
+    Mutant(
+        "slot_element_drops_its_linear_parts",
+        "assembly.py",
+        "LinearizedElement.of_parts(num, den, linear.get(m, zero))",
+        "LinearizedElement.of_parts(num, den, zero)",
+        ["tests/test_vector_cochain.py::test_vector_verify_matches_koszul_verify"],
+    ),
+    Mutant(
+        "compact_encoder_key_separator_without_space",
+        "cli.py",
+        '_ENCODE, None, ": ", ", "',
+        '_ENCODE, None, ":", ", "',
+        [
+            "tests/test_golden.py::test_cli_matches_golden[verify_tampered_beta_linear-json]",
+            "tests/test_golden.py::test_cli_matches_golden[verify_tampered_r-json]",
+            "tests/test_cli.py::test_json_text_is_json_dumps_indent_2",
         ],
     ),
     Mutant(

@@ -116,6 +116,19 @@ def test_runs_that_disagree_make_the_error(tmp_path, monkeypatch, runs, error):
     assert (row["ratios"], row["wins"], row["pairs"]) == ([], 0, 3)
     # the report is where run_rung's verify reads it
     assert (tmp_path / "cocycle.json").read_text(encoding="utf-8") == REPORT
+    # a command that did not run has the measured row's fields, in order
+    assert list(row) == list(ladder.ROW_FIELDS)
+    skipped = ladder.not_run("verify", "cocycle wrote no report")
+    assert list(skipped) == list(ladder.ROW_FIELDS)
+    assert skipped == {
+        **dict.fromkeys(row),
+        "command": "verify",
+        "ran": False,
+        "ratios": [],
+        "wins": 0,
+        "pairs": 3,
+        "error": "cocycle wrote no report",
+    }
 
 
 @pytest.mark.skipif(

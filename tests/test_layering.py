@@ -3,13 +3,16 @@ format and the rule that certifies a fit, ``cli`` the files and exit codes.
 Each fact is stated once: a pair's (δ, β) in the fit loop, a triple's verdict
 in its witness and residual, the literal grammar in one function, and each
 exact operation in one function: sums of integer rows, lifts over an lcm, the
-residual M·x - b and the long-power guard.  No module imports a name it does
-not use."""
+residual M·x - b and the long-power guard; the JSON of the failure dump in
+json's own encoder, the choice of report format, the degree-1 slot form, the
+pair discrepancy α_j - α_i and the lift of rationals.  No module imports a
+name it does not use."""
 
 import ast
 import inspect
 import json
 import re
+import textwrap
 from pathlib import Path
 
 from lsglue import assembly, cli, koszul, linalg, model, scalars
@@ -73,6 +76,32 @@ def test_each_fact_is_stated_once():
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not {"evaluate", "rat"} & named
+    # the failure dump is json's C encoder, not a writer of its own; the
+    # json/text choice is _emit's; one helper builds a degree-1 slot form;
+    # the pair discrepancy is one LinearizedElement subtraction; and
+    # Matrix.of lifts its entries as Vector.of does
+    names = cli._compact_text.__code__.co_names
+    assert "_make_encoder" in names and "_compact_text" not in names
+    handlers = [fn for name, fn in vars(cli).items() if name.startswith("_cmd_")]
+    assert len(handlers) == 3
+    for handler in handlers:
+        assert "_json_text" not in handler.__code__.co_names, handler.__name__
+    for caller in (assembly.assemble_cochain, assembly.TripleCheck.residual_element):
+        assert "_slot_element" in caller.__code__.co_names, caller.__qualname__
+    fields = {(alpha, field) for alpha in ("alpha_i", "alpha_j") for field in ("num", "den", "c")}
+    assert not fields & _attributes_read(assembly.verify_cocycle)
+    assert ("Vector", "of") in _attributes_read(linalg.Matrix.of)
+    assert "over_lcm" not in linalg.Matrix.of.__code__.co_names
+
+
+def _attributes_read(fn) -> set:
+    """The (name, attribute) pairs that the source of ``fn`` spells."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
 
 
 def test_fit_cells_takes_claims_not_a_report(monkeypatch):
